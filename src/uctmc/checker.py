@@ -5,10 +5,22 @@ interval reachability (first visit to the label inside a time window, staying
 outside the label until then), and instantaneous expected reward at a time
 point.  Transient distributions are computed by uniformization: with
 Lambda >= max leaving rate, pi_t = sum_k Poi(Lambda*t; k) * pi_0 P^k where
-P = I + Q/Lambda.  Poisson weights are accumulated by a stable mode-outward
-recurrence and truncated once terms fall below 1e-30 of the peak, so the
-discarded mass is far below any supported tolerance; the retained weights are
-renormalized.
+P = I + Q/Lambda.  One stepping routine (``_iterates``) produces the power
+sequence for every measure kind and both sink policies.
+
+Error budget of one uniformization pass of K steps over n states:
+
+* Poisson truncation: weights are accumulated by a stable mode-outward
+  recurrence and cut once terms fall below 1e-30 of the peak; the retained
+  weights are renormalized.  The cut does not depend on ``epsilon``, and the
+  discarded mass is far below any supported tolerance.
+* Subnormal flush: draining mass leaves thousands of subnormal entries, which
+  make every sparse mat-vec many times slower.  Every 64 steps the entries of
+  the iterate below 1e-280 are set to zero.  The iterate is nonnegative
+  (P = I + Q/Lambda is), so one flush removes at most n * 1e-280 of mass and
+  the pass at most n * ceil(K/64) * 1e-280.  Under the 10^7-state cap and
+  for any pass shorter than 10^20 steps that is below 1e-250, far below
+  ``MIN_EPSILON``.
 
 On partial models every measure is computed twice: the truncated sink counts
 as a target (best case) for the upper bound and as a non-target (worst case)
@@ -37,6 +49,8 @@ from . import expr as ex
 
 MIN_EPSILON = 1e-12
 _POISSON_CUTOFF = 1e-30
+_FLUSH_BELOW = 1e-280
+_FLUSH_EVERY = 64
 _DELTA_FLOOR = 1e-250
 
 
@@ -189,6 +203,23 @@ def _poisson_terms(lam_t: float, epsilon: float) -> tuple[int, np.ndarray]:
     return mode - len(left), weights
 
 
+def _iterates(pt: sparse.csr_matrix, v: np.ndarray, skip: int, count: int):
+    """Yield ``count`` successive iterates (P^T)^k v, from k = ``skip`` on.
+
+    Every ``_FLUSH_EVERY`` steps the entries below ``_FLUSH_BELOW`` are set to
+    zero (see the module docstring for the mass this may remove).  A yielded
+    array is never modified afterwards.
+    """
+    v = np.array(v, dtype=float)
+    for k in range(skip + count):
+        if k:
+            v = pt @ v
+            if not k % _FLUSH_EVERY:
+                v[v < _FLUSH_BELOW] = 0.0
+        if k >= skip:
+            yield v
+
+
 def transient_distribution(c: ConcreteCtmc, t: float, epsilon: float = 1e-6,
                            initial: Optional[np.ndarray] = None,
                            absorbing: Optional[np.ndarray] = None) -> np.ndarray:
@@ -204,11 +235,8 @@ def transient_distribution(c: ConcreteCtmc, t: float, epsilon: float = 1e-6,
         return v
     k_lo, weights = _poisson_terms(lam * t, epsilon)
     out = np.zeros_like(v)
-    for _ in range(k_lo):
-        v = pt @ v
-    for w in weights:
-        out += w * v
-        v = pt @ v
+    for w, x in zip(weights, _iterates(pt, v, k_lo, len(weights))):
+        out += w * x
     return out
 
 
@@ -230,11 +258,9 @@ def _first_passage(c: ConcreteCtmc, start: np.ndarray, targets: np.ndarray,
 
     terms = [_poisson_terms(lam * t, epsilon) for t in horizons]
     k_max = max(k_lo + len(w) - 1 for k_lo, w in terms)
-    target_mass = np.empty(k_max + 1)
-    v = np.array(start, dtype=float)
-    for k in range(k_max + 1):
-        target_mass[k] = v[targets].sum()
-        v = pt @ v
+    indicator = targets.astype(float)
+    target_mass = np.fromiter((indicator @ x for x in _iterates(pt, start, 0, k_max + 1)),
+                              dtype=float, count=k_max + 1)
 
     out = np.empty(horizons.shape)
     for j, (k_lo, weights) in enumerate(terms):
@@ -439,16 +465,18 @@ def bound_measures(m: ParametricCtmc, u: Valuation, measures: MeasureSet,
 
 
 def refine_solution(prev: IntervalSolution, m: ParametricCtmc, u: Valuation,
-                    measures: MeasureSet, epsilon: float = 1e-6) -> IntervalSolution:
+                    measures: MeasureSet, epsilon: float = 1e-6,
+                    rel_gap: float = 1e-2) -> IntervalSolution:
     """One refinement step: re-run the bound analysis at delta/10 and intersect,
-    so the result is pointwise contained in the previous interval."""
+    so the result is pointwise contained in the previous interval.
+    ``gap_met`` is judged afresh on the refined interval."""
     delta_new = prev.delta / 10.0
     lo, up, _ = _bound_at_delta(m, u, measures, delta_new, epsilon)
     lower = np.maximum(prev.lower, lo)
     upper = np.minimum(prev.upper, up)
     upper = np.maximum(upper, lower)
     return IntervalSolution(prev.valuation_index, lower, upper, delta_new,
-                            gap_met=prev.gap_met)
+                            gap_met=_gaps_met(lower, upper, rel_gap))
 
 
 def solve_measure_set(m: ParametricCtmc, valuations, measures: MeasureSet,

@@ -170,7 +170,7 @@ def _stage_refine(args) -> None:
 
     def refiner(i: int):
         intervals[i] = refine_solution(intervals[i], m, samples.valuations[i],
-                                       measures, args.epsilon)
+                                       measures, args.epsilon, args.rel_gap)
         return intervals[i].lower, intervals[i].upper
 
     outcomes = []

@@ -120,7 +120,8 @@ def write_solutions(measure_ids: Sequence[str], solutions, path) -> None:
             entries.append({"i": s.valuation_index,
                             "lower": [float(v) for v in s.lower],
                             "upper": [float(v) for v in s.upper],
-                            "delta": s.delta})
+                            "delta": s.delta,
+                            "gap_met": bool(s.gap_met)})
         else:
             raise FormatError(f"not a solution object: {s!r}")
     dump_json({"measure_ids": list(measure_ids), "mode": mode, "solutions": entries}, path)
@@ -140,7 +141,8 @@ def read_solutions(path):
                 out.append(IntervalSolution(int(entry["i"]),
                                             np.asarray(entry["lower"], dtype=float),
                                             np.asarray(entry["upper"], dtype=float),
-                                            float(entry["delta"])))
+                                            float(entry["delta"]),
+                                            bool(entry["gap_met"])))
         return list(raw["measure_ids"]), mode, out
     except (KeyError, TypeError) as exc:
         raise FormatError(f"bad solutions file {path}: {exc}") from None

@@ -9,6 +9,7 @@ from uctmc import (
     ConcreteCtmc,
     IntervalReach,
     InstantReward,
+    IntervalSolution,
     MeasureSet,
     TimeBoundedReach,
     bound_measures,
@@ -16,6 +17,7 @@ from uctmc import (
     evaluate_measures,
     instant_reward,
     interval_reach,
+    interval_reaches,
     reach_probabilities,
     reach_probability,
     refine_solution,
@@ -26,7 +28,7 @@ from uctmc import (
 )
 from uctmc.scenario import BoxRegion
 
-from oracles import interval_reach_oracle, random_ctmc, transient_oracle
+from oracles import dense_generator, interval_reach_oracle, random_ctmc, transient_oracle
 
 
 def two_state(lam=1.0):
@@ -69,6 +71,45 @@ def test_random_ctmcs_match_expm_oracle():
         pi = transient_distribution(c, t, epsilon=1e-7)
         ref = transient_oracle(c, t)
         assert np.abs(pi - ref).sum() < 2e-7
+
+
+def draining_death_chain(top=40, rate=2.5, slow=0.05):
+    """Pure death chain top -> ... -> 1 -> 0 with death rate rate*i and a slow
+    last step: the upper states drain at very different speeds, so their mass
+    passes through the subnormal range while Lambda*t is in the thousands."""
+    rates = np.zeros((top + 1, top + 1))
+    for i in range(2, top + 1):
+        rates[i, i - 1] = rate * i
+    rates[1, 0] = slow
+    initial = np.zeros(top + 1)
+    initial[top] = 1.0
+    extinct = np.zeros(top + 1, dtype=bool)
+    extinct[0] = True
+    return ConcreteCtmc.from_dense(rates, initial, labels={"extinct": extinct})
+
+
+def test_long_draining_pass_matches_expm_oracle():
+    c = draining_death_chain()
+    q = dense_generator(c)
+    lam = float(-q.diagonal().min())
+    t_lo, t_his = 10.0, [20.0, 40.0]
+    assert lam * t_his[-1] >= 4000
+    # without flushing, the power sequence leaves mass below the flush threshold
+    p = np.eye(c.num_states) + q / lam
+    v = c.initial.copy()
+    tiny = 0
+    for _ in range(int(lam * t_his[-1])):
+        v = v @ p
+        tiny = max(tiny, int(np.count_nonzero((v > 0.0) & (v < 1e-280))))
+    assert tiny > 0
+
+    eps = 1e-8
+    pi = transient_distribution(c, t_his[-1], epsilon=eps)
+    assert np.abs(pi - transient_oracle(c, t_his[-1])).sum() <= eps
+    ours = interval_reaches(c, "extinct", t_lo, t_his, epsilon=eps)
+    mask = c.label_mask("extinct")
+    for value, t_hi in zip(ours, t_his):
+        assert abs(value - interval_reach_oracle(c, mask, t_lo, t_hi)) <= eps
 
 
 def test_reach_examples():
@@ -233,6 +274,16 @@ def test_refine_exact_interval_unchanged(sir2, mean_valuation):
     refined = refine_solution(exact_iv, sir2, mean_valuation, measures)
     assert np.allclose(refined.lower, exact_iv.lower, atol=1e-12)
     assert np.allclose(refined.upper, exact_iv.upper, atol=1e-12)
+
+
+def test_refine_recomputes_gap_met(sir2, mean_valuation):
+    measures = MeasureSet((TimeBoundedReach("a", "extinct", 30.0),))
+    exact_iv = bound_measures(sir2, mean_valuation, measures, delta=1e-100, rel_gap=1.0)
+    missed = IntervalSolution(exact_iv.valuation_index, exact_iv.lower, exact_iv.upper,
+                              exact_iv.delta, gap_met=False)
+    refined = refine_solution(missed, sir2, mean_valuation, measures)
+    assert np.all(refined.width == 0.0)
+    assert refined.gap_met
 
 
 def test_cluster_reuse_stays_sound(sir20, sir_measures):

@@ -41,12 +41,15 @@ def test_solutions_round_trip_exact(tmp_path):
 
 
 def test_solutions_round_trip_approx(tmp_path):
-    sols = [uctmc.IntervalSolution(0, np.array([0.1]), np.array([0.2]), 1e-3)]
+    sols = [uctmc.IntervalSolution(0, np.array([0.1]), np.array([0.2]), 1e-3),
+            uctmc.IntervalSolution(1, np.array([0.1]), np.array([0.9]), 1e-250,
+                                   gap_met=False)]
     path = tmp_path / "solutions.json"
     uio.write_solutions(["a"], sols, path)
     ids, mode, back = uio.read_solutions(path)
     assert mode == "approx"
     assert back[0].delta == 1e-3
+    assert [s.gap_met for s in back] == [True, False]
 
 
 def test_regions_schema(tmp_path):
