@@ -6,7 +6,9 @@ outside the label until then), and instantaneous expected reward at a time
 point.  Transient distributions are computed by uniformization: with
 Lambda >= max leaving rate, pi_t = sum_k Poi(Lambda*t; k) * pi_0 P^k where
 P = I + Q/Lambda.  One stepping routine (``_iterates``) produces the power
-sequence for every measure kind and both sink policies.
+sequence for every measure kind.  It steps in place: each step is one call of
+scipy's CSR mat-vec kernel into one of two preallocated buffers that take
+turns, so an iterate it yields is valid only until the next step.
 
 Error budget of one uniformization pass of K steps over n states:
 
@@ -22,9 +24,15 @@ Error budget of one uniformization pass of K steps over n states:
   for any pass shorter than 10^20 steps that is below 1e-250, far below
   ``MIN_EPSILON``.
 
-On partial models every measure is computed twice: the truncated sink counts
-as a target (best case) for the upper bound and as a non-target (worst case)
-for the lower bound, yielding sound two-sided bounds on the exact solution.
+On partial models the truncated sink (the last state) bounds every measure
+from both sides.  The lower bound treats the sink as a non-target with reward
+zero; the upper bound counts it as a target with the worst-case reward.  The
+sink's row is empty, so making it absorbing changes neither P, Lambda nor the
+Poisson weights, and one pass yields both bounds: upper = lower + the sink's
+share (its Poisson-weighted mass for reach and interval measures,
+pi_t[sink] * worst-case reward for rewards).  Each bound is the same
+Poisson-weighted sum a separate pass would compute, so both keep the
+``epsilon`` contract, and upper >= lower holds by construction.
 """
 
 from __future__ import annotations
@@ -35,6 +43,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse._sparsetools import csr_matvec
 
 from .model import (
     ConcreteCtmc,
@@ -206,18 +215,38 @@ def _poisson_terms(lam_t: float, epsilon: float) -> tuple[int, np.ndarray]:
 def _iterates(pt: sparse.csr_matrix, v: np.ndarray, skip: int, count: int):
     """Yield ``count`` successive iterates (P^T)^k v, from k = ``skip`` on.
 
-    Every ``_FLUSH_EVERY`` steps the entries below ``_FLUSH_BELOW`` are set to
-    zero (see the module docstring for the mass this may remove).  A yielded
-    array is never modified afterwards.
+    Each step calls scipy's CSR mat-vec kernel directly on two preallocated
+    buffers that take turns, so a yielded array is valid only until the
+    generator resumes: use or copy it before asking for the next one.  Every
+    ``_FLUSH_EVERY`` steps the entries below ``_FLUSH_BELOW`` are set to zero
+    (see the module docstring for the mass this may remove).
     """
+    n = pt.shape[0]
+    indptr, indices, data = pt.indptr, pt.indices, pt.data
     v = np.array(v, dtype=float)
+    spare = np.empty_like(v)
     for k in range(skip + count):
         if k:
-            v = pt @ v
+            # the kernel adds P^T v into its output buffer
+            spare.fill(0.0)
+            csr_matvec(n, n, indptr, indices, data, v, spare)
+            v, spare = spare, v
             if not k % _FLUSH_EVERY:
                 v[v < _FLUSH_BELOW] = 0.0
         if k >= skip:
             yield v
+
+
+def _transient(uni, v: np.ndarray, t: float, epsilon: float) -> np.ndarray:
+    """pi_t from pi_0 = v, on the uniformized chain ``uni`` = (P^T, Lambda)."""
+    pt, lam = uni
+    if t == 0.0 or lam == 0.0:
+        return v
+    k_lo, weights = _poisson_terms(lam * t, epsilon)
+    out = np.zeros_like(v)
+    for w, x in zip(weights, _iterates(pt, v, k_lo, len(weights))):
+        out += w * x
+    return out
 
 
 def transient_distribution(c: ConcreteCtmc, t: float, epsilon: float = 1e-6,
@@ -230,45 +259,51 @@ def transient_distribution(c: ConcreteCtmc, t: float, epsilon: float = 1e-6,
     v = np.array(c.initial if initial is None else initial, dtype=float)
     if t == 0.0:
         return v
-    pt, lam = _uniformized(c, absorbing)
-    if lam == 0.0:
-        return v
-    k_lo, weights = _poisson_terms(lam * t, epsilon)
-    out = np.zeros_like(v)
-    for w, x in zip(weights, _iterates(pt, v, k_lo, len(weights))):
-        out += w * x
-    return out
+    return _transient(_uniformized(c, absorbing), v, t, epsilon)
 
 
-def _first_passage(c: ConcreteCtmc, start: np.ndarray, targets: np.ndarray,
-                   horizons: Sequence[float], epsilon: float) -> np.ndarray:
-    """P(first visit to targets within each horizon), targets made absorbing.
+def _first_passage(uni, start: np.ndarray, targets: np.ndarray,
+                   horizons: Sequence[float], epsilon: float,
+                   sink: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """P(first visit to targets within each horizon); the targets must be
+    absorbing in the uniformized chain ``uni``.
 
     One power-sequence pass serves every horizon: the target mass after k
-    jumps is shared, only the Poisson weights differ per horizon.
+    jumps is shared, only the Poisson weights differ per horizon.  Returns
+    (probabilities, probabilities with the sink counted as a target).  With
+    ``sink`` the last state is a partial chain's absorbing sink and the pass
+    also tracks its mass; without, the two arrays are equal.
     """
     _check_epsilon(epsilon)
     horizons = np.asarray(horizons, dtype=float)
     if np.any(horizons < 0):
         raise CheckerError("horizons must be >= 0")
-    pt, lam = _uniformized(c, absorbing=targets)
+    pt, lam = uni
     base = float(start[targets].sum()) if targets.any() else 0.0
+    sink_base = float(start[-1]) if sink else 0.0
     if lam == 0.0 or horizons.size == 0:
-        return np.full(horizons.shape, base)
+        return np.full(horizons.shape, base), np.full(horizons.shape, base + sink_base)
 
     terms = [_poisson_terms(lam * t, epsilon) for t in horizons]
     k_max = max(k_lo + len(w) - 1 for k_lo, w in terms)
     indicator = targets.astype(float)
-    target_mass = np.fromiter((indicator @ x for x in _iterates(pt, start, 0, k_max + 1)),
-                              dtype=float, count=k_max + 1)
+    target_mass = np.empty(k_max + 1)
+    sink_mass = np.zeros(k_max + 1)
+    for k, x in enumerate(_iterates(pt, start, 0, k_max + 1)):
+        target_mass[k] = indicator @ x
+        if sink:
+            sink_mass[k] = x[-1]
 
-    out = np.empty(horizons.shape)
+    lower = np.empty(horizons.shape)
+    upper = np.empty(horizons.shape)
     for j, (k_lo, weights) in enumerate(terms):
         if horizons[j] == 0.0:
-            out[j] = base
+            lower[j], upper[j] = base, base + sink_base
         else:
-            out[j] = float(weights @ target_mass[k_lo:k_lo + len(weights)])
-    return np.clip(out, 0.0, None)
+            window = slice(k_lo, k_lo + len(weights))
+            lower[j] = weights @ target_mass[window]
+            upper[j] = lower[j] + weights @ sink_mass[window]
+    return np.clip(lower, 0.0, None), np.clip(upper, 0.0, None)
 
 
 def reach_probabilities(c: ConcreteCtmc, target: Union[str, np.ndarray],
@@ -277,7 +312,8 @@ def reach_probabilities(c: ConcreteCtmc, target: Union[str, np.ndarray],
     """Time-bounded reachability for a family of horizons (one shared pass)."""
     mask = _mask(c, target)
     start = c.initial if initial is None else initial
-    return np.clip(_first_passage(c, start, mask, horizons, epsilon), 0.0, 1.0)
+    values, _ = _first_passage(_uniformized(c, mask), start, mask, horizons, epsilon)
+    return np.clip(values, 0.0, 1.0)
 
 
 def reach_probability(c: ConcreteCtmc, target: Union[str, np.ndarray], tau: float,
@@ -285,18 +321,18 @@ def reach_probability(c: ConcreteCtmc, target: Union[str, np.ndarray], tau: floa
     return float(reach_probabilities(c, target, [tau], epsilon)[0])
 
 
-def _interval_core(c: ConcreteCtmc, target_mask: np.ndarray, t_lo: float,
+def _interval_core(c: ConcreteCtmc, uni, target_mask: np.ndarray, t_lo: float,
                    t_his: Sequence[float], epsilon: float,
-                   keep_extra: Optional[np.ndarray] = None,
-                   final_extra: Optional[np.ndarray] = None) -> np.ndarray:
+                   sink: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Two-phase interval-until: stay outside the target until the window opens.
 
-    Phase one runs to t_lo with the target absorbing; mass sitting in the
-    target at t_lo broke the left operand and is dropped (paths must avoid the
-    target strictly before the window).  Phase two computes first passage into
-    the target within t_hi - t_lo.  ``keep_extra``/``final_extra`` widen the
-    restriction and the counted set (used for the optimistic sink treatment on
-    partial models).
+    ``uni`` is the uniformized chain with the target absorbing; both phases
+    step through it.  Phase one runs to t_lo; mass sitting in the target at
+    t_lo broke the left operand and is dropped (paths must avoid the target
+    strictly before the window).  Phase two computes first passage into the
+    target within t_hi - t_lo.  Returns the pair of ``_first_passage``: with
+    ``sink`` the second array also counts the sink's mass, including what it
+    held at t_lo.
     """
     t_his = np.asarray(t_his, dtype=float)
     if np.any(t_his < t_lo):
@@ -304,20 +340,18 @@ def _interval_core(c: ConcreteCtmc, target_mask: np.ndarray, t_lo: float,
     if t_lo == 0.0:
         start = np.array(c.initial, dtype=float)
     else:
-        pi = transient_distribution(c, t_lo, epsilon / 2.0, absorbing=target_mask)
-        keep = ~target_mask
-        if keep_extra is not None:
-            keep = keep | keep_extra
-        start = np.where(keep, pi, 0.0)
-    final = target_mask if final_extra is None else (target_mask | final_extra)
+        pi = _transient(uni, c.initial, t_lo, epsilon / 2.0)
+        start = np.where(~target_mask, pi, 0.0)
     phase2_eps = epsilon if t_lo == 0.0 else epsilon / 2.0
-    return np.clip(_first_passage(c, start, final, t_his - t_lo, phase2_eps), 0.0, 1.0)
+    lower, upper = _first_passage(uni, start, target_mask, t_his - t_lo, phase2_eps, sink)
+    return np.clip(lower, 0.0, 1.0), np.clip(upper, 0.0, 1.0)
 
 
 def interval_reaches(c: ConcreteCtmc, target: Union[str, np.ndarray], t_lo: float,
                      t_his: Sequence[float], epsilon: float = 1e-6) -> np.ndarray:
     """P(first visit to target happens inside [t_lo, t_hi]) per t_hi."""
-    return _interval_core(c, _mask(c, target), t_lo, t_his, epsilon)
+    mask = _mask(c, target)
+    return _interval_core(c, _uniformized(c, mask), mask, t_lo, t_his, epsilon)[0]
 
 
 def interval_reach(c: ConcreteCtmc, target: Union[str, np.ndarray], t_lo: float,
@@ -337,33 +371,26 @@ def instant_reward(c: ConcreteCtmc, reward: Union[str, np.ndarray], t: float,
 # Measure-set evaluation (exact chains and partial-model bounds)
 # ---------------------------------------------------------------------------
 
-def _sink_onehot(c: ConcreteCtmc) -> np.ndarray:
-    mask = np.zeros(c.num_states, dtype=bool)
-    mask[c.num_states - 1] = True
-    return mask
-
-
-def evaluate_measures(c: ConcreteCtmc, measures: MeasureSet, epsilon: float = 1e-6,
-                      sink_policy: Optional[str] = None,
-                      sink_rewards: Optional[dict] = None) -> np.ndarray:
+def _evaluate(c: ConcreteCtmc, measures: MeasureSet, epsilon: float,
+              sink_rewards: Optional[dict] = None) -> tuple[np.ndarray, np.ndarray]:
     """Values of all measures on one chain, grouped to share transient passes.
 
-    ``sink_policy`` is None on full chains; on partial models "upper" counts
-    the sink as target (and assigns it the provided worst-case rewards) while
-    "lower" counts it as a non-target with reward zero.
+    Returns (lower, upper).  With ``sink_rewards`` the chain is a partial
+    model: the lower values treat its sink as a non-target with reward zero,
+    and the upper values add the sink's share from the same passes, with the
+    given worst-case reward per reward name (see the module docstring).
+    Without, the two arrays are equal.  The uniformized chain is built once
+    per absorbing set and shared by every pass that needs it.
     """
-    if sink_policy not in (None, "lower", "upper"):
-        raise CheckerError(f"unknown sink policy: {sink_policy!r}")
-    optimistic = sink_policy == "upper"
-    sink = _sink_onehot(c) if sink_policy else None
-
-    values = np.empty(len(measures))
-    order = list(enumerate(measures))
+    _check_epsilon(epsilon)
+    sink = sink_rewards is not None
+    lower = np.empty(len(measures))
+    upper = np.empty(len(measures))
 
     reach_groups: dict = {}
     window_groups: dict = {}
     reward_groups: dict = {}
-    for pos, meas in order:
+    for pos, meas in enumerate(measures):
         if isinstance(meas, TimeBoundedReach):
             reach_groups.setdefault(meas.target, []).append(pos)
         elif isinstance(meas, IntervalReach):
@@ -371,36 +398,44 @@ def evaluate_measures(c: ConcreteCtmc, measures: MeasureSet, epsilon: float = 1e
         else:
             reward_groups.setdefault(meas.time, []).append(pos)
 
+    uniformized: dict = {}
+
+    def uni(target: Optional[str]):
+        """Uniformized chain with ``target`` absorbing (None: nothing absorbing)."""
+        if target not in uniformized:
+            absorbing = None if target is None else c.label_mask(target)
+            uniformized[target] = _uniformized(c, absorbing)
+        return uniformized[target]
+
     for target, positions in reach_groups.items():
-        mask = c.label_mask(target)
-        if optimistic:
-            mask = mask | sink
         taus = [measures.measures[p].horizon for p in positions]
-        vals = np.clip(_first_passage(c, c.initial, mask, taus, epsilon), 0.0, 1.0)
-        for p, v in zip(positions, vals):
-            values[p] = v
+        lo, up = _first_passage(uni(target), c.initial, c.label_mask(target), taus,
+                                epsilon, sink)
+        lower[positions] = np.clip(lo, 0.0, 1.0)
+        upper[positions] = np.clip(up, 0.0, 1.0)
 
     for (target, t_lo), positions in window_groups.items():
-        mask = c.label_mask(target)
         t_his = [measures.measures[p].t_hi for p in positions]
-        vals = _interval_core(
-            c, mask, t_lo, t_his, epsilon,
-            keep_extra=sink if optimistic else None,
-            final_extra=sink if optimistic else None)
-        for p, v in zip(positions, vals):
-            values[p] = v
+        lower[positions], upper[positions] = _interval_core(
+            c, uni(target), c.label_mask(target), t_lo, t_his, epsilon, sink)
 
     for t, positions in reward_groups.items():
-        pi = transient_distribution(c, t, epsilon)
+        pi = _transient(uni(None), c.initial, t, epsilon)
         for p in positions:
-            meas = measures.measures[p]
-            vec = c.reward_vector(meas.reward)
-            if optimistic and sink_rewards is not None:
-                vec = vec.copy()
-                vec[-1] = sink_rewards.get(meas.reward, 0.0)
-            values[p] = max(float(pi @ vec), 0.0)
+            name = measures.measures[p].reward
+            value = float(pi @ c.reward_vector(name))
+            lower[p] = upper[p] = max(value, 0.0)
+            if sink:
+                upper[p] = max(value + pi[-1] * sink_rewards.get(name, 0.0), 0.0)
 
-    return values
+    return lower, upper
+
+
+def evaluate_measures(c: ConcreteCtmc, measures: MeasureSet,
+                      epsilon: float = 1e-6) -> np.ndarray:
+    """Values of all measures on one (full) chain, grouped to share transient
+    passes."""
+    return _evaluate(c, measures, epsilon)[0]
 
 
 def solve_measures(m: ParametricCtmc, u: Valuation, measures: MeasureSet,
@@ -422,13 +457,9 @@ def _worst_case_rewards(m: ParametricCtmc) -> dict:
 
 def _bound_at_delta(m: ParametricCtmc, u: Valuation, measures: MeasureSet,
                     delta: float, epsilon: float, reuse=None):
+    """Lower and upper measure bounds from the partial model at ``delta``."""
     partial = build_partial(m, u, delta, reuse=reuse)
-    sink_rewards = _worst_case_rewards(m)
-    lower = evaluate_measures(partial, measures, epsilon, sink_policy="lower")
-    upper = evaluate_measures(partial, measures, epsilon, sink_policy="upper",
-                              sink_rewards=sink_rewards)
-    # Float noise from two separate analyses may invert a (near-)exact pair.
-    upper = np.maximum(upper, lower)
+    lower, upper = _evaluate(partial, measures, epsilon, _worst_case_rewards(m))
     return lower, upper, partial
 
 
@@ -502,7 +533,6 @@ def solve_measure_set(m: ParametricCtmc, valuations, measures: MeasureSet,
         clusters = cluster_valuations(valuations, cluster_radius, m.parameters)
         for cluster in clusters:
             rep_partial = build_partial(m, cluster.representative, delta)
-            cluster.retained_state_set = rep_partial.retained_states
             for idx in cluster.member_indices:
                 reuse_map[idx] = rep_partial.retained_states
 

@@ -140,13 +140,8 @@ def _stage_check(args) -> None:
     log.info("checked %d valuations in %s mode", len(solutions), args.mode)
 
 
-def _solutions_for_scenario(path):
-    _, mode, solutions = uio.read_solutions(path)
-    return mode, solutions
-
-
 def _stage_region(args) -> None:
-    mode, solutions = _solutions_for_scenario(args.solutions)
+    _, mode, solutions = uio.read_solutions(args.solutions)
     scenario_mode = "precise" if mode == "exact" else "imprecise"
     rhos = _parse_rhos(args.rho, len(solutions))
     betas = _parse_betas(args.beta)
@@ -186,7 +181,7 @@ def _stage_refine(args) -> None:
 
 
 def _stage_baseline(args) -> None:
-    mode, solutions = _solutions_for_scenario(args.solutions)
+    _, mode, solutions = uio.read_solutions(args.solutions)
     if args.kind == "independent":
         if mode != "exact":
             raise StageError("baseline", "independent baseline needs exact solutions")
@@ -284,6 +279,9 @@ def run_pipeline(cfg: RunConfig) -> dict:
             "beta": list(cfg.betas), "threads": cfg.threads,
         },
     }
+    if cfg.mode == "approx":
+        # solutions whose bounds never met the relative gap (see gap_met)
+        summary["gap_failures"] = sum(not s.gap_met for s in solutions)
     uio.dump_json(summary, out / "summary.json")
     return summary
 
@@ -354,7 +352,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--regions", required=True)
     p.add_argument("--measures", required=True,
                    help="measure file defining the horizon family")
-    p.add_argument("--horizons", default="from-measures")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_stage_curve)
 

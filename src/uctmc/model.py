@@ -137,7 +137,6 @@ class ValuationCluster:
     representative: Valuation
     members: list[Valuation]
     member_indices: list[int]
-    retained_state_set: Optional[tuple[tuple[int, ...], ...]] = None
 
 
 # ---------------------------------------------------------------------------
@@ -451,12 +450,11 @@ class PartialCtmc(ConcreteCtmc):
     """
 
     def __init__(self, states, initial, rates, labels, rewards, delta,
-                 retained_states, redirected_rate, origin=None):
+                 retained_states, redirected_rate):
         super().__init__(states, initial, rates, labels, rewards)
         self.delta = delta
         self.retained_states = retained_states
         self.redirected_rate = redirected_rate
-        self.origin = origin
 
     @property
     def sink(self) -> int:
@@ -524,8 +522,7 @@ def build_full(m: ParametricCtmc, u: Valuation,
 
 def build_partial(m: ParametricCtmc, u: Valuation, delta: float,
                   reuse: Optional[Sequence[tuple[int, ...]]] = None,
-                  state_cap: int = DEFAULT_STATE_CAP,
-                  origin: Optional[int] = None) -> PartialCtmc:
+                  state_cap: int = DEFAULT_STATE_CAP) -> PartialCtmc:
     """Build a truncated CTMC keeping states with estimated reach probability > delta.
 
     States are expanded in descending order of the product of embedded-DTMC
@@ -556,6 +553,7 @@ def build_partial(m: ParametricCtmc, u: Valuation, delta: float,
         return row
 
     init_points = [point for point, _ in m.initial_states()]
+    rows: dict = {}  # outgoing rows of the expanded states, kept for assembly
 
     if reuse is not None:
         retained = list(dict.fromkeys(list(reuse) + init_points))
@@ -579,7 +577,7 @@ def build_partial(m: ParametricCtmc, u: Valuation, delta: float,
             order.append(state)
             if len(order) > state_cap:
                 raise StateCapExceeded(f"state cap of {state_cap} exceeded")
-            row = outgoing(state)
+            row = rows[state] = outgoing(state)
             exit_rate = float(sum(row.values()))
             if exit_rate <= 0:
                 continue
@@ -600,7 +598,8 @@ def build_partial(m: ParametricCtmc, u: Valuation, delta: float,
     redirected = 0.0
     for state in retained:
         row_out: dict = {}
-        for target, rate in outgoing(state).items():
+        row = rows[state] if state in rows else outgoing(state)
+        for target, rate in row.items():
             tgt = index.get(target, sink)
             if tgt == sink:
                 redirected += float(rate)
@@ -611,7 +610,7 @@ def build_partial(m: ParametricCtmc, u: Valuation, delta: float,
     states = retained + [None]
     rates, initial, labels, rewards = _assemble(m, retained, merged, n, extra_sink=True)
     return PartialCtmc(states, initial, rates, labels, rewards, delta,
-                       tuple(retained), redirected, origin)
+                       tuple(retained), redirected)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,14 @@ from uctmc import (
 )
 from uctmc.scenario import BoxRegion
 
-from oracles import dense_generator, interval_reach_oracle, random_ctmc, transient_oracle
+from oracles import (
+    dense_generator,
+    interval_reach_oracle,
+    reach_oracle,
+    random_ctmc,
+    transient_oracle,
+)
+from scipy.linalg import expm
 
 
 def two_state(lam=1.0):
@@ -110,6 +117,28 @@ def test_long_draining_pass_matches_expm_oracle():
     mask = c.label_mask("extinct")
     for value, t_hi in zip(ours, t_his):
         assert abs(value - interval_reach_oracle(c, mask, t_lo, t_hi)) <= eps
+
+
+def test_iterates_match_public_matmul_with_flush():
+    from uctmc.checker import _FLUSH_BELOW, _FLUSH_EVERY, _iterates, _uniformized
+
+    c = draining_death_chain()
+    pt, _ = _uniformized(c)
+    steps = 4000
+    ours = [x.copy() for x in _iterates(pt, c.initial, 0, steps + 1)]
+    v = c.initial.copy()
+    flushed = 0
+    for k in range(steps + 1):
+        if k:
+            v = pt @ v
+            if not k % _FLUSH_EVERY:
+                tiny = v < _FLUSH_BELOW
+                flushed += int(np.count_nonzero(v[tiny]))
+                v[tiny] = 0.0
+        assert np.array_equal(ours[k], v), k
+    assert flushed > 0
+    tail = [x.copy() for x in _iterates(pt, c.initial, 3000, 5)]
+    assert all(np.array_equal(a, b) for a, b in zip(tail, ours[3000:3005]))
 
 
 def test_reach_examples():
@@ -235,6 +264,43 @@ def test_bound_measures_delta_one_gives_vacuous_reach_bounds(sir20, sir_measures
     assert partial.retained_states == ((15, 5, 0),)
     assert np.all(lower <= 1e-6)
     assert np.all(upper >= 1.0 - 1e-6)
+
+
+def test_partial_bounds_match_dense_oracle():
+    from uctmc.checker import _bound_at_delta
+
+    m = uctmc.load_model(uctmc.example_model_path("buffer"))
+    u = uctmc.Valuation.from_floats([35.0, 30.0, 30.0, 0.05, 10.0, 10.0])
+    measures = MeasureSet((
+        TimeBoundedReach("reach1", "both_busy", 0.3),
+        TimeBoundedReach("reach2", "both_busy", 1.5),
+        IntervalReach("window", "both_busy", 0.5, 2.0),
+        InstantReward("tokens", "buffered", 2.0),
+    ))
+    eps = 1e-8
+    lower, upper, partial = _bound_at_delta(m, u, measures, 1e-3, eps)
+    assert partial.sink_reachable
+
+    mask = partial.label_mask("both_busy")
+    sink = np.zeros(partial.num_states, dtype=bool)
+    sink[-1] = True
+    reward = partial.reward_vector("buffered")
+    worst = reward.copy()
+    worst[-1] = 3.0  # s + f at s = 2, f = 1
+    pi = transient_oracle(partial, 2.0)
+    # upper window bound: the sink keeps its mass at t_lo and counts as target
+    q = dense_generator(partial, absorbing=mask)
+    start = np.where(mask, 0.0, partial.initial @ expm(q * 0.5))
+    window_up = float((start @ expm(q * 1.5))[mask | sink].sum())
+    expected_lower = [reach_oracle(partial, mask, 0.3), reach_oracle(partial, mask, 1.5),
+                      interval_reach_oracle(partial, mask, 0.5, 2.0), float(pi @ reward)]
+    expected_upper = [reach_oracle(partial, mask | sink, 0.3),
+                      reach_oracle(partial, mask | sink, 1.5), window_up, float(pi @ worst)]
+    assert np.all(np.abs(lower - expected_lower) <= eps)
+    assert np.all(np.abs(upper - expected_upper) <= eps)
+    assert np.all(lower <= upper)
+    # the sink holds enough mass for the two sides to differ
+    assert np.all(upper - lower > 1e-6)
 
 
 def test_bound_measures_tiny_delta_is_exact(sir2, mean_valuation):

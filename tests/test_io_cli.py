@@ -96,6 +96,29 @@ def test_run_pipeline_writes_artifacts(tmp_path):
     assert all(t >= 0 for t in summary["stages"].values())
     assert sum(summary["stages"].values()) <= summary["total"]
     assert sum(summary["stages"].values()) >= 0.95 * summary["total"]
+    assert "gap_failures" not in summary  # exact mode has no gaps
+
+
+def test_run_pipeline_counts_gap_failures(tmp_path, monkeypatch):
+    import uctmc.cli as cli
+
+    solve = cli.solve_measure_set
+
+    def one_gap_missed(*args, **kwargs):
+        solutions = solve(*args, **kwargs)
+        solutions[0].gap_met = False
+        return solutions
+
+    monkeypatch.setattr(cli, "solve_measure_set", one_gap_missed)
+    cfg = RunConfig(model=_model_path("tandem"),
+                    measures=_model_path("tandem_measures"),
+                    n=6, seed=3, mode="approx", rho_spec="2.0", betas=(0.9,),
+                    out_dir=str(tmp_path))
+    summary = run_pipeline(cfg)
+    _, _, back = uio.read_solutions(tmp_path / "solutions.json")
+    assert [s.gap_met for s in back].count(False) == 1
+    assert summary["gap_failures"] == 1
+    assert json.loads((tmp_path / "summary.json").read_text())["gap_failures"] == 1
 
 
 def test_run_pipeline_deterministic_artifacts(tmp_path):
