@@ -23,7 +23,7 @@ samples = uctmc.sample_valuations(model, n=100, seed=42)
 print(f"  accepted {len(samples)}, rejected {samples.rejected_count}")
 
 print("model checking 26 extinction-window measures per sample ...")
-solutions = uctmc.solve_measure_set(model, samples, measures, threads=1)
+solutions = uctmc.solve_measure_set(model, samples, measures)
 values = solutions_matrix(solutions)
 print(f"  solution matrix {values.shape}, entry range "
       f"[{values.min():.3f}, {values.max():.3f}]")

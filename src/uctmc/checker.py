@@ -37,7 +37,6 @@ Poisson-weighted sum a separate pass would compute, so both keep the
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -52,7 +51,6 @@ from .model import (
     build_full,
     build_partial,
     cluster_valuations,
-    _structure,
 )
 from . import expr as ex
 
@@ -513,20 +511,20 @@ def refine_solution(prev: IntervalSolution, m: ParametricCtmc, u: Valuation,
 def solve_measure_set(m: ParametricCtmc, valuations, measures: MeasureSet,
                       mode: str = "exact", epsilon: float = 1e-6,
                       delta: float = 1e-2, rel_gap: float = 1e-2,
-                      threads: int = 1, cluster_radius: float = 0.0):
+                      cluster_radius: float = 0.0):
     """Solution vectors (or interval solutions) for a batch of valuations.
 
-    Results are ordered by valuation index and do not depend on the worker
-    count.  In approx mode a positive ``cluster_radius`` groups nearby
-    valuations (standardized Euclidean distance) and reuses the representative
-    partial model's retained state set for every member of the cluster.
+    Results are ordered by valuation index, and each valuation's result does
+    not depend on which other valuations are solved with it.  In approx mode a
+    positive ``cluster_radius`` groups nearby valuations (standardized
+    Euclidean distance) and reuses the representative partial model's retained
+    state set for every member of the cluster.
     """
     if hasattr(valuations, "valuations"):
         valuations = valuations.valuations
     valuations = list(valuations)
     if mode not in ("exact", "approx"):
         raise CheckerError(f"unknown mode: {mode!r}")
-    _structure(m)  # build the shared reachable graph once, outside the pool
 
     reuse_map: dict = {}
     if mode == "approx" and cluster_radius > 0.0:
@@ -536,17 +534,10 @@ def solve_measure_set(m: ParametricCtmc, valuations, measures: MeasureSet,
             for idx in cluster.member_indices:
                 reuse_map[idx] = rep_partial.retained_states
 
-    def work(i: int):
-        if mode == "exact":
-            return solve_measures(m, valuations[i], measures, epsilon, index=i)
-        return bound_measures(m, valuations[i], measures, delta, epsilon,
-                              rel_gap, reuse=reuse_map.get(i), index=i)
-
-    indices = range(len(valuations))
-    if threads <= 1:
-        return [work(i) for i in indices]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(work, indices))
+    return [solve_measures(m, u, measures, epsilon, index=i) if mode == "exact"
+            else bound_measures(m, u, measures, delta, epsilon, rel_gap,
+                                reuse=reuse_map.get(i), index=i)
+            for i, u in enumerate(valuations)]
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,6 @@ class RunConfig:
     rel_gap: float = 1e-2
     rho_spec: str = "auto:10"
     betas: tuple = (0.9, 0.99, 0.999)
-    threads: int = 1
     out_dir: str = "."
     delta: float = 1e-2
     cluster_radius: float = 0.0
@@ -80,8 +79,6 @@ def validate_config(cfg: RunConfig) -> list[str]:
         problems.append("epsilon: must be positive")
     if cfg.rel_gap <= 0:
         problems.append("rel-gap: must be positive")
-    if cfg.threads < 1:
-        problems.append("threads: must be >= 1")
     for beta in cfg.betas:
         if not 0.0 < beta < 1.0:
             problems.append("beta: must lie in (0,1)")
@@ -134,8 +131,7 @@ def _stage_check(args) -> None:
     samples = uio.read_samples(args.samples)
     solutions = solve_measure_set(
         m, samples, measures, mode=args.mode, epsilon=args.epsilon,
-        delta=args.delta, rel_gap=args.rel_gap, threads=args.threads,
-        cluster_radius=args.cluster_radius)
+        delta=args.delta, rel_gap=args.rel_gap, cluster_radius=args.cluster_radius)
     uio.write_solutions(measures.ids, solutions, args.out)
     log.info("checked %d valuations in %s mode", len(solutions), args.mode)
 
@@ -157,8 +153,7 @@ def _stage_refine(args) -> None:
     samples = uio.read_samples(args.samples)
     initial = solve_measure_set(
         m, samples, measures, mode="approx", epsilon=args.epsilon,
-        delta=args.delta, rel_gap=args.rel_gap, threads=args.threads,
-        cluster_radius=args.cluster_radius)
+        delta=args.delta, rel_gap=args.rel_gap, cluster_radius=args.cluster_radius)
     betas = _parse_betas(args.beta)
     rhos = _parse_rhos(args.rho, len(initial))
     intervals = dict(enumerate(initial))
@@ -238,8 +233,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
         start = time.perf_counter()
         solutions = solve_measure_set(
             m, samples, measures, mode=cfg.mode, epsilon=cfg.epsilon,
-            delta=cfg.delta, rel_gap=cfg.rel_gap, threads=cfg.threads,
-            cluster_radius=cfg.cluster_radius)
+            delta=cfg.delta, rel_gap=cfg.rel_gap, cluster_radius=cfg.cluster_radius)
         uio.write_solutions(measures.ids, solutions, out / "solutions.json")
         timings["check"] = time.perf_counter() - start
 
@@ -276,7 +270,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
             "model": cfg.model, "measures": cfg.measures, "n": cfg.n,
             "seed": cfg.seed, "mode": cfg.mode, "epsilon": cfg.epsilon,
             "rel_gap": cfg.rel_gap, "rho": cfg.rho_spec,
-            "beta": list(cfg.betas), "threads": cfg.threads,
+            "beta": list(cfg.betas),
         },
     }
     if cfg.mode == "approx":
@@ -312,7 +306,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rel-gap", dest="rel_gap", type=float, default=1e-2)
     p.add_argument("--delta", type=float, default=1e-2)
     p.add_argument("--cluster-radius", dest="cluster_radius", type=float, default=0.0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_stage_check)
 
@@ -335,7 +328,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cluster-radius", dest="cluster_radius", type=float, default=0.0)
     p.add_argument("--target-gain", dest="target_gain", type=float, default=0.01)
     p.add_argument("--max-iters", dest="max_iters", type=int, default=10)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_stage_refine)
 
@@ -367,7 +359,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cluster-radius", dest="cluster_radius", type=float, default=0.0)
     p.add_argument("--rho", default="auto:10")
     p.add_argument("--beta", default="0.9,0.99,0.999")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out-dir", dest="out_dir", default=".")
     p.set_defaults(func=None)
     return parser
@@ -384,7 +375,7 @@ def main(argv: Optional[list] = None) -> int:
                 model=args.model, measures=args.measures, n=args.n, seed=args.seed,
                 mode=args.mode, epsilon=args.epsilon, rel_gap=args.rel_gap,
                 rho_spec=args.rho, betas=_parse_betas(args.beta),
-                threads=args.threads, out_dir=args.out_dir, delta=args.delta,
+                out_dir=args.out_dir, delta=args.delta,
                 cluster_radius=args.cluster_radius)
             summary = run_pipeline(cfg)
             log.info("pipeline done in %.2fs", summary["total"])

@@ -45,7 +45,7 @@ class UnboundIdentifier(ExprError):
 
 
 # ---------------------------------------------------------------------------
-# AST nodes (immutable, shareable across threads)
+# AST nodes (immutable)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -300,23 +300,32 @@ def free_identifiers(e: Union[Expr, GuardExpr]) -> frozenset[str]:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def substitute(e: Expr, env: Mapping[str, EnvValue]) -> Expr:
-    """Replace bound identifiers by literals; unbound identifiers stay symbolic."""
+def polynomial(e: Expr, env: Mapping[str, EnvValue]) -> dict[tuple[str, ...], Fraction]:
+    """{monomial: coefficient} of e after binding the identifiers in env.
+
+    A monomial is the sorted tuple of its unbound identifiers, each repeated
+    by its power; ``()`` is the constant term.  Zero coefficients are dropped,
+    so equal polynomials give equal dicts.
+    """
     if isinstance(e, Num):
-        return e
-    if isinstance(e, Name):
-        if e.ident in env:
-            return Num(Fraction(env[e.ident]))
-        return e
-    if isinstance(e, Neg):
-        return Neg(substitute(e.operand, env))
-    if isinstance(e, BinOp):
-        left = substitute(e.left, env)
-        right = substitute(e.right, env)
-        if isinstance(left, Num) and isinstance(right, Num):
-            return Num(evaluate(BinOp(e.op, left, right), {}))
-        return BinOp(e.op, left, right)
-    raise TypeError(f"not an expression node: {e!r}")
+        pairs = [((), e.value)]
+    elif isinstance(e, Name):
+        pairs = [((), Fraction(env[e.ident]))] if e.ident in env else [((e.ident,), Fraction(1))]
+    elif isinstance(e, Neg):
+        pairs = [(mono, -c) for mono, c in polynomial(e.operand, env).items()]
+    elif isinstance(e, BinOp):
+        left, right = polynomial(e.left, env).items(), polynomial(e.right, env).items()
+        if e.op == "*":
+            pairs = [(tuple(sorted(ma + mb)), ca * cb) for ma, ca in left for mb, cb in right]
+        else:
+            sign = 1 if e.op == "+" else -1
+            pairs = list(left) + [(mono, sign * c) for mono, c in right]
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    terms: dict = {}
+    for mono, c in pairs:
+        terms[mono] = terms.get(mono, 0) + c
+    return {mono: c for mono, c in terms.items() if c}
 
 
 def bounds(e: Expr, box: Mapping[str, tuple[EnvValue, EnvValue]]) -> tuple[Fraction, Fraction]:

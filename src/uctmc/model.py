@@ -4,14 +4,20 @@ A model consists of parameters (each with a sampling distribution), integer
 state variables with bounds, and guarded commands ``guard -> rate : updates``.
 Instantiating the parameters at a valuation and exploring the guarded commands
 from the initial assignment yields an explicit-state CTMC; commands whose
-guards hold contribute their (exactly evaluated) rate, and parallel edges to
-the same successor are rate-summed.
+guards hold contribute their rate, and parallel edges to the same successor
+are rate-summed.
 
 Guards, updates, labels and rewards range over state variables only, so the
-reachable graph is valuation-independent; the graph is explored once per model
-and cached, and each valuation only re-instantiates the rates.  Rates are
-evaluated as exact rationals so that graph preservation (no symbolically
-nonzero rate may become <= 0) is decided without float round-off.
+reachable graph is valuation-independent.  Each model is compiled once, on
+demand, into a per-state table shared by all valuations: a state's label bits
+and reward values, and its enabled edges with rates coefficient * kernel.  A
+coefficient is an exact positive rational; a kernel is one of the model's few
+parameter polynomials up to positive scaling (ki, kr and 1 on SIR).  A
+valuation evaluates only the kernels, exactly over rationals, so graph
+preservation (no symbolically nonzero rate may become <= 0) is decided without
+float round-off as "every kernel on a reachable edge is > 0"; a rate becomes a
+float as coefficient * kernel value.  Full chains (BFS over the table) and
+partial chains (best-first over it) are assembled by one routine.
 
 Partial models keep only states whose estimated reachability stays above a
 threshold; all truncated transitions are redirected into one absorbing sink,
@@ -27,7 +33,7 @@ import math
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 from scipy import sparse
@@ -275,23 +281,8 @@ def load_model(path) -> ParametricCtmc:
 
 
 # ---------------------------------------------------------------------------
-# Parameter-free reachable structure (shared by all valuations)
+# Compiled model: one per-state table shared by all valuations
 # ---------------------------------------------------------------------------
-
-@dataclass
-class _Structure:
-    states: list[tuple[int, ...]]
-    index: dict
-    init_support: list[int]
-    # per source state, list of (target index, rate expression in parameters only),
-    # one entry per enabled command occurrence (parallel edges not yet merged)
-    edges: list[list[tuple[int, ex.Expr]]]
-
-
-_structure_cache: "weakref.WeakKeyDictionary[ParametricCtmc, _Structure]" = (
-    weakref.WeakKeyDictionary()
-)
-
 
 def _state_env(m: ParametricCtmc, state: tuple[int, ...]) -> dict:
     return dict(zip(m.variable_names, state))
@@ -315,73 +306,157 @@ def _successor(m: ParametricCtmc, state: tuple[int, ...], command: Command,
     return tuple(new)
 
 
-def _structure(m: ParametricCtmc, state_cap: int = DEFAULT_STATE_CAP) -> _Structure:
-    cached = _structure_cache.get(m)
-    if cached is not None:
-        if len(cached.states) > state_cap:
+class _Row(NamedTuple):
+    # (target, coefficient, kernel index, command) per enabled command; the
+    # exact coefficient is > 0, so an edge's rate has the sign of its kernel
+    edges: tuple
+    labels: tuple[bool, ...]  # in m.labels order
+    rewards: tuple[float, ...]  # in m.rewards order
+
+
+class _Table:
+    """A model compiled into a per-state table, filled on a state's first visit.
+
+    At a fixed state a rate is a parameter polynomial, stored as coefficient *
+    kernel: the polynomial divided by its first monomial's |coefficient|.  The
+    table does not hold the model, which keys its cache weakly.
+    """
+
+    def __init__(self):
+        self.kernels: dict = {}  # sorted (monomial, coefficient) pairs -> index
+        self.rows: dict = {}
+        self.reachable: Optional[list] = None  # BFS order, once explored
+        self.reachable_kernels: frozenset = frozenset()
+
+    def row(self, m: ParametricCtmc, state: tuple[int, ...]) -> _Row:
+        row = self.rows.get(state)
+        if row is None:
+            env = _state_env(m, state)
+            edges = []
+            for command in m.commands:
+                if ex.evaluate_guard(command.guard, env):
+                    poly = ex.polynomial(command.rate, env)
+                    scale = abs(poly[min(poly)]) if poly else Fraction(1)
+                    kernel = tuple(sorted((mono, c / scale) for mono, c in poly.items()))
+                    k = self.kernels.setdefault(kernel, len(self.kernels))
+                    edges.append((_successor(m, state, command, env), float(scale), k, command))
+            row = self.rows[state] = _Row(
+                tuple(edges),
+                tuple(ex.evaluate_guard(g, env) for g in m.labels.values()),
+                tuple(float(ex.evaluate(r, env)) for r in m.rewards.values()))
+        return row
+
+    def explore(self, m: ParametricCtmc, state_cap: int) -> list:
+        """The reachable states in BFS order from the initial support."""
+        if self.reachable is None:
+            order = list(dict.fromkeys(point for point, _ in m.initial_states()))
+            seen = set(order)
+            for state in order:  # extended while iterating
+                for target, _, _, _ in self.row(m, state).edges:
+                    if target not in seen:
+                        if len(order) >= state_cap:
+                            raise StateCapExceeded(f"state cap of {state_cap} exceeded")
+                        seen.add(target)
+                        order.append(target)
+            self.reachable_kernels = frozenset(
+                k for state in order for _, _, k, _ in self.rows[state].edges)
+            self.reachable = order
+        elif len(self.reachable) > state_cap:
             raise StateCapExceeded(
-                f"reachable state space has {len(cached.states)} states, cap is {state_cap}")
-        return cached
+                f"reachable state space has {len(self.reachable)} states, cap is {state_cap}")
+        return self.reachable
 
-    states: list[tuple[int, ...]] = []
-    index: dict = {}
-    init_support = []
-    for point, _prob in m.initial_states():
-        if point not in index:
-            index[point] = len(states)
-            states.append(point)
-        init_support.append(index[point])
 
-    edges: list[list[tuple[int, ex.Expr]]] = []
-    frontier = list(range(len(states)))
-    cursor = 0
-    while cursor < len(frontier):
-        src = frontier[cursor]
-        cursor += 1
-        env = _state_env(m, states[src])
-        out = []
-        for command in m.commands:
-            if not ex.evaluate_guard(command.guard, env):
-                continue
-            target = _successor(m, states[src], command, env)
-            if target not in index:
-                if len(states) >= state_cap:
-                    raise StateCapExceeded(f"state cap of {state_cap} exceeded")
-                index[target] = len(states)
-                states.append(target)
-                frontier.append(index[target])
-            rate = ex.substitute(command.rate, env)
-            out.append((index[target], rate))
-        edges.append(out)
+_tables: "weakref.WeakKeyDictionary[ParametricCtmc, _Table]" = weakref.WeakKeyDictionary()
 
-    structure = _Structure(states, index, init_support, edges)
-    _structure_cache[m] = structure
-    return structure
+
+class _Instance:
+    """The compiled model at one valuation.  Each kernel is evaluated once,
+    exactly: its sign decides graph preservation, its float value gives rates."""
+
+    def __init__(self, m: ParametricCtmc, u: Valuation):
+        if u.dimension != len(m.parameters):
+            raise ModelError(
+                f"valuation has dimension {u.dimension}, model has {len(m.parameters)} parameters")
+        self.m = m
+        self.env = dict(zip(m.parameter_names, u.values))
+        self.table = _tables.get(m) or _tables.setdefault(m, _Table())
+        self.positive: list[bool] = []
+        self.values: list[float] = []
+
+    def sync(self) -> None:
+        """Evaluate the kernels the table gained since the last call."""
+        for kernel in list(self.table.kernels)[len(self.values):]:
+            value = sum((c * math.prod(self.env[x] for x in mono) for mono, c in kernel),
+                        Fraction(0))
+            self.positive.append(value > 0)
+            self.values.append(float(value))
+
+    def outgoing(self, state) -> dict:
+        """Merged {target: rate} of one state; raises GraphPreservationError
+        at the first enabled command whose rate is <= 0 there."""
+        row = self.table.row(self.m, state)
+        if len(self.values) < len(self.table.kernels):
+            self.sync()
+        out: dict = {}
+        for target, coefficient, k, command in row.edges:
+            if not self.positive[k]:
+                value = ex.evaluate(command.rate, {**self.env, **_state_env(self.m, state)})
+                raise GraphPreservationError(
+                    f"rate {ex.to_source(command.rate)} evaluates to {value} on transition "
+                    f"{state} -> {target}")
+            out[target] = out.get(target, 0.0) + coefficient * self.values[k]
+        return out
+
+    def chain(self, states: list, rows: Mapping = {}, sink: bool = False):
+        """Rates, initial vector, labels, rewards and redirected rate of the
+        chain over ``states`` (using the merged ``rows`` already computed); with
+        ``sink``, one more last state takes every edge that leaves ``states``."""
+        m, n = self.m, len(states)
+        size = n + 1 if sink else n
+        index = {s: i for i, s in enumerate(states)}
+        sources, targets, values = [], [], []
+        redirected = 0.0
+        for i, state in enumerate(states):
+            for target, rate in (rows.get(state) or self.outgoing(state)).items():
+                j = index.get(target, n)
+                if j == n:
+                    redirected += rate
+                sources.append(i)
+                targets.append(j)
+                values.append(rate)
+        rates = sparse.csr_matrix((values, (sources, targets)), shape=(size, size))
+
+        initial = np.zeros(size)
+        for point, prob in m.initial_states():
+            initial[index[point]] += float(prob)
+
+        compiled = [self.table.rows[s] for s in states]
+        pad = [0] * (size - n)  # the sink has no label and reward 0
+        labels = {name: np.array([row.labels[j] for row in compiled] + pad, dtype=bool)
+                  for j, name in enumerate(m.labels)}
+        rewards = {name: np.array([row.rewards[j] for row in compiled] + pad, dtype=float)
+                   for j, name in enumerate(m.rewards)}
+        return rates, initial, labels, rewards, redirected
 
 
 # ---------------------------------------------------------------------------
 # Graph preservation
 # ---------------------------------------------------------------------------
 
-def _param_env(m: ParametricCtmc, u: Valuation) -> dict:
-    if u.dimension != len(m.parameters):
-        raise ModelError(
-            f"valuation has dimension {u.dimension}, model has {len(m.parameters)} parameters")
-    return dict(zip(m.parameter_names, u.values))
-
-
 def graph_preservation_violation(m: ParametricCtmc, u: Valuation,
                                  state_cap: int = DEFAULT_STATE_CAP) -> Optional[str]:
-    """None if u is graph-preserving, else a description of the first violation."""
-    structure = _structure(m, state_cap)
-    env = _param_env(m, u)
-    for src, out in enumerate(structure.edges):
-        for tgt, rate in out:
-            value = ex.evaluate(rate, env)
-            if value <= 0:
-                return (f"rate {ex.to_source(rate)} evaluates to {value} on transition "
-                        f"{structure.states[src]} -> {structure.states[tgt]}")
-    return None
+    """None if u is graph-preserving, else the first violation in BFS order."""
+    inst = _Instance(m, u)
+    states = inst.table.explore(m, state_cap)
+    inst.sync()
+    if all(inst.positive[k] for k in inst.table.reachable_kernels):
+        return None
+    try:  # a reachable edge has a kernel <= 0: find the first one
+        for state in states:
+            inst.outgoing(state)
+    except GraphPreservationError as exc:
+        return str(exc)
 
 
 def check_graph_preserving(m: ParametricCtmc, u: Valuation,
@@ -465,59 +540,17 @@ class PartialCtmc(ConcreteCtmc):
         return self.redirected_rate > 0.0
 
 
-def _assemble(m: ParametricCtmc, states, merged_edges, n, extra_sink=False):
-    """Common matrix/label/reward assembly from merged (src, tgt)->rate maps."""
-    size = n + 1 if extra_sink else n
-    rows, cols, vals = [], [], []
-    for src, targets in enumerate(merged_edges):
-        for tgt, rate in targets.items():
-            rows.append(src)
-            cols.append(tgt)
-            vals.append(float(rate))
-    rates = sparse.csr_matrix((vals, (rows, cols)), shape=(size, size))
-
-    initial = np.zeros(size)
-    state_index = {s: i for i, s in enumerate(states[:n])}
-    for point, prob in m.initial_states():
-        initial[state_index[point]] += float(prob)
-
-    labels, rewards = {}, {}
-    for label, guard in m.labels.items():
-        mask = np.zeros(size, dtype=bool)
-        for i in range(n):
-            mask[i] = ex.evaluate_guard(guard, _state_env(m, states[i]))
-        labels[label] = mask
-    for rname, reward in m.rewards.items():
-        vec = np.zeros(size)
-        for i in range(n):
-            vec[i] = float(ex.evaluate(reward, _state_env(m, states[i])))
-        rewards[rname] = vec
-    return rates, initial, labels, rewards
-
-
 def build_full(m: ParametricCtmc, u: Valuation,
                state_cap: int = DEFAULT_STATE_CAP) -> ConcreteCtmc:
     """Instantiate at u and build the full reachable CTMC (BFS order).
 
-    Raises GraphPreservationError the moment any enabled command's rate
-    evaluates to <= 0.
+    Raises GraphPreservationError at the first transition, in BFS order,
+    whose rate is <= 0 at u.
     """
-    structure = _structure(m, state_cap)
-    env = _param_env(m, u)
-    n = len(structure.states)
-    merged: list[dict] = []
-    for src, out in enumerate(structure.edges):
-        row: dict = {}
-        for tgt, rate_expr in out:
-            value = ex.evaluate(rate_expr, env)
-            if value <= 0:
-                raise GraphPreservationError(
-                    f"rate {ex.to_source(rate_expr)} evaluates to {value} on transition "
-                    f"{structure.states[src]} -> {structure.states[tgt]}")
-            row[tgt] = row.get(tgt, Fraction(0)) + value
-        merged.append(row)
-    rates, initial, labels, rewards = _assemble(m, structure.states, merged, n)
-    return ConcreteCtmc(structure.states, initial, rates, labels, rewards)
+    inst = _Instance(m, u)
+    states = inst.table.explore(m, state_cap)
+    rates, initial, labels, rewards, _ = inst.chain(states)
+    return ConcreteCtmc(states, initial, rates, labels, rewards)
 
 
 def build_partial(m: ParametricCtmc, u: Valuation, delta: float,
@@ -531,27 +564,12 @@ def build_partial(m: ParametricCtmc, u: Valuation, delta: float,
     and all transitions into it are redirected to the sink.  The retained set
     always contains the initial support.  If ``reuse`` is given, exactly that
     state set is retained (extended by the initial support if missing) and only
-    the rates are re-instantiated at u.
+    the rates are re-instantiated at u.  Only the rates of retained states are
+    checked for graph preservation.
     """
     if not 0 < delta <= 1:
         raise ModelError("delta must lie in (0, 1]")
-    env = _param_env(m, u)
-
-    def outgoing(state):
-        """Merged (target state, rate as Fraction) pairs; validates positivity."""
-        senv = _state_env(m, state)
-        row: dict = {}
-        for command in m.commands:
-            if not ex.evaluate_guard(command.guard, senv):
-                continue
-            value = ex.evaluate(command.rate, {**env, **senv})
-            if value <= 0:
-                raise GraphPreservationError(
-                    f"rate {ex.to_source(command.rate)} evaluates to {value} at state {state}")
-            target = _successor(m, state, command, senv)
-            row[target] = row.get(target, Fraction(0)) + value
-        return row
-
+    inst = _Instance(m, u)
     init_points = [point for point, _ in m.initial_states()]
     rows: dict = {}  # outgoing rows of the expanded states, kept for assembly
 
@@ -577,41 +595,23 @@ def build_partial(m: ParametricCtmc, u: Valuation, delta: float,
             order.append(state)
             if len(order) > state_cap:
                 raise StateCapExceeded(f"state cap of {state_cap} exceeded")
-            row = rows[state] = outgoing(state)
-            exit_rate = float(sum(row.values()))
+            row = rows[state] = inst.outgoing(state)
+            exit_rate = sum(row.values())
             if exit_rate <= 0:
                 continue
             for target, rate in row.items():
                 if target in expanded:
                     continue
-                estimate = est * float(rate) / exit_rate
+                estimate = est * rate / exit_rate
                 if estimate > best.get(target, 0.0):
                     best[target] = estimate
                     heapq.heappush(heap, (-estimate, seq, target))
                     seq += 1
         retained = list(dict.fromkeys(init_points + order))
 
-    index = {s: i for i, s in enumerate(retained)}
-    n = len(retained)
-    sink = n
-    merged: list[dict] = []
-    redirected = 0.0
-    for state in retained:
-        row_out: dict = {}
-        row = rows[state] if state in rows else outgoing(state)
-        for target, rate in row.items():
-            tgt = index.get(target, sink)
-            if tgt == sink:
-                redirected += float(rate)
-            row_out[tgt] = row_out.get(tgt, Fraction(0)) + rate
-        merged.append(row_out)
-    merged.append({})  # absorbing sink
-
-    states = retained + [None]
-    rates, initial, labels, rewards = _assemble(m, retained, merged, n, extra_sink=True)
-    return PartialCtmc(states, initial, rates, labels, rewards, delta,
+    rates, initial, labels, rewards, redirected = inst.chain(retained, rows, sink=True)
+    return PartialCtmc(retained + [None], initial, rates, labels, rewards, delta,
                        tuple(retained), redirected)
-
 
 # ---------------------------------------------------------------------------
 # Valuation clustering (for partial-model reuse)

@@ -232,12 +232,25 @@ def test_sir20_horizon_family_is_monotone(sir20, sir_measures, mean_valuation):
     assert np.all((sol.values >= 0) & (sol.values <= 1))
 
 
-def test_solve_measure_set_thread_invariance(sir20, sir_measures):
-    samples = uctmc.sample_valuations(sir20, 6, seed=11)
-    serial = solve_measure_set(sir20, samples, sir_measures, threads=1)
-    pooled = solve_measure_set(sir20, samples, sir_measures, threads=3)
-    for a, b in zip(serial, pooled):
-        assert np.array_equal(a.values, b.values)
+def test_solve_measure_set_layout_invariance(sir20, sir_measures):
+    # in exact and approx mode, each valuation's result is the same bits
+    # whether it is solved alone (on a freshly loaded model, whose compiled
+    # table fills in another order), in a slice, or in the full list
+    valuations = uctmc.sample_valuations(sir20, 5, seed=11).valuations
+    for mode in ("exact", "approx"):
+        full = solve_measure_set(sir20, valuations, sir_measures, mode=mode)
+        sliced = dict(zip(range(1, 4), solve_measure_set(sir20, valuations[1:4],
+                                                         sir_measures, mode=mode)))
+        fresh = uctmc.load_model(uctmc.example_model_path("sir20"))
+        for i in reversed(range(len(valuations))):
+            alone = solve_measure_set(fresh, [valuations[i]], sir_measures, mode=mode)[0]
+            for other in [alone] + ([sliced[i]] if i in sliced else []):
+                if mode == "exact":
+                    assert np.array_equal(other.values, full[i].values)
+                    continue
+                assert np.array_equal(other.lower, full[i].lower)
+                assert np.array_equal(other.upper, full[i].upper)
+                assert (other.delta, other.gap_met) == (full[i].delta, full[i].gap_met)
 
 
 # ---------------------------------------------------------------------------

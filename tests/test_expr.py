@@ -18,7 +18,7 @@ from uctmc.expr import (
     free_identifiers,
     parse_expression,
     parse_guard,
-    substitute,
+    polynomial,
     to_source,
 )
 
@@ -186,11 +186,15 @@ def test_scaling_a_multiplicative_identifier_scales_the_product():
     assert evaluate(e, scaled) == 7 * evaluate(e, env)
 
 
-def test_substitute_partial():
-    e = parse_expression("ki*S*I")
-    partial = substitute(e, {"S": 15, "I": 5})
-    assert free_identifiers(partial) == {"ki"}
-    assert evaluate(partial, {"ki": Fraction(1, 20)}) == Fraction(75, 20)
+def test_polynomial():
+    poly = polynomial(parse_expression("ki*S*I"), {"S": 15, "I": 5})
+    assert poly == {("ki",): Fraction(75)}
+    assert all(isinstance(c, Fraction) for c in poly.values())
+    assert polynomial(parse_expression("(k+1)*(k-1) - k*k"), {}) == {(): Fraction(-1)}
+    assert polynomial(parse_expression("k*k - k*k"), {}) == {}
+    # monomials are sorted identifier tuples, so b*a and a*b merge
+    assert polynomial(parse_expression("b*a*x + a*b - 0.5*a"), {"x": 2}) == {
+        ("a", "b"): Fraction(3), ("a",): Fraction(-1, 2)}
 
 
 def test_interval_bounds():

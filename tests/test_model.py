@@ -16,6 +16,7 @@ from uctmc import (
     graph_preservation_violation,
     parse_model,
 )
+from uctmc import expr as ex
 from uctmc.model import Normal, Parameter, Uniform
 
 
@@ -157,6 +158,58 @@ def test_state_cap():
     m = parse_model(doc)
     with pytest.raises(uctmc.StateCapExceeded):
         build_full(m, Valuation.from_floats([1.5]), state_cap=2)
+
+
+# ---------------------------------------------------------------------------
+# Compiled table
+# ---------------------------------------------------------------------------
+
+def _kernel_model():
+    # (k-1)*x + 1 does not factor into a state part times a parameter part, so
+    # its kernel differs per state: 1 at x=0, k at x=1 and 2k - 1 at x=2.  The
+    # second command has the same update and rate (x+1) * k, so parallel edges
+    # with different kernels merge at x=0 and x=2, and at x=1 two edges with
+    # kernel k and coefficients 1 and 2 merge.
+    return parse_model(_mini_model(commands=[
+        {"guard": "x<3", "rate": "k*x - x + 1", "updates": {"x": "x+1"}},
+        {"guard": "x<3", "rate": "x*k + k", "updates": {"x": "x+1"}},
+    ]))
+
+
+def test_compiled_graph_check_is_exact_on_kernels():
+    m = _kernel_model()
+    assert not check_graph_preserving(m, Valuation.from_floats([0.5]))
+    assert check_graph_preserving(m, Valuation.from_floats([math.nextafter(0.5, 1.0)]))
+    reason = graph_preservation_violation(m, Valuation.from_floats([0.5]))
+    assert "(2,) -> (3,)" in reason
+    assert "evaluates to 0 " in reason
+    with pytest.raises(GraphPreservationError, match=r"\(2,\) -> \(3,\)"):
+        build_full(m, Valuation.from_floats([0.5]))
+
+
+@pytest.mark.parametrize("k", [math.nextafter(0.5, 1.0), 0.7, 1.3, 1.9])
+def test_compiled_rates_match_per_edge_fractions(k):
+    m = _kernel_model()
+    u = Valuation.from_floats([k])
+    c = build_full(m, u)
+    assert c.states == [(0,), (1,), (2,), (3,)]
+    assert c.num_transitions == 3
+    rates = c.rates.toarray()
+    for x in range(3):
+        env = {"k": u.values[0], "x": x}
+        exact = sum(ex.evaluate(command.rate, env) for command in m.commands)
+        assert abs(rates[x, x + 1] - float(exact)) <= 4e-16 * float(exact)
+
+
+def test_partial_validates_the_states_it_expands():
+    m = _kernel_model()
+    u = Valuation.from_floats([0.5])
+    with pytest.raises(GraphPreservationError, match=r"\(2,\) -> \(3,\)"):
+        build_partial(m, u, 1e-3)
+    # state (2,) is not retained, so its zero rate is never instantiated
+    partial = build_partial(m, u, 1e-3, reuse=[(0,), (1,)])
+    assert partial.retained_states == ((0,), (1,))
+    assert partial.rates[1, partial.sink] == pytest.approx(1.5)
 
 
 # ---------------------------------------------------------------------------
