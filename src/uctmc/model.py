@@ -288,10 +288,9 @@ def _state_env(m: ParametricCtmc, state: tuple[int, ...]) -> dict:
     return dict(zip(m.variable_names, state))
 
 
-def _successor(m: ParametricCtmc, state: tuple[int, ...], command: Command,
-               env: dict) -> tuple[int, ...]:
+def _successor(m: ParametricCtmc, positions: Mapping[str, int], state: tuple[int, ...],
+               command: Command, env: dict) -> tuple[int, ...]:
     new = list(state)
-    positions = {v: i for i, v in enumerate(m.variable_names)}
     for var, update in command.updates:
         value = ex.evaluate(update, env)
         if value.denominator != 1:
@@ -322,7 +321,8 @@ class _Table:
     table does not hold the model, which keys its cache weakly.
     """
 
-    def __init__(self):
+    def __init__(self, m: ParametricCtmc):
+        self.positions = {v: i for i, v in enumerate(m.variable_names)}
         self.kernels: dict = {}  # sorted (monomial, coefficient) pairs -> index
         self.rows: dict = {}
         self.reachable: Optional[list] = None  # BFS order, once explored
@@ -339,7 +339,8 @@ class _Table:
                     scale = abs(poly[min(poly)]) if poly else Fraction(1)
                     kernel = tuple(sorted((mono, c / scale) for mono, c in poly.items()))
                     k = self.kernels.setdefault(kernel, len(self.kernels))
-                    edges.append((_successor(m, state, command, env), float(scale), k, command))
+                    edges.append((_successor(m, self.positions, state, command, env),
+                                  float(scale), k, command))
             row = self.rows[state] = _Row(
                 tuple(edges),
                 tuple(ex.evaluate_guard(g, env) for g in m.labels.values()),
@@ -380,7 +381,7 @@ class _Instance:
                 f"valuation has dimension {u.dimension}, model has {len(m.parameters)} parameters")
         self.m = m
         self.env = dict(zip(m.parameter_names, u.values))
-        self.table = _tables.get(m) or _tables.setdefault(m, _Table())
+        self.table = _tables.get(m) or _tables.setdefault(m, _Table(m))
         self.positive: list[bool] = []
         self.values: list[float] = []
 

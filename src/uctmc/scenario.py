@@ -74,9 +74,6 @@ class BoxRegion:
     def boundary_indices(self) -> tuple[int, ...]:
         return tuple(np.flatnonzero(self.classification == BOUNDARY).tolist())
 
-    def inside_indices(self) -> tuple[int, ...]:
-        return tuple(np.flatnonzero(self.classification == INSIDE).tolist())
-
     def contains(self, points: np.ndarray) -> np.ndarray:
         """Closed-box membership per row of ``points``."""
         points = np.atleast_2d(np.asarray(points, dtype=float))

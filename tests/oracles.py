@@ -157,3 +157,48 @@ def random_ctmc(rng: np.random.Generator, max_states: int = 8):
     return ConcreteCtmc.from_dense(rates, initial,
                                    labels={"goal": mask},
                                    rewards={"r": reward})
+
+
+def poisson_terms_loop(lam_t: float) -> tuple[int, np.ndarray]:
+    """Reference for ``checker._poisson_terms``: the mode-outward recurrence
+    one term at a time, cut at the first term at or below 1e-30 (kept on the
+    right, dropped on the left), then renormalized."""
+    cutoff = 1e-30
+    if lam_t <= 0.0:
+        return 0, np.array([1.0])
+    mode = int(lam_t)
+    right = [1.0]
+    w, k = 1.0, mode
+    while w > cutoff:
+        k += 1
+        w *= lam_t / k
+        right.append(w)
+    left = []
+    w, k = 1.0, mode
+    while k > 0:
+        w *= k / lam_t
+        k -= 1
+        if w <= cutoff:
+            break
+        left.append(w)
+    weights = np.array(left[::-1] + right)
+    weights /= weights.sum()
+    return mode - len(left), weights
+
+
+def uniformized_sparse(c, absorbing=None):
+    """Reference for ``checker._uniformized``: P^T = (I + Q / Lambda)^T
+    assembled from scipy sparse-matrix operations."""
+    from scipy import sparse
+
+    rates = c.rates
+    n = rates.shape[0]
+    if absorbing is not None and absorbing.any():
+        rates = sparse.diags((~absorbing).astype(float)) @ rates
+    row_sums = np.asarray(rates.sum(axis=1)).ravel()
+    lam = float((row_sums - rates.diagonal()).max()) if n else 0.0
+    if lam <= 0.0:
+        return None, 0.0
+    q = rates - sparse.diags(row_sums)
+    p = sparse.identity(n, format="csr") + q.tocsr() / lam
+    return p.transpose().tocsr(), lam

@@ -31,9 +31,11 @@ from uctmc.scenario import BoxRegion
 from oracles import (
     dense_generator,
     interval_reach_oracle,
+    poisson_terms_loop,
     reach_oracle,
     random_ctmc,
     transient_oracle,
+    uniformized_sparse,
 )
 from scipy.linalg import expm
 
@@ -125,7 +127,7 @@ def test_iterates_match_public_matmul_with_flush():
     c = draining_death_chain()
     pt, _ = _uniformized(c)
     steps = 4000
-    ours = [x.copy() for x in _iterates(pt, c.initial, 0, steps + 1)]
+    ours = [x[0].copy() for x in _iterates(pt, c.initial[None], 0, steps + 1)]
     v = c.initial.copy()
     flushed = 0
     for k in range(steps + 1):
@@ -137,8 +139,51 @@ def test_iterates_match_public_matmul_with_flush():
                 v[tiny] = 0.0
         assert np.array_equal(ours[k], v), k
     assert flushed > 0
-    tail = [x.copy() for x in _iterates(pt, c.initial, 3000, 5)]
+    tail = [x[0].copy() for x in _iterates(pt, c.initial[None], 3000, 5)]
     assert all(np.array_equal(a, b) for a, b in zip(tail, ours[3000:3005]))
+
+
+def test_poisson_terms_match_loop_reference():
+    from uctmc.checker import _poisson_terms
+
+    lam_ts = np.concatenate([np.geomspace(0.3, 6e4, 208),
+                             [1e-9, 0.999, 1.0, 2.0, 510.0, 49999.99, 5e4, 50000.5]])
+    for lam_t in lam_ts:
+        k_lo, weights = _poisson_terms(float(lam_t))
+        ref_lo, ref = poisson_terms_loop(float(lam_t))
+        assert k_lo == ref_lo, lam_t
+        assert np.array_equal(weights, ref), lam_t
+    assert _poisson_terms(0.0)[1].tolist() == [1.0]
+
+
+def test_uniformized_matches_sparse_reference(sir20, mean_valuation):
+    from uctmc.checker import _bound_at_delta, _uniformized
+
+    def check(c, absorbing):
+        pt, lam = _uniformized(c, absorbing)
+        ref, ref_lam = uniformized_sparse(c, absorbing)
+        assert lam == ref_lam
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(pt, name), getattr(ref, name)), name
+
+    full = build_full(sir20, mean_valuation)
+    check(full, None)
+    check(full, full.label_mask("extinct"))
+    buffer = uctmc.load_model(uctmc.example_model_path("buffer"))
+    u = uctmc.Valuation.from_floats([35.0, 30.0, 30.0, 0.05, 10.0, 10.0])
+    _, _, partial = _bound_at_delta(buffer, u, MeasureSet(()), 1e-3, 1e-6)
+    assert partial.sink_reachable
+    check(partial, None)
+    check(partial, partial.label_mask("both_busy"))
+    # self-loops, and rows long enough for the summation order to matter
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        c = random_ctmc(rng, max_states=30)
+        rates = c.rates.toarray()
+        np.fill_diagonal(rates, rng.uniform(0.0, 2.0, len(rates)))
+        looped = ConcreteCtmc.from_dense(rates, c.initial, labels=c.labels)
+        check(looped, None)
+        check(looped, looped.label_mask("goal"))
 
 
 def test_reach_examples():
@@ -251,6 +296,61 @@ def test_solve_measure_set_layout_invariance(sir20, sir_measures):
                 assert np.array_equal(other.lower, full[i].lower)
                 assert np.array_equal(other.upper, full[i].upper)
                 assert (other.delta, other.gap_met) == (full[i].delta, full[i].gap_met)
+
+
+def _mixed_measures():
+    return MeasureSet((
+        TimeBoundedReach("reach_a", "extinct", 40.0),
+        TimeBoundedReach("reach_b", "extinct", 150.0),
+        IntervalReach("window_a", "extinct", 60.0, 90.0),
+        IntervalReach("window_b", "extinct", 60.0, 200.0),
+        IntervalReach("from_zero", "extinct", 0.0, 70.0),
+        InstantReward("infected_a", "infected", 25.0),
+        InstantReward("infected_b", "infected", 120.0),
+    ))
+
+
+def test_batched_check_layout_invariance(sir20):
+    # one batch mixes reach, interval and reward measures over valuations
+    # whose uniformization rates all differ, so blocks leave the stepped
+    # prefix at different steps; each valuation's values are the same bits
+    # alone, in reversed order, in a slice and in the full batch
+    from uctmc.checker import _uniformized
+
+    measures = _mixed_measures()
+    valuations = uctmc.sample_valuations(sir20, 7, seed=3).valuations
+    lams = [_uniformized(build_full(sir20, u))[1] for u in valuations]
+    assert len(set(lams)) == len(lams)
+    assert sorted(lams) != lams and sorted(lams, reverse=True) != lams
+
+    full = solve_measure_set(sir20, valuations, measures)
+    assert [s.valuation_index for s in full] == list(range(len(valuations)))
+    backwards = solve_measure_set(sir20, valuations[::-1], measures)[::-1]
+    sliced = dict(zip(range(2, 6), solve_measure_set(sir20, valuations[2:6], measures)))
+    for i, u in enumerate(valuations):
+        alone = solve_measures(sir20, u, measures, index=i)
+        assert alone.valuation_index == i
+        for other in [alone.values, backwards[i].values] + (
+                [sliced[i].values] if i in sliced else []):
+            assert np.array_equal(other, full[i].values), i
+
+
+def test_batched_check_matches_expm_oracle(sir20):
+    measures = _mixed_measures()
+    valuations = uctmc.sample_valuations(sir20, 4, seed=5).valuations
+    eps = 1e-6
+    for u, sol in zip(valuations, solve_measure_set(sir20, valuations, measures,
+                                                    epsilon=eps)):
+        c = build_full(sir20, u)
+        mask = c.label_mask("extinct")
+        reward = c.reward_vector("infected")
+        expected = [reach_oracle(c, mask, 40.0), reach_oracle(c, mask, 150.0),
+                    interval_reach_oracle(c, mask, 60.0, 90.0),
+                    interval_reach_oracle(c, mask, 60.0, 200.0),
+                    interval_reach_oracle(c, mask, 0.0, 70.0),
+                    float(transient_oracle(c, 25.0) @ reward),
+                    float(transient_oracle(c, 120.0) @ reward)]
+        assert np.all(np.abs(sol.values - expected) <= eps), sol.values - expected
 
 
 # ---------------------------------------------------------------------------
