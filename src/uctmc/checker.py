@@ -168,10 +168,10 @@ class IntervalSolution:
 # ---------------------------------------------------------------------------
 
 def _check_epsilon(epsilon: float):
+    if not epsilon > 0:  # NaN included
+        raise CheckerError("epsilon must be positive")
     if epsilon < MIN_EPSILON:
         raise CheckerError(f"epsilon {epsilon} below float accumulation limit {MIN_EPSILON}")
-    if epsilon <= 0:
-        raise CheckerError("epsilon must be positive")
 
 
 def _mask(c: ConcreteCtmc, target: Union[str, np.ndarray]) -> np.ndarray:

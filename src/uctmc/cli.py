@@ -2,9 +2,9 @@
 
 Stages communicate only through the documented JSON/CSV files, so each stage
 can be re-run in isolation; ``run`` chains them all and writes a summary with
-per-stage wall times.  UCTMC_LOG in {error, warn, info, debug} controls log
-verbosity.  Identical configurations (seed included) produce byte-identical
-samples.json and regions.json.
+per-stage wall times.  Both run the same stage bodies.  UCTMC_LOG in {error,
+warn, info, debug} controls log verbosity.  Identical configurations (seed
+included) produce byte-identical samples.json and regions.json.
 """
 
 from __future__ import annotations
@@ -14,14 +14,16 @@ import logging
 import os
 import sys
 import time
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from . import io as uio
-from .checker import region_to_curve, refine_solution, solve_measure_set
+from .checker import (MIN_EPSILON, CheckerError, region_to_curve, refine_solution,
+                      solve_measure_set)
 from .model import load_model
 from .sampling import sample_valuations
 from .scenario import (
@@ -75,10 +77,15 @@ def validate_config(cfg: RunConfig) -> list[str]:
         problems.append("n: must be >= 1")
     if cfg.mode not in ("exact", "approx"):
         problems.append("mode: must be exact or approx")
-    if cfg.epsilon <= 0:
-        problems.append("epsilon: must be positive")
-    if cfg.rel_gap <= 0:
+    # comparisons are written so that NaN fails them
+    if not cfg.epsilon >= MIN_EPSILON:
+        problems.append(f"epsilon: must be >= {MIN_EPSILON}")
+    if not cfg.rel_gap > 0:
         problems.append("rel-gap: must be positive")
+    if not 0 < cfg.delta <= 1:
+        problems.append("delta: must lie in (0,1]")
+    if not cfg.cluster_radius >= 0:
+        problems.append("cluster-radius: must be >= 0")
     for beta in cfg.betas:
         if not 0.0 < beta < 1.0:
             problems.append("beta: must lie in (0,1)")
@@ -115,48 +122,65 @@ def _region_from_json(entry: dict, n_samples: int) -> BoxRegion:
 
 
 # ---------------------------------------------------------------------------
-# Stage implementations
+# Stages: one body each, run by its subcommand and by run_pipeline
 # ---------------------------------------------------------------------------
 
-def _stage_sample(args) -> None:
-    m = load_model(args.model)
-    samples = sample_valuations(m, args.n, args.seed)
-    uio.write_samples(samples, args.out)
+def _sample(m, n: int, seed: int, out):
+    samples = sample_valuations(m, n, seed)
+    uio.write_samples(samples, out)
     log.info("sampled %d valuations (%d rejected)", len(samples), samples.rejected_count)
+    return samples
+
+
+def _check(opts, m, measures, samples, mode: str) -> list:
+    """``opts`` carries the check options: a RunConfig or parsed arguments."""
+    return solve_measure_set(
+        m, samples, measures, mode=mode, epsilon=opts.epsilon,
+        delta=opts.delta, rel_gap=opts.rel_gap, cluster_radius=opts.cluster_radius)
+
+
+def _region(solutions, mode: str, rho_spec: str, betas: tuple, out) -> list:
+    scenario_mode = "precise" if mode == "exact" else "imprecise"
+    outcomes = [bound_outcome(solutions, rho, betas, scenario_mode)
+                for rho in _parse_rhos(rho_spec, len(solutions))]
+    uio.write_regions(outcomes, out)
+    for o in outcomes:
+        log.info("rho=%g: d*=%d eta=%s", o.rho, o.complexity_bound, o.eta)
+    return outcomes
+
+
+def _curve(regions, measures, out) -> None:
+    """(rho, region) pairs -> band CSV; CheckerError if not a horizon family."""
+    bands = []
+    for rho, region in regions:
+        band = region_to_curve(region, measures)
+        bands.append((rho, band.horizons, band.lower, band.upper))
+    uio.write_band_csv(bands, out)
+    log.info("wrote %d bands", len(bands))
+
+
+def _stage_sample(args) -> None:
+    _sample(load_model(args.model), args.n, args.seed, args.out)
 
 
 def _stage_check(args) -> None:
     m = load_model(args.model)
     measures = uio.read_measures(args.measures)
-    samples = uio.read_samples(args.samples)
-    solutions = solve_measure_set(
-        m, samples, measures, mode=args.mode, epsilon=args.epsilon,
-        delta=args.delta, rel_gap=args.rel_gap, cluster_radius=args.cluster_radius)
+    solutions = _check(args, m, measures, uio.read_samples(args.samples), args.mode)
     uio.write_solutions(measures.ids, solutions, args.out)
     log.info("checked %d valuations in %s mode", len(solutions), args.mode)
 
 
 def _stage_region(args) -> None:
     _, mode, solutions = uio.read_solutions(args.solutions)
-    scenario_mode = "precise" if mode == "exact" else "imprecise"
-    rhos = _parse_rhos(args.rho, len(solutions))
-    betas = _parse_betas(args.beta)
-    outcomes = [bound_outcome(solutions, rho, betas, scenario_mode) for rho in rhos]
-    uio.write_regions(outcomes, args.out)
-    for o in outcomes:
-        log.info("rho=%g: d*=%d eta=%s", o.rho, o.complexity_bound, o.eta)
+    _region(solutions, mode, args.rho_spec, args.betas, args.out)
 
 
 def _stage_refine(args) -> None:
     m = load_model(args.model)
     measures = uio.read_measures(args.measures)
     samples = uio.read_samples(args.samples)
-    initial = solve_measure_set(
-        m, samples, measures, mode="approx", epsilon=args.epsilon,
-        delta=args.delta, rel_gap=args.rel_gap, cluster_radius=args.cluster_radius)
-    betas = _parse_betas(args.beta)
-    rhos = _parse_rhos(args.rho, len(initial))
-    intervals = dict(enumerate(initial))
+    intervals = _check(args, m, measures, samples, "approx")
 
     def refiner(i: int):
         intervals[i] = refine_solution(intervals[i], m, samples.valuations[i],
@@ -164,12 +188,11 @@ def _stage_refine(args) -> None:
         return intervals[i].lower, intervals[i].upper
 
     outcomes = []
-    for rho in rhos:
-        current = [intervals[i] for i in range(len(intervals))]
-        outcome, etas = refine_until(current, rho, betas[0], args.target_gain,
+    for rho in _parse_rhos(args.rho_spec, len(intervals)):
+        outcome, etas = refine_until(intervals, rho, args.betas[0], args.target_gain,
                                      args.max_iters, refiner)
         outcome.eta = {beta: compute_eta(outcome.n, outcome.complexity_bound, beta)
-                       for beta in betas}
+                       for beta in args.betas}
         outcomes.append(outcome)
         log.info("rho=%g: eta trajectory %s", rho, [round(e, 4) for e in etas])
     uio.write_regions(outcomes, args.out)
@@ -197,15 +220,25 @@ def _stage_baseline(args) -> None:
 
 
 def _stage_curve(args) -> None:
-    measures = uio.read_measures(args.measures)
-    regions = uio.read_regions(args.regions)
-    bands = []
-    for entry in regions:
-        region = _region_from_json(entry, 1)
-        band = region_to_curve(region, measures)
-        bands.append((entry["rho"], band.horizons, band.lower, band.upper))
-    uio.write_band_csv(bands, args.out)
-    log.info("wrote %d bands", len(bands))
+    regions = [(entry["rho"], _region_from_json(entry, 1))
+               for entry in uio.read_regions(args.regions)]
+    _curve(regions, uio.read_measures(args.measures), args.out)
+
+
+def _stage_run(args) -> None:
+    run_pipeline(RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)}))
+
+
+@contextmanager
+def _stage(name: str, timings: Optional[dict] = None):
+    """Report the block's errors as StageError(name); record its wall time."""
+    start = time.perf_counter()
+    try:
+        yield
+    except Exception as exc:
+        raise StageError(name, str(exc)) from exc
+    if timings is not None:
+        timings[name] = time.perf_counter() - start
 
 
 def run_pipeline(cfg: RunConfig) -> dict:
@@ -218,49 +251,22 @@ def run_pipeline(cfg: RunConfig) -> dict:
     timings = {}
     total_start = time.perf_counter()
 
-    stage = "config"
-    try:
+    with _stage("config"):
         m = load_model(cfg.model)
         measures = uio.read_measures(cfg.measures)
-
-        stage = "sample"
-        start = time.perf_counter()
-        samples = sample_valuations(m, cfg.n, cfg.seed)
-        uio.write_samples(samples, out / "samples.json")
-        timings["sample"] = time.perf_counter() - start
-
-        stage = "check"
-        start = time.perf_counter()
-        solutions = solve_measure_set(
-            m, samples, measures, mode=cfg.mode, epsilon=cfg.epsilon,
-            delta=cfg.delta, rel_gap=cfg.rel_gap, cluster_radius=cfg.cluster_radius)
+    with _stage("sample", timings):
+        samples = _sample(m, cfg.n, cfg.seed, out / "samples.json")
+    with _stage("check", timings):
+        solutions = _check(cfg, m, measures, samples, cfg.mode)
         uio.write_solutions(measures.ids, solutions, out / "solutions.json")
-        timings["check"] = time.perf_counter() - start
-
-        stage = "region"
-        start = time.perf_counter()
-        scenario_mode = "precise" if cfg.mode == "exact" else "imprecise"
-        rhos = _parse_rhos(cfg.rho_spec, cfg.n)
-        outcomes = [bound_outcome(solutions, rho, cfg.betas, scenario_mode)
-                    for rho in rhos]
-        uio.write_regions(outcomes, out / "regions.json")
-        timings["region"] = time.perf_counter() - start
-
-        stage = "curve"
-        start = time.perf_counter()
+    with _stage("region", timings):
+        outcomes = _region(solutions, cfg.mode, cfg.rho_spec, cfg.betas,
+                           out / "regions.json")
+    with _stage("curve", timings):
         try:
-            bands = []
-            for outcome in outcomes:
-                band = region_to_curve(outcome.region, measures)
-                bands.append((outcome.rho, band.horizons, band.lower, band.upper))
-            uio.write_band_csv(bands, out / "band.csv")
-        except Exception as exc:  # not a horizon family: band is optional
+            _curve([(o.rho, o.region) for o in outcomes], measures, out / "band.csv")
+        except CheckerError as exc:  # not a horizon family: the band is optional
             log.warning("no curve band written: %s", exc)
-        timings["curve"] = time.perf_counter() - start
-    except StageError:
-        raise
-    except Exception as exc:
-        raise StageError(stage, str(exc)) from exc
 
     total = time.perf_counter() - total_start
     summary = {
@@ -270,19 +276,35 @@ def run_pipeline(cfg: RunConfig) -> dict:
             "model": cfg.model, "measures": cfg.measures, "n": cfg.n,
             "seed": cfg.seed, "mode": cfg.mode, "epsilon": cfg.epsilon,
             "rel_gap": cfg.rel_gap, "rho": cfg.rho_spec,
-            "beta": list(cfg.betas),
+            "beta": list(cfg.betas), "delta": cfg.delta,
+            "cluster_radius": cfg.cluster_radius,
         },
     }
     if cfg.mode == "approx":
         # solutions whose bounds never met the relative gap (see gap_met)
         summary["gap_failures"] = sum(not s.gap_met for s in solutions)
     uio.dump_json(summary, out / "summary.json")
+    log.info("pipeline done in %.2fs", total)
     return summary
 
 
 # ---------------------------------------------------------------------------
 # Argument parsing
 # ---------------------------------------------------------------------------
+
+def _add_check_options(p, delta: float = RunConfig.delta,
+                       rel_gap: float = RunConfig.rel_gap) -> None:
+    p.add_argument("--epsilon", type=float, default=RunConfig.epsilon)
+    p.add_argument("--rel-gap", type=float, default=rel_gap)
+    p.add_argument("--delta", type=float, default=delta)
+    p.add_argument("--cluster-radius", type=float, default=RunConfig.cluster_radius)
+
+
+def _add_region_options(p, rho: str = RunConfig.rho_spec,
+                        betas: tuple = RunConfig.betas) -> None:
+    p.add_argument("--rho", dest="rho_spec", default=rho)
+    p.add_argument("--beta", dest="betas", type=_parse_betas, default=betas)
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -293,7 +315,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="draw graph-preserving parameter valuations")
     p.add_argument("--model", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=RunConfig.seed)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_stage_sample)
 
@@ -301,18 +323,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--measures", required=True)
     p.add_argument("--samples", required=True)
-    p.add_argument("--mode", choices=("exact", "approx"), default="exact")
-    p.add_argument("--epsilon", type=float, default=1e-6)
-    p.add_argument("--rel-gap", dest="rel_gap", type=float, default=1e-2)
-    p.add_argument("--delta", type=float, default=1e-2)
-    p.add_argument("--cluster-radius", dest="cluster_radius", type=float, default=0.0)
+    p.add_argument("--mode", choices=("exact", "approx"), default=RunConfig.mode)
+    _add_check_options(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_stage_check)
 
     p = sub.add_parser("region", help="prediction regions and containment bounds")
     p.add_argument("--solutions", required=True)
-    p.add_argument("--rho", default="auto:10")
-    p.add_argument("--beta", default="0.9,0.99,0.999")
+    _add_region_options(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_stage_region)
 
@@ -320,14 +338,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--measures", required=True)
     p.add_argument("--samples", required=True)
-    p.add_argument("--rho", default="auto:1")
-    p.add_argument("--beta", default="0.9")
-    p.add_argument("--epsilon", type=float, default=1e-6)
-    p.add_argument("--delta", type=float, default=1e-1)
-    p.add_argument("--rel-gap", dest="rel_gap", type=float, default=0.5)
-    p.add_argument("--cluster-radius", dest="cluster_radius", type=float, default=0.0)
-    p.add_argument("--target-gain", dest="target_gain", type=float, default=0.01)
-    p.add_argument("--max-iters", dest="max_iters", type=int, default=10)
+    _add_region_options(p, rho="auto:1", betas=(0.9,))
+    _add_check_options(p, delta=1e-1, rel_gap=0.5)
+    p.add_argument("--target-gain", type=float, default=0.01)
+    p.add_argument("--max-iters", type=int, default=10)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_stage_refine)
 
@@ -350,43 +364,27 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="full pipeline into an output directory")
     p.add_argument("--model", required=True)
     p.add_argument("--measures", required=True)
-    p.add_argument("--n", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mode", choices=("exact", "approx"), default="exact")
-    p.add_argument("--epsilon", type=float, default=1e-6)
-    p.add_argument("--rel-gap", dest="rel_gap", type=float, default=1e-2)
-    p.add_argument("--delta", type=float, default=1e-2)
-    p.add_argument("--cluster-radius", dest="cluster_radius", type=float, default=0.0)
-    p.add_argument("--rho", default="auto:10")
-    p.add_argument("--beta", default="0.9,0.99,0.999")
-    p.add_argument("--out-dir", dest="out_dir", default=".")
-    p.set_defaults(func=None)
+    p.add_argument("--n", type=int, default=RunConfig.n)
+    p.add_argument("--seed", type=int, default=RunConfig.seed)
+    p.add_argument("--mode", choices=("exact", "approx"), default=RunConfig.mode)
+    _add_check_options(p)
+    _add_region_options(p)
+    p.add_argument("--out-dir", default=RunConfig.out_dir)
+    p.set_defaults(func=_stage_run)
     return parser
 
 
 def main(argv: Optional[list] = None) -> int:
     level = _LOG_LEVELS.get(os.environ.get("UCTMC_LOG", "warn").lower(), logging.WARNING)
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            cfg = RunConfig(
-                model=args.model, measures=args.measures, n=args.n, seed=args.seed,
-                mode=args.mode, epsilon=args.epsilon, rel_gap=args.rel_gap,
-                rho_spec=args.rho, betas=_parse_betas(args.beta),
-                out_dir=args.out_dir, delta=args.delta,
-                cluster_radius=args.cluster_radius)
-            summary = run_pipeline(cfg)
-            log.info("pipeline done in %.2fs", summary["total"])
-        else:
-            args.func(args)
+        args.func(args)
     except StageError as exc:
         print(f"error {exc}", file=sys.stderr)
         return 1
     except Exception as exc:
-        stage = getattr(args, "command", "cli")
-        print(f"error [{stage}] {exc}", file=sys.stderr)
+        print(f"error [{args.command}] {exc}", file=sys.stderr)
         return 1
     return 0
 

@@ -59,8 +59,11 @@ def test_transient_at_zero_is_initial():
 
 
 def test_epsilon_floor():
-    with pytest.raises(CheckerError):
-        transient_distribution(two_state(), 1.0, epsilon=1e-13)
+    for epsilon, message in ((1e-13, "below float accumulation limit"),
+                             (0.0, "must be positive"), (-1.0, "must be positive"),
+                             (float("nan"), "must be positive")):
+        with pytest.raises(CheckerError, match=message):
+            transient_distribution(two_state(), 1.0, epsilon=epsilon)
 
 
 def test_birth_chain_matches_expm_oracle():

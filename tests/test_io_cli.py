@@ -1,10 +1,11 @@
 import json
 
 import numpy as np
+import pytest
 
 import uctmc
 import uctmc.io as uio
-from uctmc.cli import RunConfig, main, run_pipeline, validate_config
+from uctmc.cli import RunConfig, StageError, main, run_pipeline, validate_config
 
 
 def _model_path(name):
@@ -75,6 +76,17 @@ def test_validate_config_reports_problems(tmp_path):
     assert "measures: file not found" in problems
     assert "n: must be >= 1" in problems
     assert any(p.startswith("beta:") for p in problems)
+    nan = float("nan")
+    for field, values in (("epsilon", (0.0, -1.0, 1e-13, nan)),
+                          ("rel_gap", (0.0, -1.0, nan)),
+                          ("delta", (0.0, 5.0, -0.1, nan)),
+                          ("cluster_radius", (-0.5, nan))):
+        for value in values:
+            cfg = RunConfig(model=_model_path("tandem"),
+                            measures=_model_path("tandem_measures"), **{field: value})
+            problems = validate_config(cfg)
+            assert len(problems) == 1, (field, value, problems)
+            assert problems[0].startswith(field.replace("_", "-") + ":"), problems
 
 
 def test_validate_config_ok(tmp_path):
@@ -97,6 +109,31 @@ def test_run_pipeline_writes_artifacts(tmp_path):
     assert sum(summary["stages"].values()) <= summary["total"]
     assert sum(summary["stages"].values()) >= 0.95 * summary["total"]
     assert "gap_failures" not in summary  # exact mode has no gaps
+    config = json.loads((tmp_path / "summary.json").read_text())["config"]
+    assert config == {"model": cfg.model, "measures": cfg.measures, "n": 20,
+                      "seed": 3, "mode": "exact", "epsilon": 1e-6, "rel_gap": 1e-2,
+                      "rho": "auto:3", "beta": [0.9, 0.99], "delta": 1e-2,
+                      "cluster_radius": 0.0}
+
+
+def test_run_pipeline_curve_stage_failures(tmp_path, caplog, capsys):
+    # buffer's measures are no horizon family: warn and write no band
+    cfg = RunConfig(model=_model_path("buffer"), measures=_model_path("buffer_measures"),
+                    n=3, seed=1, mode="approx", rho_spec="2.0", betas=(0.9,),
+                    out_dir=str(tmp_path / "b"))
+    run_pipeline(cfg)
+    assert "no curve band written" in caplog.text
+    assert not (tmp_path / "b" / "band.csv").exists()
+    assert (tmp_path / "b" / "summary.json").exists()
+    # a band.csv that cannot be written fails the curve stage
+    (tmp_path / "t" / "band.csv").mkdir(parents=True)
+    cfg = RunConfig(model=_model_path("tandem"), measures=_model_path("tandem_measures"),
+                    n=5, seed=1, rho_spec="2.0", betas=(0.9,), out_dir=str(tmp_path / "t"))
+    with pytest.raises(StageError, match=r"^\[curve\]"):
+        run_pipeline(cfg)
+    assert main(["run", "--model", cfg.model, "--measures", cfg.measures, "--n", "5",
+                 "--out-dir", cfg.out_dir]) == 1
+    assert "error [curve]" in capsys.readouterr().err
 
 
 def test_run_pipeline_counts_gap_failures(tmp_path, monkeypatch):
@@ -133,20 +170,27 @@ def test_run_pipeline_deterministic_artifacts(tmp_path):
 
 
 def test_cli_stagewise_matches_run(tmp_path):
-    out = tmp_path / "stages"
-    out.mkdir()
     model, measures = _model_path("tandem"), _model_path("tandem_measures")
-    assert main(["sample", "--model", model, "--n", "10", "--seed", "2",
-                 "--out", str(out / "samples.json")]) == 0
-    assert main(["check", "--model", model, "--measures", measures,
-                 "--samples", str(out / "samples.json"),
-                 "--out", str(out / "solutions.json")]) == 0
-    assert main(["region", "--solutions", str(out / "solutions.json"),
-                 "--rho", "2.0,0.4", "--beta", "0.9",
-                 "--out", str(out / "regions.json")]) == 0
-    assert main(["curve", "--regions", str(out / "regions.json"),
-                 "--measures", measures,
-                 "--out", str(out / "band.csv")]) == 0
+    for mode in ("exact", "approx"):
+        out, run_out = tmp_path / mode, tmp_path / f"run-{mode}"
+        out.mkdir()
+        assert main(["sample", "--model", model, "--n", "10", "--seed", "2",
+                     "--out", str(out / "samples.json")]) == 0
+        assert main(["check", "--model", model, "--measures", measures,
+                     "--samples", str(out / "samples.json"), "--mode", mode,
+                     "--out", str(out / "solutions.json")]) == 0
+        assert main(["region", "--solutions", str(out / "solutions.json"),
+                     "--rho", "2.0,0.4", "--beta", "0.9",
+                     "--out", str(out / "regions.json")]) == 0
+        assert main(["curve", "--regions", str(out / "regions.json"),
+                     "--measures", measures,
+                     "--out", str(out / "band.csv")]) == 0
+        assert main(["run", "--model", model, "--measures", measures, "--n", "10",
+                     "--seed", "2", "--mode", mode, "--rho", "2.0,0.4", "--beta", "0.9",
+                     "--out-dir", str(run_out)]) == 0
+        for name in ("samples.json", "solutions.json", "regions.json", "band.csv"):
+            assert (out / name).read_bytes() == (run_out / name).read_bytes(), (mode, name)
+    out = tmp_path / "exact"
     assert main(["baseline", "--kind", "independent",
                  "--solutions", str(out / "solutions.json"),
                  "--rho", "2.0", "--beta", "0.9",
@@ -158,6 +202,10 @@ def test_cli_stagewise_matches_run(tmp_path):
     assert len(band) == 1 + 2 * 2  # two regions x two horizons
     baseline = json.loads((out / "baseline.json").read_text())
     assert 0.0 <= baseline["combined"] <= 1.0
+    for command in ("sample", "check", "region", "refine", "baseline", "curve", "run"):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0, command
 
 
 def test_cli_frequentist_baseline(tmp_path):
