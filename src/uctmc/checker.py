@@ -7,22 +7,35 @@ point.  Transient distributions are computed by uniformization: with
 Lambda >= max leaving rate, pi_t = sum_k Poi(Lambda*t; k) * pi_0 P^k where
 P = I + Q/Lambda.
 
-One batched kernel serves every measure kind and both sink policies.  The
-chains of a batch (valuations of one model, so of one state space) are
-uniformized separately and laid out as the blocks of one block-diagonal P^T
-(``_Blocks``).  One stepping routine (``_iterates``) produces the power
-sequence: each step is one call of scipy's CSR mat-vec kernel over the prefix
-of blocks that still need steps.  Blocks are sorted by descending Lambda, so
-a block whose Poisson windows have ended drops off the end of the prefix, and
-a batch does no more mat-vec work than separate passes would.  Each block
-keeps its own Lambda and Poisson windows, and its mat-vec rows, target and
-sink mass, Poisson weighting and flush are computed exactly as in a batch of
-one, so a chain's results are the same bits in any batch.  Exact mode checks
-consecutive valuations in batches of at most ``DEFAULT_STATE_CAP`` states, so
-a batch never holds more states than one chain may; partial chains go in
-batches of one.  The routine steps in place, into one of two preallocated
-buffers that take turns, so an iterate it yields is valid only until the next
-step.
+Every measure is one form, pi_t . v = sum_k Poi(Lambda*t; k) * (x_k . v) with
+x_k = x_0 P^k, on a chain with some absorbing set:
+
+* reach: v is the target's indicator, the target is absorbing and x_0 is the
+  initial distribution.  An interval measure is a reach measure over
+  t_hi - t_lo from x_0 = pi_{t_lo} with the target's entries dropped (phase
+  one steps to t_lo with the target absorbing); a reach measure is an
+  interval measure with t_lo = 0, so both share their target's pass.
+* reward: v is the reward vector and nothing is absorbing, so the rewards of
+  a chain at any number of times share one pass.
+
+One batched kernel computes this form.  The chains of a batch (valuations of
+one model, so of one state space) are uniformized separately and laid out as
+the blocks of one block-diagonal P^T (``_Blocks``).  One stepping routine
+(``_iterates``) produces the power sequence: each step is one call of scipy's
+CSR mat-vec kernel over the prefix of blocks that still need steps.  Blocks
+are sorted by descending Lambda, so a block whose Poisson windows have ended
+drops off the end of the prefix, and a batch does no more mat-vec work than
+separate passes would.  A pass starts at the smallest left truncation point
+of its columns and keeps the series x_k . v per block and vector, which is
+steps x blocks x vectors floats; each (vector, time) column is then one
+Poisson-weighted sum over its window of that series.  Each block keeps its
+own Lambda and Poisson windows, and its mat-vec rows, series, Poisson
+weighting and flush are computed exactly as in a batch of one, so a chain's
+results are the same bits in any batch.  Exact mode checks consecutive
+valuations in batches of at most ``DEFAULT_STATE_CAP`` states, so a batch
+never holds more states than one chain may; partial chains go in batches of
+one.  The routine steps in place, into one of two preallocated buffers that
+take turns, so an iterate it yields is valid only until the next step.
 
 Error budget of one uniformization pass of K steps over a chain of n states:
 
@@ -40,13 +53,14 @@ Error budget of one uniformization pass of K steps over a chain of n states:
 
 On partial models the truncated sink (the last state) bounds every measure
 from both sides.  The lower bound treats the sink as a non-target with reward
-zero; the upper bound counts it as a target with the worst-case reward.  The
-sink's row is empty, so making it absorbing changes neither P, Lambda nor the
-Poisson weights, and one pass yields both bounds: upper = lower + the sink's
-share (its Poisson-weighted mass for reach and interval measures,
-pi_t[sink] * worst-case reward for rewards).  Each bound is the same
-Poisson-weighted sum a separate pass would compute, so both keep the
-``epsilon`` contract, and upper >= lower holds by construction.
+zero, which is its entry in the lower v.  The upper bound uses the same v
+with the sink's entry set to 1 for reach and interval measures and to the
+worst-case reward for rewards.  The sink's row is empty, so making it
+absorbing changes neither P, Lambda nor the Poisson weights, and one pass
+serves both vectors.  Each bound is the same Poisson-weighted sum a separate
+pass would compute, so both keep the ``epsilon`` contract.  Upper >= lower
+holds by construction: the upper v dominates the lower one entrywise, the
+iterates and weights are nonnegative, and rounding is monotone.
 """
 
 from __future__ import annotations
@@ -174,12 +188,6 @@ def _check_epsilon(epsilon: float):
         raise CheckerError(f"epsilon {epsilon} below float accumulation limit {MIN_EPSILON}")
 
 
-def _mask(c: ConcreteCtmc, target: Union[str, np.ndarray]) -> np.ndarray:
-    if isinstance(target, str):
-        return c.label_mask(target)
-    return np.asarray(target, dtype=bool)
-
-
 def _uniformized(c: ConcreteCtmc, absorbing: Optional[np.ndarray] = None):
     """Transposed uniformized DTMC matrix and the uniformization rate.
 
@@ -301,9 +309,9 @@ class _Blocks:
     descending Lambda (ties in batch order): a pass steps only the prefix of
     blocks that still need steps, so a block whose Poisson windows have ended
     drops off its end.  Each block keeps its own Lambda and Poisson windows,
-    and every per-block quantity (mat-vec rows, target and sink mass, Poisson
+    and every per-block quantity (mat-vec rows, the series x_k . v, Poisson
     weighting, flush) is computed exactly as for a batch of one.  Arrays in
-    and out are (chains, states) and (chains, ...) in batch order.
+    and out are (chains, ...) in batch order.
     """
 
     def __init__(self, chains: Sequence[ConcreteCtmc], absorbing: Sequence):
@@ -324,7 +332,7 @@ class _Blocks:
         data = np.concatenate([pt.data for pt in blocks if pt is not None] or [np.empty(0)])
         self.pt = sparse.csr_matrix((data, indices, indptr), shape=(counts.size,) * 2)
 
-    def _pass(self, v: np.ndarray, need: np.ndarray, skip: int = 0):
+    def _pass(self, v: np.ndarray, need: np.ndarray, skip: int):
         """Iterates k = skip .. max(need) - 1 of one pass from ``v`` (block
         order); iterate k holds the prefix of blocks that includes every block
         with need > k."""
@@ -338,158 +346,115 @@ class _Blocks:
         out[self.order] = values
         return out
 
+    def _windows(self, times: Sequence[float]):
+        """Poisson window (left truncation point, weights) per block and
+        distinct time, the steps each block needs, and the smallest left
+        truncation point."""
+        terms = [{t: _poisson_terms(lam * t) for t in times} for lam in self.lam]
+        need = np.array([max(k_lo + w.size for k_lo, w in row.values()) for row in terms],
+                        dtype=np.int64)
+        return terms, need, min(k_lo for row in terms for k_lo, _ in row.values())
+
     def transient(self, v: np.ndarray, t: float) -> np.ndarray:
         """pi_t per chain from pi_0 = v."""
         v = np.asarray(v, dtype=float)[self.order]
-        out = v.copy()
-        terms = [_poisson_terms(lam * t) if lam > 0.0 else (0, np.empty(0))
-                 for lam in self.lam]
-        need = np.array([k_lo + w.size for k_lo, w in terms], dtype=np.int64)
-        if need.any():
-            weights = np.zeros((int(need.max()), need.size, 1))
-            for b, (k_lo, w) in enumerate(terms):
-                weights[k_lo:k_lo + w.size, b, 0] = w
-            out[need > 0] = 0.0
-            first = min(k_lo for k_lo, w in terms if w.size)
-            live = 0
-            for k, x in enumerate(self._pass(v, need, first), first):
-                if len(x) != live:
-                    live, head = len(x), out[:len(x)]
-                    # one live block takes a float weight, which skips broadcasting
-                    step_weights = weights[:, :live] if live > 1 else weights[:, 0, 0].tolist()
-                head += step_weights[k] * x
+        terms, need, skip = self._windows([t])
+        # one row per step from skip on
+        weights = np.zeros((int(need.max()) - skip, need.size, 1))
+        for b, row in enumerate(terms):
+            k_lo, w = row[t]
+            weights[k_lo - skip:k_lo - skip + w.size, b, 0] = w
+        out = np.zeros_like(v)
+        live = 0
+        for k, x in enumerate(self._pass(v, need, skip)):
+            if len(x) != live:
+                live, head = len(x), out[:len(x)]
+                # one live block takes a float weight, which skips broadcasting
+                step_weights = weights[:, :live] if live > 1 else weights[:, 0, 0].tolist()
+            head += step_weights[k] * x
         return self._unsorted(out)
 
-    def _masses(self, start: np.ndarray, targets: np.ndarray, need: np.ndarray,
-                sink: bool):
-        """Target mass, and with ``sink`` the sink's mass, after each step of
-        one pass from ``start`` (block order): one row per block, one column
-        per step."""
-        indicator = targets.astype(float)
-        # one row per step while stepping, transposed for the weighting
-        target_mass = np.zeros((int(need.max()), need.size))
-        sink_mass = np.zeros_like(target_mass) if sink else None
-        live = 0
-        for k, x in enumerate(self._pass(start, need)):
-            if len(x) != live:
-                live, live_indicator = len(x), indicator[:len(x)]
-            np.vecdot(x, live_indicator, out=target_mass[k, :live])
-            if sink:
-                sink_mass[k, :live] = x[:, -1]
-        return target_mass.T.copy(), sink_mass.T.copy() if sink else None
+    def series(self, start: np.ndarray, vectors: np.ndarray,
+               columns: Sequence[tuple[int, float]]) -> np.ndarray:
+        """pi_t . v per chain and column (j, t), with pi_0 = ``start`` and
+        v = ``vectors[:, j]``: the Poisson-weighted sum of x_k . v.
 
-    def first_passage(self, start: np.ndarray, targets: np.ndarray,
-                      horizons: np.ndarray, sink: bool = False):
-        """P(first visit to targets within each horizon), per chain and
-        horizon; the targets must be absorbing in these blocks.
-
-        One pass serves every horizon: the target mass after k jumps is
-        shared, only the Poisson weights differ per horizon.  Returns
-        (probabilities, probabilities with the sink counted as a target).
-        With ``sink`` the last state is a partial chain's absorbing sink and
-        the pass also tracks its mass; without, the two arrays are equal.
+        ``start`` is (chains, states) and ``vectors`` (chains, vectors,
+        states).  One pass serves every column; it starts at the smallest left
+        truncation point of the columns and keeps the series x_k . v from
+        there on, one row per vector and block.
         """
         start = np.asarray(start, dtype=float)[self.order]
-        targets = targets[self.order]
-        base = np.array([float(s[t].sum()) if t.any() else 0.0
-                         for s, t in zip(start, targets)])
-        sink_base = start[:, -1] if sink else np.zeros(len(base))
-        lower = np.repeat(base[:, None], horizons.size, axis=1)
-        upper = np.repeat((base + sink_base)[:, None], horizons.size, axis=1)
-        terms = [[_poisson_terms(lam * t) for t in horizons] if lam > 0.0 else []
-                 for lam in self.lam]
-        need = np.array([max((k_lo + w.size for k_lo, w in row), default=0)
-                         for row in terms], dtype=np.int64)
-        if need.any():
-            target_mass, sink_mass = self._masses(start, targets, need, sink)
-            for b, row in enumerate(terms):
-                for j, (k_lo, w) in enumerate(row):
-                    if horizons[j] > 0.0:
-                        window = slice(k_lo, k_lo + w.size)
-                        lower[b, j] = upper[b, j] = w @ target_mass[b, window]
-                        if sink:
-                            upper[b, j] += w @ sink_mass[b, window]
-        return (self._unsorted(np.clip(lower, 0.0, 1.0)),
-                self._unsorted(np.clip(upper, 0.0, 1.0)))
+        # (vectors, blocks, states), so that each step's x broadcasts as is
+        vectors = np.asarray(vectors, dtype=float)[self.order].transpose(1, 0, 2)
+        terms, need, skip = self._windows([t for _, t in columns])
+        series = np.zeros((len(vectors), need.size, int(need.max()) - skip))
+        live = 0
+        for k, x in enumerate(self._pass(start, need, skip)):
+            if len(x) != live:
+                live, live_vectors, live_series = len(x), vectors[:, :len(x)], series[:, :len(x)]
+            np.vecdot(x, live_vectors, out=live_series[:, :, k])
+        values = np.empty((need.size, len(columns)))
+        for b, row in enumerate(terms):
+            for c, (j, t) in enumerate(columns):
+                k_lo, w = row[t]
+                values[b, c] = w @ series[j, b, k_lo - skip:k_lo - skip + w.size]
+        return self._unsorted(values)
 
-    def interval(self, initial: np.ndarray, targets: np.ndarray, t_lo: float,
-                 t_his: Sequence[float], sink: bool = False):
-        """Two-phase interval-until: stay outside the targets until the window
-        opens.
+    def interval(self, initial: np.ndarray, targets, t_lo: float,
+                 vectors: np.ndarray, columns: Sequence[tuple[int, float]]):
+        """``series`` for windows [t_lo, t] that must be entered from outside
+        the targets, which are absorbing in these blocks; with t_lo = 0 it is
+        ``series`` from ``initial``.
 
-        Both phases step through these blocks, whose targets are absorbing.
-        Phase one runs to t_lo; mass sitting in the target at t_lo broke the
+        Phase one steps to t_lo; mass sitting in the target at t_lo broke the
         left operand and is dropped (paths must avoid the target strictly
-        before the window).  Phase two computes first passage into the target
-        within t_hi - t_lo.  Returns the pair of ``first_passage``: with
-        ``sink`` the second array also counts the sink's mass, including what
-        it held at t_lo.
+        before the window).  Phase two is first passage within t - t_lo.
         """
-        t_his = np.asarray(t_his, dtype=float)
-        if np.any(t_his < t_lo):
-            raise CheckerError("interval windows need t1 <= t2")
         start = initial
         if t_lo > 0.0:
             start = np.where(~targets, self.transient(initial, t_lo), 0.0)
-        return self.first_passage(start, targets, t_his - t_lo, sink)
+        return self.series(start, vectors, [(j, t - t_lo) for j, t in columns])
 
 
-def transient_distribution(c: ConcreteCtmc, t: float, epsilon: float = 1e-6,
-                           initial: Optional[np.ndarray] = None,
-                           absorbing: Optional[np.ndarray] = None) -> np.ndarray:
+def transient_distribution(c: ConcreteCtmc, t: float, epsilon: float = 1e-6) -> np.ndarray:
     """Transient distribution pi_t with L1 error below epsilon."""
     _check_epsilon(epsilon)
     if t < 0:
         raise CheckerError("t must be >= 0")
-    v = np.array(c.initial if initial is None else initial, dtype=float)
     if t == 0.0:
-        return v
-    return _Blocks([c], [absorbing]).transient(v[None], t)[0]
+        return c.initial.copy()
+    return _Blocks([c], [None]).transient(c.initial[None], t)[0]
 
 
-def _horizons(horizons: Sequence[float]) -> np.ndarray:
-    horizons = np.asarray(horizons, dtype=float)
-    if np.any(horizons < 0):
-        raise CheckerError("horizons must be >= 0")
-    return horizons
-
-
-def reach_probabilities(c: ConcreteCtmc, target: Union[str, np.ndarray],
-                        horizons: Sequence[float], epsilon: float = 1e-6,
-                        initial: Optional[np.ndarray] = None) -> np.ndarray:
+def reach_probabilities(c: ConcreteCtmc, target: str, horizons: Sequence[float],
+                        epsilon: float = 1e-6) -> np.ndarray:
     """Time-bounded reachability for a family of horizons (one shared pass)."""
-    _check_epsilon(epsilon)
-    mask = _mask(c, target)
-    start = np.array(c.initial if initial is None else initial, dtype=float)
-    values, _ = _Blocks([c], [mask]).first_passage(start[None], mask[None],
-                                                    _horizons(horizons))
-    return values[0]
+    return evaluate_measures(c, MeasureSet(tuple(
+        TimeBoundedReach(str(j), target, t) for j, t in enumerate(horizons))), epsilon)
 
 
-def reach_probability(c: ConcreteCtmc, target: Union[str, np.ndarray], tau: float,
+def reach_probability(c: ConcreteCtmc, target: str, tau: float,
                       epsilon: float = 1e-6) -> float:
     return float(reach_probabilities(c, target, [tau], epsilon)[0])
 
 
-def interval_reaches(c: ConcreteCtmc, target: Union[str, np.ndarray], t_lo: float,
+def interval_reaches(c: ConcreteCtmc, target: str, t_lo: float,
                      t_his: Sequence[float], epsilon: float = 1e-6) -> np.ndarray:
     """P(first visit to target happens inside [t_lo, t_hi]) per t_hi."""
-    _check_epsilon(epsilon)
-    mask = _mask(c, target)
-    return _Blocks([c], [mask]).interval(c.initial[None], mask[None], t_lo, t_his)[0][0]
+    return evaluate_measures(c, MeasureSet(tuple(
+        IntervalReach(str(j), target, t_lo, t) for j, t in enumerate(t_his))), epsilon)
 
 
-def interval_reach(c: ConcreteCtmc, target: Union[str, np.ndarray], t_lo: float,
-                   t_hi: float, epsilon: float = 1e-6) -> float:
+def interval_reach(c: ConcreteCtmc, target: str, t_lo: float, t_hi: float,
+                   epsilon: float = 1e-6) -> float:
     return float(interval_reaches(c, target, t_lo, [t_hi], epsilon)[0])
 
 
-def instant_reward(c: ConcreteCtmc, reward: Union[str, np.ndarray], t: float,
-                   epsilon: float = 1e-6) -> float:
+def instant_reward(c: ConcreteCtmc, reward: str, t: float, epsilon: float = 1e-6) -> float:
     """Expected state reward at time t: dot(pi_t, reward vector)."""
-    vec = c.reward_vector(reward) if isinstance(reward, str) else np.asarray(reward, float)
-    pi = transient_distribution(c, t, epsilon)
-    return float(pi @ vec)
+    return float(evaluate_measures(
+        c, MeasureSet((InstantReward("reward", reward, t),)), epsilon)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -502,54 +467,48 @@ def _evaluate(chains: Sequence[ConcreteCtmc], measures: MeasureSet, epsilon: flo
     share passes; each chain's values are those of a batch of one.
 
     Returns (lower, upper), one row per chain.  With ``sink_rewards`` the
-    chains are partial models: the lower values treat the sink as a
-    non-target with reward zero, and the upper values add the sink's share
-    from the same passes, with the given worst-case reward per reward name
-    (see the module docstring).  Without, the two arrays are equal.
+    chains are partial models: each pass also weighs the upper vectors, whose
+    sink entry is 1 for targets and the given worst-case reward per reward
+    name (see the module docstring).  Without, the two arrays are equal.
     """
     _check_epsilon(epsilon)
-    sink = sink_rewards is not None
     lower = np.empty((len(chains), len(measures)))
-    upper = np.empty((len(chains), len(measures)))
-
-    reach_groups: dict = {}
-    window_groups: dict = {}
-    reward_groups: dict = {}
+    upper = lower if sink_rewards is None else np.empty_like(lower)
+    # one pass per (absorbing target or None for rewards, window start)
+    groups: dict = {}
     for pos, meas in enumerate(measures):
-        if isinstance(meas, TimeBoundedReach):
-            reach_groups.setdefault(meas.target, []).append(pos)
-        elif isinstance(meas, IntervalReach):
-            window_groups.setdefault((meas.target, meas.t_lo), []).append(pos)
+        if isinstance(meas, InstantReward):
+            key, name, t = (None, 0.0), meas.reward, meas.time
+        elif isinstance(meas, TimeBoundedReach):
+            key, name, t = (meas.target, 0.0), meas.target, meas.horizon
         else:
-            reward_groups.setdefault(meas.time, []).append(pos)
+            key, name, t = (meas.target, meas.t_lo), meas.target, meas.t_hi
+        groups.setdefault(key, []).append((pos, name, t))
 
     initial = np.array([c.initial for c in chains])
-    masks = {target: np.array([c.label_mask(target) for c in chains])
-             for target in {*reach_groups, *(target for target, _ in window_groups)}}
-    # one set of blocks per absorbing set: a target, or None for rewards
-    blocks = {target: _Blocks(chains, mask) for target, mask in masks.items()}
-    if reward_groups:
-        blocks[None] = _Blocks(chains, [None] * len(chains))
-
-    for target, positions in reach_groups.items():
-        taus = _horizons([measures.measures[p].horizon for p in positions])
-        lower[:, positions], upper[:, positions] = blocks[target].first_passage(
-            initial, masks[target], taus, sink)
-
-    for (target, t_lo), positions in window_groups.items():
-        t_his = [measures.measures[p].t_hi for p in positions]
-        lower[:, positions], upper[:, positions] = blocks[target].interval(
-            initial, masks[target], t_lo, t_his, sink)
-
-    for t, positions in reward_groups.items():
-        pi = blocks[None].transient(initial, t)
-        for p in positions:
-            name = measures.measures[p].reward
-            value = np.vecdot(pi, np.array([c.reward_vector(name) for c in chains]))
-            lower[:, p] = upper[:, p] = np.maximum(value, 0.0)
-            if sink:
-                upper[:, p] = np.maximum(value + pi[:, -1] * sink_rewards.get(name, 0.0), 0.0)
-
+    blocks: dict = {}
+    for (target, t_lo), group in groups.items():
+        names = list(dict.fromkeys(name for _, name, _ in group))
+        columns = [(names.index(name), t) for _, name, t in group]
+        if target is None:
+            absorbing = [None] * len(chains)
+            vectors = np.array([[c.reward_vector(name) for name in names] for c in chains])
+        else:
+            absorbing = np.array([c.label_mask(target) for c in chains])
+            vectors = absorbing[:, None].astype(float)
+        if sink_rewards is not None:
+            upper_vectors = vectors.copy()
+            upper_vectors[:, :, -1] = [sink_rewards[n] for n in names] if target is None else 1.0
+            vectors = np.concatenate((vectors, upper_vectors), axis=1)
+            columns += [(j + len(names), t) for j, t in columns]
+        if target not in blocks:
+            blocks[target] = _Blocks(chains, absorbing)
+        values = blocks[target].interval(initial, absorbing, t_lo, vectors, columns)
+        if target is not None:
+            values = np.clip(values, 0.0, 1.0)
+        positions = [pos for pos, _, _ in group]
+        lower[:, positions] = values[:, :len(group)]
+        upper[:, positions] = values[:, -len(group):]
     return lower, upper
 
 

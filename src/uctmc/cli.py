@@ -77,15 +77,7 @@ def validate_config(cfg: RunConfig) -> list[str]:
         problems.append("n: must be >= 1")
     if cfg.mode not in ("exact", "approx"):
         problems.append("mode: must be exact or approx")
-    # comparisons are written so that NaN fails them
-    if not cfg.epsilon >= MIN_EPSILON:
-        problems.append(f"epsilon: must be >= {MIN_EPSILON}")
-    if not cfg.rel_gap > 0:
-        problems.append("rel-gap: must be positive")
-    if not 0 < cfg.delta <= 1:
-        problems.append("delta: must lie in (0,1]")
-    if not cfg.cluster_radius >= 0:
-        problems.append("cluster-radius: must be >= 0")
+    problems += _check_option_problems(cfg)
     for beta in cfg.betas:
         if not 0.0 < beta < 1.0:
             problems.append("beta: must lie in (0,1)")
@@ -94,6 +86,21 @@ def validate_config(cfg: RunConfig) -> list[str]:
         _parse_rhos(cfg.rho_spec, max(cfg.n, 2))
     except Exception as exc:
         problems.append(f"rho: {exc}")
+    return problems
+
+
+def _check_option_problems(opts) -> list[str]:
+    """Problems with the check options of a RunConfig or parsed arguments."""
+    problems = []
+    # comparisons are written so that NaN fails them
+    if not opts.epsilon >= MIN_EPSILON:
+        problems.append(f"epsilon: must be >= {MIN_EPSILON}")
+    if not opts.rel_gap > 0:
+        problems.append("rel-gap: must be positive")
+    if not 0 < opts.delta <= 1:
+        problems.append("delta: must lie in (0,1]")
+    if not opts.cluster_radius >= 0:
+        problems.append("cluster-radius: must be >= 0")
     return problems
 
 
@@ -134,6 +141,9 @@ def _sample(m, n: int, seed: int, out):
 
 def _check(opts, m, measures, samples, mode: str) -> list:
     """``opts`` carries the check options: a RunConfig or parsed arguments."""
+    problems = _check_option_problems(opts)
+    if problems:
+        raise StageError("config", "; ".join(problems))
     return solve_measure_set(
         m, samples, measures, mode=mode, epsilon=opts.epsilon,
         delta=opts.delta, rel_gap=opts.rel_gap, cluster_radius=opts.cluster_radius)
@@ -199,6 +209,8 @@ def _stage_refine(args) -> None:
 
 
 def _stage_baseline(args) -> None:
+    if args.kind == "frequentist" and args.regions is None:
+        raise StageError("baseline", "frequentist baseline needs --regions")
     _, mode, solutions = uio.read_solutions(args.solutions)
     if args.kind == "independent":
         if mode != "exact":

@@ -301,16 +301,45 @@ def test_solve_measure_set_layout_invariance(sir20, sir_measures):
                 assert (other.delta, other.gap_met) == (full[i].delta, full[i].gap_met)
 
 
-def _mixed_measures():
+def _mixed_measures(target="extinct", reward="infected", scale=1.0):
     return MeasureSet((
-        TimeBoundedReach("reach_a", "extinct", 40.0),
-        TimeBoundedReach("reach_b", "extinct", 150.0),
-        IntervalReach("window_a", "extinct", 60.0, 90.0),
-        IntervalReach("window_b", "extinct", 60.0, 200.0),
-        IntervalReach("from_zero", "extinct", 0.0, 70.0),
-        InstantReward("infected_a", "infected", 25.0),
-        InstantReward("infected_b", "infected", 120.0),
+        TimeBoundedReach("reach_a", target, 40.0 * scale),
+        TimeBoundedReach("reach_b", target, 150.0 * scale),
+        IntervalReach("window_a", target, 60.0 * scale, 90.0 * scale),
+        IntervalReach("window_b", target, 60.0 * scale, 200.0 * scale),
+        IntervalReach("from_zero", target, 0.0, 70.0 * scale),
+        InstantReward(f"{reward}_a", reward, 25.0 * scale),
+        InstantReward(f"{reward}_b", reward, 120.0 * scale),
     ))
+
+
+def test_measure_layout_invariance(sir20, mean_valuation):
+    # measures sharing a pass (reach and windows from 0 on one target, the
+    # windows from 60 on it, rewards at two times) give each measure the same
+    # bits alone, in the full set and in the reversed set, on a full chain and
+    # for both bounds on a partial chain
+    from uctmc.checker import _bound_at_delta, _evaluate, _worst_case_rewards
+
+    buffer = uctmc.load_model(uctmc.example_model_path("buffer"))
+    u = uctmc.Valuation.from_floats([35.0, 30.0, 30.0, 0.05, 10.0, 10.0])
+    _, _, partial = _bound_at_delta(buffer, u, MeasureSet(()), 1e-3, 1e-6)
+    assert partial.sink_reachable
+    cases = [(build_full(sir20, mean_valuation), _mixed_measures(), None),
+             (partial, _mixed_measures("both_busy", "buffered", 0.01),
+              _worst_case_rewards(buffer))]
+    for chain, measures, sink_rewards in cases:
+        full = _evaluate([chain], measures, 1e-6, sink_rewards)
+        backwards = _evaluate([chain], MeasureSet(measures.measures[::-1]), 1e-6,
+                              sink_rewards)
+        for pos, meas in enumerate(measures):
+            alone = _evaluate([chain], MeasureSet((meas,)), 1e-6, sink_rewards)
+            for side in (0, 1):
+                assert np.array_equal(alone[side][0], full[side][0, [pos]]), meas.id
+                assert np.array_equal(backwards[side][0, [-1 - pos]],
+                                      full[side][0, [pos]]), meas.id
+        assert np.all(full[0] <= full[1])
+    # the sink holds enough mass for the two sides to differ
+    assert np.all(full[1] > full[0])
 
 
 def test_batched_check_layout_invariance(sir20):
@@ -392,6 +421,10 @@ def test_partial_bounds_match_dense_oracle():
         TimeBoundedReach("reach2", "both_busy", 1.5),
         IntervalReach("window", "both_busy", 0.5, 2.0),
         InstantReward("tokens", "buffered", 2.0),
+        # a second reward time shares the reward pass; a window from 0 shares
+        # the reach measures' pass
+        InstantReward("tokens_early", "buffered", 0.7),
+        IntervalReach("from_zero", "both_busy", 0.0, 1.0),
     ))
     eps = 1e-8
     lower, upper, partial = _bound_at_delta(m, u, measures, 1e-3, eps)
@@ -404,14 +437,17 @@ def test_partial_bounds_match_dense_oracle():
     worst = reward.copy()
     worst[-1] = 3.0  # s + f at s = 2, f = 1
     pi = transient_oracle(partial, 2.0)
+    pi_early = transient_oracle(partial, 0.7)
     # upper window bound: the sink keeps its mass at t_lo and counts as target
     q = dense_generator(partial, absorbing=mask)
     start = np.where(mask, 0.0, partial.initial @ expm(q * 0.5))
     window_up = float((start @ expm(q * 1.5))[mask | sink].sum())
     expected_lower = [reach_oracle(partial, mask, 0.3), reach_oracle(partial, mask, 1.5),
-                      interval_reach_oracle(partial, mask, 0.5, 2.0), float(pi @ reward)]
+                      interval_reach_oracle(partial, mask, 0.5, 2.0), float(pi @ reward),
+                      float(pi_early @ reward), interval_reach_oracle(partial, mask, 0.0, 1.0)]
     expected_upper = [reach_oracle(partial, mask | sink, 0.3),
-                      reach_oracle(partial, mask | sink, 1.5), window_up, float(pi @ worst)]
+                      reach_oracle(partial, mask | sink, 1.5), window_up, float(pi @ worst),
+                      float(pi_early @ worst), reach_oracle(partial, mask | sink, 1.0)]
     assert np.all(np.abs(lower - expected_lower) <= eps)
     assert np.all(np.abs(upper - expected_upper) <= eps)
     assert np.all(lower <= upper)

@@ -248,6 +248,29 @@ def test_cli_error_paths(tmp_path, capsys):
                  "--n", "3", "--out", str(tmp_path / "s.json")]) == 1
     err = capsys.readouterr().err
     assert "error" in err and "sample" in err
+    solutions = tmp_path / "solutions.json"
+    uio.write_solutions(["a"], [uctmc.SolutionVector(0, np.array([0.5]))], solutions)
+    assert main(["baseline", "--kind", "frequentist", "--solutions", str(solutions),
+                 "--out", str(tmp_path / "freq.json")]) == 1
+    assert "--regions" in capsys.readouterr().err
+    assert not (tmp_path / "freq.json").exists()
+
+
+def test_cli_check_and_refine_validate_options(tmp_path, capsys):
+    # check and refine reject the check options that run rejects
+    model, measures = _model_path("tandem"), _model_path("tandem_measures")
+    samples = str(tmp_path / "samples.json")
+    assert main(["sample", "--model", model, "--n", "2", "--seed", "1",
+                 "--out", samples]) == 0
+    for option in ("--rel-gap", "--cluster-radius"):
+        for command in ("check", "refine"):
+            out = tmp_path / f"{command}{option}.json"
+            extra = ["--mode", "approx"] if command == "check" else []
+            code = main([command, "--model", model, "--measures", measures,
+                         "--samples", samples, *extra, option, "-1", "--out", str(out)])
+            assert code == 1, (command, option)
+            assert option[2:] + ":" in capsys.readouterr().err, (command, option)
+            assert not out.exists(), (command, option)
 
 
 def test_cli_run_invalid_config_exits_nonzero(tmp_path, capsys):
