@@ -19,22 +19,35 @@ x_k = x_0 P^k, on a chain with some absorbing set:
   a chain at any number of times share one pass.
 
 One batched kernel computes this form.  The chains of a batch (valuations of
-one model, so of one state space) are uniformized separately and laid out as
-the blocks of one block-diagonal P^T (``_Blocks``).  One stepping routine
-(``_iterates``) produces the power sequence: each step is one call of scipy's
-CSR mat-vec kernel over the prefix of blocks that still need steps.  Blocks
-are sorted by descending Lambda, so a block whose Poisson windows have ended
-drops off the end of the prefix, and a batch does no more mat-vec work than
-separate passes would.  A pass starts at the smallest left truncation point
-of its columns and keeps the series x_k . v per block and vector, which is
-steps x blocks x vectors floats; each (vector, time) column is then one
-Poisson-weighted sum over its window of that series.  Each block keeps its
-own Lambda and Poisson windows, and its mat-vec rows, series, Poisson
-weighting and flush are computed exactly as in a batch of one, so a chain's
-results are the same bits in any batch.  Exact mode checks consecutive
-valuations in batches of at most ``DEFAULT_STATE_CAP`` states, so a batch
-never holds more states than one chain may; partial chains go in batches of
-one.  The routine steps in place, into one of two preallocated buffers that
+one model) are uniformized separately and laid out as the blocks of one
+block-diagonal P^T (``_Blocks``).  Chains may differ in size, as partial
+chains do: every block is padded to the batch's largest chain with empty
+rows, so the padding is never read or written and every mat-vec row stays
+per state and per block.  One stepping routine (``_iterates``) produces the
+power sequence: each step is one call of scipy's CSR mat-vec kernel over the
+prefix of blocks that still need steps.  Blocks are sorted by descending
+Lambda, so a block whose Poisson windows have ended drops off the end of the
+prefix, and a batch does no more mat-vec work than separate passes would.  A
+pass starts at the smallest left truncation point of its columns and keeps
+the series x_k . v per block and vector, which is steps x blocks x vectors
+floats; each (vector, time) column is then one Poisson-weighted sum over its
+window of that series.  Each step's dots are one more CSR mat-vec, of a
+reader matrix that holds v's nonzeros with one row per (block, vector) in
+block-major order: the live blocks' rows are a prefix, and each row is
+summed in state order over v's nonzeros, whatever the padding or batch.
+Each block keeps its own Lambda and Poisson windows, and its mat-vec rows,
+series, Poisson weighting and flush are computed exactly as in a batch of
+one, so a chain's results are the same bits in any batch.
+
+Batches are consecutive chains (``_batches``) holding at most
+``DEFAULT_STATE_CAP`` states, counted padded, and keeping at most
+``DEFAULT_STATE_CAP`` floats of series, counted from each chain's largest
+exit rate and the largest measure time; a chain above either cap goes alone.
+Exact mode batches the full chains of consecutive valuations.  Approximate
+mode runs in lockstep delta rounds: each round builds the partial chain of
+every valuation whose gap is still open, lazily, batch by batch, checks each
+batch in one pass, and divides delta by 10 only for the valuations still
+open.  The routine steps in place, into one of two preallocated buffers that
 take turns, so an iterate it yields is valid only until the next step.
 
 Error budget of one uniformization pass of K steps over a chain of n states:
@@ -50,6 +63,11 @@ Error budget of one uniformization pass of K steps over a chain of n states:
   the pass at most n * ceil(K/64) * 1e-280.  Under the 10^7-state cap and
   for any pass shorter than 10^20 steps that is below 1e-250, far below
   ``MIN_EPSILON``.
+* Series dot: each x_k . v is a sequential sum over the m nonzeros of v.
+  Its terms are nonnegative, so the sum's relative error is at most
+  (m - 1) * u with u = 2^-53 (one u more when v is not 0/1, for the
+  products): about 1.1e-12 at m = 10^4 states and 1.1e-9 at the 10^7-state
+  cap, relative to a value of at most 1 or the largest reward.
 
 On partial models the truncated sink (the last state) bounds every measure
 from both sides.  The lower bound treats the sink as a non-target with reward
@@ -65,6 +83,7 @@ iterates and weights are nonnegative, and rounding is monotone.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
@@ -89,6 +108,8 @@ _POISSON_CUTOFF = 1e-30
 _FLUSH_BELOW = 1e-280
 _FLUSH_EVERY = 64
 _DELTA_FLOOR = 1e-250
+
+log = logging.getLogger("uctmc.checker")
 
 
 class CheckerError(ValueError):
@@ -305,24 +326,29 @@ class _Blocks:
     """The uniformized chains of one batch, one absorbing set per chain, as
     one block-diagonal P^T.
 
-    Every chain has the same number of states.  Blocks are sorted by
-    descending Lambda (ties in batch order): a pass steps only the prefix of
-    blocks that still need steps, so a block whose Poisson windows have ended
-    drops off its end.  Each block keeps its own Lambda and Poisson windows,
-    and every per-block quantity (mat-vec rows, the series x_k . v, Poisson
-    weighting, flush) is computed exactly as for a batch of one.  Arrays in
-    and out are (chains, ...) in batch order.
+    Chains may differ in size: every block is padded to the largest chain
+    with empty rows, which no entry of P^T reads or writes.  Blocks are sorted
+    by descending Lambda (ties in batch order): a pass steps only the prefix
+    of blocks that still need steps, so a block whose Poisson windows have
+    ended drops off its end.  Each block keeps its own Lambda and Poisson
+    windows, and every per-block quantity (mat-vec rows, the series x_k . v,
+    Poisson weighting, flush) is computed exactly as for a batch of one.
+    Arrays in and out are (chains, ...) in batch order, with states padded to
+    the largest chain.
     """
 
     def __init__(self, chains: Sequence[ConcreteCtmc], absorbing: Sequence):
         unis = [_uniformized(c, a) for c, a in zip(chains, absorbing)]
-        size = chains[0].num_states
+        size = max(c.num_states for c in chains)
         lam = np.array([u[1] for u in unis])
         self.order = np.argsort(-lam, kind="stable")
         self.lam = lam[self.order]
         blocks = [unis[b][0] for b in self.order]
-        counts = np.concatenate([np.zeros(size, dtype=np.int64) if pt is None
-                                 else np.diff(pt.indptr) for pt in blocks])
+        counts = np.zeros((len(blocks), size), dtype=np.int64)
+        for row, pt in zip(counts, blocks):
+            if pt is not None:
+                row[:pt.shape[0]] = np.diff(pt.indptr)
+        counts = counts.ravel()
         nnz = int(counts.sum())
         idx = np.int32 if max(counts.size, nnz) < 2**31 else np.int64
         indptr = np.concatenate(([0], np.cumsum(counts))).astype(idx)
@@ -382,23 +408,32 @@ class _Blocks:
         ``start`` is (chains, states) and ``vectors`` (chains, vectors,
         states).  One pass serves every column; it starts at the smallest left
         truncation point of the columns and keeps the series x_k . v from
-        there on, one row per vector and block.
+        there on.  Each step's dots are one CSR mat-vec of a reader matrix
+        holding v's nonzeros, one row per block and vector in block-major
+        order, so the live blocks' rows are a prefix and each row is a
+        sequential sum in state order, whatever the padding or batch.
         """
         start = np.asarray(start, dtype=float)[self.order]
-        # (vectors, blocks, states), so that each step's x broadcasts as is
-        vectors = np.asarray(vectors, dtype=float)[self.order].transpose(1, 0, 2)
+        vectors = np.asarray(vectors, dtype=float)[self.order]
+        blocks, width, size = vectors.shape
+        # one row per (block, vector), in block order
+        vectors = vectors.reshape(blocks * width, size)
+        rows, states = np.nonzero(vectors)
+        idx = np.int32 if max(rows.size, blocks * size) < 2**31 else np.int64
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=len(vectors)))))
+        indices = states + rows // width * size
+        reader = (indptr.astype(idx), indices.astype(idx), vectors[rows, states])
         terms, need, skip = self._windows([t for _, t in columns])
-        series = np.zeros((len(vectors), need.size, int(need.max()) - skip))
-        live = 0
+        series = np.zeros((int(need.max()) - skip, len(vectors)))
         for k, x in enumerate(self._pass(start, need, skip)):
-            if len(x) != live:
-                live, live_vectors, live_series = len(x), vectors[:, :len(x)], series[:, :len(x)]
-            np.vecdot(x, live_vectors, out=live_series[:, :, k])
-        values = np.empty((need.size, len(columns)))
+            csr_matvec(len(x) * width, x.size, *reader, x.reshape(-1), series[k])
+        # contiguous rows, so that each weighted sum reads its window in order
+        series = np.ascontiguousarray(series.T)
+        values = np.empty((blocks, len(columns)))
         for b, row in enumerate(terms):
             for c, (j, t) in enumerate(columns):
                 k_lo, w = row[t]
-                values[b, c] = w @ series[j, b, k_lo - skip:k_lo - skip + w.size]
+                values[b, c] = w @ series[b * width + j, k_lo - skip:k_lo - skip + w.size]
         return self._unsorted(values)
 
     def interval(self, initial: np.ndarray, targets, t_lo: float,
@@ -461,20 +496,9 @@ def instant_reward(c: ConcreteCtmc, reward: str, t: float, epsilon: float = 1e-6
 # Measure-set evaluation (exact chains and partial-model bounds)
 # ---------------------------------------------------------------------------
 
-def _evaluate(chains: Sequence[ConcreteCtmc], measures: MeasureSet, epsilon: float,
-              sink_rewards: Optional[dict] = None) -> tuple[np.ndarray, np.ndarray]:
-    """Values of all measures on a batch of chains of one model, grouped to
-    share passes; each chain's values are those of a batch of one.
-
-    Returns (lower, upper), one row per chain.  With ``sink_rewards`` the
-    chains are partial models: each pass also weighs the upper vectors, whose
-    sink entry is 1 for targets and the given worst-case reward per reward
-    name (see the module docstring).  Without, the two arrays are equal.
-    """
-    _check_epsilon(epsilon)
-    lower = np.empty((len(chains), len(measures)))
-    upper = lower if sink_rewards is None else np.empty_like(lower)
-    # one pass per (absorbing target or None for rewards, window start)
+def _groups(measures: MeasureSet) -> dict:
+    """Measures that share one pass, keyed by (absorbing target or None for
+    rewards, window start): (position, label or reward name, time) each."""
     groups: dict = {}
     for pos, meas in enumerate(measures):
         if isinstance(meas, InstantReward):
@@ -484,26 +508,55 @@ def _evaluate(chains: Sequence[ConcreteCtmc], measures: MeasureSet, epsilon: flo
         else:
             key, name, t = (meas.target, meas.t_lo), meas.target, meas.t_hi
         groups.setdefault(key, []).append((pos, name, t))
+    return groups
 
-    initial = np.array([c.initial for c in chains])
+
+def _padded(arrays: Sequence[np.ndarray], size: int, dtype=float) -> np.ndarray:
+    """The arrays stacked, each zero-padded to ``size`` entries in its last
+    axis."""
+    out = np.zeros((len(arrays),) + np.shape(arrays[0])[:-1] + (size,), dtype=dtype)
+    for row, a in zip(out, arrays):
+        row[..., :np.shape(a)[-1]] = a
+    return out
+
+
+def _evaluate(chains: Sequence[ConcreteCtmc], measures: MeasureSet, epsilon: float,
+              sink_rewards: Optional[dict] = None) -> tuple[np.ndarray, np.ndarray]:
+    """Values of all measures on a batch of chains of one model, grouped to
+    share passes; each chain's values are those of a batch of one.
+
+    Returns (lower, upper), one row per chain.  With ``sink_rewards`` the
+    chains are partial models, possibly of different sizes: each pass also
+    weighs the upper vectors, whose entry at the chain's sink (its last
+    state) is 1 for targets and the given worst-case reward per reward name
+    (see the module docstring).  Without, the two arrays are equal.
+    """
+    _check_epsilon(epsilon)
+    lower = np.empty((len(chains), len(measures)))
+    upper = lower if sink_rewards is None else np.empty_like(lower)
+    size = max(c.num_states for c in chains)
+    sinks = [c.num_states - 1 for c in chains]
+    initial = _padded([c.initial for c in chains], size)
     blocks: dict = {}
-    for (target, t_lo), group in groups.items():
+    for (target, t_lo), group in _groups(measures).items():
         names = list(dict.fromkeys(name for _, name, _ in group))
         columns = [(names.index(name), t) for _, name, t in group]
         if target is None:
-            absorbing = [None] * len(chains)
-            vectors = np.array([[c.reward_vector(name) for name in names] for c in chains])
+            absorbing = targets = [None] * len(chains)
+            vectors = _padded([[c.reward_vector(name) for name in names] for c in chains], size)
         else:
-            absorbing = np.array([c.label_mask(target) for c in chains])
-            vectors = absorbing[:, None].astype(float)
+            absorbing = [c.label_mask(target) for c in chains]
+            targets = _padded(absorbing, size, bool)
+            vectors = targets[:, None].astype(float)
         if sink_rewards is not None:
             upper_vectors = vectors.copy()
-            upper_vectors[:, :, -1] = [sink_rewards[n] for n in names] if target is None else 1.0
+            upper_vectors[np.arange(len(chains)), :, sinks] = (
+                [sink_rewards[n] for n in names] if target is None else 1.0)
             vectors = np.concatenate((vectors, upper_vectors), axis=1)
             columns += [(j + len(names), t) for j, t in columns]
         if target not in blocks:
             blocks[target] = _Blocks(chains, absorbing)
-        values = blocks[target].interval(initial, absorbing, t_lo, vectors, columns)
+        values = blocks[target].interval(initial, targets, t_lo, vectors, columns)
         if target is not None:
             values = np.clip(values, 0.0, 1.0)
         positions = [pos for pos, _, _ in group]
@@ -526,15 +579,35 @@ def solve_measures(m: ParametricCtmc, u: Valuation, measures: MeasureSet,
     return SolutionVector(index, evaluate_measures(chain, measures, epsilon))
 
 
-def _batches(chains) -> Iterator[list]:
+def _series_steps(c: ConcreteCtmc, horizon: float) -> int:
+    """Steps of series a pass over ``c`` keeps for times up to ``horizon``,
+    bounded above: the right end of ``_poisson_terms``' first span at the
+    chain's largest exit rate, which bounds Lambda."""
+    indptr = c.rates.indptr
+    starts = indptr[:-1][indptr[:-1] < indptr[1:]]  # of nonempty rows
+    lam = float(np.add.reduceat(c.rates.data, starts).max()) if starts.size else 0.0
+    lam_t = lam * horizon
+    return int(lam_t) + int(20.0 * math.sqrt(lam_t)) + 101
+
+
+def _batches(chains, measures: MeasureSet, bounds: bool = False) -> Iterator[list]:
     """Consecutive chains, grouped so that no group holds more than
-    ``DEFAULT_STATE_CAP`` states (a chain above the cap goes alone)."""
-    batch: list = []
+    ``DEFAULT_STATE_CAP`` states, counted as padded to its largest chain, or
+    keeps a series (blocks x vectors x steps) of more floats than that.  A
+    chain above either cap goes alone.  ``bounds`` doubles the vectors of a
+    pass, as partial chains weigh an upper vector beside each one."""
+    groups = _groups(measures).values()
+    width = max((len({name for _, name, _ in g}) for g in groups), default=0) * (1 + bounds)
+    horizon = max((t for g in groups for _, _, t in g), default=0.0)
+    batch, size, kept = [], 0, 0
     for chain in chains:
-        if batch and (len(batch) + 1) * chain.num_states > DEFAULT_STATE_CAP:
+        floats = width * _series_steps(chain, horizon)
+        if batch and ((len(batch) + 1) * max(size, chain.num_states) > DEFAULT_STATE_CAP
+                      or kept + floats > DEFAULT_STATE_CAP):
             yield batch
-            batch = []
+            batch, size, kept = [], 0, 0
         batch.append(chain)
+        size, kept = max(size, chain.num_states), kept + floats
     if batch:
         yield batch
 
@@ -549,17 +622,66 @@ def _worst_case_rewards(m: ParametricCtmc) -> dict:
     return out
 
 
+def _partial_batches(m: ParametricCtmc, jobs, measures: MeasureSet, epsilon: float):
+    """Bounds from the partial models of (valuation, delta, reuse) jobs: the
+    chains are built lazily and checked batch by batch (see ``_batches``),
+    and each batch is yielded as (partials, lower, upper)."""
+    sink_rewards = _worst_case_rewards(m)
+    partials = (build_partial(m, u, delta, reuse=reuse) for u, delta, reuse in jobs)
+    for batch in _batches(partials, measures, bounds=True):
+        yield (batch, *_evaluate(batch, measures, epsilon, sink_rewards))
+
+
 def _bound_at_delta(m: ParametricCtmc, u: Valuation, measures: MeasureSet,
                     delta: float, epsilon: float, reuse=None):
     """Lower and upper measure bounds from the partial model at ``delta``."""
-    partial = build_partial(m, u, delta, reuse=reuse)
-    lower, upper = _evaluate([partial], measures, epsilon, _worst_case_rewards(m))
+    (partial,), lower, upper = next(_partial_batches(m, [(u, delta, reuse)], measures,
+                                                     epsilon))
     return lower[0], upper[0], partial
 
 
 def _gaps_met(lower: np.ndarray, upper: np.ndarray, rel_gap: float) -> bool:
     rel = (upper - lower) / np.maximum(upper, 1e-12)
     return bool(np.all(rel <= rel_gap))
+
+
+def _bound_valuations(m: ParametricCtmc, valuations: Sequence[Valuation],
+                      measures: MeasureSet, delta: float, epsilon: float,
+                      rel_gap: float, reuse: Sequence) -> list[IntervalSolution]:
+    """``bound_measures`` for every valuation, in lockstep delta rounds.
+
+    Each round checks the partial models of all valuations still open
+    together, then intersects and decides each valuation's bounds; only the
+    valuations still open go on to delta/10.  ``reuse`` gives each
+    valuation's retained state set for the first round, or None.
+    """
+    lower = [np.full(len(measures), -np.inf) for _ in valuations]
+    upper = [np.full(len(measures), np.inf) for _ in valuations]
+    solutions: list = [None] * len(valuations)
+    open_ = list(range(len(valuations)))
+    delta_now, rounds = delta, 0
+    while open_:
+        jobs = [(valuations[i], delta_now, reuse[i] if rounds == 0 else None) for i in open_]
+        positions, still, largest, batches = iter(open_), [], 0, 0
+        for partials, lo, up in _partial_batches(m, jobs, measures, epsilon):
+            batches += 1
+            largest = max(largest, max(p.num_states for p in partials))
+            for partial, lo_i, up_i in zip(partials, lo, up):
+                i = next(positions)
+                lower[i] = np.maximum(lower[i], lo_i)
+                upper[i] = np.minimum(upper[i], up_i)
+                if _gaps_met(lower[i], upper[i], rel_gap) or not partial.sink_reachable:
+                    solutions[i] = IntervalSolution(i, lower[i], upper[i], delta_now)
+                elif delta_now < _DELTA_FLOOR:
+                    solutions[i] = IntervalSolution(i, lower[i], upper[i], delta_now,
+                                                    gap_met=False)
+                else:
+                    still.append(i)
+        log.debug("delta round %d (delta %g): %d open valuations, largest partial "
+                  "chain %d states, %d batches", rounds + 1, delta_now, len(open_),
+                  largest, batches)
+        open_, delta_now, rounds = still, delta_now / 10.0, rounds + 1
+    return solutions
 
 
 def bound_measures(m: ParametricCtmc, u: Valuation, measures: MeasureSet,
@@ -572,21 +694,9 @@ def bound_measures(m: ParametricCtmc, u: Valuation, measures: MeasureSet,
     best interval so far is returned with ``gap_met=False``.  Bounds from
     successive rounds are intersected, so intervals only ever shrink.
     """
-    lower = np.full(len(measures), -np.inf)
-    upper = np.full(len(measures), np.inf)
-    delta_now = delta
-    first = True
-    while True:
-        lo, up, partial = _bound_at_delta(m, u, measures, delta_now, epsilon,
-                                          reuse=reuse if first else None)
-        first = False
-        lower = np.maximum(lower, lo)
-        upper = np.minimum(upper, up)
-        if _gaps_met(lower, upper, rel_gap) or not partial.sink_reachable:
-            return IntervalSolution(index, lower, upper, delta_now, gap_met=True)
-        if delta_now < _DELTA_FLOOR:
-            return IntervalSolution(index, lower, upper, delta_now, gap_met=False)
-        delta_now /= 10.0
+    solution, = _bound_valuations(m, [u], measures, delta, epsilon, rel_gap, [reuse])
+    solution.valuation_index = index
+    return solution
 
 
 def refine_solution(prev: IntervalSolution, m: ParametricCtmc, u: Valuation,
@@ -633,11 +743,10 @@ def solve_measure_set(m: ParametricCtmc, valuations, measures: MeasureSet,
                 reuse_map[idx] = rep_partial.retained_states
 
     if mode == "approx":
-        return [bound_measures(m, u, measures, delta, epsilon, rel_gap,
-                               reuse=reuse_map.get(i), index=i)
-                for i, u in enumerate(valuations)]
+        return _bound_valuations(m, valuations, measures, delta, epsilon, rel_gap,
+                                 [reuse_map.get(i) for i in range(len(valuations))])
     solutions: list = []
-    for batch in _batches(build_full(m, u) for u in valuations):
+    for batch in _batches((build_full(m, u) for u in valuations), measures):
         values, _ = _evaluate(batch, measures, epsilon)
         solutions += [SolutionVector(i, row) for i, row in enumerate(values, len(solutions))]
     return solutions

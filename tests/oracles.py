@@ -129,11 +129,16 @@ def reach_oracle(c, mask, tau: float) -> float:
 
 
 def interval_reach_oracle(c, mask, t_lo: float, t_hi: float) -> float:
-    """Two-phase dense oracle for first target visit inside [t_lo, t_hi]."""
+    """Two-phase dense oracle for first target visit inside [t_lo, t_hi].
+
+    With t_lo > 0, mass in the target at t_lo entered it before the window
+    and is dropped; with t_lo = 0, initial mass in the target counts as a
+    visit at time 0."""
     mask = np.asarray(mask, dtype=bool)
     q = dense_generator(c, absorbing=mask)
     pi = c.initial @ expm(q * t_lo)
-    pi = np.where(mask, 0.0, pi)
+    if t_lo > 0.0:
+        pi = np.where(mask, 0.0, pi)
     pi = pi @ expm(q * (t_hi - t_lo))
     return float(pi[mask].sum())
 

@@ -220,6 +220,20 @@ def test_interval_reach_zero_length_window_at_zero():
     assert interval_reach(c, "goal", 0.0, 0.0) == pytest.approx(0.7)
 
 
+def test_interval_reach_initial_target_mass_matches_oracle():
+    # mass that starts in the target is a visit at time 0: it counts for a
+    # window from 0 and is dropped for a window that starts later
+    c = ConcreteCtmc.from_dense(
+        [[0.0, 1.0], [0.0, 0.0]], [0.3, 0.7], labels={"goal": [False, True]})
+    mask = c.label_mask("goal")
+    for t_lo, t_hi, exact in ((0.0, 0.5, 0.7 + 0.3 * (1 - math.exp(-0.5))),
+                              (0.2, 0.5, 0.3 * (math.exp(-0.2) - math.exp(-0.5)))):
+        ours = interval_reach(c, "goal", t_lo, t_hi, epsilon=1e-8)
+        assert ours == pytest.approx(interval_reach_oracle(c, mask, t_lo, t_hi), abs=1e-8)
+        assert ours == pytest.approx(exact, abs=1e-8)
+    assert interval_reach(c, "goal", 0.0, 0.5) == pytest.approx(0.818, abs=1e-3)
+
+
 def test_interval_reach_zero_start_equals_reach():
     c = two_state()
     assert interval_reach(c, "goal", 0.0, 1.5) == pytest.approx(
@@ -411,12 +425,11 @@ def test_bound_measures_delta_one_gives_vacuous_reach_bounds(sir20, sir_measures
     assert np.all(upper >= 1.0 - 1e-6)
 
 
-def test_partial_bounds_match_dense_oracle():
-    from uctmc.checker import _bound_at_delta
+BUFFER_VALUATION = [35.0, 30.0, 30.0, 0.05, 10.0, 10.0]
 
-    m = uctmc.load_model(uctmc.example_model_path("buffer"))
-    u = uctmc.Valuation.from_floats([35.0, 30.0, 30.0, 0.05, 10.0, 10.0])
-    measures = MeasureSet((
+
+def _buffer_bound_measures():
+    return MeasureSet((
         TimeBoundedReach("reach1", "both_busy", 0.3),
         TimeBoundedReach("reach2", "both_busy", 1.5),
         IntervalReach("window", "both_busy", 0.5, 2.0),
@@ -426,10 +439,11 @@ def test_partial_bounds_match_dense_oracle():
         InstantReward("tokens_early", "buffered", 0.7),
         IntervalReach("from_zero", "both_busy", 0.0, 1.0),
     ))
-    eps = 1e-8
-    lower, upper, partial = _bound_at_delta(m, u, measures, 1e-3, eps)
-    assert partial.sink_reachable
 
+
+def _buffer_bound_oracle(partial):
+    """Dense-expm lower and upper values of ``_buffer_bound_measures`` on a
+    partial buffer chain."""
     mask = partial.label_mask("both_busy")
     sink = np.zeros(partial.num_states, dtype=bool)
     sink[-1] = True
@@ -442,17 +456,52 @@ def test_partial_bounds_match_dense_oracle():
     q = dense_generator(partial, absorbing=mask)
     start = np.where(mask, 0.0, partial.initial @ expm(q * 0.5))
     window_up = float((start @ expm(q * 1.5))[mask | sink].sum())
-    expected_lower = [reach_oracle(partial, mask, 0.3), reach_oracle(partial, mask, 1.5),
-                      interval_reach_oracle(partial, mask, 0.5, 2.0), float(pi @ reward),
-                      float(pi_early @ reward), interval_reach_oracle(partial, mask, 0.0, 1.0)]
-    expected_upper = [reach_oracle(partial, mask | sink, 0.3),
-                      reach_oracle(partial, mask | sink, 1.5), window_up, float(pi @ worst),
-                      float(pi_early @ worst), reach_oracle(partial, mask | sink, 1.0)]
+    lower = [reach_oracle(partial, mask, 0.3), reach_oracle(partial, mask, 1.5),
+             interval_reach_oracle(partial, mask, 0.5, 2.0), float(pi @ reward),
+             float(pi_early @ reward), interval_reach_oracle(partial, mask, 0.0, 1.0)]
+    upper = [reach_oracle(partial, mask | sink, 0.3),
+             reach_oracle(partial, mask | sink, 1.5), window_up, float(pi @ worst),
+             float(pi_early @ worst), reach_oracle(partial, mask | sink, 1.0)]
+    return np.array(lower), np.array(upper)
+
+
+def test_partial_bounds_match_dense_oracle():
+    from uctmc.checker import _bound_at_delta
+
+    m = uctmc.load_model(uctmc.example_model_path("buffer"))
+    u = uctmc.Valuation.from_floats(BUFFER_VALUATION)
+    eps = 1e-8
+    lower, upper, partial = _bound_at_delta(m, u, _buffer_bound_measures(), 1e-3, eps)
+    assert partial.sink_reachable
+    expected_lower, expected_upper = _buffer_bound_oracle(partial)
     assert np.all(np.abs(lower - expected_lower) <= eps)
     assert np.all(np.abs(upper - expected_upper) <= eps)
     assert np.all(lower <= upper)
     # the sink holds enough mass for the two sides to differ
     assert np.all(upper - lower > 1e-6)
+
+
+def test_padded_blocks_match_dense_oracle():
+    # partial chains of different sizes share one padded batch; each chain's
+    # bounds are within epsilon of the dense oracle and the same bits as in a
+    # batch of one
+    from uctmc.checker import _evaluate, _worst_case_rewards
+
+    m = uctmc.load_model(uctmc.example_model_path("buffer"))
+    u = uctmc.Valuation.from_floats(BUFFER_VALUATION)
+    partials = [uctmc.build_partial(m, u, delta) for delta in (1e-3, 1e-1, 1e-2)]
+    sizes = [p.num_states for p in partials]
+    assert len(set(sizes)) == len(sizes) and max(sizes) != sizes[-1]
+    assert all(p.sink_reachable for p in partials)
+    measures, eps, sink_rewards = _buffer_bound_measures(), 1e-8, _worst_case_rewards(m)
+    lower, upper = _evaluate(partials, measures, eps, sink_rewards)
+    for b, partial in enumerate(partials):
+        expected_lower, expected_upper = _buffer_bound_oracle(partial)
+        assert np.all(np.abs(lower[b] - expected_lower) <= eps), b
+        assert np.all(np.abs(upper[b] - expected_upper) <= eps), b
+        alone = _evaluate([partial], measures, eps, sink_rewards)
+        assert np.array_equal(alone[0][0], lower[b]), b
+        assert np.array_equal(alone[1][0], upper[b]), b
 
 
 def test_bound_measures_tiny_delta_is_exact(sir2, mean_valuation):
@@ -502,6 +551,86 @@ def test_refine_recomputes_gap_met(sir2, mean_valuation):
     refined = refine_solution(missed, sir2, mean_valuation, measures)
     assert np.all(refined.width == 0.0)
     assert refined.gap_met
+
+
+def test_batched_partial_rounds_layout_invariance():
+    # buffer valuations whose partial chains differ in size and whose gaps
+    # close after different numbers of delta rounds; each valuation's bounds,
+    # final delta and gap_met are the same bits alone, in reversed order, in
+    # a slice and in the full list, without and with cluster reuse
+    from uctmc.checker import _bound_valuations
+    from uctmc.model import cluster_valuations
+
+    m = uctmc.load_model(uctmc.example_model_path("buffer"))
+    measures = uctmc.io.read_measures(uctmc.example_model_path("buffer_measures"))
+    valuations = uctmc.sample_valuations(m, 10, seed=3).valuations[3:]
+    n = len(valuations)
+    sizes = {uctmc.build_partial(m, u, 1e-2).num_states for u in valuations}
+    assert len(sizes) > 1
+
+    def same(a, b):
+        assert np.array_equal(a.lower, b.lower) and np.array_equal(a.upper, b.upper)
+        assert (a.delta, a.gap_met) == (b.delta, b.gap_met)
+
+    full = solve_measure_set(m, valuations, measures, mode="approx")
+    assert len({s.delta for s in full}) > 1
+    backwards = solve_measure_set(m, valuations[::-1], measures, mode="approx")[::-1]
+    sliced = solve_measure_set(m, valuations[2:5], measures, mode="approx")
+    for i, u in enumerate(valuations):
+        assert full[i].valuation_index == i
+        for other in [bound_measures(m, u, measures, index=i), backwards[i]] + (
+                [sliced[i - 2]] if 2 <= i < 5 else []):
+            same(other, full[i])
+
+    # with reuse, a valuation's bounds depend on its retained set only
+    radius = 2.5
+    clusters = cluster_valuations(valuations, radius, m.parameters)
+    assert any(len(c.member_indices) > 1 for c in clusters)
+    reuse = [None] * n
+    for cluster in clusters:
+        retained = uctmc.build_partial(m, cluster.representative, 1e-2).retained_states
+        for i in cluster.member_indices:
+            reuse[i] = retained
+    clustered = solve_measure_set(m, valuations, measures, mode="approx",
+                                  cluster_radius=radius)
+    args = (measures, 1e-2, 1e-6, 1e-2)
+    backwards = _bound_valuations(m, valuations[::-1], *args, reuse[::-1])[::-1]
+    sliced = _bound_valuations(m, valuations[2:5], *args, reuse[2:5])
+    for i, u in enumerate(valuations):
+        for other in [bound_measures(m, u, measures, reuse=reuse[i]), backwards[i]] + (
+                [sliced[i - 2]] if 2 <= i < 5 else []):
+            same(other, clustered[i])
+
+
+def test_batches_bound_kept_series(monkeypatch):
+    # a batch splits once its kept series would pass the cap, and the split
+    # changes no bits
+    from uctmc import checker
+
+    m = uctmc.load_model(uctmc.example_model_path("buffer"))
+    measures = uctmc.io.read_measures(uctmc.example_model_path("buffer_measures"))
+    valuations = uctmc.sample_valuations(m, 6, seed=3).valuations
+    partials = [uctmc.build_partial(m, u, 1e-3) for u in valuations]
+    whole = solve_measure_set(m, valuations, measures, mode="approx")
+    assert len(list(checker._batches(partials, measures, bounds=True))) == 1
+    # room for the states of every chain, but for the series of about half
+    floats = [2 * checker._series_steps(p, 25.0) for p in partials]  # two vectors
+    cap = sum(floats) // 2
+    monkeypatch.setattr(checker, "DEFAULT_STATE_CAP", cap)
+    assert len(partials) * max(p.num_states for p in partials) <= cap
+    batches = list(checker._batches(partials, measures, bounds=True))
+    assert len(batches) > 1
+    assert [p for b in batches for p in b] == partials
+    pos = 0
+    for batch in batches:
+        kept = sum(floats[pos:pos + len(batch)])
+        pos += len(batch)
+        assert kept <= cap
+        assert pos == len(partials) or kept + floats[pos] > cap
+    split = solve_measure_set(m, valuations, measures, mode="approx")
+    for a, b in zip(split, whole):
+        assert np.array_equal(a.lower, b.lower) and np.array_equal(a.upper, b.upper)
+        assert (a.delta, a.gap_met) == (b.delta, b.gap_met)
 
 
 def test_cluster_reuse_stays_sound(sir20, sir_measures):
