@@ -1,14 +1,13 @@
-"""State-space truncation, two-sided bounds, and valuation clustering.
+"""State-space truncation and two-sided bounds.
 
 Shows the machinery behind approximate mode: how the retained state set grows
-as the truncation threshold drops, how the sink yields sound lower/upper
-measure bounds, and how nearby valuations share one retained set.
+as the truncation threshold drops, and how the sink yields sound lower/upper
+measure bounds.
 
 Run:  python demos/04_partial_models.py
 """
 
 import uctmc
-from uctmc.model import cluster_valuations
 
 model = uctmc.load_model(uctmc.example_model_path("sir140"))
 u = uctmc.Valuation.from_floats([0.05, 0.04])
@@ -29,13 +28,3 @@ print(f"\nextinction in [100, 200]: exact = {exact:.6f}")
 for delta in (1e-3, 1e-5, 1e-7):
     iv = uctmc.bound_measures(model, u, measures, delta=delta, rel_gap=10.0)
     print(f"  delta={delta:g}: bounds [{iv.lower[0]:.6f}, {iv.upper[0]:.6f}]")
-
-print("\nclustering 30 sampled valuations (standardized Euclidean radius 0.5):")
-samples = uctmc.sample_valuations(model, 30, seed=10)
-clusters = cluster_valuations(list(samples.valuations), 0.5, model.parameters)
-sizes = sorted((len(c.members) for c in clusters), reverse=True)
-print(f"  {len(clusters)} clusters, sizes {sizes}")
-rep = clusters[0].representative
-partial = uctmc.build_partial(model, rep, 1e-4)
-print(f"  representative partial model retains {len(partial.retained_states)} "
-      f"states, reused verbatim by {len(clusters[0].members) - 1} cluster member(s)")

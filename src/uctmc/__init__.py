@@ -30,11 +30,9 @@ from .model import (
     StateCapExceeded,
     Uniform,
     Valuation,
-    ValuationCluster,
     build_full,
     build_partial,
     check_graph_preserving,
-    cluster_valuations,
     graph_preservation_violation,
     load_model,
     parse_model,

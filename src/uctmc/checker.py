@@ -99,7 +99,6 @@ from .model import (
     Valuation,
     build_full,
     build_partial,
-    cluster_valuations,
 )
 from . import expr as ex
 
@@ -127,8 +126,9 @@ class TimeBoundedReach:
     horizon: float
 
     def __post_init__(self):
-        if self.horizon < 0:
-            raise CheckerError(f"measure {self.id}: horizon must be >= 0")
+        # comparisons are written so that NaN and infinities fail them
+        if not 0 <= self.horizon < math.inf:
+            raise CheckerError(f"measure {self.id}: horizon must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -139,8 +139,8 @@ class IntervalReach:
     t_hi: float
 
     def __post_init__(self):
-        if not 0 <= self.t_lo <= self.t_hi:
-            raise CheckerError(f"measure {self.id}: need 0 <= t1 <= t2")
+        if not 0 <= self.t_lo <= self.t_hi < math.inf:
+            raise CheckerError(f"measure {self.id}: need 0 <= t1 <= t2 < inf")
 
 
 @dataclass(frozen=True)
@@ -150,8 +150,8 @@ class InstantReward:
     time: float
 
     def __post_init__(self):
-        if self.time < 0:
-            raise CheckerError(f"measure {self.id}: time must be >= 0")
+        if not 0 <= self.time < math.inf:
+            raise CheckerError(f"measure {self.id}: time must be finite and >= 0")
 
 
 Measure = Union[TimeBoundedReach, IntervalReach, InstantReward]
@@ -258,19 +258,24 @@ def _uniformized(c: ConcreteCtmc, absorbing: Optional[np.ndarray] = None):
     return sparse.csr_matrix((pt_data, pt_indices, pt_indptr), shape=(n, n)), lam
 
 
+def _poisson_span(lam_t: float) -> int:
+    """Terms ``_poisson_terms`` first computes on each side of the mode."""
+    return int(20.0 * math.sqrt(lam_t)) + 100
+
+
 def _poisson_terms(lam_t: float) -> tuple[int, np.ndarray]:
     """Left truncation point and renormalized Poisson(lam_t) weights.
 
     From the mode outward, each side is the running product (``np.cumprod``,
     which multiplies in order) of the ratios of neighbouring terms, cut at the
     first term at or below ``_POISSON_CUTOFF``; the right side keeps that
-    term.  Each side is first computed over about 20 * sqrt(lam_t) + 100
-    terms, and over twice as many if the cut lies beyond.
+    term.  Each side is first computed over ``_poisson_span(lam_t)`` terms,
+    and over twice as many if the cut lies beyond.
     """
     if lam_t <= 0.0:
         return 0, np.array([1.0])
     mode = int(lam_t)
-    span = int(20.0 * math.sqrt(lam_t)) + 100
+    span = _poisson_span(lam_t)
     while True:
         # both sides are nonincreasing, so the terms above the cut lead
         right = np.cumprod(lam_t / np.arange(mode + 1, mode + 1 + span))
@@ -455,8 +460,8 @@ class _Blocks:
 def transient_distribution(c: ConcreteCtmc, t: float, epsilon: float = 1e-6) -> np.ndarray:
     """Transient distribution pi_t with L1 error below epsilon."""
     _check_epsilon(epsilon)
-    if t < 0:
-        raise CheckerError("t must be >= 0")
+    if not 0 <= t < math.inf:
+        raise CheckerError("t must be finite and >= 0")
     if t == 0.0:
         return c.initial.copy()
     return _Blocks([c], [None]).transient(c.initial[None], t)[0]
@@ -587,7 +592,7 @@ def _series_steps(c: ConcreteCtmc, horizon: float) -> int:
     starts = indptr[:-1][indptr[:-1] < indptr[1:]]  # of nonempty rows
     lam = float(np.add.reduceat(c.rates.data, starts).max()) if starts.size else 0.0
     lam_t = lam * horizon
-    return int(lam_t) + int(20.0 * math.sqrt(lam_t)) + 101
+    return int(lam_t) + _poisson_span(lam_t) + 1
 
 
 def _batches(chains, measures: MeasureSet, bounds: bool = False) -> Iterator[list]:
@@ -623,20 +628,19 @@ def _worst_case_rewards(m: ParametricCtmc) -> dict:
 
 
 def _partial_batches(m: ParametricCtmc, jobs, measures: MeasureSet, epsilon: float):
-    """Bounds from the partial models of (valuation, delta, reuse) jobs: the
-    chains are built lazily and checked batch by batch (see ``_batches``),
-    and each batch is yielded as (partials, lower, upper)."""
+    """Bounds from the partial models of (valuation, delta) jobs: the chains
+    are built lazily and checked batch by batch (see ``_batches``), and each
+    batch is yielded as (partials, lower, upper)."""
     sink_rewards = _worst_case_rewards(m)
-    partials = (build_partial(m, u, delta, reuse=reuse) for u, delta, reuse in jobs)
+    partials = (build_partial(m, u, delta) for u, delta in jobs)
     for batch in _batches(partials, measures, bounds=True):
         yield (batch, *_evaluate(batch, measures, epsilon, sink_rewards))
 
 
 def _bound_at_delta(m: ParametricCtmc, u: Valuation, measures: MeasureSet,
-                    delta: float, epsilon: float, reuse=None):
+                    delta: float, epsilon: float):
     """Lower and upper measure bounds from the partial model at ``delta``."""
-    (partial,), lower, upper = next(_partial_batches(m, [(u, delta, reuse)], measures,
-                                                     epsilon))
+    (partial,), lower, upper = next(_partial_batches(m, [(u, delta)], measures, epsilon))
     return lower[0], upper[0], partial
 
 
@@ -647,13 +651,12 @@ def _gaps_met(lower: np.ndarray, upper: np.ndarray, rel_gap: float) -> bool:
 
 def _bound_valuations(m: ParametricCtmc, valuations: Sequence[Valuation],
                       measures: MeasureSet, delta: float, epsilon: float,
-                      rel_gap: float, reuse: Sequence) -> list[IntervalSolution]:
+                      rel_gap: float) -> list[IntervalSolution]:
     """``bound_measures`` for every valuation, in lockstep delta rounds.
 
     Each round checks the partial models of all valuations still open
     together, then intersects and decides each valuation's bounds; only the
-    valuations still open go on to delta/10.  ``reuse`` gives each
-    valuation's retained state set for the first round, or None.
+    valuations still open go on to delta/10.
     """
     lower = [np.full(len(measures), -np.inf) for _ in valuations]
     upper = [np.full(len(measures), np.inf) for _ in valuations]
@@ -661,7 +664,7 @@ def _bound_valuations(m: ParametricCtmc, valuations: Sequence[Valuation],
     open_ = list(range(len(valuations)))
     delta_now, rounds = delta, 0
     while open_:
-        jobs = [(valuations[i], delta_now, reuse[i] if rounds == 0 else None) for i in open_]
+        jobs = [(valuations[i], delta_now) for i in open_]
         positions, still, largest, batches = iter(open_), [], 0, 0
         for partials, lo, up in _partial_batches(m, jobs, measures, epsilon):
             batches += 1
@@ -686,7 +689,7 @@ def _bound_valuations(m: ParametricCtmc, valuations: Sequence[Valuation],
 
 def bound_measures(m: ParametricCtmc, u: Valuation, measures: MeasureSet,
                    delta: float = 1e-2, epsilon: float = 1e-6,
-                   rel_gap: float = 1e-2, reuse=None, index: int = 0) -> IntervalSolution:
+                   rel_gap: float = 1e-2, index: int = 0) -> IntervalSolution:
     """Two-sided measure bounds from partial models, tightened until the
     relative gap (upper-lower)/max(upper, 1e-12) meets rel_gap per entry.
 
@@ -694,7 +697,7 @@ def bound_measures(m: ParametricCtmc, u: Valuation, measures: MeasureSet,
     best interval so far is returned with ``gap_met=False``.  Bounds from
     successive rounds are intersected, so intervals only ever shrink.
     """
-    solution, = _bound_valuations(m, [u], measures, delta, epsilon, rel_gap, [reuse])
+    solution, = _bound_valuations(m, [u], measures, delta, epsilon, rel_gap)
     solution.valuation_index = index
     return solution
 
@@ -716,35 +719,22 @@ def refine_solution(prev: IntervalSolution, m: ParametricCtmc, u: Valuation,
 
 def solve_measure_set(m: ParametricCtmc, valuations, measures: MeasureSet,
                       mode: str = "exact", epsilon: float = 1e-6,
-                      delta: float = 1e-2, rel_gap: float = 1e-2,
-                      cluster_radius: float = 0.0):
+                      delta: float = 1e-2, rel_gap: float = 1e-2):
     """Solution vectors (or interval solutions) for a batch of valuations.
 
     Results are ordered by valuation index, and each valuation's result does
     not depend on which other valuations are solved with it.  Exact mode
     checks consecutive valuations together, in batches of at most
-    ``DEFAULT_STATE_CAP`` states (see ``_Blocks``).  In approx mode a
-    positive ``cluster_radius`` groups nearby valuations (standardized
-    Euclidean distance) and reuses the representative partial model's retained
-    state set for every member of the cluster.
+    ``DEFAULT_STATE_CAP`` states (see ``_Blocks``).  Approx mode bounds all
+    valuations together, in lockstep delta rounds (``_bound_valuations``).
     """
     if hasattr(valuations, "valuations"):
         valuations = valuations.valuations
     valuations = list(valuations)
     if mode not in ("exact", "approx"):
         raise CheckerError(f"unknown mode: {mode!r}")
-
-    reuse_map: dict = {}
-    if mode == "approx" and cluster_radius > 0.0:
-        clusters = cluster_valuations(valuations, cluster_radius, m.parameters)
-        for cluster in clusters:
-            rep_partial = build_partial(m, cluster.representative, delta)
-            for idx in cluster.member_indices:
-                reuse_map[idx] = rep_partial.retained_states
-
     if mode == "approx":
-        return _bound_valuations(m, valuations, measures, delta, epsilon, rel_gap,
-                                 [reuse_map.get(i) for i in range(len(valuations))])
+        return _bound_valuations(m, valuations, measures, delta, epsilon, rel_gap)
     solutions: list = []
     for batch in _batches((build_full(m, u) for u in valuations), measures):
         values, _ = _evaluate(batch, measures, epsilon)
@@ -762,19 +752,15 @@ class CurveBand:
 
     ``lower``/``upper`` are the sound step levels at each horizon; between
     grid points the lower level carries forward and the upper level carries
-    backward.  ``evaluate(t, smooth=True)`` linearly interpolates instead,
-    which is a plotting aid rather than a sound bound.
+    backward.
     """
 
     horizons: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
 
-    def evaluate(self, t: float, smooth: bool = False) -> tuple[float, float]:
+    def evaluate(self, t: float) -> tuple[float, float]:
         h = self.horizons
-        if smooth:
-            return (float(np.interp(t, h, self.lower)),
-                    float(np.interp(t, h, self.upper)))
         if t <= h[0]:
             lo = self.lower[0] if t == h[0] else 0.0
             return float(lo), float(self.upper[0])

@@ -63,7 +63,6 @@ class RunConfig:
     betas: tuple = (0.9, 0.99, 0.999)
     out_dir: str = "."
     delta: float = 1e-2
-    cluster_radius: float = 0.0
 
 
 def validate_config(cfg: RunConfig) -> list[str]:
@@ -99,8 +98,6 @@ def _check_option_problems(opts) -> list[str]:
         problems.append("rel-gap: must be positive")
     if not 0 < opts.delta <= 1:
         problems.append("delta: must lie in (0,1]")
-    if not opts.cluster_radius >= 0:
-        problems.append("cluster-radius: must be >= 0")
     return problems
 
 
@@ -144,9 +141,8 @@ def _check(opts, m, measures, samples, mode: str) -> list:
     problems = _check_option_problems(opts)
     if problems:
         raise StageError("config", "; ".join(problems))
-    return solve_measure_set(
-        m, samples, measures, mode=mode, epsilon=opts.epsilon,
-        delta=opts.delta, rel_gap=opts.rel_gap, cluster_radius=opts.cluster_radius)
+    return solve_measure_set(m, samples, measures, mode=mode, epsilon=opts.epsilon,
+                             delta=opts.delta, rel_gap=opts.rel_gap)
 
 
 def _region(solutions, mode: str, rho_spec: str, betas: tuple, out) -> list:
@@ -289,7 +285,6 @@ def run_pipeline(cfg: RunConfig) -> dict:
             "seed": cfg.seed, "mode": cfg.mode, "epsilon": cfg.epsilon,
             "rel_gap": cfg.rel_gap, "rho": cfg.rho_spec,
             "beta": list(cfg.betas), "delta": cfg.delta,
-            "cluster_radius": cfg.cluster_radius,
         },
     }
     if cfg.mode == "approx":
@@ -309,7 +304,6 @@ def _add_check_options(p, delta: float = RunConfig.delta,
     p.add_argument("--epsilon", type=float, default=RunConfig.epsilon)
     p.add_argument("--rel-gap", type=float, default=rel_gap)
     p.add_argument("--delta", type=float, default=delta)
-    p.add_argument("--cluster-radius", type=float, default=RunConfig.cluster_radius)
 
 
 def _add_region_options(p, rho: str = RunConfig.rho_spec,

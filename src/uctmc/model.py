@@ -27,6 +27,7 @@ two-sided measure bounds.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import json
 import math
@@ -136,13 +137,6 @@ class Valuation:
     @property
     def dimension(self) -> int:
         return len(self.values)
-
-
-@dataclass
-class ValuationCluster:
-    representative: Valuation
-    members: list[Valuation]
-    member_indices: list[int]
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +476,6 @@ class ConcreteCtmc:
         self.states = states
         self.initial = np.asarray(initial, dtype=float)
         self.rates = rates.tocsr()
-        self.exit_rates = np.asarray(self.rates.sum(axis=1)).ravel()
         self.labels = {k: np.asarray(v, dtype=bool) for k, v in (labels or {}).items()}
         self.rewards = {k: np.asarray(v, dtype=float) for k, v in (rewards or {}).items()}
 
@@ -492,6 +485,11 @@ class ConcreteCtmc:
         n = rates.shape[0]
         states = [(i,) for i in range(n)]
         return cls(states, initial, sparse.csr_matrix(rates), labels, rewards)
+
+    @functools.cached_property
+    def exit_rates(self) -> np.ndarray:
+        """Row sums of ``rates``, computed on first read."""
+        return np.asarray(self.rates.sum(axis=1)).ravel()
 
     @property
     def num_states(self) -> int:
@@ -525,10 +523,9 @@ class PartialCtmc(ConcreteCtmc):
     analyses choose explicitly how to treat truncated mass.
     """
 
-    def __init__(self, states, initial, rates, labels, rewards, delta,
+    def __init__(self, states, initial, rates, labels, rewards,
                  retained_states, redirected_rate):
         super().__init__(states, initial, rates, labels, rewards)
-        self.delta = delta
         self.retained_states = retained_states
         self.redirected_rate = redirected_rate
 
@@ -555,7 +552,6 @@ def build_full(m: ParametricCtmc, u: Valuation,
 
 
 def build_partial(m: ParametricCtmc, u: Valuation, delta: float,
-                  reuse: Optional[Sequence[tuple[int, ...]]] = None,
                   state_cap: int = DEFAULT_STATE_CAP) -> PartialCtmc:
     """Build a truncated CTMC keeping states with estimated reach probability > delta.
 
@@ -563,9 +559,7 @@ def build_partial(m: ParametricCtmc, u: Valuation, delta: float,
     branch probabilities along their discovery path (an upper estimate of the
     probability to reach them); a state with estimate <= delta is not expanded
     and all transitions into it are redirected to the sink.  The retained set
-    always contains the initial support.  If ``reuse`` is given, exactly that
-    state set is retained (extended by the initial support if missing) and only
-    the rates are re-instantiated at u.  Only the rates of retained states are
+    always contains the initial support.  Only the rates of retained states are
     checked for graph preservation.
     """
     if not 0 < delta <= 1:
@@ -574,85 +568,39 @@ def build_partial(m: ParametricCtmc, u: Valuation, delta: float,
     init_points = [point for point, _ in m.initial_states()]
     rows: dict = {}  # outgoing rows of the expanded states, kept for assembly
 
-    if reuse is not None:
-        retained = list(dict.fromkeys(list(reuse) + init_points))
-    else:
-        # Best-first exploration by estimated reachability (max product of
-        # branch probabilities; lazy-deletion heap keyed on the running best).
-        best = {p: 1.0 for p in init_points}
-        heap = [(-1.0, i, p) for i, p in enumerate(init_points)]
-        heapq.heapify(heap)
-        seq = len(init_points)
-        expanded = set()
-        order = []
-        while heap:
-            neg_est, _, state = heapq.heappop(heap)
-            est = -neg_est
-            if state in expanded or est < best[state]:
+    # Best-first exploration by estimated reachability (max product of branch
+    # probabilities; lazy-deletion heap keyed on the running best).
+    best = {p: 1.0 for p in init_points}
+    heap = [(-1.0, i, p) for i, p in enumerate(init_points)]
+    heapq.heapify(heap)
+    seq = len(init_points)
+    expanded = set()
+    order = []
+    while heap:
+        neg_est, _, state = heapq.heappop(heap)
+        est = -neg_est
+        if state in expanded or est < best[state]:
+            continue
+        if est <= delta:
+            continue
+        expanded.add(state)
+        order.append(state)
+        if len(order) > state_cap:
+            raise StateCapExceeded(f"state cap of {state_cap} exceeded")
+        row = rows[state] = inst.outgoing(state)
+        exit_rate = sum(row.values())
+        if exit_rate <= 0:
+            continue
+        for target, rate in row.items():
+            if target in expanded:
                 continue
-            if est <= delta:
-                continue
-            expanded.add(state)
-            order.append(state)
-            if len(order) > state_cap:
-                raise StateCapExceeded(f"state cap of {state_cap} exceeded")
-            row = rows[state] = inst.outgoing(state)
-            exit_rate = sum(row.values())
-            if exit_rate <= 0:
-                continue
-            for target, rate in row.items():
-                if target in expanded:
-                    continue
-                estimate = est * rate / exit_rate
-                if estimate > best.get(target, 0.0):
-                    best[target] = estimate
-                    heapq.heappush(heap, (-estimate, seq, target))
-                    seq += 1
-        retained = list(dict.fromkeys(init_points + order))
+            estimate = est * rate / exit_rate
+            if estimate > best.get(target, 0.0):
+                best[target] = estimate
+                heapq.heappush(heap, (-estimate, seq, target))
+                seq += 1
+    retained = list(dict.fromkeys(init_points + order))
 
     rates, initial, labels, rewards, redirected = inst.chain(retained, rows, sink=True)
-    return PartialCtmc(retained + [None], initial, rates, labels, rewards, delta,
+    return PartialCtmc(retained + [None], initial, rates, labels, rewards,
                        tuple(retained), redirected)
-
-# ---------------------------------------------------------------------------
-# Valuation clustering (for partial-model reuse)
-# ---------------------------------------------------------------------------
-
-def standardization_scales(parameters: Sequence[Parameter]) -> np.ndarray:
-    """Per-parameter scale: std for normals, range/sqrt(12) for uniforms."""
-    scales = []
-    for p in parameters:
-        d = p.distribution
-        if isinstance(d, Normal):
-            scales.append(d.std)
-        else:
-            scales.append((d.high - d.low) / math.sqrt(12.0))
-    return np.asarray(scales, dtype=float)
-
-
-def cluster_valuations(valuations: Sequence[Valuation], radius: float,
-                       parameters: Sequence[Parameter]) -> list[ValuationCluster]:
-    """Greedy leader clustering in standardized Euclidean coordinates.
-
-    Scans valuations in order and assigns each to the first cluster whose
-    representative lies within ``radius``; otherwise the valuation opens a new
-    cluster.  Deterministic given the input order.
-    """
-    if radius <= 0:
-        raise ModelError("radius must be positive")
-    scales = standardization_scales(parameters)
-    clusters: list[ValuationCluster] = []
-    reps: list[np.ndarray] = []
-    for i, u in enumerate(valuations):
-        point = np.asarray(u.to_floats()) / scales
-        placed = False
-        for cluster, rep in zip(clusters, reps):
-            if np.linalg.norm(point - rep) <= radius:
-                cluster.members.append(u)
-                cluster.member_indices.append(i)
-                placed = True
-                break
-        if not placed:
-            clusters.append(ValuationCluster(u, [u], [i]))
-            reps.append(point)
-    return clusters

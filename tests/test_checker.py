@@ -557,14 +557,10 @@ def test_batched_partial_rounds_layout_invariance():
     # buffer valuations whose partial chains differ in size and whose gaps
     # close after different numbers of delta rounds; each valuation's bounds,
     # final delta and gap_met are the same bits alone, in reversed order, in
-    # a slice and in the full list, without and with cluster reuse
-    from uctmc.checker import _bound_valuations
-    from uctmc.model import cluster_valuations
-
+    # a slice and in the full list
     m = uctmc.load_model(uctmc.example_model_path("buffer"))
     measures = uctmc.io.read_measures(uctmc.example_model_path("buffer_measures"))
     valuations = uctmc.sample_valuations(m, 10, seed=3).valuations[3:]
-    n = len(valuations)
     sizes = {uctmc.build_partial(m, u, 1e-2).num_states for u in valuations}
     assert len(sizes) > 1
 
@@ -581,25 +577,6 @@ def test_batched_partial_rounds_layout_invariance():
         for other in [bound_measures(m, u, measures, index=i), backwards[i]] + (
                 [sliced[i - 2]] if 2 <= i < 5 else []):
             same(other, full[i])
-
-    # with reuse, a valuation's bounds depend on its retained set only
-    radius = 2.5
-    clusters = cluster_valuations(valuations, radius, m.parameters)
-    assert any(len(c.member_indices) > 1 for c in clusters)
-    reuse = [None] * n
-    for cluster in clusters:
-        retained = uctmc.build_partial(m, cluster.representative, 1e-2).retained_states
-        for i in cluster.member_indices:
-            reuse[i] = retained
-    clustered = solve_measure_set(m, valuations, measures, mode="approx",
-                                  cluster_radius=radius)
-    args = (measures, 1e-2, 1e-6, 1e-2)
-    backwards = _bound_valuations(m, valuations[::-1], *args, reuse[::-1])[::-1]
-    sliced = _bound_valuations(m, valuations[2:5], *args, reuse[2:5])
-    for i, u in enumerate(valuations):
-        for other in [bound_measures(m, u, measures, reuse=reuse[i]), backwards[i]] + (
-                [sliced[i - 2]] if 2 <= i < 5 else []):
-            same(other, clustered[i])
 
 
 def test_batches_bound_kept_series(monkeypatch):
@@ -633,14 +610,22 @@ def test_batches_bound_kept_series(monkeypatch):
         assert (a.delta, a.gap_met) == (b.delta, b.gap_met)
 
 
-def test_cluster_reuse_stays_sound(sir20, sir_measures):
-    samples = uctmc.sample_valuations(sir20, 8, seed=21)
-    intervals = solve_measure_set(sir20, samples, sir_measures, mode="approx",
-                                  delta=1e-2, rel_gap=1e-2, cluster_radius=1.0)
-    exact = solve_measure_set(sir20, samples, sir_measures, mode="exact")
-    for iv, sol in zip(intervals, exact):
-        assert np.all(iv.lower <= sol.values + 1e-9)
-        assert np.all(sol.values <= iv.upper + 1e-9)
+@pytest.mark.parametrize("model, measure_file, delta", [
+    ("sir20", "sir_horizons", None),
+    ("buffer", "buffer_measures", 1e-2),
+])
+def test_series_steps_cover_the_poisson_window(model, measure_file, delta):
+    # the kept-series bound of a batch reaches the right end of the Poisson
+    # window at the chain's uniformization rate and the largest measure time
+    from uctmc.checker import _poisson_terms, _series_steps, _uniformized
+
+    m = uctmc.load_model(uctmc.example_model_path(model))
+    measures = uctmc.io.read_measures(uctmc.example_model_path(measure_file))
+    u = uctmc.sample_valuations(m, 1, seed=1).valuations[0]
+    chain = uctmc.build_full(m, u) if delta is None else uctmc.build_partial(m, u, delta)
+    horizon = max(x.t_hi if isinstance(x, IntervalReach) else x.time for x in measures)
+    k_lo, weights = _poisson_terms(_uniformized(chain)[1] * horizon)
+    assert _series_steps(chain, horizon) >= k_lo + weights.size
 
 
 # ---------------------------------------------------------------------------
@@ -700,9 +685,16 @@ def test_unknown_label_or_reward_errors():
 
 
 def test_measure_preconditions():
-    with pytest.raises(CheckerError):
-        TimeBoundedReach("m", "goal", -1.0)
-    with pytest.raises(CheckerError):
-        IntervalReach("m", "goal", 2.0, 1.0)
-    with pytest.raises(CheckerError):
-        InstantReward("m", "r", -0.5)
+    nan, inf = math.nan, math.inf
+    for horizon in (-1.0, nan, inf, -inf):
+        with pytest.raises(CheckerError, match="measure m:"):
+            TimeBoundedReach("m", "goal", horizon)
+    for t_lo, t_hi in ((2.0, 1.0), (nan, 1.0), (0.0, nan), (0.0, inf), (inf, inf)):
+        with pytest.raises(CheckerError, match="measure m:"):
+            IntervalReach("m", "goal", t_lo, t_hi)
+    for time in (-0.5, nan, inf, -inf):
+        with pytest.raises(CheckerError, match="measure m:"):
+            InstantReward("m", "r", time)
+    for t in (-1.0, nan, inf):
+        with pytest.raises(CheckerError, match="t must be finite"):
+            transient_distribution(two_state(), t)

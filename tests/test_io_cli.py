@@ -79,8 +79,7 @@ def test_validate_config_reports_problems(tmp_path):
     nan = float("nan")
     for field, values in (("epsilon", (0.0, -1.0, 1e-13, nan)),
                           ("rel_gap", (0.0, -1.0, nan)),
-                          ("delta", (0.0, 5.0, -0.1, nan)),
-                          ("cluster_radius", (-0.5, nan))):
+                          ("delta", (0.0, 5.0, -0.1, nan))):
         for value in values:
             cfg = RunConfig(model=_model_path("tandem"),
                             measures=_model_path("tandem_measures"), **{field: value})
@@ -112,8 +111,7 @@ def test_run_pipeline_writes_artifacts(tmp_path):
     config = json.loads((tmp_path / "summary.json").read_text())["config"]
     assert config == {"model": cfg.model, "measures": cfg.measures, "n": 20,
                       "seed": 3, "mode": "exact", "epsilon": 1e-6, "rel_gap": 1e-2,
-                      "rho": "auto:3", "beta": [0.9, 0.99], "delta": 1e-2,
-                      "cluster_radius": 0.0}
+                      "rho": "auto:3", "beta": [0.9, 0.99], "delta": 1e-2}
 
 
 def test_run_pipeline_curve_stage_failures(tmp_path, caplog, capsys):
@@ -254,6 +252,19 @@ def test_cli_error_paths(tmp_path, capsys):
                  "--out", str(tmp_path / "freq.json")]) == 1
     assert "--regions" in capsys.readouterr().err
     assert not (tmp_path / "freq.json").exists()
+    # a measure time that is not finite is rejected with the measure's id
+    samples = str(tmp_path / "samples.json")
+    assert main(["sample", "--model", _model_path("tandem"), "--n", "2",
+                 "--out", samples]) == 0
+    for tau in ("NaN", "Infinity"):
+        measures = tmp_path / f"measures_{tau}.json"
+        measures.write_text('{"measures": [{"id": "bad", "type": "reach", '
+                            f'"target": "full", "tau": {tau}}}]}}')
+        out = tmp_path / f"solutions_{tau}.json"
+        assert main(["check", "--model", _model_path("tandem"), "--measures",
+                     str(measures), "--samples", samples, "--out", str(out)]) == 1
+        assert "error [check] measure bad: horizon must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_cli_check_and_refine_validate_options(tmp_path, capsys):
@@ -262,7 +273,7 @@ def test_cli_check_and_refine_validate_options(tmp_path, capsys):
     samples = str(tmp_path / "samples.json")
     assert main(["sample", "--model", model, "--n", "2", "--seed", "1",
                  "--out", samples]) == 0
-    for option in ("--rel-gap", "--cluster-radius"):
+    for option in ("--rel-gap", "--delta"):
         for command in ("check", "refine"):
             out = tmp_path / f"{command}{option}.json"
             extra = ["--mode", "approx"] if command == "check" else []

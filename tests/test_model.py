@@ -12,12 +12,10 @@ from uctmc import (
     build_full,
     build_partial,
     check_graph_preserving,
-    cluster_valuations,
     graph_preservation_violation,
     parse_model,
 )
 from uctmc import expr as ex
-from uctmc.model import Normal, Parameter, Uniform
 
 
 def _mini_model(**overrides):
@@ -206,10 +204,11 @@ def test_partial_validates_the_states_it_expands():
     u = Valuation.from_floats([0.5])
     with pytest.raises(GraphPreservationError, match=r"\(2,\) -> \(3,\)"):
         build_partial(m, u, 1e-3)
-    # state (2,) is not retained, so its zero rate is never instantiated
-    partial = build_partial(m, u, 1e-3, reuse=[(0,), (1,)])
-    assert partial.retained_states == ((0,), (1,))
-    assert partial.rates[1, partial.sink] == pytest.approx(1.5)
+    # at delta 1 only the initial state is expanded: state (2,) is not
+    # retained, so its zero rate is never instantiated
+    partial = build_partial(m, u, 1.0)
+    assert partial.retained_states == ((0,),)
+    assert partial.rates[0, partial.sink] == pytest.approx(1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -257,52 +256,6 @@ def test_partial_sir140_truncates(sir140):
     partial = build_partial(sir140, u, 1e-4)
     assert len(partial.retained_states) < 9996
     assert partial.sink_reachable
-
-
-def test_partial_reuse_keeps_exact_state_set(sir20, mean_valuation):
-    base = build_partial(sir20, mean_valuation, 1e-3)
-    other = Valuation.from_floats([0.052, 0.041])
-    reused = build_partial(sir20, other, 1e-3, reuse=base.retained_states)
-    assert reused.retained_states == base.retained_states
-    # rates follow the new valuation
-    assert reused.rates[0].toarray().sum() == pytest.approx(
-        0.052 * 15 * 5 + 0.041 * 5)
-
-
-# ---------------------------------------------------------------------------
-# Clustering
-# ---------------------------------------------------------------------------
-
-def _vals(*rows):
-    return [Valuation.from_floats(r) for r in rows]
-
-
-def test_cluster_infinite_radius_single_cluster():
-    params = (Parameter("a", Uniform(0.0, math.sqrt(12.0))),)
-    clusters = cluster_valuations(_vals([0.0], [1.0], [5.0]), math.inf, params)
-    assert len(clusters) == 1
-    assert len(clusters[0].members) == 3
-
-
-def test_cluster_tiny_radius_singletons():
-    params = (Parameter("a", Uniform(0.0, math.sqrt(12.0))),)
-    clusters = cluster_valuations(_vals([0.0], [1.0], [5.0]), 1e-12, params)
-    assert [len(c.members) for c in clusters] == [1, 1, 1]
-
-
-def test_cluster_greedy_example():
-    # standardized mutual distances ~ {0.1, 5, 4.9}: two clusters of sizes 2, 1
-    params = (Parameter("a", Uniform(0.0, math.sqrt(12.0))),)
-    clusters = cluster_valuations(_vals([0.0], [0.1], [5.0]), 1.0, params)
-    assert sorted(len(c.members) for c in clusters) == [1, 2]
-    assert clusters[0].representative.to_floats() == (0.0,)
-
-
-def test_cluster_standardization_uses_distribution_scale():
-    # std 2.0: points 0 and 1 are only 0.5 apart after standardization
-    params = (Parameter("a", Normal(0.0, 2.0)),)
-    clusters = cluster_valuations(_vals([0.0], [1.0]), 0.6, params)
-    assert len(clusters) == 1
 
 
 def test_reward_must_be_nonnegative():
