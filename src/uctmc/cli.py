@@ -29,6 +29,7 @@ from .sampling import sample_valuations
 from .scenario import (
     BOUNDARY_TOL,
     BoxRegion,
+    _check_rho,
     baseline_frequentist,
     baseline_independent,
     bound_outcome,
@@ -82,7 +83,7 @@ def validate_config(cfg: RunConfig) -> list[str]:
             problems.append("beta: must lie in (0,1)")
             break
     try:
-        _parse_rhos(cfg.rho_spec, max(cfg.n, 2))
+        _parse_rhos(cfg.rho_spec, cfg.n)
     except Exception as exc:
         problems.append(f"rho: {exc}")
     return problems
@@ -102,12 +103,15 @@ def _check_option_problems(opts) -> list[str]:
 
 
 def _parse_rhos(spec: str, n: int) -> list[float]:
+    """The rho values for n samples, each checked as the region stage will."""
     if spec.startswith("auto:"):
         k = int(spec.split(":", 1)[1])
         return [rho for rho in rho_grid(k) if rho * n > 1.0]
     rhos = [float(tok) for tok in spec.split(",") if tok.strip()]
     if not rhos:
         raise ValueError("empty rho list")
+    for rho in rhos:
+        _check_rho(rho, n)
     return rhos
 
 
@@ -186,6 +190,9 @@ def _stage_refine(args) -> None:
     m = load_model(args.model)
     measures = uio.read_measures(args.measures)
     samples = uio.read_samples(args.samples)
+    rhos = _parse_rhos(args.rho_spec, len(samples))
+    if args.max_iters < 1:
+        raise StageError("config", "max-iters: must be >= 1")
     intervals = _check(args, m, measures, samples, "approx")
 
     def refiner(i: int):
@@ -194,7 +201,7 @@ def _stage_refine(args) -> None:
         return intervals[i].lower, intervals[i].upper
 
     outcomes = []
-    for rho in _parse_rhos(args.rho_spec, len(intervals)):
+    for rho in rhos:
         outcome, etas = refine_until(intervals, rho, args.betas[0], args.target_gain,
                                      args.max_iters, refiner)
         outcome.eta = {beta: compute_eta(outcome.n, outcome.complexity_bound, beta)
@@ -259,7 +266,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
     timings = {}
     total_start = time.perf_counter()
 
-    with _stage("config"):
+    with _stage("config", timings):
         m = load_model(cfg.model)
         measures = uio.read_measures(cfg.measures)
     with _stage("sample", timings):

@@ -65,25 +65,26 @@ def read_samples(path) -> SampleSet:
 # measures.json
 # --------------------------------------------------------------------------
 
+_MEASURE_FIELDS = {"reach": (TimeBoundedReach, "target", "tau"),
+                   "reach_interval": (IntervalReach, "target", "t1", "t2"),
+                   "instant_reward": (InstantReward, "reward", "t")}
+
+
 def read_measures(path) -> MeasureSet:
     raw = load_json(path)
     measures = []
-    for entry in raw.get("measures", []):
-        kind = entry.get("type")
+    for position, entry in enumerate(raw.get("measures", [])):
+        if not isinstance(entry, dict) or entry.get("type") not in _MEASURE_FIELDS:
+            raise FormatError(f"measure entry {position} is not an object with a type "
+                              f"in {sorted(_MEASURE_FIELDS)}: {entry!r}")
+        measure_cls, name, *times = _MEASURE_FIELDS[entry["type"]]
         try:
-            if kind == "reach":
-                measures.append(TimeBoundedReach(entry["id"], entry["target"],
-                                                 float(entry["tau"])))
-            elif kind == "reach_interval":
-                measures.append(IntervalReach(entry["id"], entry["target"],
-                                              float(entry["t1"]), float(entry["t2"])))
-            elif kind == "instant_reward":
-                measures.append(InstantReward(entry["id"], entry["reward"],
-                                              float(entry["t"])))
-            else:
-                raise FormatError(f"unknown measure type: {kind!r}")
+            fields = (entry["id"], entry[name], *(float(entry[t]) for t in times))
         except KeyError as exc:
-            raise FormatError(f"measure entry misses field {exc}") from None
+            raise FormatError(f"measure entry {position} misses field {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"measure entry {position}: {exc}") from None
+        measures.append(measure_cls(*fields))
     if not measures:
         raise FormatError(f"no measures in {path}")
     return MeasureSet(tuple(measures))

@@ -8,16 +8,17 @@ guards hold contribute their rate, and parallel edges to the same successor
 are rate-summed.
 
 Guards, updates, labels and rewards range over state variables only, so the
-reachable graph is valuation-independent.  Each model is compiled once, on
-demand, into a per-state table shared by all valuations: a state's label bits
-and reward values, and its enabled edges with rates coefficient * kernel.  A
+reachable graph is valuation-independent.  Each model is compiled once, on its
+first graph check or chain build, into flat arrays shared by all valuations:
+the reachable states in BFS order, the enabled edges with rates coefficient *
+kernel, their merged CSR pattern, and the initial, label and reward arrays.  A
 coefficient is an exact positive rational; a kernel is one of the model's few
 parameter polynomials up to positive scaling (ki, kr and 1 on SIR).  A
 valuation evaluates only the kernels, exactly over rationals, so graph
 preservation (no symbolically nonzero rate may become <= 0) is decided without
-float round-off as "every kernel on a reachable edge is > 0"; a rate becomes a
-float as coefficient * kernel value.  Full chains (BFS over the table) and
-partial chains (best-first over it) are assembled by one routine.
+float round-off as "every kernel on a reachable edge is > 0"; each merged rate
+sums its edges' coefficient * kernel value in command order.  A full chain is
+the pattern with these rates, a partial chain its best-first search over them.
 
 Partial models keep only states whose estimated reachability stays above a
 threshold; all truncated transitions are redirected into one absorbing sink,
@@ -34,7 +35,7 @@ import math
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 from scipy import sparse
@@ -275,7 +276,7 @@ def load_model(path) -> ParametricCtmc:
 
 
 # ---------------------------------------------------------------------------
-# Compiled model: one per-state table shared by all valuations
+# Compiled model: one rate pattern shared by all valuations
 # ---------------------------------------------------------------------------
 
 def _state_env(m: ParametricCtmc, state: tuple[int, ...]) -> dict:
@@ -299,67 +300,71 @@ def _successor(m: ParametricCtmc, positions: Mapping[str, int], state: tuple[int
     return tuple(new)
 
 
-class _Row(NamedTuple):
-    # (target, coefficient, kernel index, command) per enabled command; the
-    # exact coefficient is > 0, so an edge's rate has the sign of its kernel
-    edges: tuple
-    labels: tuple[bool, ...]  # in m.labels order
-    rewards: tuple[float, ...]  # in m.rewards order
-
-
 class _Table:
-    """A model compiled into a per-state table, filled on a state's first visit.
+    """A model compiled into flat arrays over its reachable states.
 
-    At a fixed state a rate is a parameter polynomial, stored as coefficient *
-    kernel: the polynomial divided by its first monomial's |coefficient|.  The
-    table does not hold the model, which keys its cache weakly.
+    ``states`` is in BFS order from the initial support (the first ``roots``).
+    Each enabled edge, in (state, command) order, has a ``source``, ``target``,
+    ``coefficient``, ``kernel`` and ``command``: at a fixed state a rate is a
+    parameter polynomial, stored as coefficient * kernel (the polynomial over
+    its first monomial's |coefficient|).  ``indptr``/``indices`` is the merged
+    CSR pattern, columns ascending; ``entry`` maps each edge onto it and
+    ``visit`` lists each row's entries in the order of their first edge.
     """
 
-    def __init__(self, m: ParametricCtmc):
-        self.positions = {v: i for i, v in enumerate(m.variable_names)}
-        self.kernels: dict = {}  # sorted (monomial, coefficient) pairs -> index
-        self.rows: dict = {}
-        self.reachable: Optional[list] = None  # BFS order, once explored
-        self.reachable_kernels: frozenset = frozenset()
-
-    def row(self, m: ParametricCtmc, state: tuple[int, ...]) -> _Row:
-        row = self.rows.get(state)
-        if row is None:
+    def __init__(self, m: ParametricCtmc, state_cap: int):
+        positions = {v: i for i, v in enumerate(m.variable_names)}
+        kernels: dict = {}  # sorted (monomial, coefficient) pairs -> index
+        states = list(dict.fromkeys(point for point, _ in m.initial_states()))
+        index = {s: i for i, s in enumerate(states)}
+        self.roots = len(states)
+        edges, labels, rewards = [], [], []
+        for source, state in enumerate(states):  # extended while iterating
             env = _state_env(m, state)
-            edges = []
-            for command in m.commands:
+            for c, command in enumerate(m.commands):
                 if ex.evaluate_guard(command.guard, env):
                     poly = ex.polynomial(command.rate, env)
                     scale = abs(poly[min(poly)]) if poly else Fraction(1)
-                    kernel = tuple(sorted((mono, c / scale) for mono, c in poly.items()))
-                    k = self.kernels.setdefault(kernel, len(self.kernels))
-                    edges.append((_successor(m, self.positions, state, command, env),
-                                  float(scale), k, command))
-            row = self.rows[state] = _Row(
-                tuple(edges),
-                tuple(ex.evaluate_guard(g, env) for g in m.labels.values()),
-                tuple(float(ex.evaluate(r, env)) for r in m.rewards.values()))
-        return row
-
-    def explore(self, m: ParametricCtmc, state_cap: int) -> list:
-        """The reachable states in BFS order from the initial support."""
-        if self.reachable is None:
-            order = list(dict.fromkeys(point for point, _ in m.initial_states()))
-            seen = set(order)
-            for state in order:  # extended while iterating
-                for target, _, _, _ in self.row(m, state).edges:
-                    if target not in seen:
-                        if len(order) >= state_cap:
+                    kernel = tuple(sorted((mono, v / scale) for mono, v in poly.items()))
+                    target = _successor(m, positions, state, command, env)
+                    if target not in index:
+                        if len(states) >= state_cap:
                             raise StateCapExceeded(f"state cap of {state_cap} exceeded")
-                        seen.add(target)
-                        order.append(target)
-            self.reachable_kernels = frozenset(
-                k for state in order for _, _, k, _ in self.rows[state].edges)
-            self.reachable = order
-        elif len(self.reachable) > state_cap:
-            raise StateCapExceeded(
-                f"reachable state space has {len(self.reachable)} states, cap is {state_cap}")
-        return self.reachable
+                        index[target] = len(states)
+                        states.append(target)
+                    edges.append((source, index[target], float(scale),
+                                  kernels.setdefault(kernel, len(kernels)), c))
+            labels.append([ex.evaluate_guard(g, env) for g in m.labels.values()])
+            rewards.append([float(ex.evaluate(r, env)) for r in m.rewards.values()])
+        self.states = states
+        self.kernels = list(kernels)
+        columns = list(zip(*edges)) or [()] * 5
+        self.source, self.target, self.kernel, self.command = (
+            np.array(columns[j], dtype=np.int64) for j in (0, 1, 3, 4))
+        self.coefficient = np.array(columns[2], dtype=float)
+
+        n = len(states)
+        pattern, first, self.entry = np.unique(
+            self.source * n + self.target, return_index=True, return_inverse=True)
+        idx = np.int32 if max(n, pattern.size) < 2**31 else np.int64
+        self.indptr = np.searchsorted(pattern // n, np.arange(n + 1)).astype(idx)
+        self.indices = (pattern % n).astype(idx)
+        self.visit = np.argsort(first)  # edges are grouped by source
+
+        points, probs = zip(*m.initial_states())
+        self.initial = np.bincount([index[p] for p in points], [float(q) for q in probs],
+                                   minlength=n)
+        # one contiguous row per label and per reward
+        self.labels = dict(zip(m.labels, np.array(labels, dtype=bool).reshape(n, -1).T.copy()))
+        self.rewards = dict(zip(m.rewards, np.array(rewards).reshape(n, -1).T.copy()))
+        for shared in (self.indptr, self.indices, self.initial, *self.labels.values(),
+                       *self.rewards.values()):  # every full chain holds these
+            shared.flags.writeable = False
+
+    @functools.cached_property
+    def rows(self) -> tuple[list, list]:
+        """``indptr`` and the targets in ``visit`` order, as lists."""
+        return self.indptr.tolist(), self.indices[self.visit].tolist()
 
 
 _tables: "weakref.WeakKeyDictionary[ParametricCtmc, _Table]" = weakref.WeakKeyDictionary()
@@ -369,70 +374,40 @@ class _Instance:
     """The compiled model at one valuation.  Each kernel is evaluated once,
     exactly: its sign decides graph preservation, its float value gives rates."""
 
-    def __init__(self, m: ParametricCtmc, u: Valuation):
+    def __init__(self, m: ParametricCtmc, u: Valuation, state_cap: int):
         if u.dimension != len(m.parameters):
             raise ModelError(
                 f"valuation has dimension {u.dimension}, model has {len(m.parameters)} parameters")
         self.m = m
         self.env = dict(zip(m.parameter_names, u.values))
-        self.table = _tables.get(m) or _tables.setdefault(m, _Table(m))
-        self.positive: list[bool] = []
-        self.values: list[float] = []
+        # compiled under the first call's cap
+        self.table = t = _tables.get(m) or _tables.setdefault(m, _Table(m, state_cap))
+        if len(t.states) > state_cap:
+            raise StateCapExceeded(
+                f"reachable state space has {len(t.states)} states, cap is {state_cap}")
+        exact = [sum((c * math.prod(self.env[x] for x in mono) for mono, c in kernel),
+                     Fraction(0)) for kernel in t.kernels]
+        self.positive = np.array([value > 0 for value in exact], dtype=bool)
+        values = np.array([float(value) for value in exact])
+        # one merged rate per pattern entry; parallel edges add up in command order
+        self.rates = np.bincount(t.entry, t.coefficient * values[t.kernel],
+                                 minlength=t.indices.size)
 
-    def sync(self) -> None:
-        """Evaluate the kernels the table gained since the last call."""
-        for kernel in list(self.table.kernels)[len(self.values):]:
-            value = sum((c * math.prod(self.env[x] for x in mono) for mono, c in kernel),
-                        Fraction(0))
-            self.positive.append(value > 0)
-            self.values.append(float(value))
-
-    def outgoing(self, state) -> dict:
-        """Merged {target: rate} of one state; raises GraphPreservationError
-        at the first enabled command whose rate is <= 0 there."""
-        row = self.table.row(self.m, state)
-        if len(self.values) < len(self.table.kernels):
-            self.sync()
-        out: dict = {}
-        for target, coefficient, k, command in row.edges:
-            if not self.positive[k]:
-                value = ex.evaluate(command.rate, {**self.env, **_state_env(self.m, state)})
-                raise GraphPreservationError(
-                    f"rate {ex.to_source(command.rate)} evaluates to {value} on transition "
-                    f"{state} -> {target}")
-            out[target] = out.get(target, 0.0) + coefficient * self.values[k]
-        return out
-
-    def chain(self, states: list, rows: Mapping = {}, sink: bool = False):
-        """Rates, initial vector, labels, rewards and redirected rate of the
-        chain over ``states`` (using the merged ``rows`` already computed); with
-        ``sink``, one more last state takes every edge that leaves ``states``."""
-        m, n = self.m, len(states)
-        size = n + 1 if sink else n
-        index = {s: i for i, s in enumerate(states)}
-        sources, targets, values = [], [], []
-        redirected = 0.0
-        for i, state in enumerate(states):
-            for target, rate in (rows.get(state) or self.outgoing(state)).items():
-                j = index.get(target, n)
-                if j == n:
-                    redirected += rate
-                sources.append(i)
-                targets.append(j)
-                values.append(rate)
-        rates = sparse.csr_matrix((values, (sources, targets)), shape=(size, size))
-
-        initial = np.zeros(size)
-        for point, prob in m.initial_states():
-            initial[index[point]] += float(prob)
-
-        compiled = [self.table.rows[s] for s in states]
-        pad = [0] * (size - n)  # the sink has no label and reward 0
-        labels = {name: np.array([row.labels[j] for row in compiled] + pad, dtype=bool)
-                  for j, name in enumerate(m.labels)}
-        rewards = {name: np.array([row.rewards[j] for row in compiled] + pad, dtype=float)
-                   for j, name in enumerate(m.rewards)}
-        return rates, initial, labels, rewards, redirected
+    def violation(self, sources=None) -> Optional[str]:
+        """The first edge, in BFS order, that leaves ``sources`` (by default
+        any state) and whose rate is <= 0; None if there is none."""
+        t = self.table
+        bad = ~self.positive[t.kernel]
+        if sources is not None and bad.any():
+            bad &= np.isin(t.source, sources)
+        if not bad.any():
+            return None
+        e = int(np.argmax(bad))
+        state, target = t.states[t.source[e]], t.states[t.target[e]]
+        command = self.m.commands[t.command[e]]
+        value = ex.evaluate(command.rate, {**self.env, **_state_env(self.m, state)})
+        return (f"rate {ex.to_source(command.rate)} evaluates to {value} on transition "
+                f"{state} -> {target}")
 
 
 # ---------------------------------------------------------------------------
@@ -442,16 +417,7 @@ class _Instance:
 def graph_preservation_violation(m: ParametricCtmc, u: Valuation,
                                  state_cap: int = DEFAULT_STATE_CAP) -> Optional[str]:
     """None if u is graph-preserving, else the first violation in BFS order."""
-    inst = _Instance(m, u)
-    states = inst.table.explore(m, state_cap)
-    inst.sync()
-    if all(inst.positive[k] for k in inst.table.reachable_kernels):
-        return None
-    try:  # a reachable edge has a kernel <= 0: find the first one
-        for state in states:
-            inst.outgoing(state)
-    except GraphPreservationError as exc:
-        return str(exc)
+    return _Instance(m, u, state_cap).violation()
 
 
 def check_graph_preserving(m: ParametricCtmc, u: Valuation,
@@ -543,12 +509,16 @@ def build_full(m: ParametricCtmc, u: Valuation,
     """Instantiate at u and build the full reachable CTMC (BFS order).
 
     Raises GraphPreservationError at the first transition, in BFS order,
-    whose rate is <= 0 at u.
+    whose rate is <= 0 at u.  The chain shares the model's read-only arrays.
     """
-    inst = _Instance(m, u)
-    states = inst.table.explore(m, state_cap)
-    rates, initial, labels, rewards, _ = inst.chain(states)
-    return ConcreteCtmc(states, initial, rates, labels, rewards)
+    inst = _Instance(m, u, state_cap)
+    reason = inst.violation()
+    if reason is not None:
+        raise GraphPreservationError(reason)
+    t = inst.table
+    n = len(t.states)
+    rates = sparse.csr_matrix((inst.rates, t.indices, t.indptr), shape=(n, n))
+    return ConcreteCtmc(t.states, t.initial, rates, t.labels, t.rewards)
 
 
 def build_partial(m: ParametricCtmc, u: Valuation, delta: float,
@@ -560,47 +530,67 @@ def build_partial(m: ParametricCtmc, u: Valuation, delta: float,
     probability to reach them); a state with estimate <= delta is not expanded
     and all transitions into it are redirected to the sink.  The retained set
     always contains the initial support.  Only the rates of retained states are
-    checked for graph preservation.
+    checked for graph preservation.  The search runs over the model's whole
+    compiled table (compiled under DEFAULT_STATE_CAP on first use, as the
+    graph check of sampling does); ``state_cap`` bounds the expanded states.
     """
     if not 0 < delta <= 1:
         raise ModelError("delta must lie in (0, 1]")
-    inst = _Instance(m, u)
-    init_points = [point for point, _ in m.initial_states()]
-    rows: dict = {}  # outgoing rows of the expanded states, kept for assembly
+    inst = _Instance(m, u, DEFAULT_STATE_CAP)
+    t = inst.table
+    n = len(t.states)
+    # each state's merged edges in the order of their first edge
+    bounds, targets = t.rows
+    merged = inst.rates[t.visit].tolist()
 
     # Best-first exploration by estimated reachability (max product of branch
     # probabilities; lazy-deletion heap keyed on the running best).
-    best = {p: 1.0 for p in init_points}
-    heap = [(-1.0, i, p) for i, p in enumerate(init_points)]
-    heapq.heapify(heap)
-    seq = len(init_points)
+    best = [1.0] * t.roots + [0.0] * (n - t.roots)
+    heap = [(-1.0, i, i) for i in range(t.roots)]
+    seq = t.roots
     expanded = set()
     order = []
     while heap:
-        neg_est, _, state = heapq.heappop(heap)
+        neg_est, _, i = heapq.heappop(heap)
         est = -neg_est
-        if state in expanded or est < best[state]:
+        if i in expanded or est < best[i] or est <= delta:
             continue
-        if est <= delta:
-            continue
-        expanded.add(state)
-        order.append(state)
+        expanded.add(i)
+        order.append(i)
         if len(order) > state_cap:
             raise StateCapExceeded(f"state cap of {state_cap} exceeded")
-        row = rows[state] = inst.outgoing(state)
-        exit_rate = sum(row.values())
+        row = merged[bounds[i]:bounds[i + 1]]
+        exit_rate = sum(row)
         if exit_rate <= 0:
             continue
-        for target, rate in row.items():
-            if target in expanded:
+        for j, rate in zip(targets[bounds[i]:bounds[i + 1]], row):
+            if j in expanded:
                 continue
             estimate = est * rate / exit_rate
-            if estimate > best.get(target, 0.0):
-                best[target] = estimate
-                heapq.heappush(heap, (-estimate, seq, target))
+            if estimate > best[j]:
+                best[j] = estimate
+                heapq.heappush(heap, (-estimate, seq, j))
                 seq += 1
-    retained = list(dict.fromkeys(init_points + order))
+    retained = list(range(t.roots)) + [i for i in order if i >= t.roots]
+    reason = inst.violation(retained)
+    if reason is not None:
+        raise GraphPreservationError(reason)
 
-    rates, initial, labels, rewards, redirected = inst.chain(retained, rows, sink=True)
-    return PartialCtmc(retained + [None], initial, rates, labels, rewards,
-                       tuple(retained), redirected)
+    # the retained rows in search order, every column outside them mapped
+    # onto the sink; each row keeps its entries in the order of their first edge
+    size = len(retained)
+    position = np.full(n, size)
+    position[retained] = np.arange(size)
+    sources = position[np.repeat(np.arange(n), np.diff(t.indptr))]
+    entries = t.visit[sources < size]
+    columns = position[t.indices[entries]]
+    values = inst.rates[entries]
+    rates = sparse.csr_matrix((values, (sources[sources < size], columns)),
+                              shape=(size + 1, size + 1))
+    # the sink has no initial mass, no label and reward 0
+    initial = np.append(t.initial[retained], 0.0)
+    labels = {name: np.append(bits[retained], False) for name, bits in t.labels.items()}
+    rewards = {name: np.append(v[retained], 0.0) for name, v in t.rewards.items()}
+    states = [t.states[i] for i in retained]
+    return PartialCtmc(states + [None], initial, rates, labels, rewards,
+                       tuple(states), float(values[columns == size].sum()))

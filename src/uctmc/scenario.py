@@ -154,7 +154,7 @@ def rho_grid(k: int) -> list[float]:
 
 
 def _check_rho(rho: float, n: int):
-    if rho <= 0:
+    if not rho > 0:  # NaN fails it too
         raise ScenarioError("rho must be positive")
     inv = 1.0 / rho
     if abs(inv - round(inv)) < 1e-9 and round(inv) >= 1:

@@ -207,3 +207,62 @@ def uniformized_sparse(c, absorbing=None):
     q = rates - sparse.diags(row_sums)
     p = sparse.identity(n, format="csr") + q.tocsr() / lam
     return p.transpose().tocsr(), lam
+
+
+# ---------------------------------------------------------------------------
+# Per-state chain assembly
+# ---------------------------------------------------------------------------
+
+def chain_reference(m, u, retained=None):
+    """A chain of model ``m`` at valuation ``u``, assembled state by state.
+
+    Each state's compiled edges, in command order, are merged into a dict
+    {target: rate} with rate = coefficient * float(exact kernel value), and the
+    rows become a COO matrix.  Without ``retained`` the chain covers every
+    compiled state in BFS order; with ``retained`` (state tuples) it covers
+    those states plus a last sink state that takes every edge leaving them.
+    Labels and rewards are evaluated from the model's expressions.  The model
+    must have been compiled by a graph check or chain build.  Returns (rates,
+    initial, labels, rewards).
+    """
+    import math
+    from fractions import Fraction
+
+    from scipy import sparse
+
+    from uctmc import expr as ex
+    from uctmc import model as um
+
+    table = um._tables[m]
+    env = dict(zip(m.parameter_names, u.values))
+    kernels = [float(sum((c * math.prod(env[x] for x in mono) for mono, c in kernel),
+                         Fraction(0))) for kernel in table.kernels]
+    outgoing = {state: {} for state in table.states}
+    for source, target, coefficient, kernel in zip(
+            table.source.tolist(), table.target.tolist(),
+            table.coefficient.tolist(), table.kernel.tolist()):
+        row = outgoing[table.states[source]]
+        target = table.states[target]
+        row[target] = row.get(target, 0.0) + coefficient * kernels[kernel]
+
+    states = list(table.states if retained is None else retained)
+    n = len(states)
+    size = n if retained is None else n + 1
+    index = {s: i for i, s in enumerate(states)}
+    sources, targets, values = [], [], []
+    for i, state in enumerate(states):
+        for target, rate in outgoing[state].items():
+            sources.append(i)
+            targets.append(index.get(target, n))
+            values.append(rate)
+    rates = sparse.csr_matrix((values, (sources, targets)), shape=(size, size))
+    initial = np.zeros(size)
+    for point, prob in m.initial_states():
+        initial[index[point]] += float(prob)
+    envs = [dict(zip(m.variable_names, state)) for state in states]
+    pad = [0] * (size - n)  # the sink has no label and reward 0
+    labels = {name: np.array([ex.evaluate_guard(g, e) for e in envs] + pad, dtype=bool)
+              for name, g in m.labels.items()}
+    rewards = {name: np.array([float(ex.evaluate(r, e)) for e in envs] + pad, dtype=float)
+               for name, r in m.rewards.items()}
+    return rates, initial, labels, rewards

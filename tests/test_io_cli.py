@@ -86,6 +86,12 @@ def test_validate_config_reports_problems(tmp_path):
             problems = validate_config(cfg)
             assert len(problems) == 1, (field, value, problems)
             assert problems[0].startswith(field.replace("_", "-") + ":"), problems
+    # every listed rho is checked for n = 100 samples before any stage runs
+    for spec in ("nan", "-1", "0", "1.0", "2.0,0.5", "0.005"):
+        cfg = RunConfig(model=_model_path("tandem"),
+                        measures=_model_path("tandem_measures"), rho_spec=spec)
+        problems = validate_config(cfg)
+        assert len(problems) == 1 and problems[0].startswith("rho:"), (spec, problems)
 
 
 def test_validate_config_ok(tmp_path):
@@ -265,6 +271,20 @@ def test_cli_error_paths(tmp_path, capsys):
                      str(measures), "--samples", samples, "--out", str(out)]) == 1
         assert "error [check] measure bad: horizon must be finite" in capsys.readouterr().err
         assert not out.exists()
+    # a malformed entry is a FormatError that names the entry's position
+    good = '{"id": "ok", "type": "reach", "target": "full", "tau": 1.0}'
+    for name, entries in (("text_tau", '{"id": "bad", "type": "reach", '
+                                       '"target": "full", "tau": "abc"}'),
+                          ("not_object", "1")):
+        measures = tmp_path / f"measures_{name}.json"
+        measures.write_text(f'{{"measures": [{good}, {entries}]}}')
+        with pytest.raises(uio.FormatError, match="measure entry 1"):
+            uio.read_measures(measures)
+        out = tmp_path / f"solutions_{name}.json"
+        assert main(["check", "--model", _model_path("tandem"), "--measures",
+                     str(measures), "--samples", samples, "--out", str(out)]) == 1
+        assert "error [check] measure entry 1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_cli_check_and_refine_validate_options(tmp_path, capsys):
@@ -282,6 +302,15 @@ def test_cli_check_and_refine_validate_options(tmp_path, capsys):
             assert code == 1, (command, option)
             assert option[2:] + ":" in capsys.readouterr().err, (command, option)
             assert not out.exists(), (command, option)
+    # refine checks its rho list and --max-iters before the check stage runs
+    for option, value, message in (("--rho", "nan", "rho must be positive"),
+                                   ("--max-iters", "0", "[config] max-iters:")):
+        out = tmp_path / f"refine{option}.json"
+        code = main(["refine", "--model", model, "--measures", measures,
+                     "--samples", samples, option, value, "--out", str(out)])
+        assert code == 1, option
+        assert message in capsys.readouterr().err, option
+        assert not out.exists(), option
 
 
 def test_cli_run_invalid_config_exits_nonzero(tmp_path, capsys):

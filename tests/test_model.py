@@ -16,6 +16,7 @@ from uctmc import (
     parse_model,
 )
 from uctmc import expr as ex
+from oracles import chain_reference
 
 
 def _mini_model(**overrides):
@@ -209,6 +210,39 @@ def test_partial_validates_the_states_it_expands():
     partial = build_partial(m, u, 1.0)
     assert partial.retained_states == ((0,),)
     assert partial.rates[0, partial.sink] == pytest.approx(1.5)
+
+
+def test_compiled_chains_match_per_state_reference():
+    kernel_model = _kernel_model()
+    cases = [(kernel_model, [Valuation.from_floats([k])
+                             for k in (math.nextafter(0.5, 1.0), 0.7, 1.3, 1.9)])]
+    for name in ("sir20", "tandem", "buffer"):
+        m = uctmc.load_model(uctmc.example_model_path(name))
+        cases.append((m, uctmc.sample_valuations(m, 4, seed=7).valuations))
+    for m, valuations in cases:
+        for u in valuations:
+            full = build_full(m, u)
+            rates, initial, labels, rewards = chain_reference(m, u)
+            for attr in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(full.rates, attr), getattr(rates, attr)), attr
+            assert np.array_equal(full.initial, initial)
+            assert full.labels.keys() == labels.keys()
+            assert all(np.array_equal(full.labels[k], labels[k]) for k in labels)
+            assert full.rewards.keys() == rewards.keys()
+            assert all(np.array_equal(full.rewards[k], rewards[k]) for k in rewards)
+            for delta in (1e-2, 1e-4):
+                partial = build_partial(m, u, delta)
+                rates, initial, labels, rewards = chain_reference(
+                    m, u, partial.retained_states)
+                got, want = partial.rates.toarray(), rates.toarray()
+                assert np.array_equal(got != 0, want != 0)
+                assert np.all(np.abs(got - want) <= 1e-14 * want)
+                assert np.array_equal(partial.initial, initial)
+                assert all(np.array_equal(partial.labels[k], labels[k]) for k in labels)
+                assert all(np.array_equal(partial.rewards[k], rewards[k]) for k in rewards)
+    # full chains share the model's arrays, so those are read-only
+    with pytest.raises(ValueError):
+        build_full(m, u).initial[0] = 1.0
 
 
 # ---------------------------------------------------------------------------

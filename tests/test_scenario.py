@@ -56,6 +56,10 @@ def test_critical_rho_rejected():
     for rho in (1.0, 0.5, 0.25):
         with pytest.raises(CriticalRhoError):
             solve_box_precise(SIX, rho)
+    # NaN fails the positivity check instead of reaching round()
+    for rho in (float("nan"), 0.0, -2.0):
+        with pytest.raises(ScenarioError, match="positive"):
+            solve_box_precise(SIX, rho)
 
 
 def test_rho_below_one_over_n_rejected():
