@@ -7,8 +7,8 @@ point.  Transient distributions are computed by uniformization: with
 Lambda >= max leaving rate, pi_t = sum_k Poi(Lambda*t; k) * pi_0 P^k where
 P = I + Q/Lambda.
 
-Every measure is one form, pi_t . v = sum_k Poi(Lambda*t; k) * (x_k . v) with
-x_k = x_0 P^k, on a chain with some absorbing set:
+Every measure is one form, pi_t . v = sum_k P(N_t = k) * (x_k . v) with
+x_{k+1} = x_k P_k, on a chain with some absorbing set:
 
 * reach: v is the target's indicator, the target is absorbing and x_0 is the
   initial distribution.  An interval measure is a reach measure over
@@ -18,26 +18,58 @@ x_k = x_0 P^k, on a chain with some absorbing set:
 * reward: v is the reward vector and nothing is absorbing, so the rewards of
   a chain at any number of times share one pass.
 
-One batched kernel computes this form.  The chains of a batch (valuations of
-one model) are uniformized separately and laid out as the blocks of one
-block-diagonal P^T (``_Blocks``).  Chains may differ in size, as partial
+Full chains (exact mode, ``evaluate_measures``, ``transient_distribution``)
+are checked by adaptive uniformization (``_Adaptive``; van Moorsel & Sanders
+1994, with the mass dropping of fast adaptive uniformization: Didier,
+Henzinger, Mateescu & Wolf 2009, Dannenberg, Hahn & Kwiatkowska 2015).  Step
+k uses Lambda_k = the largest exit rate over the states holding mass, P_k =
+I + Q/Lambda_k, and N_t is the birth process that moves from level k to k + 1
+at rate Lambda_k.  Per block and step:
+
+* the entries below theta = 1e-6 * epsilon / s are zeroed, as long as the
+  block's dropped mass stays within epsilon / (8 s); s is 1 for target
+  passes and the chain's largest reward magnitude (at least 1) for reward
+  passes;
+* Lambda_k is the largest exit rate over the block's nonzero, non-absorbing
+  states, and x_{k+1} = ((Lambda_k - e) x_k + Q_off^T x_k) / Lambda_k, one
+  CSR mat-vec of the batch's block-diagonal off-diagonal Q^T and a per-block
+  scaling; every term is nonnegative, as Lambda_k >= e on the support;
+* a column at time t is cut at the first K whose bound on P(N_t > K) is
+  within epsilon * 2^-16 / s (the smallest of three bounds, see
+  ``_Adaptive._pass``), and the pass ends when every column is cut.
+
+The weights P(N_t = k) come from the plain kernel below, run on birth
+chains: levels 0 .. K, level k moving up at rate Lambda_k, and an absorbing
+level after them that takes the tail.  A birth chain is uniformized at
+max(Lambda_0 .. Lambda_K), so a column's cut and weights depend only on its
+own time, and measures give the same bits alone or in any set; columns of a
+block that share that rate share one birth chain.  Its weighted sum reads
+the kept series x_k . v up to the column's cut, as prefix sums over its
+levels.  Phase one of an interval measure weighs the iterates themselves: it
+runs its deterministic pass a second time and adds up pi_{t_lo} = sum_k
+P(N_{t_lo} = k) x_k, so no iterate is stored.  Partial chains (approximate
+mode) keep the plain pass at one Lambda: on them the largest exit rate over
+the states holding mass reaches Lambda within a few steps (buffer: 8 steps),
+so adaptive steps would save none and cost more each.
+
+The plain kernel (``_Blocks``) lays the uniformized chains of a batch out as
+the blocks of one block-diagonal P^T.  Chains may differ in size, as partial
 chains do: every block is padded to the batch's largest chain with empty
 rows, so the padding is never read or written and every mat-vec row stays
 per state and per block.  One stepping routine (``_iterates``) produces the
 power sequence: each step is one call of scipy's CSR mat-vec kernel over the
 prefix of blocks that still need steps.  Blocks are sorted by descending
 Lambda, so a block whose Poisson windows have ended drops off the end of the
-prefix, and a batch does no more mat-vec work than separate passes would.  A
-pass starts at the smallest left truncation point of its columns and keeps
-the series x_k . v per block and vector, which is steps x blocks x vectors
-floats; each (vector, time) column is then one Poisson-weighted sum over its
-window of that series.  Each step's dots are one more CSR mat-vec, of a
+prefix.  A pass starts at the smallest left truncation point of its columns
+and keeps the series x_k . v per block and vector; each (vector, time) column
+is then one Poisson-weighted sum over its window of that series.  Every
+Poisson window of a pass comes from one vectorized call
+(``_poisson_windows``).  Each step's dots are one more CSR mat-vec, of a
 reader matrix that holds v's nonzeros with one row per (block, vector) in
-block-major order: the live blocks' rows are a prefix, and each row is
-summed in state order over v's nonzeros, whatever the padding or batch.
-Each block keeps its own Lambda and Poisson windows, and its mat-vec rows,
-series, Poisson weighting and flush are computed exactly as in a batch of
-one, so a chain's results are the same bits in any batch.
+block-major order, so each row is summed in state order over v's nonzeros,
+whatever the padding or batch.  In both kernels everything computed per block
+is computed as in a batch of one, so a chain's results are the same bits in
+any batch.
 
 Batches are consecutive chains (``_batches``) holding at most
 ``DEFAULT_STATE_CAP`` states, counted padded, and keeping at most
@@ -47,27 +79,35 @@ Exact mode batches the full chains of consecutive valuations.  Approximate
 mode runs in lockstep delta rounds: each round builds the partial chain of
 every valuation whose gap is still open, lazily, batch by batch, checks each
 batch in one pass, and divides delta by 10 only for the valuations still
-open.  The routine steps in place, into one of two preallocated buffers that
-take turns, so an iterate it yields is valid only until the next step.
+open.  Both kernels step in place, so an iterate they yield is valid only
+until the next step.
 
-Error budget of one uniformization pass of K steps over a chain of n states:
+Error budget of a measure, for epsilon >= ``MIN_EPSILON``.  Every iterate and
+weight is nonnegative.  The first two items only lose mass, each at most its
+share over s, and a value weighs lost mass by at most s:
 
-* Poisson truncation: weights are accumulated by a stable mode-outward
-  recurrence and cut once terms fall below 1e-30 of the peak; the retained
-  weights are renormalized.  The cut does not depend on ``epsilon``, and the
-  discarded mass is far below any supported tolerance.
+* Dropped mass: at most epsilon / (8 s) per adaptive pass and block.  The
+  mass dropped at step k would have followed the chain from the k-th birth
+  epoch on, so it is all that is lost.
+* Birth tail: at most epsilon * 2^-16 / s per adaptive pass and column: the
+  mass of the levels after the cut, P(N_t > K), which a bound proves small.
+* An interval measure spends both shares twice, once per phase (phase one's
+  values weigh its lost mass by at most 1), so the two items together cost at
+  most epsilon / 4 + epsilon * 2^-15.
+* Poisson cut: weights are accumulated by a stable mode-outward recurrence
+  and cut once terms fall below 1e-30 of the peak; the retained weights are
+  renormalized.  The discarded mass is far below ``MIN_EPSILON``.
 * Subnormal flush: draining mass leaves thousands of subnormal entries, which
   make every sparse mat-vec many times slower.  Every 64 steps the entries of
-  the iterate below 1e-280 are set to zero.  The iterate is nonnegative
-  (P = I + Q/Lambda is), so one flush removes at most n * 1e-280 of mass and
-  the pass at most n * ceil(K/64) * 1e-280.  Under the 10^7-state cap and
-  for any pass shorter than 10^20 steps that is below 1e-250, far below
-  ``MIN_EPSILON``.
+  the iterate below 1e-280 are set to zero, so a pass of K steps over n
+  states removes at most n * ceil(K/64) * 1e-280: below 1e-250 under the
+  10^7-state cap for any pass shorter than 10^20 steps.
 * Series dot: each x_k . v is a sequential sum over the m nonzeros of v.
   Its terms are nonnegative, so the sum's relative error is at most
   (m - 1) * u with u = 2^-53 (one u more when v is not 0/1, for the
   products): about 1.1e-12 at m = 10^4 states and 1.1e-9 at the 10^7-state
-  cap, relative to a value of at most 1 or the largest reward.
+  cap, relative to a value of at most 1 or the largest reward.  A birth
+  chain's prefix sums add K + 1 terms more, in the same way.
 
 On partial models the truncated sink (the last state) bounds every measure
 from both sides.  The lower bound treats the sink as a non-target with reward
@@ -83,6 +123,7 @@ iterates and weights are nonnegative, and rounding is monotone.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -104,7 +145,11 @@ from . import expr as ex
 
 MIN_EPSILON = 1e-12
 _POISSON_CUTOFF = 1e-30
+_WINDOW_CHUNK = 1 << 17  # floats per side of one chunk of Poisson windows
 _FLUSH_BELOW = 1e-280
+_DROP_SHARE = 1 / 8  # of epsilon: dropped mass per adaptive pass
+_DROP_BELOW = 1e-6  # of epsilon: the dropping threshold theta
+_TAIL_SHARE = 2.0**-16  # of epsilon: birth-process tail per adaptive pass
 _FLUSH_EVERY = 64
 _DELTA_FLOOR = 1e-250
 
@@ -259,36 +304,78 @@ def _uniformized(c: ConcreteCtmc, absorbing: Optional[np.ndarray] = None):
 
 
 def _poisson_span(lam_t: float) -> int:
-    """Terms ``_poisson_terms`` first computes on each side of the mode."""
+    """More terms than a Poisson window of ``lam_t`` keeps on either side of
+    its mode."""
     return int(20.0 * math.sqrt(lam_t)) + 100
 
 
-def _poisson_terms(lam_t: float) -> tuple[int, np.ndarray]:
-    """Left truncation point and renormalized Poisson(lam_t) weights.
+def _poisson_windows(lam_ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Left truncation points and renormalized Poisson weights of every entry
+    of ``lam_ts``: (k_lo in the shape of ``lam_ts``, offsets, weights), where
+    entry i (in flat order) has the weights ``weights[offsets[i]:offsets[i +
+    1]]``.
 
     From the mode outward, each side is the running product (``np.cumprod``,
     which multiplies in order) of the ratios of neighbouring terms, cut at the
     first term at or below ``_POISSON_CUTOFF``; the right side keeps that
-    term.  Each side is first computed over ``_poisson_span(lam_t)`` terms,
-    and over twice as many if the cut lies beyond.
+    term.  Rows are computed in chunks over a common width, about where the
+    cut of the chunk's largest rate lies; rows whose cut lies beyond are
+    computed again twice as wide.  A term's bits do not depend on the width.
+    Each window is divided by its own ``sum()``, so every entry gets the bits
+    it would get alone.
     """
-    if lam_t <= 0.0:
-        return 0, np.array([1.0])
-    mode = int(lam_t)
-    span = _poisson_span(lam_t)
-    while True:
-        # both sides are nonincreasing, so the terms above the cut lead
-        right = np.cumprod(lam_t / np.arange(mode + 1, mode + 1 + span))
-        right_kept = np.count_nonzero(right > _POISSON_CUTOFF)
-        end = max(mode - span, 0)
-        left = np.cumprod(np.arange(mode, end, -1) / lam_t)
-        left_kept = np.count_nonzero(left > _POISSON_CUTOFF)
-        if right_kept < right.size and (left_kept < left.size or end == 0):
-            break
-        span *= 2
-    weights = np.concatenate((left[:left_kept][::-1], [1.0], right[:right_kept + 1]))
-    weights /= weights.sum()
-    return mode - left_kept, weights
+    lam_ts = np.asarray(lam_ts, dtype=float)
+    flat = lam_ts.ravel()
+    mode = flat.astype(np.int64)
+    left_kept = np.zeros(flat.size, dtype=np.int64)
+    right_kept = np.full(flat.size, -1, dtype=np.int64)  # a zero rate keeps [1.0]
+    width = (12.0 * np.sqrt(flat)).astype(np.int64) + 40
+    todo, chunks = np.flatnonzero(flat > 0.0), []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while todo.size:
+            span = int(width[todo].max())
+            steps = np.arange(span)
+            rows = max(1, _WINDOW_CHUNK // span)
+            for i in range(0, todo.size, rows):
+                chunk = todo[i:i + rows]
+                lam_t, top = flat[chunk, None], mode[chunk, None]
+                right = np.cumprod(lam_t / (top + 1 + steps), axis=1)
+                left = np.cumprod((top - steps) / lam_t, axis=1)
+                # both sides are nonincreasing, so the terms above the cut lead
+                right_n = np.count_nonzero(right > _POISSON_CUTOFF, axis=1)
+                left_n = np.count_nonzero(left > _POISSON_CUTOFF, axis=1)
+                done = (right_n < span) & ((left_n < span) | (mode[chunk] <= span))
+                width[chunk[~done]] *= 2
+                chunk, left_n, right_n = chunk[done], left_n[done], right_n[done]
+                left_kept[chunk], right_kept[chunk] = left_n, right_n
+                chunks.append((chunk, left[done][steps < left_n[:, None]],
+                               right[done][steps <= right_n[:, None]]))
+            todo = np.flatnonzero((flat > 0.0) & (right_kept < 0))
+    lengths = left_kept + right_kept + 2
+    offsets = np.concatenate(([0], np.cumsum(lengths)))
+    weights = np.ones(offsets[-1])
+    for chunk, left, right in chunks:
+        # the mode's 1 sits after the kept left terms, reversed, and before
+        # the kept right terms
+        mode_at = offsets[chunk] + left_kept[chunk]
+        weights[np.repeat(mode_at, left_kept[chunk]) - 1 - _ranks(left_kept[chunk])] = left
+        counts = right_kept[chunk] + 1
+        weights[np.repeat(mode_at, counts) + 1 + _ranks(counts)] = right
+    sums = [weights[a:b].sum() for a, b in zip(offsets[:-1].tolist(), offsets[1:].tolist())]
+    weights /= np.repeat(sums, lengths)
+    return (mode - left_kept).reshape(lam_ts.shape), offsets, weights
+
+
+def _ranks(counts: np.ndarray) -> np.ndarray:
+    """0, 1, ..., c - 1 for each count c, concatenated."""
+    return np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def _poisson_terms(lam_t: float) -> tuple[int, np.ndarray]:
+    """Left truncation point and renormalized Poisson(lam_t) weights (see
+    ``_poisson_windows``)."""
+    k_lo, _, weights = _poisson_windows([lam_t])
+    return int(k_lo[0]), weights
 
 
 def _iterates(pt: sparse.csr_matrix, v: np.ndarray, skip: int, count: int,
@@ -327,9 +414,22 @@ def _iterates(pt: sparse.csr_matrix, v: np.ndarray, skip: int, count: int,
             yield cur
 
 
+def _reader(vectors: np.ndarray):
+    """CSR arrays of the dots x . v of a (blocks, vectors, states) stack: one
+    row per (block, vector) in block-major order, holding v's nonzeros, so
+    the rows of a prefix of blocks are a prefix and each row is a sequential
+    sum in state order, whatever the padding or batch."""
+    blocks, width, size = vectors.shape
+    vectors = vectors.reshape(blocks * width, size)
+    rows, states = np.nonzero(vectors)
+    idx = np.int32 if max(rows.size, blocks * size) < 2**31 else np.int64
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=len(vectors)))))
+    indices = states + rows // width * size
+    return indptr.astype(idx), indices.astype(idx), vectors[rows, states]
+
+
 class _Blocks:
-    """The uniformized chains of one batch, one absorbing set per chain, as
-    one block-diagonal P^T.
+    """Uniformized chains of one batch as one block-diagonal P^T.
 
     Chains may differ in size: every block is padded to the largest chain
     with empty rows, which no entry of P^T reads or writes.  Blocks are sorted
@@ -342,13 +442,18 @@ class _Blocks:
     the largest chain.
     """
 
-    def __init__(self, chains: Sequence[ConcreteCtmc], absorbing: Sequence):
+    def __init__(self, lam: np.ndarray, pt: sparse.csr_matrix, order: np.ndarray):
+        self.lam, self.pt, self.order = lam, pt, order
+        self.size = pt.shape[0] // len(lam)  # states per block, padded
+
+    @classmethod
+    def uniformized(cls, chains: Sequence[ConcreteCtmc], absorbing: Sequence) -> "_Blocks":
+        """The chains with one absorbing set each (None: nothing absorbs)."""
         unis = [_uniformized(c, a) for c, a in zip(chains, absorbing)]
         size = max(c.num_states for c in chains)
         lam = np.array([u[1] for u in unis])
-        self.order = np.argsort(-lam, kind="stable")
-        self.lam = lam[self.order]
-        blocks = [unis[b][0] for b in self.order]
+        order = np.argsort(-lam, kind="stable")
+        blocks = [unis[b][0] for b in order]
         counts = np.zeros((len(blocks), size), dtype=np.int64)
         for row, pt in zip(counts, blocks):
             if pt is not None:
@@ -361,7 +466,34 @@ class _Blocks:
                                   for pos, pt in enumerate(blocks) if pt is not None]
                                  or [np.empty(0, dtype=idx)])
         data = np.concatenate([pt.data for pt in blocks if pt is not None] or [np.empty(0)])
-        self.pt = sparse.csr_matrix((data, indices, indptr), shape=(counts.size,) * 2)
+        pt = sparse.csr_matrix((data, indices, indptr), shape=(counts.size,) * 2)
+        return cls(lam[order], pt, order)
+
+    @classmethod
+    def births(cls, rates: np.ndarray, levels: np.ndarray) -> "_Blocks":
+        """Birth chains, one per row of ``rates`` (chains, levels), assembled
+        in one step: level k moves to level k + 1 at ``rates[b, k]`` and
+        starts with no mass unless k = 0; chain b has ``levels[b]`` levels, its
+        last one absorbing (rate 0).  Each entry of P^T is computed as
+        ``_uniformized`` computes it."""
+        lam = rates.max(axis=1)
+        order = np.argsort(-lam, kind="stable")
+        rates, levels, lam = rates[order], levels[order], lam[order]
+        blocks, size = rates.shape
+        inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=lam > 0.0)[:, None]
+        # row k of a block's P^T: the move up from level k - 1, then the stay
+        entries = np.empty((blocks, size, 2))
+        entries[:, 0, 0] = 0.0
+        entries[:, 1:, 0] = rates[:, :-1] * inv
+        entries[:, :, 1] = 1.0 + (0.0 - rates) * inv
+        live = (np.arange(size) < levels[:, None]) & (lam > 0.0)[:, None]
+        keep = (entries != 0.0) & live[:, :, None]
+        state = np.arange(blocks * size).reshape(blocks, size, 1)
+        idx = np.int32 if 2 * blocks * size < 2**31 else np.int64
+        indices = (state + [-1, 0])[keep].astype(idx)
+        indptr = np.concatenate(([0], np.cumsum(keep.sum(axis=2).ravel()))).astype(idx)
+        pt = sparse.csr_matrix((entries[keep], indices, indptr), shape=(blocks * size,) * 2)
+        return cls(lam, pt, order)
 
     def _pass(self, v: np.ndarray, need: np.ndarray, skip: int):
         """Iterates k = skip .. max(need) - 1 of one pass from ``v`` (block
@@ -378,23 +510,22 @@ class _Blocks:
         return out
 
     def _windows(self, times: Sequence[float]):
-        """Poisson window (left truncation point, weights) per block and
-        distinct time, the steps each block needs, and the smallest left
-        truncation point."""
-        terms = [{t: _poisson_terms(lam * t) for t in times} for lam in self.lam]
-        need = np.array([max(k_lo + w.size for k_lo, w in row.values()) for row in terms],
-                        dtype=np.int64)
-        return terms, need, min(k_lo for row in terms for k_lo, _ in row.values())
+        """Poisson windows of every block and time (``_poisson_windows``, in
+        one call): k_lo (blocks, times), offsets and weights, then the steps
+        each block needs and the smallest left truncation point."""
+        k_lo, offsets, weights = _poisson_windows(np.multiply.outer(self.lam, times))
+        ends = k_lo + np.diff(offsets).reshape(k_lo.shape)
+        return k_lo, offsets, weights, ends.max(axis=1), int(k_lo.min())
 
     def transient(self, v: np.ndarray, t: float) -> np.ndarray:
         """pi_t per chain from pi_0 = v."""
         v = np.asarray(v, dtype=float)[self.order]
-        terms, need, skip = self._windows([t])
+        k_lo, offsets, window, need, skip = self._windows([t])
         # one row per step from skip on
         weights = np.zeros((int(need.max()) - skip, need.size, 1))
-        for b, row in enumerate(terms):
-            k_lo, w = row[t]
-            weights[k_lo - skip:k_lo - skip + w.size, b, 0] = w
+        lengths = np.diff(offsets)
+        steps = np.repeat(k_lo[:, 0] - skip, lengths) + _ranks(lengths)
+        weights[steps, np.repeat(np.arange(need.size), lengths), 0] = window
         out = np.zeros_like(v)
         live = 0
         for k, x in enumerate(self._pass(v, need, skip)):
@@ -413,58 +544,293 @@ class _Blocks:
         ``start`` is (chains, states) and ``vectors`` (chains, vectors,
         states).  One pass serves every column; it starts at the smallest left
         truncation point of the columns and keeps the series x_k . v from
-        there on.  Each step's dots are one CSR mat-vec of a reader matrix
-        holding v's nonzeros, one row per block and vector in block-major
-        order, so the live blocks' rows are a prefix and each row is a
-        sequential sum in state order, whatever the padding or batch.
+        there on, each step's dots one CSR mat-vec of ``_reader``.
         """
         start = np.asarray(start, dtype=float)[self.order]
         vectors = np.asarray(vectors, dtype=float)[self.order]
-        blocks, width, size = vectors.shape
-        # one row per (block, vector), in block order
-        vectors = vectors.reshape(blocks * width, size)
-        rows, states = np.nonzero(vectors)
-        idx = np.int32 if max(rows.size, blocks * size) < 2**31 else np.int64
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=len(vectors)))))
-        indices = states + rows // width * size
-        reader = (indptr.astype(idx), indices.astype(idx), vectors[rows, states])
-        terms, need, skip = self._windows([t for _, t in columns])
-        series = np.zeros((int(need.max()) - skip, len(vectors)))
+        blocks, width, _ = vectors.shape
+        reader = _reader(vectors)
+        times = list(dict.fromkeys(t for _, t in columns))
+        k_lo, offsets, window, need, skip = self._windows(times)
+        series = np.zeros((int(need.max()) - skip, blocks * width))
         for k, x in enumerate(self._pass(start, need, skip)):
             csr_matvec(len(x) * width, x.size, *reader, x.reshape(-1), series[k])
         # contiguous rows, so that each weighted sum reads its window in order
         series = np.ascontiguousarray(series.T)
+        at = [times.index(t) for _, t in columns]
         values = np.empty((blocks, len(columns)))
-        for b, row in enumerate(terms):
-            for c, (j, t) in enumerate(columns):
-                k_lo, w = row[t]
-                values[b, c] = w @ series[b * width + j, k_lo - skip:k_lo - skip + w.size]
+        for b in range(blocks):
+            for c, (j, _) in enumerate(columns):
+                first = k_lo[b, at[c]] - skip
+                a, z = offsets[b * len(times) + at[c]:][:2]
+                values[b, c] = window[a:z] @ series[b * width + j, first:first + z - a]
         return self._unsorted(values)
 
-    def interval(self, initial: np.ndarray, targets, t_lo: float,
-                 vectors: np.ndarray, columns: Sequence[tuple[int, float]]):
-        """``series`` for windows [t_lo, t] that must be entered from outside
-        the targets, which are absorbing in these blocks; with t_lo = 0 it is
-        ``series`` from ``initial``.
+    def cut_series(self, start: np.ndarray, vectors: np.ndarray, chain: np.ndarray,
+                   vector: np.ndarray, times: np.ndarray, cut: np.ndarray) -> np.ndarray:
+        """Per entry i: pi_t . v over the states 0 .. ``cut[i]`` of chain
+        ``chain[i]``, with pi_0 = ``start`` of the chain, v =
+        ``vectors[chain[i], vector[i]]`` and t = ``times[i]``.
 
-        Phase one steps to t_lo; mass sitting in the target at t_lo broke the
-        left operand and is dropped (paths must avoid the target strictly
-        before the window).  Phase two is first passage within t - t_lo.
+        One pass serves every entry and keeps one series per entry: each
+        step's prefix sums over the states, in state order (``np.cumsum``),
+        read at the entries' cuts.  A cut's sum and the weights of an entry
+        do not depend on the states after the cut, nor on other entries.
         """
-        start = initial
-        if t_lo > 0.0:
-            start = np.where(~targets, self.transient(initial, t_lo), 0.0)
-        return self.series(start, vectors, [(j, t - t_lo) for j, t in columns])
+        rank = np.empty_like(self.order)
+        rank[self.order] = np.arange(len(self.order))
+        # entries by block order, so that the live blocks' entries lead
+        by = np.argsort(rank[chain], kind="stable")
+        block, vector, times, cut = rank[chain][by], vector[by], times[by], cut[by]
+        k_lo, offsets, window = _poisson_windows(self.lam[block] * times)
+        need = np.zeros(len(self.lam), dtype=np.int64)
+        np.maximum.at(need, block, k_lo + np.diff(offsets))
+        skip = int(k_lo.min())
+        start = np.asarray(start, dtype=float)[self.order]
+        vectors = np.asarray(vectors, dtype=float)[self.order]
+        width = vectors.shape[1]
+        read = (block * width + vector) * self.size + cut
+        series = np.zeros((int(need.max()) - skip, len(by)))
+        for k, x in enumerate(self._pass(start, need, skip)):
+            live = int(np.searchsorted(block, len(x)))
+            sums = np.cumsum(x[:, None, :] * vectors[:len(x)], axis=2)
+            series[k, :live] = sums.reshape(-1)[read[:live]]
+        # contiguous rows, so that each weighted sum reads its window in order
+        series = np.ascontiguousarray(series.T)
+        values = np.empty(len(by))
+        for i, (first, a, z) in enumerate(zip((k_lo - skip).tolist(), offsets[:-1].tolist(),
+                                               offsets[1:].tolist())):
+            values[by[i]] = window[a:z] @ series[i, first:first + z - a]
+        return values
+
+
+class _Adaptive:
+    """Full chains of one batch, one absorbing set per chain, checked by
+    adaptive uniformization (see the module docstring).
+
+    The chains' off-diagonal rates, absorbing rows removed, form one
+    block-diagonal Q^T, each block padded to the largest chain with empty
+    rows.  ``scale`` (per chain, >= 1) divides the chain's error shares: the
+    largest magnitude of the vectors its passes weigh.  Every per-block
+    quantity (mat-vec rows, dropped mass, Lambda_k, the tail bounds and cuts,
+    the birth chains) is computed from that block alone, with per-block sums
+    in state or step order, and a column's cut and birth chain depend only on
+    its own time, so a value is the same bits in any batch and measure set.
+    Arrays in and out are (chains, ...) in batch order.
+    """
+
+    def __init__(self, chains: Sequence[ConcreteCtmc], absorbing: Sequence, epsilon: float,
+                 scale: Optional[np.ndarray] = None):
+        size = max(c.num_states for c in chains)
+        counts = np.zeros((len(chains), size), dtype=np.int64)
+        frozen = np.zeros((len(chains), size), dtype=bool)
+        for b, (c, a) in enumerate(zip(chains, absorbing)):
+            counts[b, :c.num_states] = np.diff(c.rates.indptr)
+            if a is not None:
+                frozen[b, :c.num_states] = a
+        n = counts.size
+        rows = np.repeat(np.arange(n), counts.ravel())
+        cols = np.concatenate([c.rates.indices.astype(np.int64) + b * size
+                               for b, c in enumerate(chains)])
+        data = np.concatenate([c.rates.data for c in chains])
+        keep = (cols != rows) & ~frozen.ravel()[rows]
+        rows, cols, data = rows[keep], cols[keep], data[keep]
+        # exit rates add each row in stored order
+        self.exits = np.bincount(rows, data, minlength=n).reshape(counts.shape)
+        idx = np.int32 if max(n, data.size) < 2**31 else np.int64
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n)))).astype(idx)
+        self.qt = (np.empty(n + 1, dtype=idx), np.empty(data.size, dtype=idx),
+                   np.empty(data.size))
+        csr_tocsc(n, n, indptr, cols.astype(idx), data, *self.qt)
+        scale = np.ones(len(chains)) if scale is None else scale
+        self.share = epsilon * _DROP_SHARE / scale
+        self.below = epsilon * _DROP_BELOW / scale
+        self.log_tail = np.log(epsilon * _TAIL_SHARE / scale)
+
+    def _steps(self, start: np.ndarray):
+        """Yield (x_k, Lambda_k, dropped mass so far) per block, k = 0, 1, ...
+
+        Before Lambda_k is read, the entries of x_k below the block's
+        threshold are zeroed if its dropped mass stays within its share by
+        it.  The iterate is stepped in place: use a yielded x_k before
+        resuming.
+        """
+        x = np.array(start, dtype=float)
+        y, scaled = np.empty_like(x), np.empty_like(x)
+        x_flat, y_flat = x.reshape(-1), y.reshape(-1)
+        dropped = np.zeros(len(x))
+        for k in itertools.count():
+            if k and not k % _FLUSH_EVERY:
+                x[x < _FLUSH_BELOW] = 0.0
+            positive = x > 0.0
+            small = np.flatnonzero(positive & (x < self.below[:, None]))
+            if small.size:
+                # per-block sums in state order
+                blocks = small // x.shape[1]
+                mass = np.bincount(blocks, x_flat[small], minlength=len(x))
+                fits = dropped + mass <= self.share
+                dropped = np.where(fits, dropped + mass, dropped)
+                small = small[fits[blocks]]
+                x_flat[small] = 0.0
+                positive.reshape(-1)[small] = False
+            lam = np.max(self.exits * positive, axis=1)
+            yield x, lam, dropped
+            # x_{k+1} = ((Lambda_k - e) x_k + Q_off^T x_k) / Lambda_k, where
+            # Lambda_k >= e on the support, so every term is nonnegative; a
+            # block without rate keeps x_k
+            y_flat.fill(0.0)
+            csr_matvec(x.size, x.size, *self.qt, x_flat, y_flat)
+            rate = np.where(lam > 0.0, lam, 1.0)[:, None]
+            np.subtract(rate, self.exits, out=scaled)
+            x *= scaled
+            x += y
+            x /= rate
+
+    def _pass(self, start: np.ndarray, times: np.ndarray, reader=None):
+        """One adaptive pass from ``start`` until, for every block and time t,
+        the birth process's tail P(N_t > K) is within the block's share.
+
+        Returns the rates Lambda_k (chains, steps), the cuts (chains, times),
+        each the first K whose tail bound meets the share, and with ``reader``
+        the series x_k . v (steps, chains * vectors).  The tail is P(T_0 + ...
+        + T_K <= t) with T_k ~ Exp(Lambda_k), and its bound is the smallest of
+        three, each from running per-block sums:
+
+        * prod(Lambda_k t) / (K + 1)!, as the densities are at most Lambda_k;
+        * exp(-(m - t)^2 / 2v) for t < m = sum 1/Lambda_k, v = sum
+          1/Lambda_k^2 (Chernoff, with log(1 + x) >= x - x^2/2);
+        * exp(-mu) (e mu / (K + 1))^(K + 1) for K + 1 > mu = L t (Chernoff for
+          Poisson(mu), which dominates N_t when L is the block's largest exit
+          rate), so a pass ends within the steps the plain kernel would take
+          (its window ends where the terms fall below 1e-30).
+
+        A block without rate keeps its mass: its tail is 0.
+        """
+        blocks = len(start)
+        with np.errstate(divide="ignore"):
+            log_times = np.log(times)
+            poisson = self.exits.max(axis=1)[:, None] * times
+            log_poisson = np.log(poisson)
+        cuts = np.where(times == 0.0, 0, -1) + np.zeros((blocks, 1), dtype=np.int64)
+        tails = np.full(cuts.shape, -np.inf)
+        mean, var, log_rates = np.zeros(blocks), np.zeros(blocks), np.zeros(blocks)
+        rates, series, dropped = [], [], None
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for k, (x, lam, dropped) in enumerate(self._steps(start)):
+                if reader is not None:
+                    series.append(np.zeros(len(reader[0]) - 1))
+                    csr_matvec(len(series[-1]), x.size, *reader, x.reshape(-1), series[-1])
+                rates.append(lam)
+                inverse = 1.0 / lam
+                mean += inverse
+                var += inverse * inverse
+                log_rates += np.log(lam)
+                # logs of the bounds; fmin skips the NaN of a block without
+                # rate, whose first bound is -inf
+                gap = np.maximum(mean[:, None] - times, 0.0)
+                bound = np.fmin((k + 1) * log_times + log_rates[:, None] - math.lgamma(k + 2),
+                                -gap * gap / (2.0 * var[:, None]))
+                bound = np.fmin(bound, np.where(poisson < k + 1, k + 1 - poisson + (k + 1) * (
+                    log_poisson - math.log(k + 1)), 0.0))
+                new = (cuts < 0) & (bound <= self.log_tail[:, None])
+                cuts[new], tails[new] = k, bound[new]
+                if (cuts >= 0).all():
+                    break
+        rates = np.array(rates).T
+        log.debug("adaptive pass to t=%g: %d blocks, %d-%d steps, largest Lambda_0 %g, "
+                  "largest last Lambda_k %g, largest dropped mass %.3g, largest birth "
+                  "tail %.3g", times.max(), blocks, cuts.min(), cuts.max(), rates[:, 0].max(),
+                  rates[np.arange(blocks), cuts.max(axis=1)].max(), dropped.max(),
+                  math.exp(tails.max()))
+        return rates, cuts, np.array(series)
+
+    @staticmethod
+    def _births(rates: np.ndarray, cuts: np.ndarray):
+        """Birth chains weighing the iterates of a pass: for each block, one
+        per distinct uniformization rate max(Lambda_0 .. Lambda_K) over its
+        cuts K, with the levels 0 .. (largest of those cuts) and one
+        absorbing level after them.  Returns the chains (``_Blocks``), the
+        chain of every (block, time) and the block of every chain."""
+        blocks = np.arange(len(rates))[:, None] + np.zeros_like(cuts)
+        top = np.maximum.accumulate(rates, axis=1)[blocks, cuts]
+        keys = np.stack((blocks.ravel(), top.ravel()))
+        (block, _), chain = np.unique(keys, axis=1, return_inverse=True)
+        block, chain = block.astype(np.int64), chain.reshape(cuts.shape)
+        last = np.zeros(len(block), dtype=np.int64)
+        np.maximum.at(last, chain.ravel(), cuts.ravel())
+        births = np.zeros((len(block), rates.shape[1] + 1))
+        births[:, :-1] = np.where(np.arange(rates.shape[1]) <= last[:, None], rates[block], 0.0)
+        return _Blocks.births(births, last + 2), chain, block
+
+    def transient(self, v: np.ndarray, t: float) -> np.ndarray:
+        """pi_t per chain from pi_0 = v: the birth chain's weights at t, summed
+        over a second run of the same deterministic pass."""
+        v = np.asarray(v, dtype=float)
+        rates, cuts, _ = self._pass(v, np.array([t]))
+        births, chain, _ = self._births(rates, cuts)
+        weights = births.transient(_first_level(births), t)[chain[:, 0]]
+        out = np.zeros_like(v)
+        for k, (x, _, _) in zip(range(int(cuts.max()) + 1), self._steps(v)):
+            # levels after a block's cut weigh nothing
+            out += np.where(k <= cuts, weights[:, k, None], 0.0) * x
+        return out
+
+    def series(self, start: np.ndarray, vectors: np.ndarray,
+               columns: Sequence[tuple[int, float]]) -> np.ndarray:
+        """pi_t . v per chain and column (j, t), as ``_Blocks.series``: each
+        column weighs the kept series x_k . v up to its cut by its birth
+        chain."""
+        vectors = np.asarray(vectors, dtype=float)
+        blocks, width, _ = vectors.shape
+        times = list(dict.fromkeys(t for _, t in columns))
+        rates, cuts, series = self._pass(np.asarray(start, dtype=float), np.array(times),
+                                         _reader(vectors))
+        births, chain, block = self._births(rates, cuts)
+        at = np.array([times.index(t) for _, t in columns], dtype=np.int64)
+        # the kept series of each chain's block, (chains, vectors, levels)
+        kept = np.zeros((len(block), width, births.size))
+        series = series.reshape(len(series), blocks, width)[:, block]
+        kept[:, :, :len(series)] = series.transpose(1, 2, 0)
+        values = births.cut_series(_first_level(births), kept, chain[:, at].ravel(),
+                                   np.tile([j for j, _ in columns], blocks),
+                                   np.tile(np.array(times)[at], blocks), cuts[:, at].ravel())
+        return values.reshape(blocks, len(columns))
+
+
+def _first_level(births: _Blocks) -> np.ndarray:
+    """Initial distributions of birth chains: all mass on level 0."""
+    start = np.zeros((len(births.lam), births.size))
+    start[:, 0] = 1.0
+    return start
+
+
+def _interval(blocks, initial: np.ndarray, targets, t_lo: float, vectors: np.ndarray,
+              columns: Sequence[tuple[int, float]]) -> np.ndarray:
+    """``blocks.series`` for windows [t_lo, t] that must be entered from
+    outside the targets, which are absorbing in ``blocks``; with t_lo = 0 it
+    is ``series`` from ``initial``.
+
+    Phase one steps to t_lo; mass sitting in the target at t_lo broke the
+    left operand and is dropped (paths must avoid the target strictly before
+    the window).  Phase two is first passage within t - t_lo.
+    """
+    start = initial
+    if t_lo > 0.0:
+        start = np.where(~targets, blocks.transient(initial, t_lo), 0.0)
+    return blocks.series(start, vectors, [(j, t - t_lo) for j, t in columns])
 
 
 def transient_distribution(c: ConcreteCtmc, t: float, epsilon: float = 1e-6) -> np.ndarray:
-    """Transient distribution pi_t with L1 error below epsilon."""
+    """Transient distribution pi_t, by adaptive uniformization.  Its L1 error
+    is at most epsilon / 8 (dropped mass) + epsilon * 2^-16 (birth tail),
+    both of which only lower entries, plus the far smaller Poisson cut and
+    flush (see the module docstring)."""
     _check_epsilon(epsilon)
     if not 0 <= t < math.inf:
         raise CheckerError("t must be finite and >= 0")
     if t == 0.0:
         return c.initial.copy()
-    return _Blocks([c], [None]).transient(c.initial[None], t)[0]
+    return _Adaptive([c], [None], epsilon).transient(c.initial[None], t)[0]
 
 
 def reach_probabilities(c: ConcreteCtmc, target: str, horizons: Sequence[float],
@@ -525,16 +891,23 @@ def _padded(arrays: Sequence[np.ndarray], size: int, dtype=float) -> np.ndarray:
     return out
 
 
+def _reward_scale(c: ConcreteCtmc) -> float:
+    """The chain's largest reward magnitude, at least 1: a reward pass's error
+    shares shrink by it, whichever rewards its measures name."""
+    return max([1.0] + [float(np.abs(r).max(initial=0.0)) for r in c.rewards.values()])
+
+
 def _evaluate(chains: Sequence[ConcreteCtmc], measures: MeasureSet, epsilon: float,
               sink_rewards: Optional[dict] = None) -> tuple[np.ndarray, np.ndarray]:
     """Values of all measures on a batch of chains of one model, grouped to
     share passes; each chain's values are those of a batch of one.
 
     Returns (lower, upper), one row per chain.  With ``sink_rewards`` the
-    chains are partial models, possibly of different sizes: each pass also
-    weighs the upper vectors, whose entry at the chain's sink (its last
-    state) is 1 for targets and the given worst-case reward per reward name
-    (see the module docstring).  Without, the two arrays are equal.
+    chains are partial models, possibly of different sizes, checked by plain
+    passes that also weigh the upper vectors, whose entry at the chain's sink
+    (its last state) is 1 for targets and the given worst-case reward per
+    reward name (see the module docstring).  Without, the chains are full
+    chains, checked by adaptive passes, and the two arrays are equal.
     """
     _check_epsilon(epsilon)
     lower = np.empty((len(chains), len(measures)))
@@ -559,9 +932,12 @@ def _evaluate(chains: Sequence[ConcreteCtmc], measures: MeasureSet, epsilon: flo
                 [sink_rewards[n] for n in names] if target is None else 1.0)
             vectors = np.concatenate((vectors, upper_vectors), axis=1)
             columns += [(j + len(names), t) for j, t in columns]
-        if target not in blocks:
-            blocks[target] = _Blocks(chains, absorbing)
-        values = blocks[target].interval(initial, targets, t_lo, vectors, columns)
+        if target not in blocks and sink_rewards is not None:
+            blocks[target] = _Blocks.uniformized(chains, absorbing)
+        elif target not in blocks:
+            scale = None if target is not None else np.array([_reward_scale(c) for c in chains])
+            blocks[target] = _Adaptive(chains, absorbing, epsilon, scale)
+        values = _interval(blocks[target], initial, targets, t_lo, vectors, columns)
         if target is not None:
             values = np.clip(values, 0.0, 1.0)
         positions = [pos for pos, _, _ in group]
@@ -586,8 +962,10 @@ def solve_measures(m: ParametricCtmc, u: Valuation, measures: MeasureSet,
 
 def _series_steps(c: ConcreteCtmc, horizon: float) -> int:
     """Steps of series a pass over ``c`` keeps for times up to ``horizon``,
-    bounded above: the right end of ``_poisson_terms``' first span at the
-    chain's largest exit rate, which bounds Lambda."""
+    bounded above: the right end of ``_poisson_span`` at the chain's largest
+    exit rate, which bounds Lambda, every Lambda_k of an adaptive pass and
+    the rate of its birth chains.  An adaptive pass stops by then, at the
+    latest, through its Poisson tail bound."""
     indptr = c.rates.indptr
     starts = indptr[:-1][indptr[:-1] < indptr[1:]]  # of nonempty rows
     lam = float(np.add.reduceat(c.rates.data, starts).max()) if starts.size else 0.0
@@ -598,11 +976,14 @@ def _series_steps(c: ConcreteCtmc, horizon: float) -> int:
 def _batches(chains, measures: MeasureSet, bounds: bool = False) -> Iterator[list]:
     """Consecutive chains, grouped so that no group holds more than
     ``DEFAULT_STATE_CAP`` states, counted as padded to its largest chain, or
-    keeps a series (blocks x vectors x steps) of more floats than that.  A
-    chain above either cap goes alone.  ``bounds`` doubles the vectors of a
-    pass, as partial chains weigh an upper vector beside each one."""
+    keeps a series (blocks x series x steps) of more floats than that.  A
+    chain above either cap goes alone.  A plain pass over partial chains
+    (``bounds``) keeps two series per vector, as it weighs an upper vector
+    beside each one; an adaptive pass keeps one per vector, one more per
+    vector on its birth chains, and one per measure there."""
     groups = _groups(measures).values()
-    width = max((len({name for _, name, _ in g}) for g in groups), default=0) * (1 + bounds)
+    names = [len({name for _, name, _ in g}) for g in groups]
+    width = max((2 * n + (0 if bounds else len(g)) for n, g in zip(names, groups)), default=0)
     horizon = max((t for g in groups for _, _, t in g), default=0.0)
     batch, size, kept = [], 0, 0
     for chain in chains:

@@ -55,10 +55,17 @@ def write_samples(samples: SampleSet, path) -> None:
 def read_samples(path) -> SampleSet:
     raw = load_json(path)
     try:
-        valuations = tuple(Valuation.from_floats(row) for row in raw["valuations"])
-        return SampleSet(int(raw["seed"]), valuations, int(raw["rejected"]))
-    except (KeyError, TypeError) as exc:
+        rows = list(raw["valuations"])
+        seed, rejected = int(raw["seed"]), int(raw["rejected"])
+    except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad samples file {path}: {exc}") from None
+    valuations = []
+    for position, row in enumerate(rows):
+        try:
+            valuations.append(Valuation.from_floats(row))
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"bad samples file {path}: valuation {position}: {exc}") from None
+    return SampleSet(seed, tuple(valuations), rejected)
 
 
 # --------------------------------------------------------------------------
@@ -72,8 +79,12 @@ _MEASURE_FIELDS = {"reach": (TimeBoundedReach, "target", "tau"),
 
 def read_measures(path) -> MeasureSet:
     raw = load_json(path)
+    entries = raw.get("measures", []) if isinstance(raw, dict) else None
+    if not isinstance(entries, list):
+        raise FormatError(f"measures file {path} must hold an object with a list "
+                          f"of measures")
     measures = []
-    for position, entry in enumerate(raw.get("measures", [])):
+    for position, entry in enumerate(entries):
         if not isinstance(entry, dict) or entry.get("type") not in _MEASURE_FIELDS:
             raise FormatError(f"measure entry {position} is not an object with a type "
                               f"in {sorted(_MEASURE_FIELDS)}: {entry!r}")

@@ -124,6 +124,107 @@ def test_long_draining_pass_matches_expm_oracle():
         assert abs(value - interval_reach_oracle(c, mask, t_lo, t_hi)) <= eps
 
 
+def _oracle_values(c, measures):
+    """Dense-expm values of reach, interval and instant-reward measures."""
+    out = []
+    for meas in measures:
+        if isinstance(meas, InstantReward):
+            out.append(float(transient_oracle(c, meas.time) @ c.reward_vector(meas.reward)))
+        elif isinstance(meas, TimeBoundedReach):
+            out.append(reach_oracle(c, c.label_mask(meas.target), meas.horizon))
+        else:
+            out.append(interval_reach_oracle(c, c.label_mask(meas.target), meas.t_lo,
+                                             meas.t_hi))
+    return np.array(out)
+
+
+def _with_reward(c, name, reward):
+    return ConcreteCtmc(c.states, c.initial, c.rates, c.labels, {**c.rewards, name: reward})
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-12])
+def test_adaptive_pass_matches_expm_oracle(eps, sir2, sir20, mean_valuation):
+    # full chains are checked by adaptive uniformization: reach, interval and
+    # reward measures are within epsilon of dense expm, on chains whose mass
+    # settles (sir2, a sir20 full chain) and on one that drains through
+    # rates 40x apart
+    sir_measures = MeasureSet((
+        TimeBoundedReach("reach", "extinct", 40.0),
+        IntervalReach("window", "extinct", 60.0, 90.0),
+        IntervalReach("from_zero", "extinct", 0.0, 70.0),
+        InstantReward("infected", "infected", 25.0),
+        InstantReward("late", "infected", 120.0),
+    ))
+    death = draining_death_chain()
+    death = _with_reward(death, "level", np.arange(death.num_states, dtype=float))
+    death_measures = MeasureSet((
+        TimeBoundedReach("reach", "extinct", 30.0),
+        IntervalReach("window", "extinct", 10.0, 40.0),
+        InstantReward("level", "level", 0.5),
+        InstantReward("late", "level", 20.0),
+    ))
+    for c, measures in ((build_full(sir2, mean_valuation), sir_measures),
+                        (build_full(sir20, mean_valuation), sir_measures),
+                        (death, death_measures)):
+        ours = evaluate_measures(c, measures, epsilon=eps)
+        assert np.all(np.abs(ours - _oracle_values(c, measures)) <= eps), (eps, ours)
+        pi = transient_distribution(c, 30.0, epsilon=eps)
+        assert np.abs(pi - transient_oracle(c, 30.0)).sum() <= eps
+
+
+def test_adaptive_reward_share_scales_with_largest_reward(sir20, mean_valuation):
+    # a reward pass drops at most epsilon / 8 of mass over the chain's largest
+    # reward: with rewards of 10^6 the values stay within epsilon although
+    # dropping removes mass
+    from uctmc.checker import _DROP_SHARE, _Adaptive
+
+    eps, big = 1e-3, 1e6
+    full = build_full(sir20, mean_valuation)
+    c = _with_reward(full, "big", big * full.reward_vector("infected") / 20.0)
+    measures = MeasureSet((InstantReward("big", "big", 25.0),
+                           InstantReward("late", "big", 120.0)))
+    errors = evaluate_measures(c, measures, epsilon=eps) - _oracle_values(c, measures)
+    assert np.all(np.abs(errors) <= eps), errors
+
+    def dropped(scale):
+        # mass dropped in the first 200 steps of the reward pass
+        steps = _Adaptive([c], [None], eps, scale)._steps(c.initial[None])
+        for _, (_, _, mass) in zip(range(200), steps):
+            pass
+        return mass[0]
+
+    # the pass the measures ran drops mass within the scaled share; an
+    # unscaled share would let it drop more
+    share = eps * _DROP_SHARE / big
+    assert 0.0 < dropped(np.array([big])) <= share
+    assert dropped(None) > share
+
+
+def test_birth_chain_with_constant_rate_gives_poisson_weights():
+    # levels 0 .. 38 at rate 3.7 and an absorbing last level (then padding):
+    # the chain's distribution at t is Poisson(3.7 t) on the first levels and
+    # its tail on the last
+    from uctmc.checker import _Blocks, _poisson_terms
+
+    lam, levels = 3.7, 40
+    rates = np.full((2, levels + 5), lam)
+    rates[:, levels - 1:] = 0.0
+    births = _Blocks.births(rates, np.array([levels, levels]))
+    start = np.zeros((2, births.size))
+    start[:, 0] = 1.0
+    for t in (0.3, 2.0, 6.5):
+        pi = births.transient(start, t)
+        k_lo, weights = _poisson_terms(lam * t)
+        expected = np.zeros(k_lo + weights.size + births.size)
+        expected[k_lo:k_lo + weights.size] = weights
+        expected[levels - 1] = expected[levels - 1:].sum()
+        expected = expected[:births.size]
+        expected[levels:] = 0.0
+        assert t < 6.5 or expected[levels - 1] > 1e-3  # the tail level is reached
+        for row in pi:
+            assert np.allclose(row, expected, rtol=1e-12, atol=1e-300), t
+
+
 def test_iterates_match_public_matmul_with_flush():
     from uctmc.checker import _FLUSH_BELOW, _FLUSH_EVERY, _iterates, _uniformized
 
@@ -147,7 +248,7 @@ def test_iterates_match_public_matmul_with_flush():
 
 
 def test_poisson_terms_match_loop_reference():
-    from uctmc.checker import _poisson_terms
+    from uctmc.checker import _poisson_span, _poisson_terms, _poisson_windows
 
     lam_ts = np.concatenate([np.geomspace(0.3, 6e4, 208),
                              [1e-9, 0.999, 1.0, 2.0, 510.0, 49999.99, 5e4, 50000.5]])
@@ -156,7 +257,18 @@ def test_poisson_terms_match_loop_reference():
         ref_lo, ref = poisson_terms_loop(float(lam_t))
         assert k_lo == ref_lo, lam_t
         assert np.array_equal(weights, ref), lam_t
+        # the kept-series bound of a batch covers the window
+        assert k_lo + weights.size <= int(lam_t) + _poisson_span(lam_t) + 1, lam_t
     assert _poisson_terms(0.0)[1].tolist() == [1.0]
+    # every window of one vectorized call, zero rates and a (2, n) shape
+    # included, is the same bits
+    grid = np.concatenate([lam_ts, [0.0, 7.5]])[::-1].reshape(2, -1)
+    k_lo, offsets, weights = _poisson_windows(grid)
+    assert k_lo.shape == grid.shape
+    for i, lam_t in enumerate(grid.ravel()):
+        ref_lo, ref = poisson_terms_loop(float(lam_t)) if lam_t > 0 else (0, np.array([1.0]))
+        assert k_lo.ravel()[i] == ref_lo, lam_t
+        assert np.array_equal(weights[offsets[i]:offsets[i + 1]], ref), lam_t
 
 
 def test_uniformized_matches_sparse_reference(sir20, mean_valuation):

@@ -285,6 +285,30 @@ def test_cli_error_paths(tmp_path, capsys):
                      str(measures), "--samples", samples, "--out", str(out)]) == 1
         assert "error [check] measure entry 1" in capsys.readouterr().err
         assert not out.exists()
+    # a file that is not an object with a list of measures names the file
+    for name, text in (("top_list", "[1]"), ("measures_int", '{"measures": 5}')):
+        measures = tmp_path / f"measures_{name}.json"
+        measures.write_text(text)
+        with pytest.raises(uio.FormatError, match=f"measures file {measures}"):
+            uio.read_measures(measures)
+        out = tmp_path / f"solutions_{name}.json"
+        assert main(["check", "--model", _model_path("tandem"), "--measures",
+                     str(measures), "--samples", samples, "--out", str(out)]) == 1
+        assert f"error [check] measures file {measures}" in capsys.readouterr().err
+        assert not out.exists()
+    # a valuation that does not convert names the file and its position
+    bad_samples = tmp_path / "bad_samples.json"
+    bad_samples.write_text('{"seed": 1, "valuations": [[1.0, 2.0], ["a", 1]], '
+                           '"rejected": 0}')
+    with pytest.raises(uio.FormatError, match=f"bad samples file {bad_samples}: "
+                                              "valuation 1: could not convert"):
+        uio.read_samples(bad_samples)
+    out = tmp_path / "solutions_bad_samples.json"
+    assert main(["check", "--model", _model_path("tandem"), "--measures",
+                 _model_path("tandem_measures"), "--samples", str(bad_samples),
+                 "--out", str(out)]) == 1
+    assert f"bad samples file {bad_samples}: valuation 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_check_and_refine_validate_options(tmp_path, capsys):
