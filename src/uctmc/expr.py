@@ -16,6 +16,7 @@ Grammar::
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -326,6 +327,13 @@ def polynomial(e: Expr, env: Mapping[str, EnvValue]) -> dict[tuple[str, ...], Fr
     for mono, c in pairs:
         terms[mono] = terms.get(mono, 0) + c
     return {mono: c for mono, c in terms.items() if c}
+
+
+def scaled(poly: Mapping[tuple[str, ...], Fraction]) -> tuple[int, dict[tuple[str, ...], int]]:
+    """(D, D * poly) for D the least common multiple of the coefficients'
+    denominators: an integer polynomial with the sign of ``poly`` everywhere."""
+    scale = math.lcm(*(c.denominator for c in poly.values()))
+    return scale, {mono: c.numerator * (scale // c.denominator) for mono, c in poly.items()}
 
 
 def bounds(e: Expr, box: Mapping[str, tuple[EnvValue, EnvValue]]) -> tuple[Fraction, Fraction]:

@@ -20,6 +20,16 @@ float round-off as "every kernel on a reachable edge is > 0"; each merged rate
 sums its edges' coefficient * kernel value in command order.  A full chain is
 the pattern with these rates, a partial chain its best-first search over them.
 
+The compile expands every guard comparison (as left - right), update, rate,
+label and reward once per model into polynomials over the state variables,
+each scaled by the LCM D of its coefficients' denominators to integer
+coefficients (``_Program``).  The BFS then takes one level at a time, every
+command over the whole frontier at once in exact integer numpy arithmetic,
+and numbers new states in the order a state-by-state BFS would.  Its integers
+are int64 when a bound over the variable box keeps every intermediate below
+2**53, else Python ints; errors are raised at the first offending (state,
+command) in BFS order, as a state-by-state compile would raise them.
+
 Partial models keep only states whose estimated reachability stays above a
 threshold; all truncated transitions are redirected into one absorbing sink,
 which downstream analyses treat as best case / worst case to obtain sound
@@ -279,25 +289,143 @@ def load_model(path) -> ParametricCtmc:
 # Compiled model: one rate pattern shared by all valuations
 # ---------------------------------------------------------------------------
 
+_TESTS = {"<": np.less, "<=": np.less_equal, "=": np.equal, ">=": np.greater_equal,
+          ">": np.greater}
+
+
 def _state_env(m: ParametricCtmc, state: tuple[int, ...]) -> dict:
     return dict(zip(m.variable_names, state))
 
 
-def _successor(m: ParametricCtmc, positions: Mapping[str, int], state: tuple[int, ...],
-               command: Command, env: dict) -> tuple[int, ...]:
-    new = list(state)
-    for var, update in command.updates:
-        value = ex.evaluate(update, env)
-        if value.denominator != 1:
-            raise ModelError(f"update of {var} is not integer at state {state}")
-        value = int(value)
-        i = positions[var]
-        vmin, vmax = m.variables[i].minimum, m.variables[i].maximum
-        if not vmin <= value <= vmax:
-            raise ModelError(
-                f"update of {var} to {value} leaves bounds [{vmin}, {vmax}] at state {state}")
-        new[i] = value
-    return tuple(new)
+def _check_cap(states: int, state_cap: int) -> None:
+    """The one state-cap check, for a compile and a compiled table alike."""
+    if states > state_cap:
+        raise StateCapExceeded(f"state cap of {state_cap} exceeded")
+
+
+class _Program:
+    """A model's guards, updates, rates, labels and rewards as integer
+    polynomials over its state variables, evaluated over many states at once.
+
+    Each expression is expanded once and scaled by the LCM D of its
+    coefficients' denominators, so D * p has integer coefficients; a rate is
+    split into one such polynomial per parameter monomial (``monomials``,
+    sorted), all under one D.  A polynomial is a list of (coefficient,
+    variable positions) terms, and states are passed as one column per
+    variable.  ``dtype`` is int64 when every intermediate is below 2**53 over
+    the variable box (sum |c| * prod max(|min|, |max|, 1) ** k per polynomial,
+    every D and the mixed-radix state keys), else object (Python ints).
+    """
+
+    def __init__(self, m: ParametricCtmc):
+        self.variables = variables = m.variables
+        positions = {v: i for i, v in enumerate(m.variable_names)}
+        params = set(m.parameter_names)
+        magnitude = [max(abs(v.minimum), abs(v.maximum), 1) for v in variables]
+        ranges = [v.maximum - v.minimum + 1 for v in variables]
+        self.radix = [math.prod(ranges[i + 1:]) for i in range(len(variables))]
+        widest = [math.prod(ranges), *magnitude]
+
+        def integer(e: ex.Expr) -> tuple[int, dict]:
+            """(D, {parameter monomial: terms of its state polynomial in D * e})."""
+            scale, poly = ex.scaled(ex.polynomial(e, {}))
+            groups: dict = {}
+            for mono, c in poly.items():
+                groups.setdefault(tuple(x for x in mono if x in params), []).append(
+                    (c, tuple(positions[x] for x in mono if x not in params)))
+            widest.append(scale)
+            widest.extend(sum(abs(c) * math.prod(magnitude[i] for i in mono) for c, mono in terms)
+                          for terms in groups.values())
+            return scale, groups
+
+        def state(e: ex.Expr) -> tuple[int, list]:
+            scale, groups = integer(e)
+            return scale, groups.get((), [])
+
+        def guard(g: ex.GuardExpr) -> tuple:
+            if isinstance(g, ex.Cmp):
+                return _TESTS[g.op], state(ex.BinOp("-", g.left, g.right))[1]
+            combine = np.logical_and if isinstance(g, ex.And) else np.logical_or
+            return combine, guard(g.left), guard(g.right)
+
+        rates = [integer(command.rate) for command in m.commands]
+        self.monomials = sorted(set().union(*(groups for _, groups in rates)))
+        self.commands = [
+            (guard(command.guard),
+             [(positions[var], *state(update)) for var, update in command.updates],
+             scale, [(self.monomials.index(mono), groups[mono]) for mono in sorted(groups)])
+            for command, (scale, groups) in zip(m.commands, rates)]
+        self.labels = [guard(g) for g in m.labels.values()]
+        self.rewards = [state(r) for r in m.rewards.values()]
+        self.dtype = np.int64 if max(widest) < 2**53 else object
+
+    def value(self, terms: list, columns: list, n: int) -> np.ndarray:
+        total = np.zeros(n, self.dtype)
+        for c, mono in terms:
+            term = c
+            for i in mono:
+                term = term * columns[i]
+            total += term
+        return total
+
+    def holds(self, guard: tuple, columns: list, n: int) -> np.ndarray:
+        if len(guard) == 2:
+            test, terms = guard
+            return test(self.value(terms, columns, n), 0)
+        combine, left, right = guard
+        return combine(self.holds(left, columns, n), self.holds(right, columns, n))
+
+    def keys(self, columns: list, n: int) -> np.ndarray:
+        """Each state's mixed-radix key, in the order of the state tuples."""
+        key = np.zeros(n, self.dtype)
+        for column, v, r in zip(columns, self.variables, self.radix):
+            key += (column - v.minimum) * r
+        return key
+
+    def fire(self, c: int, columns: list, n: int):
+        """Command c at the n states of ``columns``: the rows where its guard
+        holds, their successors' columns, the edges' coefficients and kernel
+        rows, and (row, message) of the first row with a faulty update, or
+        None.  A kernel row is every monomial's (numerator, denominator), in
+        lowest terms, of the rate over |its lowest nonzero monomial|, which
+        divided by D is the coefficient."""
+        guard, updates, scale, rate = self.commands[c]
+        rows = np.flatnonzero(self.holds(guard, columns, n))
+        k = rows.size
+        old = [column[rows] for column in columns]
+        new = list(old)
+        bad, checks = np.zeros(k, dtype=bool), []
+        for i, d, terms in updates:  # simultaneous: every update reads the old state
+            value = self.value(terms, old, k)
+            fraction = value % d != 0
+            value //= d
+            var = self.variables[i]
+            outside = (value < var.minimum) | (value > var.maximum)
+            bad |= fraction | outside
+            checks.append((var, fraction, value, outside))
+            new[i] = value
+        fault = None
+        if bad.any():
+            r = int(np.argmax(bad))
+            state = tuple(int(column[r]) for column in old)
+            var, fraction, value, outside = next(check for check in checks
+                                                 if check[1][r] or check[3][r])
+            fault = r, (f"update of {var.name} is not integer at state {state}" if fraction[r]
+                        else f"update of {var.name} to {int(value[r])} leaves bounds "
+                             f"[{var.minimum}, {var.maximum}] at state {state}")
+        values = [self.value(terms, old, k) for _, terms in rate]
+        lead = np.zeros(k, self.dtype)
+        for value in reversed(values):
+            lead = np.where(value != 0, value, lead)
+        lead = np.where(lead == 0, scale, np.abs(lead))  # a zero rate keeps coefficient 1
+        width = len(self.monomials)
+        kernel = np.zeros((k, 2 * width), self.dtype)
+        kernel[:, width:] = 1
+        for (j, _), value in zip(rate, values):
+            common = np.gcd(value, lead)
+            kernel[:, j] = value // common
+            kernel[:, width + j] = lead // common
+        return rows, new, np.asarray(lead / scale, dtype=float), kernel, fault
 
 
 class _Table:
@@ -310,40 +438,83 @@ class _Table:
     its first monomial's |coefficient|).  ``indptr``/``indices`` is the merged
     CSR pattern, columns ascending; ``entry`` maps each edge onto it and
     ``visit`` lists each row's entries in the order of their first edge.
+
+    The BFS runs one level at a time, each command over the whole frontier
+    in the exact integer arithmetic of ``_Program``.  A level's edges are
+    sorted by (source, command) and its new targets numbered in order of first
+    occurrence, which is the order of a state-by-state BFS.  An update fault
+    (ModelError) or a new state past ``state_cap`` (StateCapExceeded) is
+    raised at the first offending (state, command) in that order; on one edge
+    the fault wins.  ``coefficient`` and ``rewards`` are int / int divisions,
+    so each is the exact rational correctly rounded.
     """
 
     def __init__(self, m: ParametricCtmc, state_cap: int):
-        positions = {v: i for i, v in enumerate(m.variable_names)}
-        kernels: dict = {}  # sorted (monomial, coefficient) pairs -> index
-        states = list(dict.fromkeys(point for point, _ in m.initial_states()))
-        index = {s: i for i, s in enumerate(states)}
-        self.roots = len(states)
-        edges, labels, rewards = [], [], []
-        for source, state in enumerate(states):  # extended while iterating
-            env = _state_env(m, state)
-            for c, command in enumerate(m.commands):
-                if ex.evaluate_guard(command.guard, env):
-                    poly = ex.polynomial(command.rate, env)
-                    scale = abs(poly[min(poly)]) if poly else Fraction(1)
-                    kernel = tuple(sorted((mono, v / scale) for mono, v in poly.items()))
-                    target = _successor(m, positions, state, command, env)
-                    if target not in index:
-                        if len(states) >= state_cap:
-                            raise StateCapExceeded(f"state cap of {state_cap} exceeded")
-                        index[target] = len(states)
-                        states.append(target)
-                    edges.append((source, index[target], float(scale),
-                                  kernels.setdefault(kernel, len(kernels)), c))
-            labels.append([ex.evaluate_guard(g, env) for g in m.labels.values()])
-            rewards.append([float(ex.evaluate(r, env)) for r in m.rewards.values()])
-        self.states = states
-        self.kernels = list(kernels)
-        columns = list(zip(*edges)) or [()] * 5
-        self.source, self.target, self.kernel, self.command = (
-            np.array(columns[j], dtype=np.int64) for j in (0, 1, 3, 4))
-        self.coefficient = np.array(columns[2], dtype=float)
+        program = _Program(m)
+        dtype, nv, width = program.dtype, len(m.variables), len(program.monomials)
+        roots = list(dict.fromkeys(point for point, _ in m.initial_states()))
+        frontier = [np.array([p[i] for p in roots], dtype) for i in range(nv)]
+        levels = [frontier]
+        lo = 0  # the frontier's first state
+        size = count = len(roots)  # frontier states, states numbered so far
+        known_keys = program.keys(frontier, size)  # sorted; known_index holds their states
+        known_index = np.argsort(known_keys, kind="stable")
+        known_keys = known_keys[known_index]
+        edges = [(np.zeros(0, np.int64),) * 3 + (np.zeros(0), np.zeros((0, 2 * width), dtype))]
+        while size and m.commands:
+            parts, fault = [], None
+            for c in range(len(m.commands)):
+                rows, new, coefficient, kernel, bad = program.fire(c, frontier, size)
+                if bad is not None and (fault is None or lo + rows[bad[0]] < fault[0]):
+                    fault = lo + int(rows[bad[0]]), c, bad[1]
+                parts.append((lo + rows, np.full(rows.size, c, np.int64), new, coefficient,
+                              kernel))
+            source, command = (np.concatenate([p[j] for p in parts]) for j in (0, 1))
+            order = np.lexsort((command, source))
+            if fault is not None:  # keep the edges before the first faulty one
+                order = order[:np.count_nonzero(
+                    (source < fault[0]) | ((source == fault[0]) & (command < fault[1])))]
+            source, command = source[order], command[order]
+            new = [np.concatenate([p[2][i] for p in parts])[order] for i in range(nv)]
+            coefficient, kernel = (np.concatenate([p[j] for p in parts])[order] for j in (3, 4))
 
-        n = len(states)
+            key = program.keys(new, order.size)
+            at = np.searchsorted(known_keys, key)
+            found = at < known_keys.size
+            found[found] = known_keys[at[found]] == key[found]
+            target = np.empty(order.size, np.int64)
+            target[found] = known_index[at[found]]
+            fresh = np.flatnonzero(~found)
+            unique, first, inverse = np.unique(key[fresh], return_index=True,
+                                               return_inverse=True)
+            index = np.empty(unique.size, np.int64)
+            index[np.argsort(first)] = np.arange(count, count + unique.size)
+            target[fresh] = index[inverse]
+            if unique.size:
+                _check_cap(count + unique.size, state_cap)
+            if fault is not None:
+                raise ModelError(fault[2])
+            edges.append((source, target, command, coefficient, kernel))
+            at = np.searchsorted(known_keys, unique)
+            known_keys = np.insert(known_keys, at, unique)
+            known_index = np.insert(known_index, at, index)
+            frontier = [column[fresh[np.sort(first)]] for column in new]
+            levels.append(frontier)
+            lo, size, count = count, unique.size, count + unique.size
+
+        n = count
+        columns = [np.concatenate([level[i] for level in levels]) for i in range(nv)]
+        self.states = list(map(tuple, np.array(columns, dtype).reshape(-1, n).T.tolist()))
+        self.roots = len(roots)
+        self.source, self.target, self.command, self.coefficient, kernel = (
+            np.concatenate(column) for column in zip(*edges))
+        numbers: dict = {}  # kernel rows, numbered by first edge
+        self.kernel = np.array([numbers.setdefault(row, len(numbers))
+                                for row in map(tuple, kernel.tolist())], dtype=np.int64)
+        self.kernels = [tuple((mono, Fraction(row[j], row[width + j]))
+                              for j, mono in enumerate(program.monomials) if row[j])
+                        for row in numbers]
+
         pattern, first, self.entry = np.unique(
             self.source * n + self.target, return_index=True, return_inverse=True)
         idx = np.int32 if max(n, pattern.size) < 2**31 else np.int64
@@ -351,12 +522,14 @@ class _Table:
         self.indices = (pattern % n).astype(idx)
         self.visit = np.argsort(first)  # edges are grouped by source
 
+        position = {p: i for i, p in enumerate(roots)}
         points, probs = zip(*m.initial_states())
-        self.initial = np.bincount([index[p] for p in points], [float(q) for q in probs],
+        self.initial = np.bincount([position[p] for p in points], [float(q) for q in probs],
                                    minlength=n)
-        # one contiguous row per label and per reward
-        self.labels = dict(zip(m.labels, np.array(labels, dtype=bool).reshape(n, -1).T.copy()))
-        self.rewards = dict(zip(m.rewards, np.array(rewards).reshape(n, -1).T.copy()))
+        self.labels = {name: program.holds(g, columns, n)
+                       for name, g in zip(m.labels, program.labels)}
+        self.rewards = {name: np.asarray(program.value(terms, columns, n) / d, dtype=float)
+                        for name, (d, terms) in zip(m.rewards, program.rewards)}
         for shared in (self.indptr, self.indices, self.initial, *self.labels.values(),
                        *self.rewards.values()):  # every full chain holds these
             shared.flags.writeable = False
@@ -372,7 +545,8 @@ _tables: "weakref.WeakKeyDictionary[ParametricCtmc, _Table]" = weakref.WeakKeyDi
 
 class _Instance:
     """The compiled model at one valuation.  Each kernel is evaluated once,
-    exactly: its sign decides graph preservation, its float value gives rates."""
+    exactly: its sign decides graph preservation, its float value gives rates,
+    which are merged only when a chain build reads them."""
 
     def __init__(self, m: ParametricCtmc, u: Valuation, state_cap: int):
         if u.dimension != len(m.parameters):
@@ -382,16 +556,19 @@ class _Instance:
         self.env = dict(zip(m.parameter_names, u.values))
         # compiled under the first call's cap
         self.table = t = _tables.get(m) or _tables.setdefault(m, _Table(m, state_cap))
-        if len(t.states) > state_cap:
-            raise StateCapExceeded(
-                f"reachable state space has {len(t.states)} states, cap is {state_cap}")
+        _check_cap(len(t.states), state_cap)
         exact = [sum((c * math.prod(self.env[x] for x in mono) for mono, c in kernel),
                      Fraction(0)) for kernel in t.kernels]
         self.positive = np.array([value > 0 for value in exact], dtype=bool)
-        values = np.array([float(value) for value in exact])
-        # one merged rate per pattern entry; parallel edges add up in command order
-        self.rates = np.bincount(t.entry, t.coefficient * values[t.kernel],
-                                 minlength=t.indices.size)
+        self.values = np.array([float(value) for value in exact])
+
+    @functools.cached_property
+    def rates(self) -> np.ndarray:
+        """One merged rate per pattern entry, computed on first read; parallel
+        edges add up in command order."""
+        t = self.table
+        return np.bincount(t.entry, t.coefficient * self.values[t.kernel],
+                           minlength=t.indices.size)
 
     def violation(self, sources=None) -> Optional[str]:
         """The first edge, in BFS order, that leaves ``sources`` (by default
@@ -557,8 +734,7 @@ def build_partial(m: ParametricCtmc, u: Valuation, delta: float,
             continue
         expanded.add(i)
         order.append(i)
-        if len(order) > state_cap:
-            raise StateCapExceeded(f"state cap of {state_cap} exceeded")
+        _check_cap(len(order), state_cap)
         row = merged[bounds[i]:bounds[i + 1]]
         exit_rate = sum(row)
         if exit_rate <= 0:

@@ -210,8 +210,83 @@ def uniformized_sparse(c, absorbing=None):
 
 
 # ---------------------------------------------------------------------------
-# Per-state chain assembly
+# Per-state compile and chain assembly
 # ---------------------------------------------------------------------------
+
+def table_reference(m, state_cap):
+    """Reference for ``model._Table``: the reachable states compiled one at a
+    time, with exact-rational evaluation of every guard, update, rate, label
+    and reward.
+
+    States are numbered in sequential BFS order: each state's enabled commands
+    are visited in command order and a new successor takes the next index.  At
+    a state, a rate is its parameter polynomial split into coefficient *
+    kernel, with the coefficient the |value| of its lowest monomial.  Raises
+    ModelError at the first update (state, command, then variable order) that
+    is not an integer or leaves its variable's bounds, and StateCapExceeded
+    when a new state would pass ``state_cap``; an update fault of an edge is
+    raised before its cap check.  Returns a namespace with ``states``,
+    ``roots``, ``source``, ``target``, ``coefficient``, ``kernel``,
+    ``command``, ``kernels``, ``initial``, ``labels`` and ``rewards`` as
+    ``_Table`` has them.
+    """
+    from fractions import Fraction
+    from types import SimpleNamespace
+
+    from uctmc import expr as ex
+    from uctmc.model import ModelError, StateCapExceeded
+
+    positions = {v: i for i, v in enumerate(m.variable_names)}
+
+    def successor(state, command, env):
+        new = list(state)
+        for var, update in command.updates:
+            value = ex.evaluate(update, env)
+            if value.denominator != 1:
+                raise ModelError(f"update of {var} is not integer at state {state}")
+            value = int(value)
+            i = positions[var]
+            vmin, vmax = m.variables[i].minimum, m.variables[i].maximum
+            if not vmin <= value <= vmax:
+                raise ModelError(
+                    f"update of {var} to {value} leaves bounds [{vmin}, {vmax}] at state {state}")
+            new[i] = value
+        return tuple(new)
+
+    kernels: dict = {}  # sorted (monomial, coefficient) pairs -> index
+    states = list(dict.fromkeys(point for point, _ in m.initial_states()))
+    index = {s: i for i, s in enumerate(states)}
+    roots = len(states)
+    edges, labels, rewards = [], [], []
+    for source, state in enumerate(states):  # extended while iterating
+        env = dict(zip(m.variable_names, state))
+        for c, command in enumerate(m.commands):
+            if ex.evaluate_guard(command.guard, env):
+                poly = ex.polynomial(command.rate, env)
+                scale = abs(poly[min(poly)]) if poly else Fraction(1)
+                kernel = tuple(sorted((mono, v / scale) for mono, v in poly.items()))
+                target = successor(state, command, env)
+                if target not in index:
+                    if len(states) >= state_cap:
+                        raise StateCapExceeded(f"state cap of {state_cap} exceeded")
+                    index[target] = len(states)
+                    states.append(target)
+                edges.append((source, index[target], float(scale),
+                              kernels.setdefault(kernel, len(kernels)), c))
+        labels.append([ex.evaluate_guard(g, env) for g in m.labels.values()])
+        rewards.append([float(ex.evaluate(r, env)) for r in m.rewards.values()])
+    n = len(states)
+    columns = list(zip(*edges)) or [()] * 5
+    source, target, kernel, command = (np.array(columns[j], dtype=np.int64) for j in (0, 1, 3, 4))
+    points, probs = zip(*m.initial_states())
+    return SimpleNamespace(
+        states=states, roots=roots, source=source, target=target,
+        coefficient=np.array(columns[2], dtype=float), kernel=kernel, command=command,
+        kernels=list(kernels),
+        initial=np.bincount([index[p] for p in points], [float(q) for q in probs], minlength=n),
+        labels=dict(zip(m.labels, np.array(labels, dtype=bool).reshape(n, -1).T)),
+        rewards=dict(zip(m.rewards, np.array(rewards).reshape(n, -1).T)))
+
 
 def chain_reference(m, u, retained=None):
     """A chain of model ``m`` at valuation ``u``, assembled state by state.

@@ -16,7 +16,8 @@ from uctmc import (
     parse_model,
 )
 from uctmc import expr as ex
-from oracles import chain_reference
+from uctmc import model as um
+from oracles import chain_reference, table_reference
 
 
 def _mini_model(**overrides):
@@ -210,6 +211,183 @@ def test_partial_validates_the_states_it_expands():
     partial = build_partial(m, u, 1.0)
     assert partial.retained_states == ((0,),)
     assert partial.rates[0, partial.sink] == pytest.approx(1.5)
+
+
+def _two_variable_model(commands, **overrides):
+    doc = _mini_model(
+        variables=[{"name": "x", "init": 0, "min": 0, "max": 4},
+                   {"name": "y", "init": 0, "min": 0, "max": 3}],
+        commands=commands, labels={"corner": "x=4 & y=3"}, rewards={})
+    doc.update(overrides)
+    return parse_model(doc)
+
+
+def _synthetic_models():
+    """Small models that reach every branch of the compile."""
+    return {
+        # decimal literals in guards, updates, rates and rewards
+        "decimals": _two_variable_model(
+            [{"guard": "0.5*x < 1.75 & y >= 0.25*x", "rate": "0.3*k*x + 0.7",
+              "updates": {"x": "0.5*(x+x) + 1"}},
+             {"guard": "y < 2.5", "rate": "1.25*k*k - 0.125*k*y + 0.1",
+              "updates": {"y": "y + 0.5*2"}}],
+            rewards={"mix": {"states": "0.1*x + 0.25*y"}}),
+        # | guards and a parenthesized arithmetic left side
+        "disjunctions": _two_variable_model(
+            [{"guard": "y < 3 & ((x + 1)*2 > 5 | y = 0)", "rate": "k", "updates": {"y": "y+1"}},
+             {"guard": "(x < 2 | y > 2) & x < 4", "rate": "k*y + 2",
+              "updates": {"x": "x+1"}}]),
+        # k*x is guard-true but zero at x = 0: an edge with an empty kernel
+        "zero_rate": parse_model(_mini_model(commands=[
+            {"guard": "x<3", "rate": "k*x", "updates": {"x": "x+1"}},
+            {"guard": "x<2", "rate": "k", "updates": {"x": "x+2"}}])),
+        # several roots, one of them repeated by no one
+        "roots": parse_model(_mini_model(init_distribution=[
+            {"state": {"x": 2}, "prob": 0.5}, {"state": {"x": 0}, "prob": 0.25},
+            {"state": {"x": 3}, "prob": 0.25}])),
+        # simultaneous updates read the old state
+        "swap": _two_variable_model(
+            [{"guard": "x < 3", "rate": "k*(x+1)", "updates": {"x": "y", "y": "x"}},
+             {"guard": "y < 3", "rate": "k + x", "updates": {"y": "y+1"}}]),
+        # negative bounds: signs of guards, scales and kernels
+        "negative": parse_model(_mini_model(
+            variables=[{"name": "z", "init": 0, "min": -3, "max": 3}],
+            commands=[{"guard": "z > -3", "rate": "k*(z+4) - 2*z", "updates": {"z": "z-1"}},
+                      {"guard": "z*z < 5", "rate": "0.5*k*z + 0.25*z*z",
+                       "updates": {"z": "z+1"}}],
+            labels={"low": "z < -1"}, rewards={"shifted": {"states": "z + 3"}})),
+        # integers past 2**53 take the compile into Python ints
+        "wide": parse_model(_mini_model(commands=[
+            {"guard": "x<3", "rate": "1000000000000000000000000000000*k*x + 3*k",
+             "updates": {"x": "x+1"}},
+            {"guard": "x>0", "rate": "0.1*k*x*x", "updates": {"x": "x-1"}}])),
+        # below 2**63 but past 2**53, where an int64 / 10.0 would round twice
+        "wide_reward": parse_model(_mini_model(
+            rewards={"big": {"states": "100000000000000007*x + 0.1"}})),
+    }
+
+
+def _assert_tables_equal(got, want):
+    assert got.states == want.states
+    assert got.roots == want.roots
+    for name in ("source", "target", "coefficient", "kernel", "command", "initial"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert got.kernels == want.kernels
+    for name in ("labels", "rewards"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.keys() == b.keys()
+        assert all(a[k].dtype == b[k].dtype and np.array_equal(a[k], b[k]) for k in b), name
+
+
+@pytest.mark.parametrize("name", ["sir2", "sir20", "sir140", "tandem", "buffer", "kernel",
+                                  *_synthetic_models()])
+def test_compiled_table_matches_per_state_reference(name):
+    if name in _synthetic_models():
+        m = _synthetic_models()[name]
+    elif name == "kernel":
+        m = _kernel_model()
+    else:
+        m = uctmc.load_model(uctmc.example_model_path(name))
+    _assert_tables_equal(um._Table(m, um.DEFAULT_STATE_CAP),
+                         table_reference(m, um.DEFAULT_STATE_CAP))
+
+
+def test_compiled_table_edge_cases():
+    models = _synthetic_models()
+    table = um._Table(models["zero_rate"], 10)
+    assert () in table.kernels  # k*x at x = 0
+    assert table.coefficient[table.kernel == table.kernels.index(())].tolist() == [1.0]
+    assert um._Table(models["roots"], 10).states[:3] == [(2,), (0,), (3,)]
+    assert (1, 0) in um._Table(models["swap"], 100).states
+    # a rate past int64 keeps its exact coefficient, rounded once
+    wide = um._Table(models["wide"], 10)
+    assert float(2 * 10**30 + 3) in wide.coefficient.tolist()
+
+
+def _outcome(compile_, m, cap):
+    try:
+        compile_(m, cap)
+    except (ModelError, uctmc.StateCapExceeded) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _line_model(commands, roots=(0,)):
+    return parse_model(_mini_model(
+        variables=[{"name": "x", "init": roots[0], "min": 0, "max": 9}],
+        commands=commands,
+        init_distribution=[{"state": {"x": r}, "prob": f"1/{len(roots)}"} for r in roots]
+        if len(roots) > 1 else None))
+
+
+_STEP = {"guard": "x<9", "rate": "k", "updates": {"x": "x+1"}}
+# a new state from x = 5, a fault at x = 0
+_SPLIT = [{"guard": "x=5", "rate": "k", "updates": {"x": "x+1"}},
+          {"guard": "x=0", "rate": "k", "updates": {"x": "x-0.5"}}]
+
+_FAULTS = {
+    "non_integer": (_line_model([{"guard": "x<3", "rate": "k", "updates": {"x": "x+0.5"}}]),
+                    100),
+    "out_of_bounds": (_line_model([_STEP, {"guard": "x=4", "rate": "k",
+                                           "updates": {"x": "x+7"}}]), 100),
+    # faults in one level: the first state's wins, though a later command's
+    "two_faults": (_line_model([{"guard": "x>1", "rate": "k", "updates": {"x": "x+0.5"}},
+                                {"guard": "x>0", "rate": "k", "updates": {"x": "x+9"}}],
+                               roots=(1, 3, 2)), 100),
+    # then the first command's at that state
+    "two_faults_one_state": (_line_model([{"guard": "x>0", "rate": "k", "updates": {"x": "x*9"}},
+                                          {"guard": "x>0", "rate": "k",
+                                           "updates": {"x": "x-0.5"}}],
+                                         roots=(0, 2)), 100),
+    # a cap crossing before, at and after a fault of the same level
+    "cap_before_fault": (_line_model([_STEP, {"guard": "x=0", "rate": "k",
+                                              "updates": {"x": "x+0.5"}}]), 1),
+    "fault_before_cap": (_line_model([{"guard": "x=0", "rate": "k", "updates": {"x": "x+0.5"}},
+                                      _STEP]), 1),
+    "fault_on_crossing": (_line_model([{"guard": "x<9", "rate": "k",
+                                        "updates": {"x": "x+0.5"}}]), 1),
+    "cap_at_earlier_state": (_line_model(_SPLIT, roots=(5, 0)), 2),
+    "fault_at_earlier_state": (_line_model(_SPLIT, roots=(0, 5)), 2),
+    "roots_over_cap": (_line_model([_STEP], roots=(0, 4, 8)), 2),
+    "cap_exceeded": (_line_model([_STEP]), 9),
+}
+
+
+@pytest.mark.parametrize("name", list(_FAULTS))
+def test_compile_errors_match_per_state_reference(name):
+    m, cap = _FAULTS[name]
+    want = _outcome(table_reference, m, cap)
+    assert want is not None
+    assert _outcome(um._Table, m, cap) == want
+
+
+def test_state_cap_equal_to_reachable_count_compiles():
+    sir20 = uctmc.load_model(uctmc.example_model_path("sir20"))
+    assert len(um._Table(sir20, 216).states) == 216
+    want = _outcome(table_reference, sir20, 215)
+    assert want == (uctmc.StateCapExceeded, "state cap of 215 exceeded")
+    assert _outcome(um._Table, sir20, 215) == want
+    line = _line_model([_STEP])
+    assert len(um._Table(line, 10).states) == 10
+
+
+def test_state_cap_message_does_not_depend_on_call_history(mean_valuation):
+    m = uctmc.load_model(uctmc.example_model_path("sir20"))
+    with pytest.raises(uctmc.StateCapExceeded) as cold:
+        build_full(m, mean_valuation, state_cap=100)
+    assert m not in um._tables
+    build_full(m, mean_valuation)  # compiles and caches the table
+    with pytest.raises(uctmc.StateCapExceeded) as cached:
+        build_full(m, mean_valuation, state_cap=100)
+    assert str(cold.value) == str(cached.value) == "state cap of 100 exceeded"
+
+
+def test_graph_check_leaves_rates_unmerged(sir20, mean_valuation):
+    inst = um._Instance(sir20, mean_valuation, um.DEFAULT_STATE_CAP)
+    assert inst.violation() is None
+    assert "rates" not in vars(inst)
+    assert inst.rates.size == inst.table.indices.size
 
 
 def test_compiled_chains_match_per_state_reference():
