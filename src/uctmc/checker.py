@@ -112,8 +112,11 @@ share over s, and a value weighs lost mass by at most s:
 On partial models the truncated sink (the last state) bounds every measure
 from both sides.  The lower bound treats the sink as a non-target with reward
 zero, which is its entry in the lower v.  The upper bound uses the same v
-with the sink's entry set to 1 for reach and interval measures and to the
-worst-case reward for rewards.  The sink's row is empty, so making it
+with the sink's entry set to 1 for reach and interval measures and, for
+rewards, to the chain's ``sink_rewards``: each reward's largest value over
+the model's reachable states, where all truncated mass sits.  Both are sound
+because the model's compile checks that every reward is nonnegative at
+every reachable state.  The sink's row is empty, so making it
 absorbing changes neither P, Lambda nor the Poisson weights, and one pass
 serves both vectors.  Each bound is the same Poisson-weighted sum a separate
 pass would compute, so both keep the ``epsilon`` contract.  Upper >= lower
@@ -137,11 +140,11 @@ from .model import (
     DEFAULT_STATE_CAP,
     ConcreteCtmc,
     ParametricCtmc,
+    PartialCtmc,
     Valuation,
     build_full,
     build_partial,
 )
-from . import expr as ex
 
 MIN_EPSILON = 1e-12
 _POISSON_CUTOFF = 1e-30
@@ -369,13 +372,6 @@ def _poisson_windows(lam_ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _ranks(counts: np.ndarray) -> np.ndarray:
     """0, 1, ..., c - 1 for each count c, concatenated."""
     return np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
-
-
-def _poisson_terms(lam_t: float) -> tuple[int, np.ndarray]:
-    """Left truncation point and renormalized Poisson(lam_t) weights (see
-    ``_poisson_windows``)."""
-    k_lo, _, weights = _poisson_windows([lam_t])
-    return int(k_lo[0]), weights
 
 
 def _iterates(pt: sparse.csr_matrix, v: np.ndarray, skip: int, count: int,
@@ -897,21 +893,22 @@ def _reward_scale(c: ConcreteCtmc) -> float:
     return max([1.0] + [float(np.abs(r).max(initial=0.0)) for r in c.rewards.values()])
 
 
-def _evaluate(chains: Sequence[ConcreteCtmc], measures: MeasureSet, epsilon: float,
-              sink_rewards: Optional[dict] = None) -> tuple[np.ndarray, np.ndarray]:
+def _evaluate(chains: Sequence[ConcreteCtmc], measures: MeasureSet,
+              epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     """Values of all measures on a batch of chains of one model, grouped to
     share passes; each chain's values are those of a batch of one.
 
-    Returns (lower, upper), one row per chain.  With ``sink_rewards`` the
-    chains are partial models, possibly of different sizes, checked by plain
+    Returns (lower, upper), one row per chain.  Partial chains
+    (``PartialCtmc``), possibly of different sizes, are checked by plain
     passes that also weigh the upper vectors, whose entry at the chain's sink
-    (its last state) is 1 for targets and the given worst-case reward per
-    reward name (see the module docstring).  Without, the chains are full
-    chains, checked by adaptive passes, and the two arrays are equal.
+    (its last state) is 1 for targets and the chain's ``sink_rewards`` for
+    rewards (see the module docstring).  Full chains are checked by adaptive
+    passes, and the two arrays are equal.
     """
     _check_epsilon(epsilon)
+    partial = isinstance(chains[0], PartialCtmc)
     lower = np.empty((len(chains), len(measures)))
-    upper = lower if sink_rewards is None else np.empty_like(lower)
+    upper = np.empty_like(lower) if partial else lower
     size = max(c.num_states for c in chains)
     sinks = [c.num_states - 1 for c in chains]
     initial = _padded([c.initial for c in chains], size)
@@ -926,13 +923,14 @@ def _evaluate(chains: Sequence[ConcreteCtmc], measures: MeasureSet, epsilon: flo
             absorbing = [c.label_mask(target) for c in chains]
             targets = _padded(absorbing, size, bool)
             vectors = targets[:, None].astype(float)
-        if sink_rewards is not None:
+        if partial:
             upper_vectors = vectors.copy()
             upper_vectors[np.arange(len(chains)), :, sinks] = (
-                [sink_rewards[n] for n in names] if target is None else 1.0)
+                [[c.sink_rewards[n] for n in names] for c in chains] if target is None
+                else 1.0)
             vectors = np.concatenate((vectors, upper_vectors), axis=1)
             columns += [(j + len(names), t) for j, t in columns]
-        if target not in blocks and sink_rewards is not None:
+        if target not in blocks and partial:
             blocks[target] = _Blocks.uniformized(chains, absorbing)
         elif target not in blocks:
             scale = None if target is not None else np.array([_reward_scale(c) for c in chains])
@@ -966,27 +964,26 @@ def _series_steps(c: ConcreteCtmc, horizon: float) -> int:
     exit rate, which bounds Lambda, every Lambda_k of an adaptive pass and
     the rate of its birth chains.  An adaptive pass stops by then, at the
     latest, through its Poisson tail bound."""
-    indptr = c.rates.indptr
-    starts = indptr[:-1][indptr[:-1] < indptr[1:]]  # of nonempty rows
-    lam = float(np.add.reduceat(c.rates.data, starts).max()) if starts.size else 0.0
-    lam_t = lam * horizon
+    lam_t = float(c.exit_rates.max(initial=0.0)) * horizon
     return int(lam_t) + _poisson_span(lam_t) + 1
 
 
-def _batches(chains, measures: MeasureSet, bounds: bool = False) -> Iterator[list]:
+def _batches(chains, measures: MeasureSet) -> Iterator[list]:
     """Consecutive chains, grouped so that no group holds more than
     ``DEFAULT_STATE_CAP`` states, counted as padded to its largest chain, or
     keeps a series (blocks x series x steps) of more floats than that.  A
     chain above either cap goes alone.  A plain pass over partial chains
-    (``bounds``) keeps two series per vector, as it weighs an upper vector
-    beside each one; an adaptive pass keeps one per vector, one more per
+    keeps two series per vector, as it weighs an upper vector beside each
+    one; an adaptive pass over full chains keeps one per vector, one more per
     vector on its birth chains, and one per measure there."""
     groups = _groups(measures).values()
     names = [len({name for _, name, _ in g}) for g in groups]
-    width = max((2 * n + (0 if bounds else len(g)) for n, g in zip(names, groups)), default=0)
+    plain = max((2 * n for n in names), default=0)
+    adaptive = max((2 * n + len(g) for n, g in zip(names, groups)), default=0)
     horizon = max((t for g in groups for _, _, t in g), default=0.0)
     batch, size, kept = [], 0, 0
     for chain in chains:
+        width = plain if isinstance(chain, PartialCtmc) else adaptive
         floats = width * _series_steps(chain, horizon)
         if batch and ((len(batch) + 1) * max(size, chain.num_states) > DEFAULT_STATE_CAP
                       or kept + floats > DEFAULT_STATE_CAP):
@@ -996,33 +993,6 @@ def _batches(chains, measures: MeasureSet, bounds: bool = False) -> Iterator[lis
         size, kept = max(size, chain.num_states), kept + floats
     if batch:
         yield batch
-
-
-def _worst_case_rewards(m: ParametricCtmc) -> dict:
-    """Sound per-reward upper bound over the whole variable box (sink reward)."""
-    box = {v.name: (v.minimum, v.maximum) for v in m.variables}
-    out = {}
-    for name, reward in m.rewards.items():
-        _, hi = ex.bounds(reward, box)
-        out[name] = max(float(hi), 0.0)
-    return out
-
-
-def _partial_batches(m: ParametricCtmc, jobs, measures: MeasureSet, epsilon: float):
-    """Bounds from the partial models of (valuation, delta) jobs: the chains
-    are built lazily and checked batch by batch (see ``_batches``), and each
-    batch is yielded as (partials, lower, upper)."""
-    sink_rewards = _worst_case_rewards(m)
-    partials = (build_partial(m, u, delta) for u, delta in jobs)
-    for batch in _batches(partials, measures, bounds=True):
-        yield (batch, *_evaluate(batch, measures, epsilon, sink_rewards))
-
-
-def _bound_at_delta(m: ParametricCtmc, u: Valuation, measures: MeasureSet,
-                    delta: float, epsilon: float):
-    """Lower and upper measure bounds from the partial model at ``delta``."""
-    (partial,), lower, upper = next(_partial_batches(m, [(u, delta)], measures, epsilon))
-    return lower[0], upper[0], partial
 
 
 def _gaps_met(lower: np.ndarray, upper: np.ndarray, rel_gap: float) -> bool:
@@ -1035,9 +1005,10 @@ def _bound_valuations(m: ParametricCtmc, valuations: Sequence[Valuation],
                       rel_gap: float) -> list[IntervalSolution]:
     """``bound_measures`` for every valuation, in lockstep delta rounds.
 
-    Each round checks the partial models of all valuations still open
-    together, then intersects and decides each valuation's bounds; only the
-    valuations still open go on to delta/10.
+    Each round builds the partial models of all valuations still open
+    lazily, checks them batch by batch (see ``_batches``), then intersects
+    and decides each valuation's bounds; only the valuations still open go
+    on to delta/10.
     """
     lower = [np.full(len(measures), -np.inf) for _ in valuations]
     upper = [np.full(len(measures), np.inf) for _ in valuations]
@@ -1045,9 +1016,10 @@ def _bound_valuations(m: ParametricCtmc, valuations: Sequence[Valuation],
     open_ = list(range(len(valuations)))
     delta_now, rounds = delta, 0
     while open_:
-        jobs = [(valuations[i], delta_now) for i in open_]
+        chains = (build_partial(m, valuations[i], delta_now) for i in open_)
         positions, still, largest, batches = iter(open_), [], 0, 0
-        for partials, lo, up in _partial_batches(m, jobs, measures, epsilon):
+        for partials in _batches(chains, measures):
+            lo, up = _evaluate(partials, measures, epsilon)
             batches += 1
             largest = max(largest, max(p.num_states for p in partials))
             for partial, lo_i, up_i in zip(partials, lo, up):
@@ -1090,7 +1062,7 @@ def refine_solution(prev: IntervalSolution, m: ParametricCtmc, u: Valuation,
     so the result is pointwise contained in the previous interval.
     ``gap_met`` is judged afresh on the refined interval."""
     delta_new = prev.delta / 10.0
-    lo, up, _ = _bound_at_delta(m, u, measures, delta_new, epsilon)
+    (lo,), (up,) = _evaluate([build_partial(m, u, delta_new)], measures, epsilon)
     lower = np.maximum(prev.lower, lo)
     upper = np.minimum(prev.upper, up)
     upper = np.maximum(upper, lower)

@@ -336,35 +336,6 @@ def scaled(poly: Mapping[tuple[str, ...], Fraction]) -> tuple[int, dict[tuple[st
     return scale, {mono: c.numerator * (scale // c.denominator) for mono, c in poly.items()}
 
 
-def bounds(e: Expr, box: Mapping[str, tuple[EnvValue, EnvValue]]) -> tuple[Fraction, Fraction]:
-    """Interval-arithmetic enclosure of e over per-identifier ranges.
-
-    Sound but not tight (dependency between repeated identifiers is ignored),
-    which is all the truncation machinery needs for a worst-case reward.
-    """
-    if isinstance(e, Num):
-        return e.value, e.value
-    if isinstance(e, Name):
-        try:
-            lo, hi = box[e.ident]
-        except KeyError:
-            raise UnboundIdentifier(e.ident) from None
-        return Fraction(lo), Fraction(hi)
-    if isinstance(e, Neg):
-        lo, hi = bounds(e.operand, box)
-        return -hi, -lo
-    if isinstance(e, BinOp):
-        a, b = bounds(e.left, box)
-        c, d = bounds(e.right, box)
-        if e.op == "+":
-            return a + c, b + d
-        if e.op == "-":
-            return a - d, b - c
-        products = (a * c, a * d, b * c, b * d)
-        return min(products), max(products)
-    raise TypeError(f"not an expression node: {e!r}")
-
-
 # ---------------------------------------------------------------------------
 # Canonical printer (round-trips through the parser)
 # ---------------------------------------------------------------------------

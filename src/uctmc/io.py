@@ -143,21 +143,32 @@ def read_solutions(path):
     """Returns (measure_ids, mode, solutions list)."""
     raw = load_json(path)
     try:
-        mode = raw["mode"]
-        out = []
-        for entry in raw["solutions"]:
+        ids, mode, entries = list(raw["measure_ids"]), raw["mode"], list(raw["solutions"])
+    except (KeyError, TypeError) as exc:
+        raise FormatError(f"bad solutions file {path}: {exc}") from None
+    if mode not in ("exact", "approx"):
+        raise FormatError(f"bad solutions file {path}: mode {mode!r} is not 'exact' or 'approx'")
+    out = []
+    for position, entry in enumerate(entries):
+        try:
             if mode == "exact":
-                out.append(SolutionVector(int(entry["i"]),
-                                          np.asarray(entry["values"], dtype=float)))
+                solution = SolutionVector(int(entry["i"]),
+                                          np.asarray(entry["values"], dtype=float))
+                vectors = [solution.values]
             else:
-                out.append(IntervalSolution(int(entry["i"]),
+                solution = IntervalSolution(int(entry["i"]),
                                             np.asarray(entry["lower"], dtype=float),
                                             np.asarray(entry["upper"], dtype=float),
                                             float(entry["delta"]),
-                                            bool(entry["gap_met"])))
-        return list(raw["measure_ids"]), mode, out
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"bad solutions file {path}: {exc}") from None
+                                            bool(entry["gap_met"]))
+                vectors = [solution.lower, solution.upper]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FormatError(f"bad solutions file {path}: solution {position}: {exc}") from None
+        if any(v.shape != (len(ids),) for v in vectors):
+            raise FormatError(f"bad solutions file {path}: solution {position} does not hold "
+                              "one value per measure id")
+        out.append(solution)
+    return ids, mode, out
 
 
 # --------------------------------------------------------------------------
@@ -181,10 +192,24 @@ def write_regions(outcomes: Sequence[ScenarioOutcome], path) -> None:
     dump_json([outcome_to_json(o) for o in outcomes], path)
 
 
+def _numbers(value) -> bool:
+    return all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
+
+
 def read_regions(path) -> list[dict]:
+    """The region entries: each an object with a numeric ``rho`` and numeric
+    ``lower`` and ``upper`` lists of equal length."""
     raw = load_json(path)
     if not isinstance(raw, list):
         raise FormatError(f"regions file {path} must hold a list")
+    for position, entry in enumerate(raw):
+        if not (isinstance(entry, dict) and _numbers([entry.get("rho")])
+                and all(isinstance(entry.get(k), list) and _numbers(entry[k])
+                        for k in ("lower", "upper"))
+                and len(entry["lower"]) == len(entry["upper"])):
+            raise FormatError(f"bad regions file {path}: region {position} is not an object "
+                              "with a numeric rho and numeric lower and upper lists of "
+                              "equal length")
     return raw
 
 

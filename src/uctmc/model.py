@@ -30,10 +30,15 @@ are int64 when a bound over the variable box keeps every intermediate below
 2**53, else Python ints; errors are raised at the first offending (state,
 command) in BFS order, as a state-by-state compile would raise them.
 
+Rewards must be nonnegative at every reachable state; the compile checks
+this exactly, on the same integer values, and raises ModelError otherwise.
+
 Partial models keep only states whose estimated reachability stays above a
 threshold; all truncated transitions are redirected into one absorbing sink,
 which downstream analyses treat as best case / worst case to obtain sound
-two-sided measure bounds.
+two-sided measure bounds.  The truncated mass sits on reachable states, so
+its reward lies between 0 and each reward's largest reachable value, which
+every partial chain carries as ``sink_rewards``.
 """
 
 from __future__ import annotations
@@ -170,7 +175,12 @@ def _parse_distribution(payload: dict) -> Distribution:
 
 
 def parse_model(document: Union[str, dict]) -> ParametricCtmc:
-    """Parse and fully validate a model document (JSON text or dict)."""
+    """Parse and validate a model document (JSON text or dict).
+
+    Checks that need the reachable states (update faults, the state cap and
+    the signs of rewards) are made when the model compiles, on its first
+    graph check or chain build.
+    """
     if isinstance(document, str):
         try:
             raw = json.loads(document, parse_float=Fraction)
@@ -233,17 +243,9 @@ def parse_model(document: Union[str, dict]) -> ParametricCtmc:
         labels[str(label)] = guard
 
     rewards = {}
-    var_box = {v.name: (v.minimum, v.maximum) for v in variables}
     for rname, payload in raw.get("rewards", {}).items():
         reward = ex.parse_expression(payload["states"])
         check_idents(reward, var_set, f"reward {rname}")
-        # truncation bounds treat the sink's reward as 0 (worst case), which
-        # is only sound when no state can carry a negative reward
-        lo, _ = ex.bounds(reward, var_box)
-        if lo < 0:
-            raise ModelError(
-                f"reward {rname} may be negative over the variable bounds; "
-                "rewards must be nonnegative")
         rewards[str(rname)] = reward
 
     init_distribution = None
@@ -447,6 +449,11 @@ class _Table:
     raised at the first offending (state, command) in that order; on one edge
     the fault wins.  ``coefficient`` and ``rewards`` are int / int divisions,
     so each is the exact rational correctly rounded.
+
+    After the BFS, a reward that is negative at a reachable state raises
+    ModelError at the first such state, in BFS and then declaration order.
+    ``sink_rewards`` holds each reward's largest reachable value, which
+    bounds the reward of the mass a partial chain's sink stands for.
     """
 
     def __init__(self, m: ParametricCtmc, state_cap: int):
@@ -528,8 +535,17 @@ class _Table:
                                    minlength=n)
         self.labels = {name: program.holds(g, columns, n)
                        for name, g in zip(m.labels, program.labels)}
-        self.rewards = {name: np.asarray(program.value(terms, columns, n) / d, dtype=float)
-                        for name, (d, terms) in zip(m.rewards, program.rewards)}
+        values = [program.value(terms, columns, n) for _, terms in program.rewards]
+        negative = np.array([v < 0 for v in values], dtype=bool).reshape(-1, n)
+        if negative.any():
+            first = int(np.argmax(negative.any(axis=0)))
+            name = list(m.rewards)[int(np.argmax(negative[:, first]))]
+            raise ModelError(f"reward {name} is negative at reachable state "
+                             f"{self.states[first]}; rewards must be nonnegative")
+        self.rewards = {name: np.asarray(v / d, dtype=float)
+                        for name, (d, _), v in zip(m.rewards, program.rewards, values)}
+        # rounding is monotone, so each is the largest exact value rounded
+        self.sink_rewards = {name: float(r.max()) for name, r in self.rewards.items()}
         for shared in (self.indptr, self.indices, self.initial, *self.labels.values(),
                        *self.rewards.values()):  # every full chain holds these
             shared.flags.writeable = False
@@ -663,14 +679,17 @@ class PartialCtmc(ConcreteCtmc):
     """Truncated CTMC with one absorbing sink collecting all redirected mass.
 
     The sink is the last state index; labels and rewards never include it, so
-    analyses choose explicitly how to treat truncated mass.
+    analyses choose explicitly how to treat truncated mass.  ``sink_rewards``
+    bounds each reward of that mass from above: its largest value over the
+    model's reachable states.
     """
 
     def __init__(self, states, initial, rates, labels, rewards,
-                 retained_states, redirected_rate):
+                 retained_states, redirected_rate, sink_rewards):
         super().__init__(states, initial, rates, labels, rewards)
         self.retained_states = retained_states
         self.redirected_rate = redirected_rate
+        self.sink_rewards = sink_rewards
 
     @property
     def sink(self) -> int:
@@ -769,4 +788,4 @@ def build_partial(m: ParametricCtmc, u: Valuation, delta: float,
     rewards = {name: np.append(v[retained], 0.0) for name, v in t.rewards.items()}
     states = [t.states[i] for i in retained]
     return PartialCtmc(states + [None], initial, rates, labels, rewards,
-                       tuple(states), float(values[columns == size].sum()))
+                       tuple(states), float(values[columns == size].sum()), t.sink_rewards)

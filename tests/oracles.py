@@ -165,9 +165,10 @@ def random_ctmc(rng: np.random.Generator, max_states: int = 8):
 
 
 def poisson_terms_loop(lam_t: float) -> tuple[int, np.ndarray]:
-    """Reference for ``checker._poisson_terms``: the mode-outward recurrence
-    one term at a time, cut at the first term at or below 1e-30 (kept on the
-    right, dropped on the left), then renormalized."""
+    """Reference for one window of ``checker._poisson_windows``: the
+    mode-outward recurrence one term at a time, cut at the first term at or
+    below 1e-30 (kept on the right, dropped on the left), then
+    renormalized."""
     cutoff = 1e-30
     if lam_t <= 0.0:
         return 0, np.array([1.0])
@@ -225,10 +226,11 @@ def table_reference(m, state_cap):
     ModelError at the first update (state, command, then variable order) that
     is not an integer or leaves its variable's bounds, and StateCapExceeded
     when a new state would pass ``state_cap``; an update fault of an edge is
-    raised before its cap check.  Returns a namespace with ``states``,
-    ``roots``, ``source``, ``target``, ``coefficient``, ``kernel``,
-    ``command``, ``kernels``, ``initial``, ``labels`` and ``rewards`` as
-    ``_Table`` has them.
+    raised before its cap check.  After the loop, raises ModelError at the
+    first state (then reward, in declaration order) whose reward is negative.
+    Returns a namespace with ``states``, ``roots``, ``source``, ``target``,
+    ``coefficient``, ``kernel``, ``command``, ``kernels``, ``initial``,
+    ``labels`` and ``rewards`` as ``_Table`` has them.
     """
     from fractions import Fraction
     from types import SimpleNamespace
@@ -274,7 +276,12 @@ def table_reference(m, state_cap):
                 edges.append((source, index[target], float(scale),
                               kernels.setdefault(kernel, len(kernels)), c))
         labels.append([ex.evaluate_guard(g, env) for g in m.labels.values()])
-        rewards.append([float(ex.evaluate(r, env)) for r in m.rewards.values()])
+        rewards.append([ex.evaluate(r, env) for r in m.rewards.values()])
+    for state, values in zip(states, rewards):
+        for name, value in zip(m.rewards, values):
+            if value < 0:
+                raise ModelError(f"reward {name} is negative at reachable state {state}; "
+                                 "rewards must be nonnegative")
     n = len(states)
     columns = list(zip(*edges)) or [()] * 5
     source, target, kernel, command = (np.array(columns[j], dtype=np.int64) for j in (0, 1, 3, 4))
@@ -285,7 +292,7 @@ def table_reference(m, state_cap):
         kernels=list(kernels),
         initial=np.bincount([index[p] for p in points], [float(q) for q in probs], minlength=n),
         labels=dict(zip(m.labels, np.array(labels, dtype=bool).reshape(n, -1).T)),
-        rewards=dict(zip(m.rewards, np.array(rewards).reshape(n, -1).T)))
+        rewards=dict(zip(m.rewards, np.array(rewards, dtype=float).reshape(n, -1).T)))
 
 
 def chain_reference(m, u, retained=None):

@@ -14,6 +14,7 @@ from uctmc import (
     TimeBoundedReach,
     bound_measures,
     build_full,
+    build_partial,
     evaluate_measures,
     instant_reward,
     interval_reach,
@@ -204,7 +205,7 @@ def test_birth_chain_with_constant_rate_gives_poisson_weights():
     # levels 0 .. 38 at rate 3.7 and an absorbing last level (then padding):
     # the chain's distribution at t is Poisson(3.7 t) on the first levels and
     # its tail on the last
-    from uctmc.checker import _Blocks, _poisson_terms
+    from uctmc.checker import _Blocks, _poisson_windows
 
     lam, levels = 3.7, 40
     rates = np.full((2, levels + 5), lam)
@@ -214,7 +215,7 @@ def test_birth_chain_with_constant_rate_gives_poisson_weights():
     start[:, 0] = 1.0
     for t in (0.3, 2.0, 6.5):
         pi = births.transient(start, t)
-        k_lo, weights = _poisson_terms(lam * t)
+        (k_lo,), _, weights = _poisson_windows([lam * t])
         expected = np.zeros(k_lo + weights.size + births.size)
         expected[k_lo:k_lo + weights.size] = weights
         expected[levels - 1] = expected[levels - 1:].sum()
@@ -248,18 +249,18 @@ def test_iterates_match_public_matmul_with_flush():
 
 
 def test_poisson_terms_match_loop_reference():
-    from uctmc.checker import _poisson_span, _poisson_terms, _poisson_windows
+    from uctmc.checker import _poisson_span, _poisson_windows
 
     lam_ts = np.concatenate([np.geomspace(0.3, 6e4, 208),
                              [1e-9, 0.999, 1.0, 2.0, 510.0, 49999.99, 5e4, 50000.5]])
     for lam_t in lam_ts:
-        k_lo, weights = _poisson_terms(float(lam_t))
+        (k_lo,), _, weights = _poisson_windows([float(lam_t)])
         ref_lo, ref = poisson_terms_loop(float(lam_t))
         assert k_lo == ref_lo, lam_t
         assert np.array_equal(weights, ref), lam_t
         # the kept-series bound of a batch covers the window
         assert k_lo + weights.size <= int(lam_t) + _poisson_span(lam_t) + 1, lam_t
-    assert _poisson_terms(0.0)[1].tolist() == [1.0]
+    assert _poisson_windows([0.0])[2].tolist() == [1.0]
     # every window of one vectorized call, zero rates and a (2, n) shape
     # included, is the same bits
     grid = np.concatenate([lam_ts, [0.0, 7.5]])[::-1].reshape(2, -1)
@@ -272,7 +273,7 @@ def test_poisson_terms_match_loop_reference():
 
 
 def test_uniformized_matches_sparse_reference(sir20, mean_valuation):
-    from uctmc.checker import _bound_at_delta, _uniformized
+    from uctmc.checker import _uniformized
 
     def check(c, absorbing):
         pt, lam = _uniformized(c, absorbing)
@@ -286,7 +287,7 @@ def test_uniformized_matches_sparse_reference(sir20, mean_valuation):
     check(full, full.label_mask("extinct"))
     buffer = uctmc.load_model(uctmc.example_model_path("buffer"))
     u = uctmc.Valuation.from_floats([35.0, 30.0, 30.0, 0.05, 10.0, 10.0])
-    _, _, partial = _bound_at_delta(buffer, u, MeasureSet(()), 1e-3, 1e-6)
+    partial = build_partial(buffer, u, 1e-3)
     assert partial.sink_reachable
     check(partial, None)
     check(partial, partial.label_mask("both_busy"))
@@ -444,21 +445,19 @@ def test_measure_layout_invariance(sir20, mean_valuation):
     # windows from 60 on it, rewards at two times) give each measure the same
     # bits alone, in the full set and in the reversed set, on a full chain and
     # for both bounds on a partial chain
-    from uctmc.checker import _bound_at_delta, _evaluate, _worst_case_rewards
+    from uctmc.checker import _evaluate
 
     buffer = uctmc.load_model(uctmc.example_model_path("buffer"))
     u = uctmc.Valuation.from_floats([35.0, 30.0, 30.0, 0.05, 10.0, 10.0])
-    _, _, partial = _bound_at_delta(buffer, u, MeasureSet(()), 1e-3, 1e-6)
+    partial = build_partial(buffer, u, 1e-3)
     assert partial.sink_reachable
-    cases = [(build_full(sir20, mean_valuation), _mixed_measures(), None),
-             (partial, _mixed_measures("both_busy", "buffered", 0.01),
-              _worst_case_rewards(buffer))]
-    for chain, measures, sink_rewards in cases:
-        full = _evaluate([chain], measures, 1e-6, sink_rewards)
-        backwards = _evaluate([chain], MeasureSet(measures.measures[::-1]), 1e-6,
-                              sink_rewards)
+    cases = [(build_full(sir20, mean_valuation), _mixed_measures()),
+             (partial, _mixed_measures("both_busy", "buffered", 0.01))]
+    for chain, measures in cases:
+        full = _evaluate([chain], measures, 1e-6)
+        backwards = _evaluate([chain], MeasureSet(measures.measures[::-1]), 1e-6)
         for pos, meas in enumerate(measures):
-            alone = _evaluate([chain], MeasureSet((meas,)), 1e-6, sink_rewards)
+            alone = _evaluate([chain], MeasureSet((meas,)), 1e-6)
             for side in (0, 1):
                 assert np.array_equal(alone[side][0], full[side][0, [pos]]), meas.id
                 assert np.array_equal(backwards[side][0, [-1 - pos]],
@@ -529,9 +528,9 @@ def test_bound_measures_sandwich_sir2(sir2, mean_valuation):
 
 def test_bound_measures_delta_one_gives_vacuous_reach_bounds(sir20, sir_measures,
                                                              mean_valuation):
-    from uctmc.checker import _bound_at_delta
-    lower, upper, partial = _bound_at_delta(sir20, mean_valuation, sir_measures,
-                                            1.0, 1e-6)
+    from uctmc.checker import _evaluate
+    partial = build_partial(sir20, mean_valuation, 1.0)
+    (lower,), (upper,) = _evaluate([partial], sir_measures, 1e-6)
     assert partial.retained_states == ((15, 5, 0),)
     assert np.all(lower <= 1e-6)
     assert np.all(upper >= 1.0 - 1e-6)
@@ -578,12 +577,13 @@ def _buffer_bound_oracle(partial):
 
 
 def test_partial_bounds_match_dense_oracle():
-    from uctmc.checker import _bound_at_delta
+    from uctmc.checker import _evaluate
 
     m = uctmc.load_model(uctmc.example_model_path("buffer"))
     u = uctmc.Valuation.from_floats(BUFFER_VALUATION)
     eps = 1e-8
-    lower, upper, partial = _bound_at_delta(m, u, _buffer_bound_measures(), 1e-3, eps)
+    partial = build_partial(m, u, 1e-3)
+    (lower,), (upper,) = _evaluate([partial], _buffer_bound_measures(), eps)
     assert partial.sink_reachable
     expected_lower, expected_upper = _buffer_bound_oracle(partial)
     assert np.all(np.abs(lower - expected_lower) <= eps)
@@ -597,7 +597,7 @@ def test_padded_blocks_match_dense_oracle():
     # partial chains of different sizes share one padded batch; each chain's
     # bounds are within epsilon of the dense oracle and the same bits as in a
     # batch of one
-    from uctmc.checker import _evaluate, _worst_case_rewards
+    from uctmc.checker import _evaluate
 
     m = uctmc.load_model(uctmc.example_model_path("buffer"))
     u = uctmc.Valuation.from_floats(BUFFER_VALUATION)
@@ -605,15 +605,49 @@ def test_padded_blocks_match_dense_oracle():
     sizes = [p.num_states for p in partials]
     assert len(set(sizes)) == len(sizes) and max(sizes) != sizes[-1]
     assert all(p.sink_reachable for p in partials)
-    measures, eps, sink_rewards = _buffer_bound_measures(), 1e-8, _worst_case_rewards(m)
-    lower, upper = _evaluate(partials, measures, eps, sink_rewards)
+    measures, eps = _buffer_bound_measures(), 1e-8
+    lower, upper = _evaluate(partials, measures, eps)
     for b, partial in enumerate(partials):
         expected_lower, expected_upper = _buffer_bound_oracle(partial)
         assert np.all(np.abs(lower[b] - expected_lower) <= eps), b
         assert np.all(np.abs(upper[b] - expected_upper) <= eps), b
-        alone = _evaluate([partial], measures, eps, sink_rewards)
+        alone = _evaluate([partial], measures, eps)
         assert np.array_equal(alone[0][0], lower[b]), b
         assert np.array_equal(alone[1][0], upper[b]), b
+
+
+def test_sink_reward_is_the_largest_reachable_value():
+    # z + 3 over the box z in [-3, 10] reaches 13, but the guard z < 3 keeps
+    # every reachable z below 4: the sink's upper reward is 6, and the bounds
+    # still sandwich the dense oracle
+    from uctmc.checker import _evaluate
+
+    m = uctmc.parse_model({
+        "parameters": [{"name": "k", "distribution": {"type": "uniform",
+                                                       "low": 1.0, "high": 2.0}}],
+        "variables": [{"name": "z", "init": 0, "min": -3, "max": 10}],
+        "commands": [{"guard": "z < 3", "rate": "k", "updates": {"z": "z+1"}},
+                     {"guard": "z > -3", "rate": "k", "updates": {"z": "z-1"}}],
+        "labels": {"top": "z=3"},
+        "rewards": {"shifted": {"states": "z+3"}}})
+    u = uctmc.Valuation.from_floats([1.5])
+    partial = build_partial(m, u, 0.2)  # keeps -2 .. 2
+    assert partial.sink_reachable
+    assert partial.sink_rewards == {"shifted": 6.0}
+    eps = 1e-8
+    measures = MeasureSet((InstantReward("r1", "shifted", 1.0),
+                           InstantReward("r4", "shifted", 4.0)))
+    (lower,), (upper,) = _evaluate([partial], measures, eps)
+    reward = partial.reward_vector("shifted")
+    worst = reward.copy()
+    worst[-1] = 6.0
+    pis = [transient_oracle(partial, t) for t in (1.0, 4.0)]
+    assert np.all(np.abs(lower - [pi @ reward for pi in pis]) <= eps)
+    assert np.all(np.abs(upper - [pi @ worst for pi in pis]) <= eps)
+    full = build_full(m, u)
+    exact = [transient_oracle(full, t) @ full.reward_vector("shifted") for t in (1.0, 4.0)]
+    assert np.all(lower - eps <= exact) and np.all(exact <= upper + eps)
+    assert np.all(upper - lower > 1e-3)
 
 
 def test_bound_measures_tiny_delta_is_exact(sir2, mean_valuation):
@@ -701,13 +735,13 @@ def test_batches_bound_kept_series(monkeypatch):
     valuations = uctmc.sample_valuations(m, 6, seed=3).valuations
     partials = [uctmc.build_partial(m, u, 1e-3) for u in valuations]
     whole = solve_measure_set(m, valuations, measures, mode="approx")
-    assert len(list(checker._batches(partials, measures, bounds=True))) == 1
+    assert len(list(checker._batches(partials, measures))) == 1
     # room for the states of every chain, but for the series of about half
     floats = [2 * checker._series_steps(p, 25.0) for p in partials]  # two vectors
     cap = sum(floats) // 2
     monkeypatch.setattr(checker, "DEFAULT_STATE_CAP", cap)
     assert len(partials) * max(p.num_states for p in partials) <= cap
-    batches = list(checker._batches(partials, measures, bounds=True))
+    batches = list(checker._batches(partials, measures))
     assert len(batches) > 1
     assert [p for b in batches for p in b] == partials
     pos = 0
@@ -729,14 +763,14 @@ def test_batches_bound_kept_series(monkeypatch):
 def test_series_steps_cover_the_poisson_window(model, measure_file, delta):
     # the kept-series bound of a batch reaches the right end of the Poisson
     # window at the chain's uniformization rate and the largest measure time
-    from uctmc.checker import _poisson_terms, _series_steps, _uniformized
+    from uctmc.checker import _poisson_windows, _series_steps, _uniformized
 
     m = uctmc.load_model(uctmc.example_model_path(model))
     measures = uctmc.io.read_measures(uctmc.example_model_path(measure_file))
     u = uctmc.sample_valuations(m, 1, seed=1).valuations[0]
     chain = uctmc.build_full(m, u) if delta is None else uctmc.build_partial(m, u, delta)
     horizon = max(x.t_hi if isinstance(x, IntervalReach) else x.time for x in measures)
-    k_lo, weights = _poisson_terms(_uniformized(chain)[1] * horizon)
+    (k_lo,), _, weights = _poisson_windows([_uniformized(chain)[1] * horizon])
     assert _series_steps(chain, horizon) >= k_lo + weights.size
 
 

@@ -12,7 +12,6 @@ from uctmc.expr import (
     Or,
     ParseError,
     UnboundIdentifier,
-    bounds,
     evaluate,
     evaluate_guard,
     free_identifiers,
@@ -196,8 +195,3 @@ def test_polynomial():
     assert polynomial(parse_expression("b*a*x + a*b - 0.5*a"), {"x": 2}) == {
         ("a", "b"): Fraction(3), ("a",): Fraction(-1, 2)}
 
-
-def test_interval_bounds():
-    e = parse_expression("x*y - z")
-    lo, hi = bounds(e, {"x": (0, 2), "y": (-1, 3), "z": (0, 1)})
-    assert lo == Fraction(-3) and hi == Fraction(6)

@@ -309,6 +309,46 @@ def test_cli_error_paths(tmp_path, capsys):
                  "--out", str(out)]) == 1
     assert f"bad samples file {bad_samples}: valuation 1" in capsys.readouterr().err
     assert not out.exists()
+    # a solutions file with an unknown mode, a value that does not convert or
+    # a vector whose length is not the number of measure ids names the file,
+    # and the entry's position
+    for name, text, message in (
+            ("bogus_mode", '{"measure_ids": ["a"], "mode": "bogus", "solutions": '
+                           '[{"i": 0, "lower": [0.1], "upper": [0.2], "delta": 0.01, '
+                           '"gap_met": true}]}', "mode 'bogus'"),
+            ("text_value", '{"measure_ids": ["a"], "mode": "exact", "solutions": '
+                           '[{"i": 0, "values": [0.5]}, {"i": 1, "values": ["x"]}]}',
+             "solution 1: could not convert"),
+            ("text_delta", '{"measure_ids": ["a"], "mode": "approx", "solutions": '
+                           '[{"i": 0, "lower": [0.1], "upper": [0.2], "delta": "d", '
+                           '"gap_met": true}]}', "solution 0: could not convert"),
+            ("short_values", '{"measure_ids": ["a", "b"], "mode": "exact", "solutions": '
+                             '[{"i": 0, "values": [0.5]}]}',
+             "solution 0 does not hold one value per measure id")):
+        bad = tmp_path / f"solutions_{name}.json"
+        bad.write_text(text)
+        with pytest.raises(uio.FormatError, match=f"bad solutions file {bad}: {message}"):
+            uio.read_solutions(bad)
+        out = tmp_path / f"regions_{name}.json"
+        assert main(["region", "--solutions", str(bad), "--out", str(out)]) == 1
+        assert f"error [region] bad solutions file {bad}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+    # a region that is not an object with rho, lower and upper names its position
+    for name, text in (("int_entry", "[1]"), ("rho_only", '[{"rho": 2.0}]'),
+                       ("uneven", '[{"rho": 2.0, "lower": [0.1], "upper": [0.2]}, '
+                                  '{"rho": 2.0, "lower": [0.1, 0.2], "upper": [0.3]}]')):
+        bad = tmp_path / f"regions_{name}.json"
+        bad.write_text(text)
+        position = 1 if name == "uneven" else 0
+        with pytest.raises(uio.FormatError,
+                           match=f"bad regions file {bad}: region {position} is not"):
+            uio.read_regions(bad)
+        out = tmp_path / f"band_{name}.csv"
+        assert main(["curve", "--regions", str(bad), "--measures",
+                     _model_path("sir_horizons"), "--out", str(out)]) == 1
+        assert f"error [curve] bad regions file {bad}: region {position}" in (
+            capsys.readouterr().err)
+        assert not out.exists()
 
 
 def test_cli_check_and_refine_validate_options(tmp_path, capsys):

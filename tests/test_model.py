@@ -351,6 +351,16 @@ _FAULTS = {
     "fault_at_earlier_state": (_line_model(_SPLIT, roots=(0, 5)), 2),
     "roots_over_cap": (_line_model([_STEP], roots=(0, 4, 8)), 2),
     "cap_exceeded": (_line_model([_STEP]), 9),
+    # the first state with a negative reward, then the first such reward
+    "negative_reward": (parse_model(_mini_model(rewards={
+        "level": {"states": "x"}, "short": {"states": "1 - x"},
+        "shorter": {"states": "2 - 2*x"}})), 100),
+    # update faults and the state cap come before reward signs
+    "fault_before_negative_reward": (parse_model(_mini_model(
+        commands=[{"guard": "x<3", "rate": "k", "updates": {"x": "x+0.5"}}],
+        rewards={"below": {"states": "x - 1"}})), 100),
+    "cap_before_negative_reward": (parse_model(_mini_model(
+        rewards={"below": {"states": "x - 1"}})), 2),
 }
 
 
@@ -471,6 +481,37 @@ def test_partial_sir140_truncates(sir140):
 
 
 def test_reward_must_be_nonnegative():
-    doc = _mini_model(rewards={"bad": {"states": "x-5"}})
+    m = parse_model(_mini_model(rewards={"bad": {"states": "x-5"}}))
     with pytest.raises(ModelError, match="negative"):
-        parse_model(doc)
+        um._Table(m, um.DEFAULT_STATE_CAP)
+
+
+def _walk_model(low, high, reward):
+    """A walk over z in [low, high] that reaches only -3 .. 3."""
+    return parse_model(_mini_model(
+        variables=[{"name": "z", "init": 0, "min": low, "max": high}],
+        commands=[{"guard": "z < 3", "rate": "k", "updates": {"z": "z+1"}},
+                  {"guard": "z > -3", "rate": "2*k", "updates": {"z": "z-1"}}],
+        labels={"top": "z=3"}, rewards={"r": {"states": reward}}))
+
+
+def test_reward_signs_are_checked_on_the_reachable_states():
+    measures = uctmc.MeasureSet((uctmc.InstantReward("r", "r", 1.0),
+                                 uctmc.TimeBoundedReach("top", "top", 1.0)))
+    # z*z, which interval arithmetic over the box would call negative, and
+    # z + 3, negative only at the declared but unreachable z = -5 and -4
+    for m in (_walk_model(-3, 3, "z*z"), _walk_model(-5, 3, "z+3")):
+        samples = uctmc.sample_valuations(m, 3, seed=1)
+        assert samples.rejected_count == 0
+        chain = build_full(m, samples.valuations[0])
+        z = np.array([state[0] for state in chain.states])
+        assert sorted(z.tolist()) == list(range(-3, 4))
+        want = z * z if m.variables[0].minimum == -3 else z + 3
+        assert np.array_equal(chain.reward_vector("r"), want.astype(float))
+        for mode in ("exact", "approx"):
+            solutions = uctmc.solve_measure_set(m, samples, measures, mode=mode)
+            assert len(solutions) == 3
+    # negative at the reachable z = -3: refused, naming the reward and the state
+    bad = _walk_model(-3, 3, "z+2")
+    with pytest.raises(ModelError, match=r"reward r is negative at reachable state \(-3,\)"):
+        check_graph_preserving(bad, Valuation.from_floats([1.5]))
