@@ -38,19 +38,40 @@ at rate Lambda_k.  Per block and step:
   within epsilon * 2^-16 / s (the smallest of three bounds, see
   ``_Adaptive._pass``), and the pass ends when every column is cut.
 
-The weights P(N_t = k) come from the plain kernel below, run on birth
-chains: levels 0 .. K, level k moving up at rate Lambda_k, and an absorbing
-level after them that takes the tail.  A birth chain is uniformized at
+In a pass that keeps the series (every pass but phase one's, below), the
+weights P(N_t = k) come from the plain kernel below, run on birth chains:
+levels 0 .. K, level k moving up at rate Lambda_k, and an absorbing level
+after them that takes the tail.  A birth chain is uniformized at
 max(Lambda_0 .. Lambda_K), so a column's cut and weights depend only on its
 own time, and measures give the same bits alone or in any set; columns of a
 block that share that rate share one birth chain.  Its weighted sum reads
 the kept series x_k . v up to the column's cut, as prefix sums over its
-levels.  Phase one of an interval measure weighs the iterates themselves: it
-runs its deterministic pass a second time and adds up pi_{t_lo} = sum_k
-P(N_{t_lo} = k) x_k, so no iterate is stored.  Partial chains (approximate
-mode) keep the plain pass at one Lambda: on them the largest exit rate over
-the states holding mass reaches Lambda within a few steps (buffer: 8 steps),
-so adaptive steps would save none and cost more each.
+levels.
+
+Phase one of an interval measure (``_Adaptive.transient``) weighs the
+iterates themselves, pi_{t_lo} = sum_k P(N_{t_lo} = k) x_k, over two runs of
+its deterministic pass:
+
+* the first run finds the rates and, per block, the last level j before the
+  first whose Chernoff bound on P(N_{t_lo} < j) misses its share
+  (``_Head``); it copies one iterate, x_j at the batch's smallest j;
+* its weights come from the plain kernel in time segments
+  (``_birth_weights``).  A birth chain's rates may rise to a peak and then
+  fall by orders of magnitude (sir140: up to 234, then down to 0.04 within
+  t = 100), and one uniformization at the peak takes about max(Lambda_k) t
+  steps (23,000).  The segments are [0, t 2^-m], then [t 2^-i, t 2^-(i-1)]
+  for i = m .. 1, with the fewest halvings m that bring the first within
+  ``_SEGMENT_STEPS`` expected steps; each later segment starts by zeroing
+  the lowest levels within a share, and is uniformized at the largest rate
+  over the levels left (sir140: 1,300 expected steps in 6 segments);
+* the second run steps on from x_j, with its step index and dropped mass,
+  so it repeats the first run's iterates bit for bit, and each block weighs
+  its own levels from its own j to its cut (sir140: the last 33 of 539).
+
+Partial chains (approximate mode) keep the plain pass at one Lambda: on them
+the largest exit rate over the states holding mass reaches Lambda within a
+few steps (buffer: 8 steps), so adaptive steps would save none and cost more
+each.
 
 The plain kernel (``_Blocks``) lays the uniformized chains of a batch out as
 the blocks of one block-diagonal P^T.  Chains may differ in size, as partial
@@ -83,7 +104,7 @@ open.  Both kernels step in place, so an iterate they yield is valid only
 until the next step.
 
 Error budget of a measure, for epsilon >= ``MIN_EPSILON``.  Every iterate and
-weight is nonnegative.  The first two items only lose mass, each at most its
+weight is nonnegative.  The first four items only lose mass, each at most its
 share over s, and a value weighs lost mass by at most s:
 
 * Dropped mass: at most epsilon / (8 s) per adaptive pass and block.  The
@@ -91,12 +112,19 @@ share over s, and a value weighs lost mass by at most s:
   epoch on, so it is all that is lost.
 * Birth tail: at most epsilon * 2^-16 / s per adaptive pass and column: the
   mass of the levels after the cut, P(N_t > K), which a bound proves small.
-* An interval measure spends both shares twice, once per phase (phase one's
-  values weigh its lost mass by at most 1), so the two items together cost at
-  most epsilon / 4 + epsilon * 2^-15.
+* Birth head (phase one only): at most epsilon * 2^-16 / s per block: the
+  weight of the levels before the saved iterate, P(N_t < j), which the
+  Chernoff bound proves small.
+* Zeroed birth levels (phase one only): at most epsilon * 2^-16 / s per
+  block, over all its segment starts.
+* An interval measure spends the first two shares twice, once per phase,
+  and the two phase-one shares once (phase one's values weigh its lost mass
+  by at most 1), so these four items together cost at most epsilon / 4 +
+  epsilon * 2^-14.
 * Poisson cut: weights are accumulated by a stable mode-outward recurrence
   and cut once terms fall below 1e-30 of the peak; the retained weights are
-  renormalized.  The discarded mass is far below ``MIN_EPSILON``.
+  renormalized.  The discarded mass is far below ``MIN_EPSILON``, also
+  summed over the few segments of a phase-one pass.
 * Subnormal flush: draining mass leaves thousands of subnormal entries, which
   make every sparse mat-vec many times slower.  Every 64 steps the entries of
   the iterate below 1e-280 are set to zero, so a pass of K steps over n
@@ -153,6 +181,10 @@ _FLUSH_BELOW = 1e-280
 _DROP_SHARE = 1 / 8  # of epsilon: dropped mass per adaptive pass
 _DROP_BELOW = 1e-6  # of epsilon: the dropping threshold theta
 _TAIL_SHARE = 2.0**-16  # of epsilon: birth-process tail per adaptive pass
+_HEAD_SHARE = 2.0**-16  # of epsilon: birth levels before the saved iterate
+_LEVEL_SHARE = 2.0**-16  # of epsilon: birth levels zeroed between segments
+_HEAD_GRID = 1.0 - 2.0 ** -np.arange(1.0, 12.0)  # theta / min Lambda_k
+_SEGMENT_STEPS = 1024  # most expected steps of a first birth-weight segment
 _FLUSH_EVERY = 64
 _DELTA_FLOOR = 1e-250
 
@@ -505,18 +537,21 @@ class _Blocks:
         out[self.order] = values
         return out
 
-    def _windows(self, times: Sequence[float]):
+    @staticmethod
+    def _windows(lam_ts: np.ndarray):
         """Poisson windows of every block and time (``_poisson_windows``, in
-        one call): k_lo (blocks, times), offsets and weights, then the steps
-        each block needs and the smallest left truncation point."""
-        k_lo, offsets, weights = _poisson_windows(np.multiply.outer(self.lam, times))
+        one call) of ``lam_ts`` (blocks, times): k_lo (blocks, times), offsets
+        and weights, then the steps each block needs and the smallest left
+        truncation point."""
+        k_lo, offsets, weights = _poisson_windows(lam_ts)
         ends = k_lo + np.diff(offsets).reshape(k_lo.shape)
         return k_lo, offsets, weights, ends.max(axis=1), int(k_lo.min())
 
-    def transient(self, v: np.ndarray, t: float) -> np.ndarray:
-        """pi_t per chain from pi_0 = v."""
+    def transient(self, v: np.ndarray, t) -> np.ndarray:
+        """pi_t per chain from pi_0 = v; ``t`` is one time, or one per chain."""
         v = np.asarray(v, dtype=float)[self.order]
-        k_lo, offsets, window, need, skip = self._windows([t])
+        t = np.broadcast_to(np.asarray(t, dtype=float), self.lam.shape)[self.order]
+        k_lo, offsets, window, need, skip = self._windows((self.lam * t)[:, None])
         # one row per step from skip on
         weights = np.zeros((int(need.max()) - skip, need.size, 1))
         lengths = np.diff(offsets)
@@ -547,7 +582,7 @@ class _Blocks:
         blocks, width, _ = vectors.shape
         reader = _reader(vectors)
         times = list(dict.fromkeys(t for _, t in columns))
-        k_lo, offsets, window, need, skip = self._windows(times)
+        k_lo, offsets, window, need, skip = self._windows(np.multiply.outer(self.lam, times))
         series = np.zeros((int(need.max()) - skip, blocks * width))
         for k, x in enumerate(self._pass(start, need, skip)):
             csr_matvec(len(x) * width, x.size, *reader, x.reshape(-1), series[k])
@@ -642,20 +677,25 @@ class _Adaptive:
         self.share = epsilon * _DROP_SHARE / scale
         self.below = epsilon * _DROP_BELOW / scale
         self.log_tail = np.log(epsilon * _TAIL_SHARE / scale)
+        self.log_head = np.log(epsilon * _HEAD_SHARE / scale)
+        self.level_share = epsilon * _LEVEL_SHARE / scale
 
-    def _steps(self, start: np.ndarray):
-        """Yield (x_k, Lambda_k, dropped mass so far) per block, k = 0, 1, ...
+    def _steps(self, start: np.ndarray, first: int = 0, dropped: Optional[np.ndarray] = None):
+        """Yield (x_k, Lambda_k, dropped mass so far) per block, k = first,
+        first + 1, ...
 
         Before Lambda_k is read, the entries of x_k below the block's
         threshold are zeroed if its dropped mass stays within its share by
         it.  The iterate is stepped in place: use a yielded x_k before
-        resuming.
+        resuming.  Started from a yielded x_j, its step index j and its
+        dropped mass, the steps repeat the iterates from x_j on bit for bit:
+        the flush and the dropping leave x_j as it is.
         """
         x = np.array(start, dtype=float)
         y, scaled = np.empty_like(x), np.empty_like(x)
         x_flat, y_flat = x.reshape(-1), y.reshape(-1)
-        dropped = np.zeros(len(x))
-        for k in itertools.count():
+        dropped = np.zeros(len(x)) if dropped is None else dropped
+        for k in itertools.count(first):
             if k and not k % _FLUSH_EVERY:
                 x[x < _FLUSH_BELOW] = 0.0
             positive = x > 0.0
@@ -682,13 +722,15 @@ class _Adaptive:
             x += y
             x /= rate
 
-    def _pass(self, start: np.ndarray, times: np.ndarray, reader=None):
+    def _pass(self, start: np.ndarray, times: np.ndarray, reader=None, save: bool = False):
         """One adaptive pass from ``start`` until, for every block and time t,
         the birth process's tail P(N_t > K) is within the block's share.
 
         Returns the rates Lambda_k (chains, steps), the cuts (chains, times),
-        each the first K whose tail bound meets the share, and with ``reader``
-        the series x_k . v (steps, chains * vectors).  The tail is P(T_0 + ...
+        each the first K whose tail bound meets the share, with ``reader``
+        the series x_k . v (steps, chains * vectors), and with ``save`` (one
+        time) the iterate a second run starts from (``_Head``): (x_j, j, the
+        dropped mass at j, each block's first weighed level).  The tail is P(T_0 + ...
         + T_K <= t) with T_k ~ Exp(Lambda_k), and its bound is the smallest of
         three, each from running per-block sums:
 
@@ -711,6 +753,7 @@ class _Adaptive:
         tails = np.full(cuts.shape, -np.inf)
         mean, var, log_rates = np.zeros(blocks), np.zeros(blocks), np.zeros(blocks)
         rates, series, dropped = [], [], None
+        head = _Head(float(times[0]), self.log_head) if save else None
         with np.errstate(divide="ignore", invalid="ignore"):
             for k, (x, lam, dropped) in enumerate(self._steps(start)):
                 if reader is not None:
@@ -730,15 +773,22 @@ class _Adaptive:
                     log_poisson - math.log(k + 1)), 0.0))
                 new = (cuts < 0) & (bound <= self.log_tail[:, None])
                 cuts[new], tails[new] = k, bound[new]
+                if head is not None:
+                    head.step(k, x, dropped, rates, mean, var, cuts[:, 0])
                 if (cuts >= 0).all():
                     break
         rates = np.array(rates).T
+        saved, note = None, ""
+        if head is not None:
+            saved = head.x, head.first, head.dropped, head.level
+            note = (f", saved level {head.first} (second run {cuts.max() - head.first + 1} "
+                    f"steps), {_segments(rates, cuts[:, 0], times[0]).max() + 1} birth segments")
         log.debug("adaptive pass to t=%g: %d blocks, %d-%d steps, largest Lambda_0 %g, "
                   "largest last Lambda_k %g, largest dropped mass %.3g, largest birth "
-                  "tail %.3g", times.max(), blocks, cuts.min(), cuts.max(), rates[:, 0].max(),
+                  "tail %.3g%s", times.max(), blocks, cuts.min(), cuts.max(), rates[:, 0].max(),
                   rates[np.arange(blocks), cuts.max(axis=1)].max(), dropped.max(),
-                  math.exp(tails.max()))
-        return rates, cuts, np.array(series)
+                  math.exp(tails.max()), note)
+        return rates, cuts, np.array(series), saved
 
     @staticmethod
     def _births(rates: np.ndarray, cuts: np.ndarray):
@@ -759,16 +809,18 @@ class _Adaptive:
         return _Blocks.births(births, last + 2), chain, block
 
     def transient(self, v: np.ndarray, t: float) -> np.ndarray:
-        """pi_t per chain from pi_0 = v: the birth chain's weights at t, summed
-        over a second run of the same deterministic pass."""
+        """pi_t per chain from pi_0 = v: the birth weights at t
+        (``_birth_weights``), summed over a second run of the same
+        deterministic pass from the iterate its first run saved."""
         v = np.asarray(v, dtype=float)
-        rates, cuts, _ = self._pass(v, np.array([t]))
-        births, chain, _ = self._births(rates, cuts)
-        weights = births.transient(_first_level(births), t)[chain[:, 0]]
+        rates, cuts, _, (x, first, dropped, heads) = self._pass(v, np.array([t]), save=True)
+        cuts = cuts[:, 0]
+        weights = _birth_weights(rates, cuts, t, self.level_share)
         out = np.zeros_like(v)
-        for k, (x, _, _) in zip(range(int(cuts.max()) + 1), self._steps(v)):
-            # levels after a block's cut weigh nothing
-            out += np.where(k <= cuts, weights[:, k, None], 0.0) * x
+        for k, (x, _, _) in zip(range(first, int(cuts.max()) + 1),
+                                self._steps(x, first, dropped)):
+            # a block weighs its own levels heads .. cut only
+            out += np.where((heads <= k) & (k <= cuts), weights[:, k], 0.0)[:, None] * x
         return out
 
     def series(self, start: np.ndarray, vectors: np.ndarray,
@@ -779,8 +831,8 @@ class _Adaptive:
         vectors = np.asarray(vectors, dtype=float)
         blocks, width, _ = vectors.shape
         times = list(dict.fromkeys(t for _, t in columns))
-        rates, cuts, series = self._pass(np.asarray(start, dtype=float), np.array(times),
-                                         _reader(vectors))
+        rates, cuts, series, _ = self._pass(np.asarray(start, dtype=float), np.array(times),
+                                            _reader(vectors))
         births, chain, block = self._births(rates, cuts)
         at = np.array([times.index(t) for _, t in columns], dtype=np.int64)
         # the kept series of each chain's block, (chains, vectors, levels)
@@ -791,6 +843,118 @@ class _Adaptive:
                                    np.tile([j for j, _ in columns], blocks),
                                    np.tile(np.array(times)[at], blocks), cuts[:, at].ravel())
         return values.reshape(blocks, len(columns))
+
+
+class _Head:
+    """Per block of a one-time adaptive pass, the first level j it weighs and
+    the iterate the pass saves for a second run.
+
+    j is the level before the first whose bound on P(N_t < j) = P(T_0 + ...
+    + T_(j-1) > t), T_i ~ Exp(Lambda_i), misses the block's share, or the
+    block's cut if that comes first; the levels before j weigh at most the
+    share together.  The bound is Chernoff's, -theta t + sum_(i<j)
+    log(Lambda_i / (Lambda_i - theta)) for some theta < mu = min_(i<j)
+    Lambda_i.  Each level first tries theta = min((t - m) / 2v, mu / 2) with
+    m = sum 1/Lambda_i and v = sum 1/Lambda_i^2, where log(1 / (1 - x)) <= x +
+    x^2 bounds it by -theta (t - m) + theta^2 v; if that misses, the smallest
+    of the sums at theta = (1 - 2^-r) mu, r = 1 .. 11.  Level j + 1 is judged
+    once Lambda_j is known, so the pass copies its iterate once: x_j at the
+    smallest j of the batch.  Every quantity is per block, so j does not
+    depend on the batch.
+    """
+
+    def __init__(self, t: float, log_share: np.ndarray):
+        self.t, self.log_share = t, log_share
+        self.low = np.full(len(log_share), np.inf)  # smallest rate so far
+        self.level = np.full(len(log_share), -1, dtype=np.int64)  # j, once known
+        self.x, self.first, self.dropped = None, 0, None
+
+    def step(self, k: int, x: np.ndarray, dropped: np.ndarray, rates: list,
+             mean: np.ndarray, var: np.ndarray, cuts: np.ndarray):
+        """After step k, with ``rates`` Lambda_0 .. Lambda_k, ``mean`` and
+        ``var`` their sums of 1/Lambda_i and 1/Lambda_i^2 and the cuts so far:
+        settle the blocks whose level k + 1 misses the share or whose cut is
+        k, and save x_k when they are the batch's first."""
+        self.low = np.minimum(self.low, rates[-1])
+        open_ = self.level < 0
+        if not open_.any():
+            return
+        gap = self.t - mean
+        theta = np.minimum(gap / (2.0 * var), self.low / 2.0)
+        miss = open_ & ~((gap > 0.0) & (theta * (theta * var - gap) <= self.log_share))
+        check = np.flatnonzero(miss & (cuts != k))
+        if check.size:
+            theta = self.low[check, None] * _HEAD_GRID
+            history = np.array(rates).T[check, None, :]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                terms = np.where(theta[:, :, None] < history,
+                                 -np.log1p(-theta[:, :, None] / history), np.inf)
+            bound = np.min(terms.sum(axis=2) - theta * self.t, axis=1)
+            miss[check[bound <= self.log_share[check]]] = False
+        settle = open_ & (miss | (cuts == k))
+        if settle.any():
+            if open_.all():
+                self.x, self.first, self.dropped = x.copy(), k, dropped.copy()
+            self.level[settle] = k
+
+
+def _segments(rates: np.ndarray, cuts: np.ndarray, t: float) -> np.ndarray:
+    """Per block, the halvings m that put the first birth-weight segment
+    [0, t 2^-m] within ``_SEGMENT_STEPS`` expected steps at the block's
+    largest rate Lambda_0 .. Lambda_cut."""
+    top = np.where(np.arange(rates.shape[1]) <= cuts[:, None], rates, 0.0).max(axis=1)
+    m = np.zeros(len(top), dtype=np.int64)
+    while (more := top * t * 2.0 ** -m.astype(float) > _SEGMENT_STEPS).any():
+        m += more
+    return m
+
+
+def _birth_weights(rates: np.ndarray, cuts: np.ndarray, t: float,
+                   share: np.ndarray) -> np.ndarray:
+    """P(N_t = k) per block (row) and level k, for the birth process that
+    moves up from level k at ``rates[b, k]`` up to the block's cut and stops
+    at the level after it, which takes the tail: the plain kernel on birth
+    chains (``_Blocks.births``), in time segments.
+
+    A block's segments are [0, t 2^-m] (``_segments``), then [t 2^-i, t
+    2^-(i-1)] for i = m .. 1.  At the start of each segment after the first,
+    the lowest levels whose mass adds up to at most share / m are zeroed, and
+    the segment is uniformized at the largest rate over the levels left.  The
+    segments of all blocks end together, so that each round steps one segment
+    per block, with its own length, in one call; a block whose segments have
+    not begun stays put.  The zeroed mass is lost: weights only go down.
+    """
+    blocks, width = rates.shape
+    levels = np.arange(width + 1)
+    births = np.zeros((blocks, width + 1))
+    births[:, :-1] = np.where(levels[:-1] <= cuts[:, None], rates, 0.0)
+    m = _segments(rates, cuts, t)
+    weights = np.zeros((blocks, width + 1))
+    weights[:, 0] = 1.0
+    live, lost, expected = births, np.zeros(blocks), np.zeros(blocks)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        threshold = np.where(m > 0, share / m, 0.0)
+    rounds = int(m.max()) + 1
+    for r in range(rounds):
+        begins = m == rounds - 1 - r
+        goes_on = m > rounds - 1 - r
+        # a block's first segment is t 2^-m long, each later one t 2^-(rounds - r)
+        length = np.where(begins, t * 2.0 ** -m.astype(float),
+                          np.where(goes_on, t * 2.0 ** -(rounds - r), 0.0))
+        if goes_on.any():
+            # per block, the mass of its lowest levels, summed in level order
+            low = np.count_nonzero(np.cumsum(weights, axis=1) <= threshold[:, None], axis=1)
+            low = np.where(goes_on, low, 0)
+            below = levels < low[:, None]
+            lost += np.where(below, weights, 0.0).sum(axis=1)
+            weights[below] = 0.0
+            live = np.where(below, 0.0, births)
+        expected += live.max(axis=1) * length
+        weights = _Blocks.births(live, cuts + 2).transient(weights, length)
+    log.debug("birth weights to t=%g: %d blocks, %d segments, %.0f expected uniformized "
+              "steps (one segment: %.0f), largest zeroed mass %.3g", t, blocks, rounds,
+              expected.max(), (births.max(axis=1) * t).max(), lost.max())
+    return weights
 
 
 def _first_level(births: _Blocks) -> np.ndarray:
@@ -818,9 +982,11 @@ def _interval(blocks, initial: np.ndarray, targets, t_lo: float, vectors: np.nda
 
 def transient_distribution(c: ConcreteCtmc, t: float, epsilon: float = 1e-6) -> np.ndarray:
     """Transient distribution pi_t, by adaptive uniformization.  Its L1 error
-    is at most epsilon / 8 (dropped mass) + epsilon * 2^-16 (birth tail),
-    both of which only lower entries, plus the far smaller Poisson cut and
-    flush (see the module docstring)."""
+    is at most epsilon / 8 (dropped mass) + epsilon * 2^-16 (birth tail) +
+    epsilon * 2^-16 (birth head) + epsilon * 2^-16 (zeroed birth levels),
+    at most epsilon / 8 + 3 epsilon * 2^-16 in all, each of which only lowers
+    entries, plus the far smaller Poisson cut and flush (see the module
+    docstring)."""
     _check_epsilon(epsilon)
     if not 0 <= t < math.inf:
         raise CheckerError("t must be finite and >= 0")

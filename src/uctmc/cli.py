@@ -122,9 +122,14 @@ def _parse_betas(text: str) -> tuple:
     return betas
 
 
-def _region_from_json(entry: dict, n_samples: int) -> BoxRegion:
+def _region_from_json(entry: dict, n_samples: int, n_measures: int, stage: str) -> BoxRegion:
+    """A region of regions.json (``uio.read_regions``), which must bound each
+    of the ``n_measures`` measures."""
     lower = np.asarray(entry["lower"], dtype=float)
     upper = np.asarray(entry["upper"], dtype=float)
+    if lower.size != n_measures:
+        raise StageError(stage, f"region for rho {entry['rho']} bounds {lower.size} measures, "
+                                f"but there are {n_measures}")
     cls = np.zeros(n_samples, dtype=np.int8)
     return BoxRegion(lower, upper, cls, BOUNDARY_TOL)
 
@@ -228,16 +233,17 @@ def _stage_baseline(args) -> None:
         values = solutions_matrix(solutions)
         results = []
         for entry in regions:
-            region = _region_from_json(entry, values.shape[0])
+            region = _region_from_json(entry, *values.shape, "baseline")
             results.append({"rho": entry["rho"],
                             "observed": baseline_frequentist(values, region)})
         uio.dump_json({"kind": "frequentist", "results": results}, args.out)
 
 
 def _stage_curve(args) -> None:
-    regions = [(entry["rho"], _region_from_json(entry, 1))
+    measures = uio.read_measures(args.measures)
+    regions = [(entry["rho"], _region_from_json(entry, 1, len(measures), "curve"))
                for entry in uio.read_regions(args.regions)]
-    _curve(regions, uio.read_measures(args.measures), args.out)
+    _curve(regions, measures, args.out)
 
 
 def _stage_run(args) -> None:

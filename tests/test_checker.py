@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -224,6 +225,89 @@ def test_birth_chain_with_constant_rate_gives_poisson_weights():
         assert t < 6.5 or expected[levels - 1] > 1e-3  # the tail level is reached
         for row in pi:
             assert np.allclose(row, expected, rtol=1e-12, atol=1e-300), t
+
+
+def test_segmented_birth_weights_match_expm_of_a_stiff_birth_chain(caplog):
+    # rates rise from 30 to 230 over 60 levels, then fall geometrically to
+    # 0.04: one segment at the largest rate would take 23,000 expected steps,
+    # the segments at the rates of their live levels take fewer than 2,000
+    from uctmc.checker import _LEVEL_SHARE, _birth_weights, _segments
+
+    rise = np.linspace(30.0, 230.0, 60)
+    fall = 230.0 * (0.04 / 230.0) ** (np.arange(1, 441) / 440)
+    rates = np.concatenate((rise, fall))[None]
+    levels, t, eps = rates.shape[1], 100.0, 1e-6
+    cut = np.array([levels - 1])
+    assert _segments(rates, cut, t)[0] >= 4
+    share = eps * _LEVEL_SHARE
+    with caplog.at_level("DEBUG", logger="uctmc.checker"):
+        weights = _birth_weights(rates, cut, t, np.array([share]))[0]
+    steps = re.search(r"(\d+) expected uniformized steps \(one segment: (\d+)\)", caplog.text)
+    assert int(steps[1]) < 2000 and int(steps[2]) == 23000
+    generator = np.zeros((levels + 1, levels + 1))
+    generator[np.arange(levels), np.arange(levels)] = -rates[0]
+    generator[np.arange(levels), np.arange(1, levels + 1)] = rates[0]
+    exact = expm(generator * t)[0]
+    # zeroing low levels only lowers weights, by at most the share
+    assert np.all(weights <= exact + 1e-15)
+    assert np.abs(weights - exact).sum() <= share
+
+
+def test_steps_resumed_from_the_saved_iterate_repeat_the_first_run(sir20):
+    # phase one of a batch saves one iterate, x_j at its smallest j; stepping
+    # on from it, with its step index and dropped mass, gives the first run's
+    # iterates, rates and dropped masses bit for bit, across a flush
+    from uctmc.checker import _FLUSH_EVERY, _Adaptive
+    from uctmc.sampling import sample_valuations
+
+    chains = [build_full(sir20, u) for u in sample_valuations(sir20, 4, 3).valuations]
+    absorbing = [c.label_mask("extinct") for c in chains]
+    initial = np.array([c.initial for c in chains])
+    adaptive = _Adaptive(chains, absorbing, 1e-6)
+    _, cuts, _, (x, first, dropped, heads) = adaptive._pass(initial, np.array([100.0]),
+                                                           save=True)
+    assert first == heads.min() and 0 < first <= cuts.min()
+    assert dropped.max() > 0.0 and first + 40 > 2 * _FLUSH_EVERY > first
+    fresh = adaptive._steps(initial)
+    for _ in range(first):
+        next(fresh)
+    for _, (a, b) in zip(range(40), zip(fresh, adaptive._steps(x, first, dropped))):
+        for one, other in zip(a, b):
+            assert np.array_equal(one, other)
+
+
+def fast_then_slow_chain(top=60):
+    """Pure death chain top -> ... -> 0 whose rates fall from 240 at the top
+    to 0.05 at the bottom: phase one of a late window is stiff at first and
+    slow at the end."""
+    rates = np.zeros((top + 1, top + 1))
+    for i in range(1, top + 1):
+        rates[i, i - 1] = 0.05 * (240.0 / 0.05) ** ((i - 1) / (top - 1))
+    initial = np.zeros(top + 1)
+    initial[top] = 1.0
+    extinct = np.zeros(top + 1, dtype=bool)
+    extinct[0] = True
+    return ConcreteCtmc.from_dense(rates, initial, labels={"extinct": extinct})
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-12])
+def test_interval_measures_on_a_fast_then_slow_chain_match_expm_oracle(eps):
+    # phase one runs its birth weights in several segments and weighs only
+    # the levels from its saved iterate on; both losses stay within epsilon
+    from uctmc.checker import _Adaptive, _segments
+
+    c = fast_then_slow_chain()
+    mask = c.label_mask("extinct")
+    t_lo = 40.0
+    rates, cuts, _, (_, first, _, _) = _Adaptive([c], [mask], eps)._pass(
+        c.initial[None], np.array([t_lo]), save=True)
+    assert _segments(rates, cuts[:, 0], t_lo)[0] > 0 and first > 0
+    t_his = [45.0, 60.0, 100.0]
+    ours = interval_reaches(c, "extinct", t_lo, t_his, epsilon=eps)
+    for value, t_hi in zip(ours, t_his):
+        assert abs(value - interval_reach_oracle(c, mask, t_lo, t_hi)) <= eps, (eps, t_hi)
+    pi = transient_distribution(c, t_lo, epsilon=eps)
+    assert np.abs(pi - transient_oracle(c, t_lo)).sum() <= eps
 
 
 def test_iterates_match_public_matmul_with_flush():

@@ -349,6 +349,22 @@ def test_cli_error_paths(tmp_path, capsys):
         assert f"error [curve] bad regions file {bad}: region {position}" in (
             capsys.readouterr().err)
         assert not out.exists()
+    # a region that does not bound every measure names both counts: 2 bounds
+    # against the 26 horizons of sir_horizons and the 1 measure of solutions
+    short = tmp_path / "regions_short.json"
+    short.write_text('[{"rho": 2.0, "lower": [0.1, 0.2], "upper": [0.3, 0.4]}]')
+    out = tmp_path / "band_short.csv"
+    assert main(["curve", "--regions", str(short), "--measures",
+                 _model_path("sir_horizons"), "--out", str(out)]) == 1
+    assert ("error [curve] region for rho 2.0 bounds 2 measures, but there are 26"
+            in capsys.readouterr().err)
+    assert not out.exists()
+    out = tmp_path / "freq_short.json"
+    assert main(["baseline", "--kind", "frequentist", "--solutions", str(solutions),
+                 "--regions", str(short), "--out", str(out)]) == 1
+    assert ("error [baseline] region for rho 2.0 bounds 2 measures, but there are 1"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_cli_check_and_refine_validate_options(tmp_path, capsys):
