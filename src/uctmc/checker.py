@@ -66,7 +66,7 @@ its deterministic pass:
   over the levels left (sir140: 1,300 expected steps in 6 segments);
 * the second run steps on from x_j, with its step index and dropped mass,
   so it repeats the first run's iterates bit for bit, and each block weighs
-  its own levels from its own j to its cut (sir140: the last 33 of 539).
+  its own levels from its own j to its cut (sir140: the last 39 of 539).
 
 Partial chains (approximate mode) keep the plain pass at one Lambda: on them
 the largest exit rate over the states holding mass reaches Lambda within a
@@ -183,7 +183,6 @@ _DROP_BELOW = 1e-6  # of epsilon: the dropping threshold theta
 _TAIL_SHARE = 2.0**-16  # of epsilon: birth-process tail per adaptive pass
 _HEAD_SHARE = 2.0**-16  # of epsilon: birth levels before the saved iterate
 _LEVEL_SHARE = 2.0**-16  # of epsilon: birth levels zeroed between segments
-_HEAD_GRID = 1.0 - 2.0 ** -np.arange(1.0, 12.0)  # theta / min Lambda_k
 _SEGMENT_STEPS = 1024  # most expected steps of a first birth-weight segment
 _FLUSH_EVERY = 64
 _DELTA_FLOOR = 1e-250
@@ -774,20 +773,21 @@ class _Adaptive:
                 new = (cuts < 0) & (bound <= self.log_tail[:, None])
                 cuts[new], tails[new] = k, bound[new]
                 if head is not None:
-                    head.step(k, x, dropped, rates, mean, var, cuts[:, 0])
+                    head.step(k, x, dropped, lam, mean, var, cuts[:, 0])
                 if (cuts >= 0).all():
                     break
         rates = np.array(rates).T
-        saved, note = None, ""
+        message = ("adaptive pass to t=%g: %d blocks, %d-%d steps, largest Lambda_0 %g, "
+                   "largest last Lambda_k %g, largest dropped mass %.3g, largest birth tail %.3g")
+        args = [times.max(), blocks, cuts.min(), cuts.max(), rates[:, 0].max(),
+                rates[np.arange(blocks), cuts.max(axis=1)].max(), dropped.max(),
+                math.exp(tails.max())]
+        saved = None
         if head is not None:
             saved = head.x, head.first, head.dropped, head.level
-            note = (f", saved level {head.first} (second run {cuts.max() - head.first + 1} "
-                    f"steps), {_segments(rates, cuts[:, 0], times[0]).max() + 1} birth segments")
-        log.debug("adaptive pass to t=%g: %d blocks, %d-%d steps, largest Lambda_0 %g, "
-                  "largest last Lambda_k %g, largest dropped mass %.3g, largest birth "
-                  "tail %.3g%s", times.max(), blocks, cuts.min(), cuts.max(), rates[:, 0].max(),
-                  rates[np.arange(blocks), cuts.max(axis=1)].max(), dropped.max(),
-                  math.exp(tails.max()), note)
+            message += ", saved level %d (second run %d steps)"
+            args += [head.first, cuts.max() - head.first + 1]
+        log.debug(message, *args)
         return rates, cuts, np.array(series), saved
 
     @staticmethod
@@ -804,9 +804,7 @@ class _Adaptive:
         block, chain = block.astype(np.int64), chain.reshape(cuts.shape)
         last = np.zeros(len(block), dtype=np.int64)
         np.maximum.at(last, chain.ravel(), cuts.ravel())
-        births = np.zeros((len(block), rates.shape[1] + 1))
-        births[:, :-1] = np.where(np.arange(rates.shape[1]) <= last[:, None], rates[block], 0.0)
-        return _Blocks.births(births, last + 2), chain, block
+        return _Blocks.births(_birth_rows(rates[block], last), last + 2), chain, block
 
     def transient(self, v: np.ndarray, t: float) -> np.ndarray:
         """pi_t per chain from pi_0 = v: the birth weights at t
@@ -853,14 +851,13 @@ class _Head:
     + T_(j-1) > t), T_i ~ Exp(Lambda_i), misses the block's share, or the
     block's cut if that comes first; the levels before j weigh at most the
     share together.  The bound is Chernoff's, -theta t + sum_(i<j)
-    log(Lambda_i / (Lambda_i - theta)) for some theta < mu = min_(i<j)
-    Lambda_i.  Each level first tries theta = min((t - m) / 2v, mu / 2) with
-    m = sum 1/Lambda_i and v = sum 1/Lambda_i^2, where log(1 / (1 - x)) <= x +
-    x^2 bounds it by -theta (t - m) + theta^2 v; if that misses, the smallest
-    of the sums at theta = (1 - 2^-r) mu, r = 1 .. 11.  Level j + 1 is judged
-    once Lambda_j is known, so the pass copies its iterate once: x_j at the
-    smallest j of the batch.  Every quantity is per block, so j does not
-    depend on the batch.
+    log(Lambda_i / (Lambda_i - theta)) for 0 < theta < min_(i<j) Lambda_i,
+    at theta = min((t - m) / 2v, min_(i<j) Lambda_i / 2) with m = sum
+    1/Lambda_i and v = sum 1/Lambda_i^2, where log(1 / (1 - x)) <= x + x^2
+    for x <= 1/2 bounds it by -theta (t - m) + theta^2 v.  Level j + 1 is
+    judged once Lambda_j is known, so the pass copies its iterate once: x_j
+    at the smallest j of the batch.  Every quantity is per block, so j does
+    not depend on the batch.
     """
 
     def __init__(self, t: float, log_share: np.ndarray):
@@ -869,40 +866,39 @@ class _Head:
         self.level = np.full(len(log_share), -1, dtype=np.int64)  # j, once known
         self.x, self.first, self.dropped = None, 0, None
 
-    def step(self, k: int, x: np.ndarray, dropped: np.ndarray, rates: list,
+    def step(self, k: int, x: np.ndarray, dropped: np.ndarray, lam: np.ndarray,
              mean: np.ndarray, var: np.ndarray, cuts: np.ndarray):
-        """After step k, with ``rates`` Lambda_0 .. Lambda_k, ``mean`` and
-        ``var`` their sums of 1/Lambda_i and 1/Lambda_i^2 and the cuts so far:
-        settle the blocks whose level k + 1 misses the share or whose cut is
-        k, and save x_k when they are the batch's first."""
-        self.low = np.minimum(self.low, rates[-1])
+        """After step k, with ``lam`` Lambda_k, ``mean`` and ``var`` the sums
+        of 1/Lambda_i and 1/Lambda_i^2 over i <= k and the cuts so far: settle
+        the blocks whose level k + 1 misses the share or whose cut is k, and
+        save x_k when they are the batch's first."""
+        self.low = np.minimum(self.low, lam)
         open_ = self.level < 0
         if not open_.any():
             return
         gap = self.t - mean
         theta = np.minimum(gap / (2.0 * var), self.low / 2.0)
-        miss = open_ & ~((gap > 0.0) & (theta * (theta * var - gap) <= self.log_share))
-        check = np.flatnonzero(miss & (cuts != k))
-        if check.size:
-            theta = self.low[check, None] * _HEAD_GRID
-            history = np.array(rates).T[check, None, :]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                terms = np.where(theta[:, :, None] < history,
-                                 -np.log1p(-theta[:, :, None] / history), np.inf)
-            bound = np.min(terms.sum(axis=2) - theta * self.t, axis=1)
-            miss[check[bound <= self.log_share[check]]] = False
-        settle = open_ & (miss | (cuts == k))
+        fits = (gap > 0.0) & (theta * (theta * var - gap) <= self.log_share)
+        settle = open_ & (~fits | (cuts == k))
         if settle.any():
             if open_.all():
                 self.x, self.first, self.dropped = x.copy(), k, dropped.copy()
             self.level[settle] = k
 
 
-def _segments(rates: np.ndarray, cuts: np.ndarray, t: float) -> np.ndarray:
+def _birth_rows(rates: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    """Per block, the birth rates Lambda_0 .. Lambda_cut, then zeros, and one
+    more zero for the absorbing level after the widest cut."""
+    births = np.zeros((len(rates), rates.shape[1] + 1))
+    births[:, :-1] = np.where(np.arange(rates.shape[1]) <= cuts[:, None], rates, 0.0)
+    return births
+
+
+def _segments(births: np.ndarray, t: float) -> np.ndarray:
     """Per block, the halvings m that put the first birth-weight segment
     [0, t 2^-m] within ``_SEGMENT_STEPS`` expected steps at the block's
-    largest rate Lambda_0 .. Lambda_cut."""
-    top = np.where(np.arange(rates.shape[1]) <= cuts[:, None], rates, 0.0).max(axis=1)
+    largest birth rate (``_birth_rows``)."""
+    top = births.max(axis=1)
     m = np.zeros(len(top), dtype=np.int64)
     while (more := top * t * 2.0 ** -m.astype(float) > _SEGMENT_STEPS).any():
         m += more
@@ -926,9 +922,8 @@ def _birth_weights(rates: np.ndarray, cuts: np.ndarray, t: float,
     """
     blocks, width = rates.shape
     levels = np.arange(width + 1)
-    births = np.zeros((blocks, width + 1))
-    births[:, :-1] = np.where(levels[:-1] <= cuts[:, None], rates, 0.0)
-    m = _segments(rates, cuts, t)
+    births = _birth_rows(rates, cuts)
+    m = _segments(births, t)
     weights = np.zeros((blocks, width + 1))
     weights[:, 0] = 1.0
     live, lost, expected = births, np.zeros(blocks), np.zeros(blocks)

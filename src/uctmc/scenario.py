@@ -33,7 +33,6 @@ factorials, so n up to 10^4 stays inside float range.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -348,94 +347,29 @@ def complexity_imprecise(solutions, region: BoxRegion) -> tuple[int, BoundaryAna
 # Containment lower bound
 # ---------------------------------------------------------------------------
 
-_ETA_CHUNK = 1 << 20  # floats of terms per chunk of points
-_ETA_BISECT = 1 << 12  # floats of terms per call of the bisection
-_ETA_LEVELS = 5  # most bisection levels per call
-
-
-def _eta_poly(n: int, c: int, beta: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Sign of the normalized bound polynomial at each t of an array.
-
-    At t, term_i is the running product over i = n-1 .. c of ((i + 1 - c) /
-    (i + 1)) / t (``np.cumprod``, which multiplies in order), and the value is
-    1 - a term_(n-1) - a term_(n-2) - ... with a = (1 - beta) / n, summed
-    left to right (``np.cumsum``).  Where a partial sum falls below -1e12 or
-    a term exceeds 1e280, the value is -1.0.  With ``width``, rows are
-    computed over that many terms first, which settles small t, and the rows
-    left again four times as wide; a prefix's products and sums do not
-    depend on its width.
-    """
+def _eta_poly(n: int, c: int, beta: float) -> Callable[[float], float]:
+    """Sign of the normalized bound polynomial at t (terms via ratio recurrences)."""
     a = (1.0 - beta) / n
-    i = np.arange(n - 1, c - 1, -1)
-    ratios = (i + 1 - c) / (i + 1)
 
-    def prefix(t: np.ndarray, width: int):
-        """The values over the first ``width`` terms, and where they stop."""
-        with np.errstate(over="ignore"):
-            terms = np.cumprod(ratios[:width] / t[:, None], axis=1)
-        sums = np.empty((t.size, width + 1))
-        sums[:, 0] = 1.0
-        np.multiply(terms, -a, out=sums[:, 1:])
-        # each partial sum is at most the one before it
-        last = np.cumsum(sums, axis=1)[:, -1]
-        stopped = (last < -1e12) | (terms.max(axis=1) > 1e280)
-        return np.where(stopped, -1.0, last), stopped
-
-    def h(t, width: Optional[int] = None) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        width = min(width or ratios.size, ratios.size)
-        rows = max(1, _ETA_CHUNK // width)
-        out = np.empty(t.size)
-        for at in range(0, t.size, rows):
-            out[at:at + rows], stopped = prefix(t[at:at + rows], width)
-            if width < ratios.size and not stopped.all():
-                left = at + np.flatnonzero(~stopped)
-                out[left] = h(t[left], 4 * width)
-        return out
+    def h(t: float) -> float:
+        s = 1.0
+        term = 1.0
+        for i in range(n - 1, c - 1, -1):
+            term *= (i + 1 - c) / (i + 1) / t
+            s -= a * term
+            if s < -1e12 or term > 1e280:
+                return -1.0
+        return s
 
     return h
-
-
-def _eta_grid() -> np.ndarray:
-    """The scan points 1e-12, 1e-12 * 1.1, ... below 1, each the previous one
-    times 1.1."""
-    grid = np.cumprod(np.concatenate(([1e-12], np.full(300, 1.1))))
-    return grid[grid < 1.0]
-
-
-_ETA_GRID = _eta_grid()
-
-
-def _bisect(h, terms: int, lo: float, hi: float) -> float:
-    """Bisection of [lo, hi] to a width of 1e-9, keeping the half whose upper
-    end has h > 0.  The midpoints of the next few levels, at most
-    ``_ETA_LEVELS`` and about ``_ETA_BISECT`` / ``terms`` points, are computed
-    as the steps would compute them and evaluated in one call."""
-    levels = min(_ETA_LEVELS, max(1, int(math.log2(_ETA_BISECT / terms + 1))))
-    while hi - lo > 1e-9:
-        # level by level, the midpoints of neighbouring ends, left to right:
-        # node i's halves are nodes 2i + 1 and 2i + 2
-        ends, points = [lo, hi], []
-        for _ in range(levels):
-            mids = [0.5 * (a + b) for a, b in zip(ends, ends[1:])]
-            points += mids
-            ends[1:] = [x for pair in zip(mids, ends[1:]) for x in pair]
-        positive = (h(points) > 0.0).tolist()
-        node = 0
-        while node < len(points) and hi - lo > 1e-9:
-            if positive[node]:
-                hi, node = points[node], 2 * node + 1
-            else:
-                lo, node = points[node], 2 * node + 2
-    return 0.5 * (lo + hi)
 
 
 def compute_eta(n: int, d: int, beta: float) -> float:
     """High-confidence lower bound on the containment probability.
 
     eta(n, n, beta) = 0; otherwise the unique positive root of the bound
-    polynomial, located by an ascending geometric grid scan (in one call)
-    and bisection to an interval width of 1e-9.
+    polynomial, located by an ascending geometric grid scan and bisection to
+    an interval width of 1e-9.
     """
     if not 0 <= d <= n:
         raise ScenarioError("need 0 <= d <= n")
@@ -444,16 +378,30 @@ def compute_eta(n: int, d: int, beta: float) -> float:
     if d == n:
         return 0.0
     h = _eta_poly(n, d, beta)
-    positive = np.flatnonzero(h(_ETA_GRID, width=32) > 0.0)
-    if positive.size:
-        at = int(positive[0])
-        return _bisect(h, n - d, float(_ETA_GRID[at - 1]) if at else 1e-300,
-                       float(_ETA_GRID[at]))
-    if h([1.0 - 1e-15])[0] > 0.0:
-        return _bisect(h, n - d, float(_ETA_GRID[-1]), 1.0 - 1e-15)
-    raise RuntimeError(
-        f"no sign change for eta polynomial (n={n}, d={d}, beta={beta}); "
-        "this contradicts the bound's theory")
+
+    lo, hi = None, None
+    t = 1e-12
+    prev = 1e-300
+    while t < 1.0:
+        if h(t) > 0.0:
+            lo, hi = prev, t
+            break
+        prev = t
+        t *= 1.1
+    else:
+        if h(1.0 - 1e-15) > 0.0:
+            lo, hi = prev, 1.0 - 1e-15
+    if lo is None:
+        raise RuntimeError(
+            f"no sign change for eta polynomial (n={n}, d={d}, beta={beta}); "
+            "this contradicts the bound's theory")
+    while hi - lo > 1e-9:
+        mid = 0.5 * (lo + hi)
+        if h(mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------

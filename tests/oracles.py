@@ -348,48 +348,3 @@ def chain_reference(m, u, retained=None):
     rewards = {name: np.array([float(ex.evaluate(r, e)) for e in envs] + pad, dtype=float)
                for name, r in m.rewards.items()}
     return rates, initial, labels, rewards
-
-
-def eta_poly_loop(n: int, c: int, beta: float):
-    """Reference for ``scenario._eta_poly``: the sign of the normalized bound
-    polynomial at one t, by a per-term loop with early -1.0 exits."""
-    a = (1.0 - beta) / n
-
-    def h(t: float) -> float:
-        s = 1.0
-        term = 1.0
-        for i in range(n - 1, c - 1, -1):
-            term *= (i + 1 - c) / (i + 1) / t
-            s -= a * term
-            if s < -1e12 or term > 1e280:
-                return -1.0
-        return s
-
-    return h
-
-
-def compute_eta_loop(n: int, d: int, beta: float) -> float:
-    """Reference for ``scenario.compute_eta``: a point-by-point scan of the
-    x1.1 grid with ``eta_poly_loop``, then bisection to a width of 1e-9."""
-    if d == n:
-        return 0.0
-    h = eta_poly_loop(n, d, beta)
-    lo, hi = None, None
-    t = 1e-12
-    prev = 1e-300
-    while t < 1.0:
-        if h(t) > 0.0:
-            lo, hi = prev, t
-            break
-        prev = t
-        t *= 1.1
-    else:
-        if h(1.0 - 1e-15) > 0.0:
-            lo, hi = prev, 1.0 - 1e-15
-    while hi - lo > 1e-9:
-        mid = 0.5 * (lo + hi)
-        if h(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)

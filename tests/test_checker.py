@@ -231,14 +231,14 @@ def test_segmented_birth_weights_match_expm_of_a_stiff_birth_chain(caplog):
     # rates rise from 30 to 230 over 60 levels, then fall geometrically to
     # 0.04: one segment at the largest rate would take 23,000 expected steps,
     # the segments at the rates of their live levels take fewer than 2,000
-    from uctmc.checker import _LEVEL_SHARE, _birth_weights, _segments
+    from uctmc.checker import _LEVEL_SHARE, _birth_rows, _birth_weights, _segments
 
     rise = np.linspace(30.0, 230.0, 60)
     fall = 230.0 * (0.04 / 230.0) ** (np.arange(1, 441) / 440)
     rates = np.concatenate((rise, fall))[None]
     levels, t, eps = rates.shape[1], 100.0, 1e-6
     cut = np.array([levels - 1])
-    assert _segments(rates, cut, t)[0] >= 4
+    assert _segments(_birth_rows(rates, cut), t)[0] >= 4
     share = eps * _LEVEL_SHARE
     with caplog.at_level("DEBUG", logger="uctmc.checker"):
         weights = _birth_weights(rates, cut, t, np.array([share]))[0]
@@ -294,14 +294,14 @@ def fast_then_slow_chain(top=60):
 def test_interval_measures_on_a_fast_then_slow_chain_match_expm_oracle(eps):
     # phase one runs its birth weights in several segments and weighs only
     # the levels from its saved iterate on; both losses stay within epsilon
-    from uctmc.checker import _Adaptive, _segments
+    from uctmc.checker import _Adaptive, _birth_rows, _segments
 
     c = fast_then_slow_chain()
     mask = c.label_mask("extinct")
     t_lo = 40.0
     rates, cuts, _, (_, first, _, _) = _Adaptive([c], [mask], eps)._pass(
         c.initial[None], np.array([t_lo]), save=True)
-    assert _segments(rates, cuts[:, 0], t_lo)[0] > 0 and first > 0
+    assert _segments(_birth_rows(rates, cuts[:, 0]), t_lo)[0] > 0 and first > 0
     t_his = [45.0, 60.0, 100.0]
     ours = interval_reaches(c, "extinct", t_lo, t_his, epsilon=eps)
     for value, t_hi in zip(ours, t_his):
