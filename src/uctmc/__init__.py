@@ -2,7 +2,7 @@
 
 The pipeline: sample parameter valuations from the model's distributions,
 model-check every induced CTMC for a set of time-bounded measures (exactly,
-or as intervals via truncated partial models), compute rectangular prediction
+or as intervals from the mass it drops), compute rectangular prediction
 regions by scenario optimization, and attach high-confidence lower bounds on
 the probability that a fresh sample's solution vector lands in the region.
 """

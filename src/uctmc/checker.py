@@ -18,18 +18,26 @@ x_{k+1} = x_k P_k, on a chain with some absorbing set:
 * reward: v is the reward vector and nothing is absorbing, so the rewards of
   a chain at any number of times share one pass.
 
-Full chains (exact mode, ``evaluate_measures``, ``transient_distribution``)
-are checked by adaptive uniformization (``_Adaptive``; van Moorsel & Sanders
-1994, with the mass dropping of fast adaptive uniformization: Didier,
-Henzinger, Mateescu & Wolf 2009, Dannenberg, Hahn & Kwiatkowska 2015).  Step
-k uses Lambda_k = the largest exit rate over the states holding mass, P_k =
-I + Q/Lambda_k, and N_t is the birth process that moves from level k to k + 1
-at rate Lambda_k.  Per block and step:
+Each pass picks its kernel per chain (``_plain``), from that chain's exit
+rates and absorbing set alone: plain (``_Blocks``) when the mean exit rate
+over the non-absorbing states is at least half their largest, Lambda, and
+adaptive (``_Adaptive``) otherwise.  Where the rates do not fall (buffer and
+tandem: 0.66-0.73), adaptive steps cover little more time than plain ones at
+far more cost each (buffer: 13-16 times slower); where they fall (sir20 and
+sir140: 0.34-0.38), they cover ever more time.  Each kind in a batch runs as
+one kernel object over its own chains.
+
+The adaptive kernel (van Moorsel & Sanders 1994, with the mass dropping of
+fast adaptive uniformization: Didier, Henzinger, Mateescu & Wolf 2009,
+Dannenberg, Hahn & Kwiatkowska 2015): step k uses Lambda_k = the largest exit
+rate over the states holding mass, P_k = I + Q/Lambda_k, and N_t is the birth
+process that moves from level k to k + 1 at rate Lambda_k.  Per block and
+step:
 
 * the entries below theta = 1e-6 * epsilon / s are zeroed, as long as the
-  block's dropped mass stays within epsilon / (8 s); s is 1 for target
-  passes and the chain's largest reward magnitude (at least 1) for reward
-  passes;
+  block's dropped mass stays within its drop budget, epsilon / (8 s) in exact
+  mode; s is 1 for target passes and the chain's largest reward magnitude (at
+  least 1) for reward passes;
 * Lambda_k is the largest exit rate over the block's nonzero, non-absorbing
   states, and x_{k+1} = ((Lambda_k - e) x_k + Q_off^T x_k) / Lambda_k, one
   CSR mat-vec of the batch's block-diagonal off-diagonal Q^T and a per-block
@@ -68,48 +76,40 @@ its deterministic pass:
   so it repeats the first run's iterates bit for bit, and each block weighs
   its own levels from its own j to its cut (sir140: the last 39 of 539).
 
-Partial chains (approximate mode) keep the plain pass at one Lambda: on them
-the largest exit rate over the states holding mass reaches Lambda within a
-few steps (buffer: 8 steps), so adaptive steps would save none and cost more
-each.
-
 The plain kernel (``_Blocks``) lays the uniformized chains of a batch out as
-the blocks of one block-diagonal P^T.  Chains may differ in size, as partial
-chains do: every block is padded to the batch's largest chain with empty
-rows, so the padding is never read or written and every mat-vec row stays
-per state and per block.  One stepping routine (``_iterates``) produces the
-power sequence: each step is one call of scipy's CSR mat-vec kernel over the
-prefix of blocks that still need steps.  Blocks are sorted by descending
-Lambda, so a block whose Poisson windows have ended drops off the end of the
-prefix.  A pass starts at the smallest left truncation point of its columns
-and keeps the series x_k . v per block and vector; each (vector, time) column
-is then one Poisson-weighted sum over its window of that series.  Every
-Poisson window of a pass comes from one vectorized call
-(``_poisson_windows``).  Each step's dots are one more CSR mat-vec, of a
-reader matrix that holds v's nonzeros with one row per (block, vector) in
-block-major order, so each row is summed in state order over v's nonzeros,
-whatever the padding or batch.  In both kernels everything computed per block
-is computed as in a batch of one, so a chain's results are the same bits in
-any batch.
+the blocks of one block-diagonal P^T.  Chains may differ in size: every block
+is padded to the batch's largest chain with empty rows, so the padding is
+never read or written and every mat-vec row stays per state and per block.
+One stepping routine (``_iterates``) produces the power sequence: each step
+is one call of scipy's CSR mat-vec kernel over the prefix of blocks that
+still need steps.  Blocks are sorted by descending Lambda, so a block whose
+Poisson windows have ended drops off the end of the prefix.  A pass starts at
+the smallest left truncation point of its columns and keeps the series x_k .
+v per block and vector; each (vector, time) column is then one
+Poisson-weighted sum over its window of that series.  Every Poisson window of
+a pass comes from one vectorized call (``_poisson_windows``).  Each step's
+dots are one more CSR mat-vec, of a reader matrix that holds v's nonzeros
+with one row per (block, vector) in block-major order, so each row is summed
+in state order over v's nonzeros, whatever the padding or batch.  In both
+kernels everything computed per block is computed as in a batch of one, so a
+chain's results are the same bits in any batch.
 
 Batches are consecutive chains (``_batches``) holding at most
 ``DEFAULT_STATE_CAP`` states, counted padded, and keeping at most
 ``DEFAULT_STATE_CAP`` floats of series, counted from each chain's largest
 exit rate and the largest measure time; a chain above either cap goes alone.
-Exact mode batches the full chains of consecutive valuations.  Approximate
-mode runs in lockstep delta rounds: each round builds the partial chain of
-every valuation whose gap is still open, lazily, batch by batch, checks each
-batch in one pass, and divides delta by 10 only for the valuations still
-open.  Both kernels step in place, so an iterate they yield is valid only
-until the next step.
+Exact and approximate mode both batch the full chains of consecutive
+valuations.  Both kernels step in place, so an iterate they yield is valid
+only until the next step.
 
 Error budget of a measure, for epsilon >= ``MIN_EPSILON``.  Every iterate and
 weight is nonnegative.  The first four items only lose mass, each at most its
-share over s, and a value weighs lost mass by at most s:
+share over s, and a value weighs lost mass by at most s; a plain pass has
+none of them, and loses only the last three:
 
-* Dropped mass: at most epsilon / (8 s) per adaptive pass and block.  The
-  mass dropped at step k would have followed the chain from the k-th birth
-  epoch on, so it is all that is lost.
+* Dropped mass: at most epsilon / (8 s) per adaptive pass and block in exact
+  mode.  The mass dropped at step k would have followed the chain from the
+  k-th birth epoch on, so it is all that is lost.
 * Birth tail: at most epsilon * 2^-16 / s per adaptive pass and column: the
   mass of the levels after the cut, P(N_t > K), which a bound proves small.
 * Birth head (phase one only): at most epsilon * 2^-16 / s per block: the
@@ -137,19 +137,15 @@ share over s, and a value weighs lost mass by at most s:
   cap, relative to a value of at most 1 or the largest reward.  A birth
   chain's prefix sums add K + 1 terms more, in the same way.
 
-On partial models the truncated sink (the last state) bounds every measure
-from both sides.  The lower bound treats the sink as a non-target with reward
-zero, which is its entry in the lower v.  The upper bound uses the same v
-with the sink's entry set to 1 for reach and interval measures and, for
-rewards, to the chain's ``sink_rewards``: each reward's largest value over
-the model's reachable states, where all truncated mass sits.  Both are sound
-because the model's compile checks that every reward is nonnegative at
-every reachable state.  The sink's row is empty, so making it
-absorbing changes neither P, Lambda nor the Poisson weights, and one pass
-serves both vectors.  Each bound is the same Poisson-weighted sum a separate
-pass would compute, so both keep the ``epsilon`` contract.  Upper >= lower
-holds by construction: the upper v dominates the lower one entrywise, the
-iterates and weights are nonnegative, and rounding is monotone.
+Approximate mode (``_bound_valuations``) is the same pass, with a drop
+budget of min(delta, epsilon / 8) / s per adaptive pass and block: lower is
+the computed value and upper = lower + s times the mass the measure's passes
+dropped up to its last cut.  Only dropped mass widens the interval, as the
+exact value weighs it by at most s; the other losses stay inside epsilon, as
+in exact mode, so lower - epsilon <= exact <= upper + epsilon.  Plain chains
+drop nothing.  With delta >= epsilon / 8 (the default 1e-2 for epsilon up to
+0.08), lower is exact mode's value bit for bit.  An open gap reruns with a
+tenth of the budget; a budget of 0 drops nothing.
 """
 
 from __future__ import annotations
@@ -168,10 +164,8 @@ from .model import (
     DEFAULT_STATE_CAP,
     ConcreteCtmc,
     ParametricCtmc,
-    PartialCtmc,
     Valuation,
     build_full,
-    build_partial,
 )
 
 MIN_EPSILON = 1e-12
@@ -185,7 +179,6 @@ _HEAD_SHARE = 2.0**-16  # of epsilon: birth levels before the saved iterate
 _LEVEL_SHARE = 2.0**-16  # of epsilon: birth levels zeroed between segments
 _SEGMENT_STEPS = 1024  # most expected steps of a first birth-weight segment
 _FLUSH_EVERY = 64
-_DELTA_FLOOR = 1e-250
 
 log = logging.getLogger("uctmc.checker")
 
@@ -466,12 +459,14 @@ class _Blocks:
     windows, and every per-block quantity (mat-vec rows, the series x_k . v,
     Poisson weighting, flush) is computed exactly as for a batch of one.
     Arrays in and out are (chains, ...) in batch order, with states padded to
-    the largest chain.
+    the largest chain.  A plain pass drops no mass (``dropped``, as
+    ``_Adaptive.dropped``).
     """
 
     def __init__(self, lam: np.ndarray, pt: sparse.csr_matrix, order: np.ndarray):
         self.lam, self.pt, self.order = lam, pt, order
         self.size = pt.shape[0] // len(lam)  # states per block, padded
+        self.dropped = np.zeros(len(lam))
 
     @classmethod
     def uniformized(cls, chains: Sequence[ConcreteCtmc], absorbing: Sequence) -> "_Blocks":
@@ -641,16 +636,19 @@ class _Adaptive:
     The chains' off-diagonal rates, absorbing rows removed, form one
     block-diagonal Q^T, each block padded to the largest chain with empty
     rows.  ``scale`` (per chain, >= 1) divides the chain's error shares: the
-    largest magnitude of the vectors its passes weigh.  Every per-block
+    largest magnitude of the vectors its passes weigh.  ``drop`` is the drop
+    budget before that division, epsilon / 8 unless given.  Every per-block
     quantity (mat-vec rows, dropped mass, Lambda_k, the tail bounds and cuts,
     the birth chains) is computed from that block alone, with per-block sums
     in state or step order, and a column's cut and birth chain depend only on
     its own time, so a value is the same bits in any batch and measure set.
-    Arrays in and out are (chains, ...) in batch order.
+    Arrays in and out are (chains, ...) in batch order.  After each pass,
+    ``dropped`` holds per chain the mass its block dropped up to its last
+    cut.
     """
 
     def __init__(self, chains: Sequence[ConcreteCtmc], absorbing: Sequence, epsilon: float,
-                 scale: Optional[np.ndarray] = None):
+                 scale: Optional[np.ndarray] = None, drop: Optional[float] = None):
         size = max(c.num_states for c in chains)
         counts = np.zeros((len(chains), size), dtype=np.int64)
         frozen = np.zeros((len(chains), size), dtype=bool)
@@ -673,7 +671,7 @@ class _Adaptive:
                    np.empty(data.size))
         csr_tocsc(n, n, indptr, cols.astype(idx), data, *self.qt)
         scale = np.ones(len(chains)) if scale is None else scale
-        self.share = epsilon * _DROP_SHARE / scale
+        self.share = (epsilon * _DROP_SHARE if drop is None else drop) / scale
         self.below = epsilon * _DROP_BELOW / scale
         self.log_tail = np.log(epsilon * _TAIL_SHARE / scale)
         self.log_head = np.log(epsilon * _HEAD_SHARE / scale)
@@ -751,7 +749,7 @@ class _Adaptive:
         cuts = np.where(times == 0.0, 0, -1) + np.zeros((blocks, 1), dtype=np.int64)
         tails = np.full(cuts.shape, -np.inf)
         mean, var, log_rates = np.zeros(blocks), np.zeros(blocks), np.zeros(blocks)
-        rates, series, dropped = [], [], None
+        rates, series, drops = [], [], []
         head = _Head(float(times[0]), self.log_head) if save else None
         with np.errstate(divide="ignore", invalid="ignore"):
             for k, (x, lam, dropped) in enumerate(self._steps(start)):
@@ -759,6 +757,7 @@ class _Adaptive:
                     series.append(np.zeros(len(reader[0]) - 1))
                     csr_matvec(len(series[-1]), x.size, *reader, x.reshape(-1), series[-1])
                 rates.append(lam)
+                drops.append(dropped)
                 inverse = 1.0 / lam
                 mean += inverse
                 var += inverse * inverse
@@ -777,10 +776,12 @@ class _Adaptive:
                 if (cuts >= 0).all():
                     break
         rates = np.array(rates).T
+        # a block's values read its iterates up to its last cut only
+        self.dropped = np.array(drops)[cuts.max(axis=1), np.arange(blocks)]
         message = ("adaptive pass to t=%g: %d blocks, %d-%d steps, largest Lambda_0 %g, "
                    "largest last Lambda_k %g, largest dropped mass %.3g, largest birth tail %.3g")
         args = [times.max(), blocks, cuts.min(), cuts.max(), rates[:, 0].max(),
-                rates[np.arange(blocks), cuts.max(axis=1)].max(), dropped.max(),
+                rates[np.arange(blocks), cuts.max(axis=1)].max(), self.dropped.max(),
                 math.exp(tails.max())]
         saved = None
         if head is not None:
@@ -959,34 +960,52 @@ def _first_level(births: _Blocks) -> np.ndarray:
     return start
 
 
+def _plain(c: ConcreteCtmc, absorbing: Optional[np.ndarray]) -> bool:
+    """The kernel rule: a pass over ``c`` with ``absorbing`` (None: nothing
+    absorbs) goes plain when the mean exit rate over the non-absorbing states
+    is at least half their largest, and adaptive otherwise (see the module
+    docstring).  It reads this chain's data alone, so a chain's kernel does
+    not depend on its batch."""
+    exits = c.exit_rates - c.rates.diagonal()
+    if absorbing is not None:
+        exits = exits[~absorbing]
+    return not exits.size or 2.0 * exits.mean() >= exits.max()
+
+
 def _interval(blocks, initial: np.ndarray, targets, t_lo: float, vectors: np.ndarray,
-              columns: Sequence[tuple[int, float]]) -> np.ndarray:
+              columns: Sequence[tuple[int, float]]) -> tuple[np.ndarray, np.ndarray]:
     """``blocks.series`` for windows [t_lo, t] that must be entered from
     outside the targets, which are absorbing in ``blocks``; with t_lo = 0 it
-    is ``series`` from ``initial``.
+    is ``series`` from ``initial``.  Returns the values and, per chain, the
+    mass that both phases dropped.
 
     Phase one steps to t_lo; mass sitting in the target at t_lo broke the
     left operand and is dropped (paths must avoid the target strictly before
     the window).  Phase two is first passage within t - t_lo.
     """
-    start = initial
+    start, dropped = initial, 0.0
     if t_lo > 0.0:
         start = np.where(~targets, blocks.transient(initial, t_lo), 0.0)
-    return blocks.series(start, vectors, [(j, t - t_lo) for j, t in columns])
+        dropped = blocks.dropped
+    values = blocks.series(start, vectors, [(j, t - t_lo) for j, t in columns])
+    return values, dropped + blocks.dropped
 
 
 def transient_distribution(c: ConcreteCtmc, t: float, epsilon: float = 1e-6) -> np.ndarray:
-    """Transient distribution pi_t, by adaptive uniformization.  Its L1 error
-    is at most epsilon / 8 (dropped mass) + epsilon * 2^-16 (birth tail) +
-    epsilon * 2^-16 (birth head) + epsilon * 2^-16 (zeroed birth levels),
-    at most epsilon / 8 + 3 epsilon * 2^-16 in all, each of which only lowers
-    entries, plus the far smaller Poisson cut and flush (see the module
-    docstring)."""
+    """Transient distribution pi_t, by the kernel ``_plain`` picks for the
+    chain.  On the adaptive kernel its L1 error is at most epsilon / 8
+    (dropped mass) + epsilon * 2^-16 (birth tail) + epsilon * 2^-16 (birth
+    head) + epsilon * 2^-16 (zeroed birth levels), at most epsilon / 8 + 3
+    epsilon * 2^-16 in all, each of which only lowers entries; on both
+    kernels add the far smaller Poisson cut and flush, all a plain pass
+    loses (see the module docstring)."""
     _check_epsilon(epsilon)
     if not 0 <= t < math.inf:
         raise CheckerError("t must be finite and >= 0")
     if t == 0.0:
         return c.initial.copy()
+    if _plain(c, None):
+        return _Blocks.uniformized([c], [None]).transient(c.initial[None], t)[0]
     return _Adaptive([c], [None], epsilon).transient(c.initial[None], t)[0]
 
 
@@ -1021,7 +1040,7 @@ def instant_reward(c: ConcreteCtmc, reward: str, t: float, epsilon: float = 1e-6
 
 
 # ---------------------------------------------------------------------------
-# Measure-set evaluation (exact chains and partial-model bounds)
+# Measure-set evaluation (exact values and approximate bounds)
 # ---------------------------------------------------------------------------
 
 def _groups(measures: MeasureSet) -> dict:
@@ -1054,55 +1073,50 @@ def _reward_scale(c: ConcreteCtmc) -> float:
     return max([1.0] + [float(np.abs(r).max(initial=0.0)) for r in c.rewards.values()])
 
 
-def _evaluate(chains: Sequence[ConcreteCtmc], measures: MeasureSet,
-              epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+def _evaluate(chains: Sequence[ConcreteCtmc], measures: MeasureSet, epsilon: float,
+              delta: float = math.inf) -> tuple[np.ndarray, np.ndarray]:
     """Values of all measures on a batch of chains of one model, grouped to
     share passes; each chain's values are those of a batch of one.
 
-    Returns (lower, upper), one row per chain.  Partial chains
-    (``PartialCtmc``), possibly of different sizes, are checked by plain
-    passes that also weigh the upper vectors, whose entry at the chain's sink
-    (its last state) is 1 for targets and the chain's ``sink_rewards`` for
-    rewards (see the module docstring).  Full chains are checked by adaptive
-    passes, and the two arrays are equal.
+    Per absorbing target (None: rewards), the chains ``_plain`` sends plain
+    share one ``_Blocks`` and the others one ``_Adaptive``, whose passes drop
+    at most min(delta, epsilon / 8) / s per chain.  Returns (values, gaps),
+    one row per chain: a gap is s times the mass the measure's passes
+    dropped, so the exact value lies in [value, value + gap] up to epsilon.
     """
     _check_epsilon(epsilon)
-    partial = isinstance(chains[0], PartialCtmc)
-    lower = np.empty((len(chains), len(measures)))
-    upper = np.empty_like(lower) if partial else lower
-    size = max(c.num_states for c in chains)
-    sinks = [c.num_states - 1 for c in chains]
-    initial = _padded([c.initial for c in chains], size)
-    blocks: dict = {}
-    for (target, t_lo), group in _groups(measures).items():
-        names = list(dict.fromkeys(name for _, name, _ in group))
-        columns = [(names.index(name), t) for _, name, t in group]
-        if target is None:
-            absorbing = targets = [None] * len(chains)
-            vectors = _padded([[c.reward_vector(name) for name in names] for c in chains], size)
-        else:
-            absorbing = [c.label_mask(target) for c in chains]
-            targets = _padded(absorbing, size, bool)
-            vectors = targets[:, None].astype(float)
-        if partial:
-            upper_vectors = vectors.copy()
-            upper_vectors[np.arange(len(chains)), :, sinks] = (
-                [[c.sink_rewards[n] for n in names] for c in chains] if target is None
-                else 1.0)
-            vectors = np.concatenate((vectors, upper_vectors), axis=1)
-            columns += [(j + len(names), t) for j, t in columns]
-        if target not in blocks and partial:
-            blocks[target] = _Blocks.uniformized(chains, absorbing)
-        elif target not in blocks:
-            scale = None if target is not None else np.array([_reward_scale(c) for c in chains])
-            blocks[target] = _Adaptive(chains, absorbing, epsilon, scale)
-        values = _interval(blocks[target], initial, targets, t_lo, vectors, columns)
-        if target is not None:
-            values = np.clip(values, 0.0, 1.0)
-        positions = [pos for pos, _, _ in group]
-        lower[:, positions] = values[:, :len(group)]
-        upper[:, positions] = values[:, -len(group):]
-    return lower, upper
+    values = np.empty((len(chains), len(measures)))
+    gaps = np.empty_like(values)
+    drop = min(delta, epsilon * _DROP_SHARE)
+    groups = _groups(measures)
+    plain_blocks, targets = 0, list(dict.fromkeys(target for target, _ in groups))
+    for target in targets:
+        absorbing = [None if target is None else c.label_mask(target) for c in chains]
+        scale = np.array([1.0 if target is not None else _reward_scale(c) for c in chains])
+        plain = np.array([_plain(c, a) for c, a in zip(chains, absorbing)], dtype=bool)
+        plain_blocks += int(plain.sum())
+        for sub in (np.flatnonzero(plain), np.flatnonzero(~plain)):
+            if not sub.size:
+                continue
+            part, frozen = [chains[b] for b in sub], [absorbing[b] for b in sub]
+            kernel = (_Blocks.uniformized(part, frozen) if plain[sub[0]] else
+                      _Adaptive(part, frozen, epsilon, scale[sub], drop))
+            size = max(c.num_states for c in part)
+            initial = _padded([c.initial for c in part], size)
+            mask = None if target is None else _padded(frozen, size, bool)
+            for t_lo, group in [(t_lo, g) for (key, t_lo), g in groups.items() if key == target]:
+                names = list(dict.fromkeys(name for _, name, _ in group))
+                columns = [(names.index(name), t) for _, name, t in group]
+                vectors = (mask[:, None].astype(float) if target is not None else _padded(
+                    [[c.reward_vector(name) for name in names] for c in part], size))
+                found, dropped = _interval(kernel, initial, mask, t_lo, vectors, columns)
+                cells = np.ix_(sub, [pos for pos, _, _ in group])
+                values[cells] = found if target is None else np.clip(found, 0.0, 1.0)
+                gaps[cells] = (scale[sub] * dropped)[:, None]
+    log.debug("batch of %d chains: %d plain and %d adaptive blocks over %d absorbing sets",
+              len(chains), plain_blocks, len(chains) * len(targets) - plain_blocks,
+              len(targets))
+    return values, gaps
 
 
 def evaluate_measures(c: ConcreteCtmc, measures: MeasureSet,
@@ -1133,18 +1147,14 @@ def _batches(chains, measures: MeasureSet) -> Iterator[list]:
     """Consecutive chains, grouped so that no group holds more than
     ``DEFAULT_STATE_CAP`` states, counted as padded to its largest chain, or
     keeps a series (blocks x series x steps) of more floats than that.  A
-    chain above either cap goes alone.  A plain pass over partial chains
-    keeps two series per vector, as it weighs an upper vector beside each
-    one; an adaptive pass over full chains keeps one per vector, one more per
-    vector on its birth chains, and one per measure there."""
+    chain above either cap goes alone.  Each chain is counted as an adaptive
+    pass, which keeps one series per vector, one more per vector on its birth
+    chains, and one per measure there; a plain pass keeps only the first."""
     groups = _groups(measures).values()
-    names = [len({name for _, name, _ in g}) for g in groups]
-    plain = max((2 * n for n in names), default=0)
-    adaptive = max((2 * n + len(g) for n, g in zip(names, groups)), default=0)
+    width = max((2 * len({name for _, name, _ in g}) + len(g) for g in groups), default=0)
     horizon = max((t for g in groups for _, _, t in g), default=0.0)
     batch, size, kept = [], 0, 0
     for chain in chains:
-        width = plain if isinstance(chain, PartialCtmc) else adaptive
         floats = width * _series_steps(chain, horizon)
         if batch and ((len(batch) + 1) * max(size, chain.num_states) > DEFAULT_STATE_CAP
                       or kept + floats > DEFAULT_STATE_CAP):
@@ -1156,61 +1166,45 @@ def _batches(chains, measures: MeasureSet) -> Iterator[list]:
         yield batch
 
 
-def _gaps_met(lower: np.ndarray, upper: np.ndarray, rel_gap: float) -> bool:
-    rel = (upper - lower) / np.maximum(upper, 1e-12)
-    return bool(np.all(rel <= rel_gap))
+def _relative_gaps(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    return (upper - lower) / np.maximum(upper, 1e-12)
 
 
 def _bound_valuations(m: ParametricCtmc, valuations: Sequence[Valuation],
                       measures: MeasureSet, delta: float, epsilon: float,
                       rel_gap: float) -> list[IntervalSolution]:
-    """``bound_measures`` for every valuation, in lockstep delta rounds.
-
-    Each round builds the partial models of all valuations still open
-    lazily, checks them batch by batch (see ``_batches``), then intersects
-    and decides each valuation's bounds; only the valuations still open go
-    on to delta/10.
+    """``bound_measures`` for every valuation, batched as exact mode is
+    (``_batches``).  A valuation whose gap is still open runs again with a
+    tenth of the drop budget; a budget of 0 drops nothing, so the rounds end.
     """
-    lower = [np.full(len(measures), -np.inf) for _ in valuations]
-    upper = [np.full(len(measures), np.inf) for _ in valuations]
     solutions: list = [None] * len(valuations)
-    open_ = list(range(len(valuations)))
-    delta_now, rounds = delta, 0
+    open_, drop, rounds = list(range(len(valuations))), min(delta, epsilon * _DROP_SHARE), 0
     while open_:
-        chains = (build_partial(m, valuations[i], delta_now) for i in open_)
-        positions, still, largest, batches = iter(open_), [], 0, 0
-        for partials in _batches(chains, measures):
-            lo, up = _evaluate(partials, measures, epsilon)
-            batches += 1
-            largest = max(largest, max(p.num_states for p in partials))
-            for partial, lo_i, up_i in zip(partials, lo, up):
-                i = next(positions)
-                lower[i] = np.maximum(lower[i], lo_i)
-                upper[i] = np.minimum(upper[i], up_i)
-                if _gaps_met(lower[i], upper[i], rel_gap) or not partial.sink_reachable:
-                    solutions[i] = IntervalSolution(i, lower[i], upper[i], delta_now)
-                elif delta_now < _DELTA_FLOOR:
-                    solutions[i] = IntervalSolution(i, lower[i], upper[i], delta_now,
-                                                    gap_met=False)
+        positions, still, widest = iter(open_), [], 0.0
+        for batch in _batches((build_full(m, valuations[i]) for i in open_), measures):
+            for lower, gap in zip(*_evaluate(batch, measures, epsilon, drop)):
+                i, upper = next(positions), lower + gap
+                rel = _relative_gaps(lower, upper)
+                widest = max([widest] + rel.tolist())
+                met = bool(np.all(rel <= rel_gap))
+                if met or drop == 0.0:
+                    solutions[i] = IntervalSolution(i, lower, upper, drop, gap_met=met)
                 else:
                     still.append(i)
-        log.debug("delta round %d (delta %g): %d open valuations, largest partial "
-                  "chain %d states, %d batches", rounds + 1, delta_now, len(open_),
-                  largest, batches)
-        open_, delta_now, rounds = still, delta_now / 10.0, rounds + 1
+        log.debug("approximate round %d (drop budget %g): %d open valuations, largest "
+                  "relative gap %.3g", rounds + 1, drop, len(open_), widest)
+        open_, drop, rounds = still, drop / 10.0, rounds + 1
     return solutions
 
 
 def bound_measures(m: ParametricCtmc, u: Valuation, measures: MeasureSet,
                    delta: float = 1e-2, epsilon: float = 1e-6,
                    rel_gap: float = 1e-2, index: int = 0) -> IntervalSolution:
-    """Two-sided measure bounds from partial models, tightened until the
-    relative gap (upper-lower)/max(upper, 1e-12) meets rel_gap per entry.
-
-    The truncation threshold is divided by 10 per round; if it underflows the
-    best interval so far is returned with ``gap_met=False``.  Bounds from
-    successive rounds are intersected, so intervals only ever shrink.
-    """
+    """Two-sided measure bounds from one pass over the full chain that drops
+    at most min(delta, epsilon / 8) / s of mass per adaptive pass, rerun with
+    a tenth of that budget until the relative gap (upper-lower)/max(upper,
+    1e-12) meets rel_gap per entry (see the module docstring).  ``delta`` of
+    the result is the budget of its last pass."""
     solution, = _bound_valuations(m, [u], measures, delta, epsilon, rel_gap)
     solution.valuation_index = index
     return solution
@@ -1219,16 +1213,17 @@ def bound_measures(m: ParametricCtmc, u: Valuation, measures: MeasureSet,
 def refine_solution(prev: IntervalSolution, m: ParametricCtmc, u: Valuation,
                     measures: MeasureSet, epsilon: float = 1e-6,
                     rel_gap: float = 1e-2) -> IntervalSolution:
-    """One refinement step: re-run the bound analysis at delta/10 and intersect,
-    so the result is pointwise contained in the previous interval.
-    ``gap_met`` is judged afresh on the refined interval."""
-    delta_new = prev.delta / 10.0
-    (lo,), (up,) = _evaluate([build_partial(m, u, delta_new)], measures, epsilon)
+    """One refinement step: re-run the bound analysis with a tenth of the
+    previous drop budget (``prev.delta / 10``) and intersect, so the result
+    is pointwise contained in the previous interval.  ``gap_met`` is judged
+    afresh on the refined interval."""
+    drop = min(prev.delta, epsilon * _DROP_SHARE) / 10.0
+    (lo,), (gap,) = _evaluate([build_full(m, u)], measures, epsilon, drop)
     lower = np.maximum(prev.lower, lo)
-    upper = np.minimum(prev.upper, up)
+    upper = np.minimum(prev.upper, lo + gap)
     upper = np.maximum(upper, lower)
-    return IntervalSolution(prev.valuation_index, lower, upper, delta_new,
-                            gap_met=_gaps_met(lower, upper, rel_gap))
+    return IntervalSolution(prev.valuation_index, lower, upper, drop,
+                            gap_met=bool(np.all(_relative_gaps(lower, upper) <= rel_gap)))
 
 
 def solve_measure_set(m: ParametricCtmc, valuations, measures: MeasureSet,
@@ -1237,10 +1232,10 @@ def solve_measure_set(m: ParametricCtmc, valuations, measures: MeasureSet,
     """Solution vectors (or interval solutions) for a batch of valuations.
 
     Results are ordered by valuation index, and each valuation's result does
-    not depend on which other valuations are solved with it.  Exact mode
-    checks consecutive valuations together, in batches of at most
-    ``DEFAULT_STATE_CAP`` states (see ``_Blocks``).  Approx mode bounds all
-    valuations together, in lockstep delta rounds (``_bound_valuations``).
+    not depend on which other valuations are solved with it.  Both modes
+    check consecutive valuations together, in batches of at most
+    ``DEFAULT_STATE_CAP`` states (``_batches``); approx mode bounds them
+    with ``_bound_valuations``.
     """
     if hasattr(valuations, "valuations"):
         valuations = valuations.valuations

@@ -316,7 +316,9 @@ def _add_check_options(p, delta: float = RunConfig.delta,
                        rel_gap: float = RunConfig.rel_gap) -> None:
     p.add_argument("--epsilon", type=float, default=RunConfig.epsilon)
     p.add_argument("--rel-gap", type=float, default=rel_gap)
-    p.add_argument("--delta", type=float, default=delta)
+    p.add_argument("--delta", type=float, default=delta,
+                   help="approximate mode: mass one pass may drop, at most epsilon/8 "
+                        "(then lower is exact mode's value); an open gap reruns with a tenth")
 
 
 def _add_region_options(p, rho: str = RunConfig.rho_spec,

@@ -14,6 +14,7 @@ import pytest
 
 import uctmc
 from uctmc import (
+    IntervalSolution,
     Valuation,
     baseline_frequentist,
     baseline_independent,
@@ -206,22 +207,29 @@ def test_criterion_08_imprecise_sandwich_and_refinement(sir20, sir_measures):
     assert np.all(interval.lower <= exact + 1e-9)
     assert np.all(exact <= interval.upper + 1e-9)
 
-    # artificially coarsened instance: n=50, every 8th sample truncated far
-    # more aggressively than the rest, then refined on the region boundary
-    # (target_gain 0 runs the loop to stabilization)
+    # artificially coarsened instance: n=50, every 8th sample's bounds
+    # widened far more than the rest's, then refined on the region boundary
+    # (target_gain 0 runs the loop to stabilization).  Approximate bounds are
+    # at most about epsilon / 4 wide, too narrow to move eta, so a margin
+    # stands in for a coarse analysis: each refinement recomputes the
+    # sample's bounds with refine_solution and divides its margin by 10
     samples = sample_valuations(sir20, 50, seed=4711)
-    coarse = {}
+    coarse, margin = {}, {}
     for i, v in enumerate(samples.valuations):
-        start_delta = 1e-2 if i % 8 == 0 else 1e-6
-        coarse[i] = bound_measures(sir20, v, sir_measures, delta=start_delta,
-                                   rel_gap=10.0)
+        coarse[i] = bound_measures(sir20, v, sir_measures, rel_gap=10.0)
+        margin[i] = 0.5 if i % 8 == 0 else 1e-3
+
+    def widened(i):
+        return coarse[i].lower - margin[i], coarse[i].upper + margin[i]
 
     def refiner(i):
         coarse[i] = refine_solution(coarse[i], sir20, samples.valuations[i],
                                     sir_measures)
-        return coarse[i].lower, coarse[i].upper
+        margin[i] /= 10.0
+        return widened(i)
 
-    outcome, etas = refine_until([coarse[i] for i in range(len(coarse))],
+    outcome, etas = refine_until([IntervalSolution(i, *widened(i), coarse[i].delta)
+                                  for i in range(len(coarse))],
                                  rho=2.0, beta=0.9, target_gain=0.0,
                                  max_iters=10, refiner=refiner)
     strict_increases = sum(b - a > 1e-9 for a, b in zip(etas, etas[1:]))

@@ -144,6 +144,19 @@ def _with_reward(c, name, reward):
     return ConcreteCtmc(c.states, c.initial, c.rates, c.labels, {**c.rewards, name: reward})
 
 
+def _death_measures():
+    return MeasureSet((
+        TimeBoundedReach("reach", "extinct", 30.0),
+        IntervalReach("window", "extinct", 10.0, 40.0),
+        InstantReward("level", "level", 0.5),
+        InstantReward("late", "level", 20.0),
+    ))
+
+
+def _with_level(c):
+    return _with_reward(c, "level", np.arange(c.num_states, dtype=float))
+
+
 @pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-12])
 def test_adaptive_pass_matches_expm_oracle(eps, sir2, sir20, mean_valuation):
     # full chains are checked by adaptive uniformization: reach, interval and
@@ -157,17 +170,9 @@ def test_adaptive_pass_matches_expm_oracle(eps, sir2, sir20, mean_valuation):
         InstantReward("infected", "infected", 25.0),
         InstantReward("late", "infected", 120.0),
     ))
-    death = draining_death_chain()
-    death = _with_reward(death, "level", np.arange(death.num_states, dtype=float))
-    death_measures = MeasureSet((
-        TimeBoundedReach("reach", "extinct", 30.0),
-        IntervalReach("window", "extinct", 10.0, 40.0),
-        InstantReward("level", "level", 0.5),
-        InstantReward("late", "level", 20.0),
-    ))
     for c, measures in ((build_full(sir2, mean_valuation), sir_measures),
                         (build_full(sir20, mean_valuation), sir_measures),
-                        (death, death_measures)):
+                        (_with_level(draining_death_chain()), _death_measures())):
         ours = evaluate_measures(c, measures, epsilon=eps)
         assert np.all(np.abs(ours - _oracle_values(c, measures)) <= eps), (eps, ours)
         pi = transient_distribution(c, 30.0, epsilon=eps)
@@ -527,16 +532,15 @@ def _mixed_measures(target="extinct", reward="infected", scale=1.0):
 def test_measure_layout_invariance(sir20, mean_valuation):
     # measures sharing a pass (reach and windows from 0 on one target, the
     # windows from 60 on it, rewards at two times) give each measure the same
-    # bits alone, in the full set and in the reversed set, on a full chain and
-    # for both bounds on a partial chain
+    # value and gap bits alone, in the full set and in the reversed set, on an
+    # adaptive chain (sir20) and a plain one (buffer)
     from uctmc.checker import _evaluate
 
     buffer = uctmc.load_model(uctmc.example_model_path("buffer"))
-    u = uctmc.Valuation.from_floats([35.0, 30.0, 30.0, 0.05, 10.0, 10.0])
-    partial = build_partial(buffer, u, 1e-3)
-    assert partial.sink_reachable
+    u = uctmc.Valuation.from_floats(BUFFER_VALUATION)
     cases = [(build_full(sir20, mean_valuation), _mixed_measures()),
-             (partial, _mixed_measures("both_busy", "buffered", 0.01))]
+             (build_full(buffer, u), _mixed_measures("both_busy", "buffered", 0.01))]
+    gaps = []
     for chain, measures in cases:
         full = _evaluate([chain], measures, 1e-6)
         backwards = _evaluate([chain], MeasureSet(measures.measures[::-1]), 1e-6)
@@ -546,9 +550,92 @@ def test_measure_layout_invariance(sir20, mean_valuation):
                 assert np.array_equal(alone[side][0], full[side][0, [pos]]), meas.id
                 assert np.array_equal(backwards[side][0, [-1 - pos]],
                                       full[side][0, [pos]]), meas.id
-        assert np.all(full[0] <= full[1])
-    # the sink holds enough mass for the two sides to differ
-    assert np.all(full[1] > full[0])
+        gaps.append(full[1][0])
+    # the adaptive passes drop mass, the plain ones none
+    assert np.all(gaps[0] > 0.0) and np.all(gaps[1] == 0.0)
+
+
+def test_kernel_rule_sends_buffer_and_tandem_plain_and_sir_adaptive(sir20, sir140, tandem):
+    # every pass of every valuation: the target passes and the reward pass
+    from uctmc.checker import _groups, _plain
+
+    buffer = uctmc.load_model(uctmc.example_model_path("buffer"))
+    for m, measure_file, n, plain in ((buffer, "buffer_measures", 10, True),
+                                      (tandem, "tandem_measures", 10, True),
+                                      (sir20, "sir_horizons", 10, False),
+                                      (sir140, "sir_horizons", 1, False)):
+        measures = uctmc.io.read_measures(uctmc.example_model_path(measure_file))
+        targets = {target for target, _ in _groups(measures)}
+        for u in uctmc.sample_valuations(m, n, seed=1).valuations:
+            c = build_full(m, u)
+            for target in targets:
+                absorbing = None if target is None else c.label_mask(target)
+                assert _plain(c, absorbing) == plain, (measure_file, target)
+
+
+def _rule_model():
+    """z climbs from 0 to 10 at rate a and falls at rate b z^2.  Where a is far
+    above b z^2 the exit rates barely change, and every pass goes plain; where
+    b z^2 is far above a they grow with z, and every pass goes adaptive."""
+    return uctmc.parse_model({
+        "parameters": [
+            {"name": "a", "distribution": {"type": "uniform", "low": 0.5, "high": 50.0}},
+            {"name": "b", "distribution": {"type": "uniform", "low": 0.001, "high": 1.0}}],
+        "variables": [{"name": "z", "init": 0, "min": 0, "max": 10}],
+        "commands": [{"guard": "z < 10", "rate": "a", "updates": {"z": "z+1"}},
+                     {"guard": "z > 0", "rate": "b*z*z", "updates": {"z": "z-1"}}],
+        "labels": {"top": "z=10", "low": "z<=1"},
+        "rewards": {"level": {"states": "z"}}})
+
+
+RULE_VALUATIONS = [(1.0, 1.0), (40.0, 0.01), (2.0, 0.5), (10.0, 0.1), (1.5, 0.8),
+                   (30.0, 0.02)]
+RULE_MEASURES = MeasureSet((
+    TimeBoundedReach("top", "top", 2.0),
+    IntervalReach("top_window", "top", 1.0, 3.0),
+    IntervalReach("low_window", "low", 0.5, 4.0),
+    InstantReward("level", "level", 0.5),
+    InstantReward("level_late", "level", 2.0),
+))
+
+
+def test_mixed_kernel_batch_layout_invariance():
+    # one batch whose valuations fall on both sides of the kernel rule and
+    # whose gaps close after different numbers of approximate rounds: each
+    # valuation's values, bounds, final budget and gap_met are the same bits
+    # alone, in reversed order, in a slice and in the full batch, and its
+    # values are within epsilon of dense expm
+    from uctmc.checker import _plain
+
+    m = _rule_model()
+    valuations = [uctmc.Valuation.from_floats(v) for v in RULE_VALUATIONS]
+    chains = [build_full(m, u) for u in valuations]
+    for target in ("top", "low", None):
+        kinds = [_plain(c, None if target is None else c.label_mask(target)) for c in chains]
+        assert kinds == [False, True, False, True, False, True], target
+    eps = 1e-6
+    for mode in ("exact", "approx"):
+        full = solve_measure_set(m, valuations, RULE_MEASURES, mode=mode, epsilon=eps)
+        if mode == "approx":
+            # the adaptive valuations whose values are tiny rerun with smaller
+            # drop budgets, the others stop after one pass
+            assert len({s.delta for s in full}) > 1
+        backwards = solve_measure_set(m, valuations[::-1], RULE_MEASURES, mode=mode,
+                                      epsilon=eps)[::-1]
+        sliced = dict(zip(range(1, 4), solve_measure_set(m, valuations[1:4], RULE_MEASURES,
+                                                         mode=mode, epsilon=eps)))
+        for i, u in enumerate(valuations):
+            alone = solve_measure_set(m, [u], RULE_MEASURES, mode=mode, epsilon=eps)[0]
+            for other in [alone, backwards[i]] + ([sliced[i]] if i in sliced else []):
+                if mode == "exact":
+                    assert np.array_equal(other.values, full[i].values), i
+                    continue
+                assert np.array_equal(other.lower, full[i].lower), i
+                assert np.array_equal(other.upper, full[i].upper), i
+                assert (other.delta, other.gap_met) == (full[i].delta, full[i].gap_met)
+            if mode == "exact":
+                expected = _oracle_values(chains[i], RULE_MEASURES)
+                assert np.all(np.abs(full[i].values - expected) <= eps), i
 
 
 def test_batched_check_layout_invariance(sir20):
@@ -594,8 +681,23 @@ def test_batched_check_matches_expm_oracle(sir20):
         assert np.all(np.abs(sol.values - expected) <= eps), sol.values - expected
 
 
+def test_debug_log_counts_kernels_and_reports_drop_budget(caplog):
+    # one line per batch with its plain and adaptive blocks (three absorbing
+    # sets: two targets and the rewards), one line per approximate round
+    m = _rule_model()
+    valuations = [uctmc.Valuation.from_floats(v) for v in RULE_VALUATIONS]
+    with caplog.at_level("DEBUG", logger="uctmc.checker"):
+        solve_measure_set(m, valuations, RULE_MEASURES, mode="approx")
+    assert "batch of 6 chains: 9 plain and 9 adaptive blocks over 3 absorbing sets" in caplog.text
+    first = re.search(r"approximate round 1 \(drop budget 1.25e-07\): 6 open valuations, "
+                      r"largest relative gap (\S+)", caplog.text)
+    assert first and float(first[1]) > 1e-2
+    assert re.search(r"approximate round 2 \(drop budget 1.25e-08\): 1 open valuations",
+                     caplog.text)
+
+
 # ---------------------------------------------------------------------------
-# Interval solutions from partial models
+# Interval solutions from the dropped mass (approximate mode)
 # ---------------------------------------------------------------------------
 
 def test_bound_measures_sandwich_sir2(sir2, mean_valuation):
@@ -610,14 +712,29 @@ def test_bound_measures_sandwich_sir2(sir2, mean_valuation):
     assert np.all(exact <= iv.upper + 1e-9)
 
 
-def test_bound_measures_delta_one_gives_vacuous_reach_bounds(sir20, sir_measures,
-                                                             mean_valuation):
-    from uctmc.checker import _evaluate
-    partial = build_partial(sir20, mean_valuation, 1.0)
-    (lower,), (upper,) = _evaluate([partial], sir_measures, 1e-6)
-    assert partial.retained_states == ((15, 5, 0),)
-    assert np.all(lower <= 1e-6)
-    assert np.all(upper >= 1.0 - 1e-6)
+def test_approx_lower_is_exact_mode_value(sir20):
+    # with delta at or above epsilon / 8 (the default 1e-2, or 1) the drop
+    # budget is exact mode's, so lower is exact mode's value bit for bit; the
+    # plain buffer chains drop nothing and the sir20 gaps are met in one pass
+    from uctmc.checker import _DROP_SHARE
+
+    buffer = uctmc.load_model(uctmc.example_model_path("buffer"))
+    for m, measure_file, zero_gap in ((sir20, "sir_horizons", False),
+                                      (buffer, "buffer_measures", True)):
+        measures = uctmc.io.read_measures(uctmc.example_model_path(measure_file))
+        valuations = uctmc.sample_valuations(m, 4, seed=7).valuations
+        exact = solve_measure_set(m, valuations, measures)
+        for eps in (1e-6, 1e-3):
+            for delta in (1e-2, 1.0):
+                bounds = solve_measure_set(m, valuations, measures, mode="approx",
+                                           epsilon=eps, delta=delta)
+                if eps == 1e-6:
+                    for a, b in zip(exact, bounds):
+                        assert np.array_equal(a.values, b.lower)
+                for b in bounds:
+                    assert b.gap_met and b.delta == eps * _DROP_SHARE
+                    assert np.all(b.upper >= b.lower)
+                    assert np.all(b.upper == b.lower) == zero_gap
 
 
 BUFFER_VALUATION = [35.0, 30.0, 30.0, 0.05, 10.0, 10.0]
@@ -636,75 +753,81 @@ def _buffer_bound_measures():
     ))
 
 
-def _buffer_bound_oracle(partial):
-    """Dense-expm lower and upper values of ``_buffer_bound_measures`` on a
-    partial buffer chain."""
-    mask = partial.label_mask("both_busy")
-    sink = np.zeros(partial.num_states, dtype=bool)
-    sink[-1] = True
-    reward = partial.reward_vector("buffered")
-    worst = reward.copy()
-    worst[-1] = 3.0  # s + f at s = 2, f = 1
-    pi = transient_oracle(partial, 2.0)
-    pi_early = transient_oracle(partial, 0.7)
-    # upper window bound: the sink keeps its mass at t_lo and counts as target
-    q = dense_generator(partial, absorbing=mask)
-    start = np.where(mask, 0.0, partial.initial @ expm(q * 0.5))
-    window_up = float((start @ expm(q * 1.5))[mask | sink].sum())
-    lower = [reach_oracle(partial, mask, 0.3), reach_oracle(partial, mask, 1.5),
-             interval_reach_oracle(partial, mask, 0.5, 2.0), float(pi @ reward),
-             float(pi_early @ reward), interval_reach_oracle(partial, mask, 0.0, 1.0)]
-    upper = [reach_oracle(partial, mask | sink, 0.3),
-             reach_oracle(partial, mask | sink, 1.5), window_up, float(pi @ worst),
-             float(pi_early @ worst), reach_oracle(partial, mask | sink, 1.0)]
-    return np.array(lower), np.array(upper)
+@pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-12])
+def test_approx_bounds_match_dense_oracle(eps, sir20, mean_valuation):
+    # lower <= dense expm <= upper, within epsilon, for every measure kind on
+    # a plain chain (buffer) and two adaptive ones (sir20, a draining death
+    # chain), at exact mode's budget and at budgets that bind; the losses
+    # other than dropped mass stay far inside epsilon, so upper misses the
+    # oracle by less than epsilon * 2^-13 and the rounding
+    from uctmc.checker import _evaluate, _plain
+
+    buffer = uctmc.load_model(uctmc.example_model_path("buffer"))
+    cases = [(build_full(buffer, uctmc.Valuation.from_floats(BUFFER_VALUATION)),
+              _buffer_bound_measures()),
+             (build_full(sir20, mean_valuation), _mixed_measures()),
+             (_with_level(draining_death_chain()), _death_measures())]
+    assert [_plain(c, None) for c, _ in cases] == [True, False, False]
+    for c, measures in cases:
+        expected = _oracle_values(c, measures)
+        for delta in (math.inf, eps * 1e-3, 0.0):
+            (lower,), (gap,) = _evaluate([c], measures, eps, delta)
+            upper = lower + gap
+            assert np.all(lower - eps <= expected), (eps, delta, lower - expected)
+            assert np.all(expected <= upper + eps * 2.0**-13 + 1e-13), (eps, delta,
+                                                                        upper - expected)
+            assert np.all(gap >= 0.0) and (delta > 0.0 or np.all(gap == 0.0))
 
 
-def test_partial_bounds_match_dense_oracle():
+def test_gap_counts_the_mass_dropped_up_to_the_chains_own_cut(sir20):
+    # the slower chain's passes end first but keep stepping, and dropping,
+    # while the other's go on; its gaps count only what it dropped up to its
+    # own last cut, so they are the same bits alone and in either order
     from uctmc.checker import _evaluate
 
-    m = uctmc.load_model(uctmc.example_model_path("buffer"))
-    u = uctmc.Valuation.from_floats(BUFFER_VALUATION)
-    eps = 1e-8
-    partial = build_partial(m, u, 1e-3)
-    (lower,), (upper,) = _evaluate([partial], _buffer_bound_measures(), eps)
-    assert partial.sink_reachable
-    expected_lower, expected_upper = _buffer_bound_oracle(partial)
-    assert np.all(np.abs(lower - expected_lower) <= eps)
-    assert np.all(np.abs(upper - expected_upper) <= eps)
-    assert np.all(lower <= upper)
-    # the sink holds enough mass for the two sides to differ
-    assert np.all(upper - lower > 1e-6)
+    chains = [build_full(sir20, uctmc.Valuation.from_floats(u))
+              for u in ((0.01, 0.02), (0.05, 0.04))]
+    measures = _mixed_measures()
+    together = _evaluate(chains, measures, 1e-6)
+    backwards = _evaluate(chains[::-1], measures, 1e-6)
+    for b, c in enumerate(chains):
+        alone = _evaluate([c], measures, 1e-6)
+        for side in (0, 1):
+            assert np.array_equal(alone[side][0], together[side][b]), (b, side)
+            assert np.array_equal(alone[side][0], backwards[side][1 - b]), (b, side)
+    assert np.all(together[1] > 0.0)
 
 
 def test_padded_blocks_match_dense_oracle():
-    # partial chains of different sizes share one padded batch; each chain's
-    # bounds are within epsilon of the dense oracle and the same bits as in a
-    # batch of one
-    from uctmc.checker import _evaluate
+    # chains of different sizes share one padded batch, on both kernels; each
+    # chain's values and gaps are within epsilon of the dense oracle and the
+    # same bits as in a batch of one
+    from uctmc.checker import _evaluate, _plain
 
-    m = uctmc.load_model(uctmc.example_model_path("buffer"))
-    u = uctmc.Valuation.from_floats(BUFFER_VALUATION)
-    partials = [uctmc.build_partial(m, u, delta) for delta in (1e-3, 1e-1, 1e-2)]
-    sizes = [p.num_states for p in partials]
+    chains = [_with_level(c) for c in (draining_death_chain(top=12, rate=1.0, slow=1.0),
+                                       fast_then_slow_chain(),
+                                       draining_death_chain(top=30, rate=1.0, slow=1.0),
+                                       fast_then_slow_chain(top=20))]
+    sizes = [c.num_states for c in chains]
     assert len(set(sizes)) == len(sizes) and max(sizes) != sizes[-1]
-    assert all(p.sink_reachable for p in partials)
-    measures, eps = _buffer_bound_measures(), 1e-8
-    lower, upper = _evaluate(partials, measures, eps)
-    for b, partial in enumerate(partials):
-        expected_lower, expected_upper = _buffer_bound_oracle(partial)
-        assert np.all(np.abs(lower[b] - expected_lower) <= eps), b
-        assert np.all(np.abs(upper[b] - expected_upper) <= eps), b
-        alone = _evaluate([partial], measures, eps)
-        assert np.array_equal(alone[0][0], lower[b]), b
-        assert np.array_equal(alone[1][0], upper[b]), b
+    assert [_plain(c, c.label_mask("extinct")) for c in chains] == [True, False, True, False]
+    measures, eps = _death_measures(), 1e-8
+    values, gaps = _evaluate(chains, measures, eps)
+    for b, c in enumerate(chains):
+        expected = _oracle_values(c, measures)
+        assert np.all(values[b] - eps <= expected), b
+        assert np.all(expected <= values[b] + gaps[b] + eps), b
+        alone = _evaluate([c], measures, eps)
+        assert np.array_equal(alone[0][0], values[b]), b
+        assert np.array_equal(alone[1][0], gaps[b]), b
 
 
 def test_sink_reward_is_the_largest_reachable_value():
     # z + 3 over the box z in [-3, 10] reaches 13, but the guard z < 3 keeps
-    # every reachable z below 4: the sink's upper reward is 6, and the bounds
-    # still sandwich the dense oracle
-    from uctmc.checker import _evaluate
+    # every reachable z below 4: a partial model's sink reward is 6, the full
+    # chain's reward scale s is 6 too, and the bounds sandwich the dense
+    # oracle
+    from uctmc.checker import _reward_scale
 
     m = uctmc.parse_model({
         "parameters": [{"name": "k", "distribution": {"type": "uniform",
@@ -718,20 +841,14 @@ def test_sink_reward_is_the_largest_reachable_value():
     partial = build_partial(m, u, 0.2)  # keeps -2 .. 2
     assert partial.sink_reachable
     assert partial.sink_rewards == {"shifted": 6.0}
+    full = build_full(m, u)
+    assert _reward_scale(full) == 6.0
     eps = 1e-8
     measures = MeasureSet((InstantReward("r1", "shifted", 1.0),
                            InstantReward("r4", "shifted", 4.0)))
-    (lower,), (upper,) = _evaluate([partial], measures, eps)
-    reward = partial.reward_vector("shifted")
-    worst = reward.copy()
-    worst[-1] = 6.0
-    pis = [transient_oracle(partial, t) for t in (1.0, 4.0)]
-    assert np.all(np.abs(lower - [pi @ reward for pi in pis]) <= eps)
-    assert np.all(np.abs(upper - [pi @ worst for pi in pis]) <= eps)
-    full = build_full(m, u)
+    iv = bound_measures(m, u, measures, epsilon=eps)
     exact = [transient_oracle(full, t) @ full.reward_vector("shifted") for t in (1.0, 4.0)]
-    assert np.all(lower - eps <= exact) and np.all(exact <= upper + eps)
-    assert np.all(upper - lower > 1e-3)
+    assert np.all(iv.lower - eps <= exact) and np.all(exact <= iv.upper + eps)
 
 
 def test_bound_measures_tiny_delta_is_exact(sir2, mean_valuation):
@@ -783,32 +900,6 @@ def test_refine_recomputes_gap_met(sir2, mean_valuation):
     assert refined.gap_met
 
 
-def test_batched_partial_rounds_layout_invariance():
-    # buffer valuations whose partial chains differ in size and whose gaps
-    # close after different numbers of delta rounds; each valuation's bounds,
-    # final delta and gap_met are the same bits alone, in reversed order, in
-    # a slice and in the full list
-    m = uctmc.load_model(uctmc.example_model_path("buffer"))
-    measures = uctmc.io.read_measures(uctmc.example_model_path("buffer_measures"))
-    valuations = uctmc.sample_valuations(m, 10, seed=3).valuations[3:]
-    sizes = {uctmc.build_partial(m, u, 1e-2).num_states for u in valuations}
-    assert len(sizes) > 1
-
-    def same(a, b):
-        assert np.array_equal(a.lower, b.lower) and np.array_equal(a.upper, b.upper)
-        assert (a.delta, a.gap_met) == (b.delta, b.gap_met)
-
-    full = solve_measure_set(m, valuations, measures, mode="approx")
-    assert len({s.delta for s in full}) > 1
-    backwards = solve_measure_set(m, valuations[::-1], measures, mode="approx")[::-1]
-    sliced = solve_measure_set(m, valuations[2:5], measures, mode="approx")
-    for i, u in enumerate(valuations):
-        assert full[i].valuation_index == i
-        for other in [bound_measures(m, u, measures, index=i), backwards[i]] + (
-                [sliced[i - 2]] if 2 <= i < 5 else []):
-            same(other, full[i])
-
-
 def test_batches_bound_kept_series(monkeypatch):
     # a batch splits once its kept series would pass the cap, and the split
     # changes no bits
@@ -817,23 +908,25 @@ def test_batches_bound_kept_series(monkeypatch):
     m = uctmc.load_model(uctmc.example_model_path("buffer"))
     measures = uctmc.io.read_measures(uctmc.example_model_path("buffer_measures"))
     valuations = uctmc.sample_valuations(m, 6, seed=3).valuations
-    partials = [uctmc.build_partial(m, u, 1e-3) for u in valuations]
+    chains = [build_full(m, u) for u in valuations]
     whole = solve_measure_set(m, valuations, measures, mode="approx")
-    assert len(list(checker._batches(partials, measures))) == 1
-    # room for the states of every chain, but for the series of about half
-    floats = [2 * checker._series_steps(p, 25.0) for p in partials]  # two vectors
+    assert len(list(checker._batches(chains, measures))) == 1
+    # room for the states of every chain, but for the series of about half;
+    # each pass counts as adaptive: one vector, its birth chains' one and one
+    # measure
+    floats = [3 * checker._series_steps(c, 25.0) for c in chains]
     cap = sum(floats) // 2
     monkeypatch.setattr(checker, "DEFAULT_STATE_CAP", cap)
-    assert len(partials) * max(p.num_states for p in partials) <= cap
-    batches = list(checker._batches(partials, measures))
+    assert len(chains) * max(c.num_states for c in chains) <= cap
+    batches = list(checker._batches(chains, measures))
     assert len(batches) > 1
-    assert [p for b in batches for p in b] == partials
+    assert [c for b in batches for c in b] == chains
     pos = 0
     for batch in batches:
         kept = sum(floats[pos:pos + len(batch)])
         pos += len(batch)
         assert kept <= cap
-        assert pos == len(partials) or kept + floats[pos] > cap
+        assert pos == len(chains) or kept + floats[pos] > cap
     split = solve_measure_set(m, valuations, measures, mode="approx")
     for a, b in zip(split, whole):
         assert np.array_equal(a.lower, b.lower) and np.array_equal(a.upper, b.upper)
