@@ -76,10 +76,13 @@ its deterministic pass:
   so it repeats the first run's iterates bit for bit, and each block weighs
   its own levels from its own j to its cut (sir140: the last 39 of 539).
 
-The plain kernel (``_Blocks``) lays the uniformized chains of a batch out as
-the blocks of one block-diagonal P^T.  Chains may differ in size: every block
-is padded to the batch's largest chain with empty rows, so the padding is
-never read or written and every mat-vec row stays per state and per block.
+Both kernels read one assembly (``_generator``) of a batch's chains as the
+blocks of one block-diagonal generator, each padded to the largest chain
+with empty rows, so the padding is never read or written and every mat-vec
+row stays per state and per block.  The plain kernel (``_Blocks``), on
+chains and on birth chains alike, turns it into one block-diagonal P^T:
+q / Lambda off the diagonal and 1 - e / Lambda on it, within a few ulps of
+(I + Q / Lambda)^T.
 One stepping routine (``_iterates``) produces the power sequence: each step
 is one call of scipy's CSR mat-vec kernel over the prefix of blocks that
 still need steps.  Blocks are sorted by descending Lambda, so a block whose
@@ -281,53 +284,41 @@ def _check_epsilon(epsilon: float):
         raise CheckerError(f"epsilon {epsilon} below float accumulation limit {MIN_EPSILON}")
 
 
-def _uniformized(c: ConcreteCtmc, absorbing: Optional[np.ndarray] = None):
-    """Transposed uniformized DTMC matrix and the uniformization rate.
+def _generator(chains: Sequence[ConcreteCtmc], absorbing: Sequence):
+    """The chains' generators as one block-diagonal matrix, every block padded
+    to the largest chain with empty rows: the states of each block, the exit
+    rates (chains, states) and the off-diagonal entries (rows, cols, rates)
+    by row, in flat padded indices.  Self-loops cancel, and the rows of
+    absorbing states (one set per chain, None: nothing absorbs) are empty.
+    Each exit rate adds its row's entries in stored order."""
+    size = max(c.num_states for c in chains)
+    counts = np.zeros((len(chains), size), dtype=np.int64)
+    frozen = np.zeros((len(chains), size), dtype=bool)
+    for b, (c, a) in enumerate(zip(chains, absorbing)):
+        counts[b, :c.num_states] = np.diff(c.rates.indptr)
+        if a is not None:
+            frozen[b, :c.num_states] = a
+    rows = np.repeat(np.arange(counts.size), counts.ravel())
+    cols = np.concatenate([c.rates.indices.astype(np.int64) + b * size
+                           for b, c in enumerate(chains)])
+    data = np.concatenate([c.rates.data for c in chains])
+    keep = (cols != rows) & ~frozen.ravel()[rows]
+    rows, cols, data = rows[keep], cols[keep], data[keep]
+    # with no entry left, bincount returns integers
+    exits = np.bincount(rows, data, minlength=counts.size).astype(float)
+    states = np.array([c.num_states for c in chains])
+    return states, exits.reshape(counts.shape), (rows, cols, data)
 
-    Rows of absorbing states are frozen (their outflow removed); self-loops
-    cancel in the generator, so they never affect the result.  P^T is built
-    from the chain's CSR arrays; each entry, each row sum and its summation
-    order are those of the sparse expression
-    ``(I + (R - diags(R.sum(axis=1))) / Lambda).T`` with R =
-    ``diags(~absorbing) @ rates``.  scipy sums each nonempty row in stored
-    order with ``np.add.reduceat``, and that product stores each row in
-    reverse, so with absorbing states the rows are summed reversed.
-    """
-    rates = c.rates
-    n = rates.shape[0]
-    indptr, indices, data = rates.indptr, rates.indices, rates.data
-    rows = np.repeat(np.arange(n), np.diff(indptr))
-    if absorbing is not None and absorbing.any():
-        reverse = (indptr[:-1] + indptr[1:] - 1)[rows] - np.arange(rows.size)
-        keep = reverse[~absorbing[rows]]
-        rows, indices, data = rows[keep], indices[keep], data[keep]
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
-    row_sums = np.zeros(n)
-    nonempty = np.flatnonzero(np.diff(indptr))
-    if nonempty.size:
-        row_sums[nonempty] = np.add.reduceat(data, indptr[nonempty])
-    loop = indices == rows
-    diag = np.zeros(n)
-    diag[rows[loop]] = data[loop]
-    lam = float((row_sums - diag).max()) if n else 0.0
-    if lam <= 0.0:
-        return None, 0.0
-    inv = 1 / lam
-    # P by rows (off-diagonal entries, then each row's diagonal entry)
-    states = np.arange(n)
-    p_rows = np.concatenate((rows[~loop], states))
-    p_cols = np.concatenate((indices[~loop], states))
-    p_data = np.concatenate((data[~loop] * inv, 1.0 + (diag - row_sums) * inv))
-    nonzero = p_data != 0.0
-    by_row = np.argsort(p_rows[nonzero], kind="stable")
-    p_rows, p_cols, p_data = (a[nonzero][by_row] for a in (p_rows, p_cols, p_data))
-    idx = np.int32 if max(n, p_data.size) < 2**31 else np.int64
-    p_indptr = np.concatenate(([0], np.cumsum(np.bincount(p_rows, minlength=n)))).astype(idx)
-    pt_indptr = np.empty(n + 1, dtype=idx)
-    pt_indices = np.empty(p_data.size, dtype=idx)
-    pt_data = np.empty(p_data.size)
-    csr_tocsc(n, n, p_indptr, p_cols.astype(idx), p_data, pt_indptr, pt_indices, pt_data)
-    return sparse.csr_matrix((pt_data, pt_indices, pt_indptr), shape=(n, n)), lam
+
+def _transposed(n: int, rows: np.ndarray, cols: np.ndarray, data: np.ndarray):
+    """CSR arrays (indptr, indices, data) of the transpose of the n x n matrix
+    with the entries (rows, cols, data), given by row; each row of the
+    transpose holds its entries in column order."""
+    idx = np.int32 if max(n, data.size) < 2**31 else np.int64
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n)))).astype(idx)
+    out = np.empty(n + 1, dtype=idx), np.empty(data.size, dtype=idx), np.empty(data.size)
+    csr_tocsc(n, n, indptr, cols.astype(idx), data, *out)
+    return out
 
 
 def _poisson_span(lam_t: float) -> int:
@@ -463,59 +454,44 @@ class _Blocks:
     ``_Adaptive.dropped``).
     """
 
-    def __init__(self, lam: np.ndarray, pt: sparse.csr_matrix, order: np.ndarray):
-        self.lam, self.pt, self.order = lam, pt, order
-        self.size = pt.shape[0] // len(lam)  # states per block, padded
-        self.dropped = np.zeros(len(lam))
+    def __init__(self, states: np.ndarray, exits: np.ndarray, entries: tuple):
+        """P^T of a generator as ``_generator`` returns it: each block's P^T
+        holds q / Lambda off the diagonal and 1 - e / Lambda on it, with
+        Lambda its largest exit rate e, zeros dropped; a block without rate
+        has no entries."""
+        blocks, self.size = exits.shape  # states per block, padded
+        lam = exits.max(axis=1, initial=0.0)
+        self.order = np.argsort(-lam, kind="stable")
+        self.lam, self.dropped = lam[self.order], np.zeros(blocks)
+        inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=lam > 0.0)
+        # P by rows: the off-diagonal entries, then each state's stay
+        stay = np.flatnonzero((np.arange(self.size) < states[:, None]) & (lam > 0.0)[:, None])
+        rows, cols, rates = entries
+        rows, cols = np.concatenate((rows, stay)), np.concatenate((cols, stay))
+        block = rows // self.size
+        data = np.concatenate((rates, exits.ravel()[stay])) * inv[block]
+        data[len(rates):] = 1.0 - data[len(rates):]
+        # each block moves to its place in Lambda order
+        shift = (np.argsort(self.order) - np.arange(blocks))[block] * self.size
+        rows, cols, keep = rows + shift, cols + shift, data != 0.0
+        by_row = np.argsort(rows[keep], kind="stable")
+        indptr, indices, data = _transposed(exits.size, *(a[keep][by_row]
+                                                          for a in (rows, cols, data)))
+        self.pt = sparse.csr_matrix((data, indices, indptr), shape=(exits.size,) * 2)
 
     @classmethod
     def uniformized(cls, chains: Sequence[ConcreteCtmc], absorbing: Sequence) -> "_Blocks":
         """The chains with one absorbing set each (None: nothing absorbs)."""
-        unis = [_uniformized(c, a) for c, a in zip(chains, absorbing)]
-        size = max(c.num_states for c in chains)
-        lam = np.array([u[1] for u in unis])
-        order = np.argsort(-lam, kind="stable")
-        blocks = [unis[b][0] for b in order]
-        counts = np.zeros((len(blocks), size), dtype=np.int64)
-        for row, pt in zip(counts, blocks):
-            if pt is not None:
-                row[:pt.shape[0]] = np.diff(pt.indptr)
-        counts = counts.ravel()
-        nnz = int(counts.sum())
-        idx = np.int32 if max(counts.size, nnz) < 2**31 else np.int64
-        indptr = np.concatenate(([0], np.cumsum(counts))).astype(idx)
-        indices = np.concatenate([pt.indices.astype(idx) + pos * size
-                                  for pos, pt in enumerate(blocks) if pt is not None]
-                                 or [np.empty(0, dtype=idx)])
-        data = np.concatenate([pt.data for pt in blocks if pt is not None] or [np.empty(0)])
-        pt = sparse.csr_matrix((data, indices, indptr), shape=(counts.size,) * 2)
-        return cls(lam[order], pt, order)
+        return cls(*_generator(chains, absorbing))
 
     @classmethod
     def births(cls, rates: np.ndarray, levels: np.ndarray) -> "_Blocks":
-        """Birth chains, one per row of ``rates`` (chains, levels), assembled
-        in one step: level k moves to level k + 1 at ``rates[b, k]`` and
-        starts with no mass unless k = 0; chain b has ``levels[b]`` levels, its
-        last one absorbing (rate 0).  Each entry of P^T is computed as
-        ``_uniformized`` computes it."""
-        lam = rates.max(axis=1)
-        order = np.argsort(-lam, kind="stable")
-        rates, levels, lam = rates[order], levels[order], lam[order]
-        blocks, size = rates.shape
-        inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=lam > 0.0)[:, None]
-        # row k of a block's P^T: the move up from level k - 1, then the stay
-        entries = np.empty((blocks, size, 2))
-        entries[:, 0, 0] = 0.0
-        entries[:, 1:, 0] = rates[:, :-1] * inv
-        entries[:, :, 1] = 1.0 + (0.0 - rates) * inv
-        live = (np.arange(size) < levels[:, None]) & (lam > 0.0)[:, None]
-        keep = (entries != 0.0) & live[:, :, None]
-        state = np.arange(blocks * size).reshape(blocks, size, 1)
-        idx = np.int32 if 2 * blocks * size < 2**31 else np.int64
-        indices = (state + [-1, 0])[keep].astype(idx)
-        indptr = np.concatenate(([0], np.cumsum(keep.sum(axis=2).ravel()))).astype(idx)
-        pt = sparse.csr_matrix((entries[keep], indices, indptr), shape=(blocks * size,) * 2)
-        return cls(lam, pt, order)
+        """Birth chains, one per row of ``rates`` (chains, levels): level k
+        moves to level k + 1 at ``rates[b, k]`` and starts with no mass unless
+        k = 0; chain b has ``levels[b]`` levels, its last one absorbing."""
+        up = np.arange(rates.shape[1]) < levels[:, None] - 1
+        rows = np.flatnonzero(up)
+        return cls(levels, np.where(up, rates, 0.0), (rows, rows + 1, rates.ravel()[rows]))
 
     def _pass(self, v: np.ndarray, need: np.ndarray, skip: int):
         """Iterates k = skip .. max(need) - 1 of one pass from ``v`` (block
@@ -633,9 +609,9 @@ class _Adaptive:
     """Full chains of one batch, one absorbing set per chain, checked by
     adaptive uniformization (see the module docstring).
 
-    The chains' off-diagonal rates, absorbing rows removed, form one
-    block-diagonal Q^T, each block padded to the largest chain with empty
-    rows.  ``scale`` (per chain, >= 1) divides the chain's error shares: the
+    The off-diagonal rates and exit rates of the batch's generator
+    (``_generator``) form one block-diagonal Q^T and the per-block scaling.
+    ``scale`` (per chain, >= 1) divides the chain's error shares: the
     largest magnitude of the vectors its passes weigh.  ``drop`` is the drop
     budget before that division, epsilon / 8 unless given.  Every per-block
     quantity (mat-vec rows, dropped mass, Lambda_k, the tail bounds and cuts,
@@ -649,27 +625,8 @@ class _Adaptive:
 
     def __init__(self, chains: Sequence[ConcreteCtmc], absorbing: Sequence, epsilon: float,
                  scale: Optional[np.ndarray] = None, drop: Optional[float] = None):
-        size = max(c.num_states for c in chains)
-        counts = np.zeros((len(chains), size), dtype=np.int64)
-        frozen = np.zeros((len(chains), size), dtype=bool)
-        for b, (c, a) in enumerate(zip(chains, absorbing)):
-            counts[b, :c.num_states] = np.diff(c.rates.indptr)
-            if a is not None:
-                frozen[b, :c.num_states] = a
-        n = counts.size
-        rows = np.repeat(np.arange(n), counts.ravel())
-        cols = np.concatenate([c.rates.indices.astype(np.int64) + b * size
-                               for b, c in enumerate(chains)])
-        data = np.concatenate([c.rates.data for c in chains])
-        keep = (cols != rows) & ~frozen.ravel()[rows]
-        rows, cols, data = rows[keep], cols[keep], data[keep]
-        # exit rates add each row in stored order
-        self.exits = np.bincount(rows, data, minlength=n).reshape(counts.shape)
-        idx = np.int32 if max(n, data.size) < 2**31 else np.int64
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n)))).astype(idx)
-        self.qt = (np.empty(n + 1, dtype=idx), np.empty(data.size, dtype=idx),
-                   np.empty(data.size))
-        csr_tocsc(n, n, indptr, cols.astype(idx), data, *self.qt)
+        _, self.exits, entries = _generator(chains, absorbing)
+        self.qt = _transposed(self.exits.size, *entries)
         scale = np.ones(len(chains)) if scale is None else scale
         self.share = (epsilon * _DROP_SHARE if drop is None else drop) / scale
         self.below = epsilon * _DROP_BELOW / scale

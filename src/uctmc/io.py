@@ -63,7 +63,7 @@ def read_samples(path) -> SampleSet:
     for position, row in enumerate(rows):
         try:
             valuations.append(Valuation.from_floats(row))
-        except (TypeError, ValueError) as exc:
+        except (OverflowError, TypeError, ValueError) as exc:
             raise FormatError(f"bad samples file {path}: valuation {position}: {exc}") from None
     return SampleSet(seed, tuple(valuations), rejected)
 
@@ -95,6 +95,10 @@ def read_measures(path) -> MeasureSet:
             raise FormatError(f"measure entry {position} misses field {exc}") from None
         except (TypeError, ValueError) as exc:
             raise FormatError(f"measure entry {position}: {exc}") from None
+        for field in ("id", name):
+            if not isinstance(entry[field], str):
+                raise FormatError(f"measure entry {position}: {field} must be a string, "
+                                  f"not {entry[field]!r}")
         measures.append(measure_cls(*fields))
     if not measures:
         raise FormatError(f"no measures in {path}")

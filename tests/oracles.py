@@ -193,8 +193,10 @@ def poisson_terms_loop(lam_t: float) -> tuple[int, np.ndarray]:
 
 
 def uniformized_sparse(c, absorbing=None):
-    """Reference for ``checker._uniformized``: P^T = (I + Q / Lambda)^T
-    assembled from scipy sparse-matrix operations."""
+    """Reference for one block of ``checker._Blocks.uniformized``: P^T = (I +
+    Q / Lambda)^T assembled from scipy sparse-matrix operations, which the
+    block matches within a few ulps (it sums each exit rate in its own
+    order)."""
     from scipy import sparse
 
     rates = c.rates

@@ -316,10 +316,10 @@ def test_interval_measures_on_a_fast_then_slow_chain_match_expm_oracle(eps):
 
 
 def test_iterates_match_public_matmul_with_flush():
-    from uctmc.checker import _FLUSH_BELOW, _FLUSH_EVERY, _iterates, _uniformized
+    from uctmc.checker import _FLUSH_BELOW, _FLUSH_EVERY, _Blocks, _iterates
 
     c = draining_death_chain()
-    pt, _ = _uniformized(c)
+    pt = _Blocks.uniformized([c], [None]).pt
     steps = 4000
     ours = [x[0].copy() for x in _iterates(pt, c.initial[None], 0, steps + 1)]
     v = c.initial.copy()
@@ -362,33 +362,76 @@ def test_poisson_terms_match_loop_reference():
 
 
 def test_uniformized_matches_sparse_reference(sir20, mean_valuation):
-    from uctmc.checker import _uniformized
-
-    def check(c, absorbing):
-        pt, lam = _uniformized(c, absorbing)
-        ref, ref_lam = uniformized_sparse(c, absorbing)
-        assert lam == ref_lam
-        for name in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(pt, name), getattr(ref, name)), name
+    # one batch of chains of different sizes, with self-loops, absorbing sets
+    # and a chain without rate: each block's P^T is within a few ulps of the
+    # sparse expression (compared dense, as a diagonal entry may round to 0
+    # on one side only), blocks come in descending Lambda order and padding
+    # rows are empty
+    from uctmc.checker import _Blocks
 
     full = build_full(sir20, mean_valuation)
-    check(full, None)
-    check(full, full.label_mask("extinct"))
     buffer = uctmc.load_model(uctmc.example_model_path("buffer"))
     u = uctmc.Valuation.from_floats([35.0, 30.0, 30.0, 0.05, 10.0, 10.0])
     partial = build_partial(buffer, u, 1e-3)
     assert partial.sink_reachable
-    check(partial, None)
-    check(partial, partial.label_mask("both_busy"))
+    still = ConcreteCtmc.from_dense(np.zeros((3, 3)), [1.0, 0.0, 0.0])
+    chains = [full, full, partial, partial, still]
+    absorbing = [None, full.label_mask("extinct"), None, partial.label_mask("both_busy"), None]
     # self-loops, and rows long enough for the summation order to matter
     rng = np.random.default_rng(8)
-    for _ in range(20):
+    for _ in range(12):
         c = random_ctmc(rng, max_states=30)
         rates = c.rates.toarray()
         np.fill_diagonal(rates, rng.uniform(0.0, 2.0, len(rates)))
         looped = ConcreteCtmc.from_dense(rates, c.initial, labels=c.labels)
-        check(looped, None)
-        check(looped, looped.label_mask("goal"))
+        chains += [looped, looped]
+        absorbing += [None, looped.label_mask("goal")]
+    blocks = _Blocks.uniformized(chains, absorbing)
+    size = blocks.size
+    assert size == full.num_states
+    assert np.all(np.diff(blocks.lam) <= 0.0)
+    counts = np.diff(blocks.pt.indptr)
+    for pos, b in enumerate(blocks.order):
+        ref, ref_lam = uniformized_sparse(chains[b], absorbing[b])
+        n, lam = chains[b].num_states, blocks.lam[pos]
+        rows = slice(pos * size, pos * size + n)
+        assert not counts[pos * size + n:(pos + 1) * size].any(), b
+        entries = blocks.pt[rows]
+        assert np.all(entries.indices // size == pos), b
+        if ref is None:
+            assert lam == 0.0 and entries.nnz == 0, b
+            continue
+        assert abs(lam - ref_lam) <= 1e-14 * ref_lam, b
+        ours = entries[:, pos * size:pos * size + n].toarray()
+        assert np.abs(ours - ref.toarray()).max() <= 2e-15, b
+
+
+def test_birth_chain_entries_keep_their_bits():
+    # a birth chain's P^T holds r_k * (1 / Lambda) below the diagonal and
+    # 1 - r_k * (1 / Lambda) on it at its live levels, nothing else: the
+    # weights of adaptive passes, and so the SIR outputs, rest on these bits
+    from uctmc.checker import _Blocks
+
+    rng = np.random.default_rng(4)
+    levels = np.array([12, 7, 9, 4])
+    rates = rng.uniform(0.01, 300.0, (4, 12))
+    rates[np.arange(12) >= levels[:, None] - 1] = 0.0
+    rates[2, :3] = 0.0  # zeroed lowest levels
+    rates[3] = 0.0  # no rate: no entries
+    births = _Blocks.births(rates, levels)
+    size = births.size
+    assert np.array_equal(births.lam, np.sort(rates.max(axis=1))[::-1])
+    pt = births.pt.toarray()
+    for pos, b in enumerate(births.order):
+        expected = np.zeros((size, size))
+        if births.lam[pos] > 0.0:
+            inv = 1 / births.lam[pos]
+            live = np.arange(levels[b])
+            expected[live, live] = 1.0 - rates[b, live] * inv
+            expected[live[1:], live[:-1]] = rates[b, live[:-1]] * inv
+        block = pt[pos * size:(pos + 1) * size]
+        assert np.array_equal(block[:, pos * size:(pos + 1) * size], expected), b
+        assert np.count_nonzero(block) == np.count_nonzero(expected), b
 
 
 def test_reach_examples():
@@ -643,11 +686,11 @@ def test_batched_check_layout_invariance(sir20):
     # whose uniformization rates all differ, so blocks leave the stepped
     # prefix at different steps; each valuation's values are the same bits
     # alone, in reversed order, in a slice and in the full batch
-    from uctmc.checker import _uniformized
+    from uctmc.checker import _Blocks
 
     measures = _mixed_measures()
     valuations = uctmc.sample_valuations(sir20, 7, seed=3).valuations
-    lams = [_uniformized(build_full(sir20, u))[1] for u in valuations]
+    lams = [_Blocks.uniformized([build_full(sir20, u)], [None]).lam[0] for u in valuations]
     assert len(set(lams)) == len(lams)
     assert sorted(lams) != lams and sorted(lams, reverse=True) != lams
 
@@ -940,14 +983,15 @@ def test_batches_bound_kept_series(monkeypatch):
 def test_series_steps_cover_the_poisson_window(model, measure_file, delta):
     # the kept-series bound of a batch reaches the right end of the Poisson
     # window at the chain's uniformization rate and the largest measure time
-    from uctmc.checker import _poisson_windows, _series_steps, _uniformized
+    from uctmc.checker import _Blocks, _poisson_windows, _series_steps
 
     m = uctmc.load_model(uctmc.example_model_path(model))
     measures = uctmc.io.read_measures(uctmc.example_model_path(measure_file))
     u = uctmc.sample_valuations(m, 1, seed=1).valuations[0]
     chain = uctmc.build_full(m, u) if delta is None else uctmc.build_partial(m, u, delta)
     horizon = max(x.t_hi if isinstance(x, IntervalReach) else x.time for x in measures)
-    (k_lo,), _, weights = _poisson_windows([_uniformized(chain)[1] * horizon])
+    lam = _Blocks.uniformized([chain], [None]).lam[0]
+    (k_lo,), _, weights = _poisson_windows([lam * horizon])
     assert _series_steps(chain, horizon) >= k_lo + weights.size
 
 

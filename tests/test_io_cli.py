@@ -275,6 +275,10 @@ def test_cli_error_paths(tmp_path, capsys):
     good = '{"id": "ok", "type": "reach", "target": "full", "tau": 1.0}'
     for name, entries in (("text_tau", '{"id": "bad", "type": "reach", '
                                        '"target": "full", "tau": "abc"}'),
+                          ("list_target", '{"id": "bad", "type": "reach", '
+                                          '"target": ["x"], "tau": 1.0}'),
+                          ("int_id", '{"id": 3, "type": "reach", "target": "full", '
+                                     '"tau": 1.0}'),
                           ("not_object", "1")):
         measures = tmp_path / f"measures_{name}.json"
         measures.write_text(f'{{"measures": [{good}, {entries}]}}')
@@ -297,18 +301,20 @@ def test_cli_error_paths(tmp_path, capsys):
         assert f"error [check] measures file {measures}" in capsys.readouterr().err
         assert not out.exists()
     # a valuation that does not convert names the file and its position
-    bad_samples = tmp_path / "bad_samples.json"
-    bad_samples.write_text('{"seed": 1, "valuations": [[1.0, 2.0], ["a", 1]], '
-                           '"rejected": 0}')
-    with pytest.raises(uio.FormatError, match=f"bad samples file {bad_samples}: "
-                                              "valuation 1: could not convert"):
-        uio.read_samples(bad_samples)
-    out = tmp_path / "solutions_bad_samples.json"
-    assert main(["check", "--model", _model_path("tandem"), "--measures",
-                 _model_path("tandem_measures"), "--samples", str(bad_samples),
-                 "--out", str(out)]) == 1
-    assert f"bad samples file {bad_samples}: valuation 1" in capsys.readouterr().err
-    assert not out.exists()
+    for name, value, message in (("text", '"a"', "could not convert"),
+                                 ("infinite", "Infinity", "cannot convert Infinity")):
+        bad_samples = tmp_path / f"bad_samples_{name}.json"
+        bad_samples.write_text(f'{{"seed": 1, "valuations": [[1.0, 2.0], [{value}, 1]], '
+                               '"rejected": 0}')
+        with pytest.raises(uio.FormatError, match=f"bad samples file {bad_samples}: "
+                                                  f"valuation 1: {message}"):
+            uio.read_samples(bad_samples)
+        out = tmp_path / f"solutions_bad_samples_{name}.json"
+        assert main(["check", "--model", _model_path("tandem"), "--measures",
+                     _model_path("tandem_measures"), "--samples", str(bad_samples),
+                     "--out", str(out)]) == 1
+        assert f"bad samples file {bad_samples}: valuation 1" in capsys.readouterr().err
+        assert not out.exists()
     # a solutions file with an unknown mode, a value that does not convert or
     # a vector whose length is not the number of measure ids names the file,
     # and the entry's position
