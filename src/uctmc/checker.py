@@ -47,14 +47,25 @@ step:
   ``_Adaptive._pass``), and the pass ends when every column is cut.
 
 In a pass that keeps the series (every pass but phase one's, below), the
-weights P(N_t = k) come from the plain kernel below, run on birth chains:
-levels 0 .. K, level k moving up at rate Lambda_k, and an absorbing level
-after them that takes the tail.  A birth chain is uniformized at
+weights P(N_t = k) come from the birth kernel (``_Births``), run on birth
+chains: levels 0 .. K, level k moving up at rate Lambda_k, and an absorbing
+level after them that takes the tail.  A birth chain is uniformized at
 max(Lambda_0 .. Lambda_K), so a column's cut and weights depend only on its
 own time, and measures give the same bits alone or in any set; columns of a
-block that share that rate share one birth chain.  Its weighted sum reads
-the kept series x_k . v up to the column's cut, as prefix sums over its
-levels.
+block that share that rate share one birth chain.  A column's value is one
+dot of its weights and the kept series x_k . v over levels 0 .. K, summed in
+level order.
+
+The birth kernel stores a batch's birth chains level-major, (levels,
+chains), so the levels [lo, hi] that hold mass are one row slice, and a step
+updates only that band: x[k] = stay[k] x[k] + up[k - 1] x[k - 1], with up =
+r_k * (1 / Lambda) and stay = 1 - up, the entries of (I + Q / Lambda)^T (by
+commutative addition, the bits of a CSR mat-vec of that matrix).  hi grows
+by one level per step; lo advances every ``_FLUSH_EVERY`` steps, with the
+flush, as each chain zeroes its lowest levels whose mass is at most half of
+what is left of its share (``_zero_low``).  That decision reads only the
+chain's own column, and the levels outside its own band are zeros that stay
+zero, so its weights are the same bits in any batch.
 
 Phase one of an interval measure (``_Adaptive.transient``) weighs the
 iterates themselves, pi_{t_lo} = sum_k P(N_{t_lo} = k) x_k, over two runs of
@@ -63,15 +74,15 @@ its deterministic pass:
 * the first run finds the rates and, per block, the last level j before the
   first whose Chernoff bound on P(N_{t_lo} < j) misses its share
   (``_Head``); it copies one iterate, x_j at the batch's smallest j;
-* its weights come from the plain kernel in time segments
+* its weights come from the birth kernel in time segments
   (``_birth_weights``).  A birth chain's rates may rise to a peak and then
   fall by orders of magnitude (sir140: up to 234, then down to 0.04 within
   t = 100), and one uniformization at the peak takes about max(Lambda_k) t
   steps (23,000).  The segments are [0, t 2^-m], then [t 2^-i, t 2^-(i-1)]
   for i = m .. 1, with the fewest halvings m that bring the first within
   ``_SEGMENT_STEPS`` expected steps; each later segment starts by zeroing
-  the lowest levels within a share, and is uniformized at the largest rate
-  over the levels left (sir140: 1,300 expected steps in 6 segments);
+  the lowest levels by the band's rule, and is uniformized at the largest
+  rate over the levels left (sir140: 1,300 expected steps in 6 segments);
 * the second run steps on from x_j, with its step index and dropped mass,
   so it repeats the first run's iterates bit for bit, and each block weighs
   its own levels from its own j to its cut (sir140: the last 39 of 539).
@@ -79,10 +90,9 @@ its deterministic pass:
 Both kernels read one assembly (``_generator``) of a batch's chains as the
 blocks of one block-diagonal generator, each padded to the largest chain
 with empty rows, so the padding is never read or written and every mat-vec
-row stays per state and per block.  The plain kernel (``_Blocks``), on
-chains and on birth chains alike, turns it into one block-diagonal P^T:
-q / Lambda off the diagonal and 1 - e / Lambda on it, within a few ulps of
-(I + Q / Lambda)^T.
+row stays per state and per block.  The plain kernel (``_Blocks``) turns it
+into one block-diagonal P^T: q / Lambda off the diagonal and 1 - e / Lambda
+on it, within a few ulps of (I + Q / Lambda)^T.
 One stepping routine (``_iterates``) produces the power sequence: each step
 is one call of scipy's CSR mat-vec kernel over the prefix of blocks that
 still need steps.  Blocks are sorted by descending Lambda, so a block whose
@@ -118,12 +128,13 @@ none of them, and loses only the last three:
 * Birth head (phase one only): at most epsilon * 2^-16 / s per block: the
   weight of the levels before the saved iterate, P(N_t < j), which the
   Chernoff bound proves small.
-* Zeroed birth levels (phase one only): at most epsilon * 2^-16 / s per
-  block, over all its segment starts.
-* An interval measure spends the first two shares twice, once per phase,
-  and the two phase-one shares once (phase one's values weigh its lost mass
-  by at most 1), so these four items together cost at most epsilon / 4 +
-  epsilon * 2^-14.
+* Zeroed birth levels: at most epsilon * 2^-17 / s per adaptive pass and
+  birth chain, over all its band advances and segment starts (phase one has
+  one chain per block).
+* An interval measure spends the dropped-mass, tail and zeroed-level shares
+  twice, once per phase, and the head share once (phase one's values weigh
+  its lost mass by at most 1), so these four items together cost at most
+  epsilon / 4 + epsilon * 2^-14.
 * Poisson cut: weights are accumulated by a stable mode-outward recurrence
   and cut once terms fall below 1e-30 of the peak; the retained weights are
   renormalized.  The discarded mass is far below ``MIN_EPSILON``, also
@@ -137,8 +148,9 @@ none of them, and loses only the last three:
   Its terms are nonnegative, so the sum's relative error is at most
   (m - 1) * u with u = 2^-53 (one u more when v is not 0/1, for the
   products): about 1.1e-12 at m = 10^4 states and 1.1e-9 at the 10^7-state
-  cap, relative to a value of at most 1 or the largest reward.  A birth
-  chain's prefix sums add K + 1 terms more, in the same way.
+  cap, relative to a value of at most 1 or the largest reward.  An
+  adaptive column's dot of its birth weights and that series adds K + 1
+  terms more, in the same way.
 
 Approximate mode (``_bound_valuations``) is the same pass, with a drop
 budget of min(delta, epsilon / 8) / s per adaptive pass and block: lower is
@@ -179,7 +191,7 @@ _DROP_SHARE = 1 / 8  # of epsilon: dropped mass per adaptive pass
 _DROP_BELOW = 1e-6  # of epsilon: the dropping threshold theta
 _TAIL_SHARE = 2.0**-16  # of epsilon: birth-process tail per adaptive pass
 _HEAD_SHARE = 2.0**-16  # of epsilon: birth levels before the saved iterate
-_LEVEL_SHARE = 2.0**-16  # of epsilon: birth levels zeroed between segments
+_LEVEL_SHARE = 2.0**-17  # of epsilon: birth levels zeroed per pass
 _SEGMENT_STEPS = 1024  # most expected steps of a first birth-weight segment
 _FLUSH_EVERY = 64
 
@@ -339,8 +351,9 @@ def _poisson_windows(lam_ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     term.  Rows are computed in chunks over a common width, about where the
     cut of the chunk's largest rate lies; rows whose cut lies beyond are
     computed again twice as wide.  A term's bits do not depend on the width.
-    Each window is divided by its own ``sum()``, so every entry gets the bits
-    it would get alone.
+    Each window is divided by its own sum (one ``np.add.reduceat`` over all
+    windows: the first term plus numpy's pairwise sum of the others), so
+    every entry gets the bits it would get alone.
     """
     lam_ts = np.asarray(lam_ts, dtype=float)
     flat = lam_ts.ravel()
@@ -379,8 +392,8 @@ def _poisson_windows(lam_ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         weights[np.repeat(mode_at, left_kept[chunk]) - 1 - _ranks(left_kept[chunk])] = left
         counts = right_kept[chunk] + 1
         weights[np.repeat(mode_at, counts) + 1 + _ranks(counts)] = right
-    sums = [weights[a:b].sum() for a, b in zip(offsets[:-1].tolist(), offsets[1:].tolist())]
-    weights /= np.repeat(sums, lengths)
+    # every window is nonempty, so each sum reads its own entries only
+    weights /= np.repeat(np.add.reduceat(weights, offsets[:-1]), lengths)
     return (mode - left_kept).reshape(lam_ts.shape), offsets, weights
 
 
@@ -484,15 +497,6 @@ class _Blocks:
         """The chains with one absorbing set each (None: nothing absorbs)."""
         return cls(*_generator(chains, absorbing))
 
-    @classmethod
-    def births(cls, rates: np.ndarray, levels: np.ndarray) -> "_Blocks":
-        """Birth chains, one per row of ``rates`` (chains, levels): level k
-        moves to level k + 1 at ``rates[b, k]`` and starts with no mass unless
-        k = 0; chain b has ``levels[b]`` levels, its last one absorbing."""
-        up = np.arange(rates.shape[1]) < levels[:, None] - 1
-        rows = np.flatnonzero(up)
-        return cls(levels, np.where(up, rates, 0.0), (rows, rows + 1, rates.ravel()[rows]))
-
     def _pass(self, v: np.ndarray, need: np.ndarray, skip: int):
         """Iterates k = skip .. max(need) - 1 of one pass from ``v`` (block
         order); iterate k holds the prefix of blocks that includes every block
@@ -566,43 +570,6 @@ class _Blocks:
                 a, z = offsets[b * len(times) + at[c]:][:2]
                 values[b, c] = window[a:z] @ series[b * width + j, first:first + z - a]
         return self._unsorted(values)
-
-    def cut_series(self, start: np.ndarray, vectors: np.ndarray, chain: np.ndarray,
-                   vector: np.ndarray, times: np.ndarray, cut: np.ndarray) -> np.ndarray:
-        """Per entry i: pi_t . v over the states 0 .. ``cut[i]`` of chain
-        ``chain[i]``, with pi_0 = ``start`` of the chain, v =
-        ``vectors[chain[i], vector[i]]`` and t = ``times[i]``.
-
-        One pass serves every entry and keeps one series per entry: each
-        step's prefix sums over the states, in state order (``np.cumsum``),
-        read at the entries' cuts.  A cut's sum and the weights of an entry
-        do not depend on the states after the cut, nor on other entries.
-        """
-        rank = np.empty_like(self.order)
-        rank[self.order] = np.arange(len(self.order))
-        # entries by block order, so that the live blocks' entries lead
-        by = np.argsort(rank[chain], kind="stable")
-        block, vector, times, cut = rank[chain][by], vector[by], times[by], cut[by]
-        k_lo, offsets, window = _poisson_windows(self.lam[block] * times)
-        need = np.zeros(len(self.lam), dtype=np.int64)
-        np.maximum.at(need, block, k_lo + np.diff(offsets))
-        skip = int(k_lo.min())
-        start = np.asarray(start, dtype=float)[self.order]
-        vectors = np.asarray(vectors, dtype=float)[self.order]
-        width = vectors.shape[1]
-        read = (block * width + vector) * self.size + cut
-        series = np.zeros((int(need.max()) - skip, len(by)))
-        for k, x in enumerate(self._pass(start, need, skip)):
-            live = int(np.searchsorted(block, len(x)))
-            sums = np.cumsum(x[:, None, :] * vectors[:len(x)], axis=2)
-            series[k, :live] = sums.reshape(-1)[read[:live]]
-        # contiguous rows, so that each weighted sum reads its window in order
-        series = np.ascontiguousarray(series.T)
-        values = np.empty(len(by))
-        for i, (first, a, z) in enumerate(zip((k_lo - skip).tolist(), offsets[:-1].tolist(),
-                                               offsets[1:].tolist())):
-            values[by[i]] = window[a:z] @ series[i, first:first + z - a]
-        return values
 
 
 class _Adaptive:
@@ -748,21 +715,29 @@ class _Adaptive:
         log.debug(message, *args)
         return rates, cuts, np.array(series), saved
 
-    @staticmethod
-    def _births(rates: np.ndarray, cuts: np.ndarray):
-        """Birth chains weighing the iterates of a pass: for each block, one
-        per distinct uniformization rate max(Lambda_0 .. Lambda_K) over its
-        cuts K, with the levels 0 .. (largest of those cuts) and one
-        absorbing level after them.  Returns the chains (``_Blocks``), the
-        chain of every (block, time) and the block of every chain."""
+    def _weights(self, rates: np.ndarray, cuts: np.ndarray, times: np.ndarray):
+        """P(N_t = k) for each block's birth process up to the cut K of time
+        t, from the birth chain of the block's rates uniformized at
+        max(Lambda_0 .. Lambda_K), so that they depend only on that block and
+        t.  The (block, time) pairs of a block that share that rate share one
+        chain, with the levels up to their largest cut and one absorbing level
+        after them (``_Births``).  Returns the weights (times, levels, chains)
+        and the chain of every (block, time)."""
         blocks = np.arange(len(rates))[:, None] + np.zeros_like(cuts)
         top = np.maximum.accumulate(rates, axis=1)[blocks, cuts]
         keys = np.stack((blocks.ravel(), top.ravel()))
-        (block, _), chain = np.unique(keys, axis=1, return_inverse=True)
+        (block, lam), chain = np.unique(keys, axis=1, return_inverse=True)
         block, chain = block.astype(np.int64), chain.reshape(cuts.shape)
         last = np.zeros(len(block), dtype=np.int64)
         np.maximum.at(last, chain.ravel(), cuts.ravel())
-        return _Blocks.births(_birth_rows(rates[block], last), last + 2), chain, block
+        # a chain weighs only the times that name it; the others stay at t = 0
+        lam_ts = np.zeros((len(times), len(block)))
+        lam_ts[np.arange(len(times)), chain] = top * times
+        births = _Births(_birth_rows(rates[block], last), lam, self.level_share[block],
+                         np.zeros(len(block)))
+        start = np.zeros((rates.shape[1] + 1, len(block)))
+        start[0] = 1.0
+        return births.transient(start, lam_ts), chain
 
     def transient(self, v: np.ndarray, t: float) -> np.ndarray:
         """pi_t per chain from pi_0 = v: the birth weights at t
@@ -789,16 +764,18 @@ class _Adaptive:
         times = list(dict.fromkeys(t for _, t in columns))
         rates, cuts, series, _ = self._pass(np.asarray(start, dtype=float), np.array(times),
                                             _reader(vectors))
-        births, chain, block = self._births(rates, cuts)
-        at = np.array([times.index(t) for _, t in columns], dtype=np.int64)
-        # the kept series of each chain's block, (chains, vectors, levels)
-        kept = np.zeros((len(block), width, births.size))
-        series = series.reshape(len(series), blocks, width)[:, block]
-        kept[:, :, :len(series)] = series.transpose(1, 2, 0)
-        values = births.cut_series(_first_level(births), kept, chain[:, at].ravel(),
-                                   np.tile([j for j, _ in columns], blocks),
-                                   np.tile(np.array(times)[at], blocks), cuts[:, at].ravel())
-        return values.reshape(blocks, len(columns))
+        weights, chain = self._weights(rates, cuts, np.array(times))
+        series = series.reshape(len(series), blocks, width)
+        values = np.empty((blocks, len(columns)))
+        for c, (j, t) in enumerate(columns):
+            # one dot per block over its levels up to the column's cut, summed
+            # in level order (cumsum is sequential along its axis, whatever
+            # the batch); the levels past the cut add zeros
+            at = times.index(t)
+            terms = weights[at][:len(series), chain[:, at]] * series[:, :, j]
+            terms[np.arange(len(series))[:, None] > cuts[:, at]] = 0.0
+            values[:, c] = np.cumsum(terms, axis=0)[-1]
+        return values
 
 
 class _Head:
@@ -844,6 +821,114 @@ class _Head:
             self.level[settle] = k
 
 
+class _Births:
+    """Birth chains of one batch, uniformized and stepped level-major.
+
+    Chain c moves from level k to k + 1 at ``rates[c, k]`` (chains, levels);
+    a level of rate 0 keeps its mass, and the last level must be one.  At
+    its uniformization rate ``lam[c]``, at least the rate of every level
+    that holds mass, one step is x[k] = stay[k] x[k] + up[k - 1] x[k - 1],
+    with up = rate * (1 / lam) and stay = 1 - up: the entries of (I + Q /
+    lam)^T, in the chain's column.  A chain without rate keeps its mass.
+
+    Iterates are (levels, chains), so the levels [lo, hi] that hold the
+    mass of the live chains are one row slice, and a step updates only that
+    band: hi grows by one level per step, and lo advances as the lowest
+    levels are zeroed (``_zero_low``), every ``_FLUSH_EVERY`` steps with the
+    flush.  Everything a chain computes reads only its own column, and its
+    levels outside its own band are zeros that stay zero, so a chain's
+    weights are the same bits in any batch.  ``lost`` (per chain, updated in
+    place) is the mass zeroed so far, ``share`` its bound.
+    """
+
+    def __init__(self, rates: np.ndarray, lam: np.ndarray, share: np.ndarray,
+                 lost: np.ndarray):
+        inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=lam > 0.0)
+        self.up = np.ascontiguousarray(rates.T) * inv
+        self.stay = 1.0 - self.up
+        self.share, self.lost = share, lost
+        self.rows = self.steps = 0  # band levels stepped, and steps
+
+    def _views(self, x: np.ndarray, out: np.ndarray, lo: int, hi: int) -> tuple:
+        """The band [lo, hi] of x and out, and what a step reads: up and x
+        over lo .. hi - 1, stay over the band, and x over lo + 1 .. hi."""
+        return (x[lo:hi + 1], out[:, lo:hi + 1], self.up[lo:hi], x[lo:hi],
+                self.stay[lo:hi + 1], x[lo + 1:hi + 1])
+
+    def transient(self, x: np.ndarray, lam_ts: np.ndarray) -> np.ndarray:
+        """The distributions at every time, (times, levels, chains), from the
+        start ``x`` (levels, chains), where ``lam_ts`` (times, chains) holds
+        lam t; x is stepped in place.
+
+        One pass serves every time: step k adds its Poisson weight (from
+        ``_poisson_windows``) times the iterate, over the band and the times
+        whose windows hold k.  Every chain steps until the last window of
+        the batch ends, as a contiguous band steps faster than a strided
+        one; at the first check after its own last weighed step a chain is
+        cleared, without counting as lost.
+        """
+        times, chains = lam_ts.shape
+        k_lo, offsets, window = _poisson_windows(lam_ts)
+        k_lo, lengths = k_lo.ravel(), np.diff(offsets)
+        ends = k_lo + lengths
+        need = ends.reshape(times, chains).max(axis=0)
+        steps, skip = int(need.max()), int(k_lo.min())
+        # the Poisson weight of every step from skip on, time and chain, with
+        # an axis that broadcasts over the levels: the weights of (time,
+        # chain) entry e sit at steps k_lo[e], k_lo[e] + 1, ...
+        weights = np.zeros((steps - skip, times, 1, chains))
+        weights.reshape(-1)[np.repeat(np.arange(k_lo.size) + (k_lo - skip - offsets[:-1]) *
+                                      k_lo.size, lengths)
+                            + np.arange(offsets[-1]) * k_lo.size] = window
+        # per step, the range of times with a window that holds it
+        holds = ((k_lo.reshape(times, chains).min(axis=1)[:, None] <= np.arange(steps))
+                 & (np.arange(steps) < ends.reshape(times, chains).max(axis=1)[:, None]))
+        first_time = holds.argmax(axis=0).tolist()
+        last_time = (times - holds[::-1].argmax(axis=0)).tolist()
+        out = np.zeros((times,) + x.shape)
+        rows = np.flatnonzero(x.any(axis=1))
+        lo, hi, top = int(rows[0]), int(rows[-1]), len(x) - 1
+        views = None  # of the band, while lo and hi stay
+        for k in range(steps):
+            if k:
+                if hi < top:
+                    hi, views = hi + 1, None
+                views = views or self._views(x, out, lo, hi)
+                band, into, up, below, stay, above = views
+                moved = up * below
+                band *= stay
+                above += moved
+                self.rows, self.steps = self.rows + hi - lo + 1, self.steps + 1
+                if not k % _FLUSH_EVERY:
+                    band[band < _FLUSH_BELOW] = 0.0
+                    # a chain past its last weighed step is cleared, so that it
+                    # holds the band no longer
+                    band[:, need <= k] = 0.0
+                    low, zeroed = _zero_low(band, self.lost, self.share)
+                    self.lost += zeroed
+                    lo, views = lo + int(low.min()), None
+            if k < skip:
+                continue
+            views = views or self._views(x, out, lo, hi)
+            band, into = views[:2]
+            into = into[first_time[k]:last_time[k]]
+            into += weights[k - skip, first_time[k]:last_time[k]] * band
+        return out
+
+
+def _zero_low(x: np.ndarray, lost: np.ndarray, share: np.ndarray):
+    """Zero, per column of ``x`` (levels, chains), the lowest levels whose
+    mass, summed in level order, is at most half of what is left of the
+    column's ``share`` after its ``lost``: every zeroing leaves room for the
+    next, so a band keeps advancing and a later segment start keeps a part.
+    Returns the number of levels zeroed and their mass, per column; the
+    zeroed mass is lost, so weights only go down."""
+    cum = np.cumsum(x, axis=0)
+    low = np.count_nonzero(2.0 * cum <= share - lost, axis=0)
+    x[np.arange(len(x))[:, None] < low] = 0.0
+    return low, np.where(low > 0, cum[low - 1, np.arange(x.shape[1])], 0.0)
+
+
 def _birth_rows(rates: np.ndarray, cuts: np.ndarray) -> np.ndarray:
     """Per block, the birth rates Lambda_0 .. Lambda_cut, then zeros, and one
     more zero for the absorbing level after the widest cut."""
@@ -867,26 +952,26 @@ def _birth_weights(rates: np.ndarray, cuts: np.ndarray, t: float,
                    share: np.ndarray) -> np.ndarray:
     """P(N_t = k) per block (row) and level k, for the birth process that
     moves up from level k at ``rates[b, k]`` up to the block's cut and stops
-    at the level after it, which takes the tail: the plain kernel on birth
-    chains (``_Blocks.births``), in time segments.
+    at the level after it, which takes the tail: the birth kernel
+    (``_Births``) in time segments.
 
     A block's segments are [0, t 2^-m] (``_segments``), then [t 2^-i, t
-    2^-(i-1)] for i = m .. 1.  At the start of each segment after the first,
-    the lowest levels whose mass adds up to at most share / m are zeroed, and
-    the segment is uniformized at the largest rate over the levels left.  The
-    segments of all blocks end together, so that each round steps one segment
-    per block, with its own length, in one call; a block whose segments have
-    not begun stays put.  The zeroed mass is lost: weights only go down.
+    2^-(i-1)] for i = m .. 1.  Each segment after the first starts by
+    zeroing the lowest levels by the band's rule (``_zero_low``), and is
+    uniformized at the largest rate over the levels from the lowest that
+    holds mass on.  All zeroing of a block, at segment starts and as its
+    band advances, stays within its ``share`` together.  The segments of all
+    blocks end together, so that each round steps one segment per block,
+    with its own length, in one call; a block whose segments have not begun
+    stays put.
     """
-    blocks, width = rates.shape
-    levels = np.arange(width + 1)
     births = _birth_rows(rates, cuts)
+    blocks, levels = births.shape
     m = _segments(births, t)
-    weights = np.zeros((blocks, width + 1))
-    weights[:, 0] = 1.0
-    live, lost, expected = births, np.zeros(blocks), np.zeros(blocks)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        threshold = np.where(m > 0, share / m, 0.0)
+    x = np.zeros((levels, blocks))
+    x[0] = 1.0
+    lost, starts, expected = np.zeros(blocks), np.zeros(blocks), np.zeros(blocks)
+    rows = steps = 0
     rounds = int(m.max()) + 1
     for r in range(rounds):
         begins = m == rounds - 1 - r
@@ -894,27 +979,22 @@ def _birth_weights(rates: np.ndarray, cuts: np.ndarray, t: float,
         # a block's first segment is t 2^-m long, each later one t 2^-(rounds - r)
         length = np.where(begins, t * 2.0 ** -m.astype(float),
                           np.where(goes_on, t * 2.0 ** -(rounds - r), 0.0))
-        if goes_on.any():
-            # per block, the mass of its lowest levels, summed in level order
-            low = np.count_nonzero(np.cumsum(weights, axis=1) <= threshold[:, None], axis=1)
-            low = np.where(goes_on, low, 0)
-            below = levels < low[:, None]
-            lost += np.where(below, weights, 0.0).sum(axis=1)
-            weights[below] = 0.0
-            live = np.where(below, 0.0, births)
-        expected += live.max(axis=1) * length
-        weights = _Blocks.births(live, cuts + 2).transient(weights, length)
+        # a block whose first segment is still to come zeroes nothing
+        zeroed = _zero_low(x, lost, np.where(goes_on, share, -np.inf))[1]
+        lost += zeroed
+        starts += zeroed
+        live = np.arange(levels)[:, None] >= np.argmax(x > 0.0, axis=0)
+        lam = np.where(live, births.T, 0.0).max(axis=0)
+        expected += lam * length
+        kernel = _Births(births, lam, share, lost)
+        x = kernel.transient(x, (lam * length)[None])[0]
+        rows, steps = rows + kernel.rows, steps + kernel.steps
     log.debug("birth weights to t=%g: %d blocks, %d segments, %.0f expected uniformized "
-              "steps (one segment: %.0f), largest zeroed mass %.3g", t, blocks, rounds,
-              expected.max(), (births.max(axis=1) * t).max(), lost.max())
-    return weights
-
-
-def _first_level(births: _Blocks) -> np.ndarray:
-    """Initial distributions of birth chains: all mass on level 0."""
-    start = np.zeros((len(births.lam), births.size))
-    start[:, 0] = 1.0
-    return start
+              "steps (one segment: %.0f), mean band %.1f of %d levels, largest zeroed mass "
+              "%.3g (%.3g by the band advance)", t, blocks, rounds, expected.max(),
+              (births.max(axis=1) * t).max(), rows / max(steps, 1), levels, lost.max(),
+              (lost - starts).max())
+    return x.T
 
 
 def _plain(c: ConcreteCtmc, absorbing: Optional[np.ndarray]) -> bool:
@@ -952,8 +1032,8 @@ def transient_distribution(c: ConcreteCtmc, t: float, epsilon: float = 1e-6) -> 
     """Transient distribution pi_t, by the kernel ``_plain`` picks for the
     chain.  On the adaptive kernel its L1 error is at most epsilon / 8
     (dropped mass) + epsilon * 2^-16 (birth tail) + epsilon * 2^-16 (birth
-    head) + epsilon * 2^-16 (zeroed birth levels), at most epsilon / 8 + 3
-    epsilon * 2^-16 in all, each of which only lowers entries; on both
+    head) + epsilon * 2^-17 (zeroed birth levels), at most epsilon / 8 + 5
+    epsilon * 2^-17 in all, each of which only lowers entries; on both
     kernels add the far smaller Poisson cut and flush, all a plain pass
     loses (see the module docstring)."""
     _check_epsilon(epsilon)
@@ -1105,10 +1185,12 @@ def _batches(chains, measures: MeasureSet) -> Iterator[list]:
     ``DEFAULT_STATE_CAP`` states, counted as padded to its largest chain, or
     keeps a series (blocks x series x steps) of more floats than that.  A
     chain above either cap goes alone.  Each chain is counted as an adaptive
-    pass, which keeps one series per vector, one more per vector on its birth
-    chains, and one per measure there; a plain pass keeps only the first."""
+    pass, which keeps one series per vector and, per time, its birth weights
+    over the levels (at most one per step); a plain pass keeps only the
+    first."""
     groups = _groups(measures).values()
-    width = max((2 * len({name for _, name, _ in g}) + len(g) for g in groups), default=0)
+    width = max((len({name for _, name, _ in g}) + len({t for _, _, t in g}) for g in groups),
+                default=0)
     horizon = max((t for g in groups for _, _, t in g), default=0.0)
     batch, size, kept = [], 0, 0
     for chain in chains:

@@ -90,16 +90,19 @@ def read_measures(path) -> MeasureSet:
                               f"in {sorted(_MEASURE_FIELDS)}: {entry!r}")
         measure_cls, name, *times = _MEASURE_FIELDS[entry["type"]]
         try:
-            fields = (entry["id"], entry[name], *(float(entry[t]) for t in times))
+            fields = (entry["id"], entry[name], *(entry[t] for t in times))
         except KeyError as exc:
             raise FormatError(f"measure entry {position} misses field {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise FormatError(f"measure entry {position}: {exc}") from None
+        for field, value in zip(times, fields[2:]):
+            # a JSON number only: bool is an int subclass, and float() reads strings
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise FormatError(f"measure entry {position}: {field} must be a number, "
+                                  f"not {value!r}")
         for field in ("id", name):
             if not isinstance(entry[field], str):
                 raise FormatError(f"measure entry {position}: {field} must be a string, "
                                   f"not {entry[field]!r}")
-        measures.append(measure_cls(*fields))
+        measures.append(measure_cls(*fields[:2], *map(float, fields[2:])))
     if not measures:
         raise FormatError(f"no measures in {path}")
     return MeasureSet(tuple(measures))

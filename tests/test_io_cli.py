@@ -279,7 +279,11 @@ def test_cli_error_paths(tmp_path, capsys):
                                           '"target": ["x"], "tau": 1.0}'),
                           ("int_id", '{"id": 3, "type": "reach", "target": "full", '
                                      '"tau": 1.0}'),
-                          ("not_object", "1")):
+                          ("not_object", "1"),
+                          ("bool_tau", '{"id": "bad", "type": "reach", "target": "full", '
+                                       '"tau": true}'),
+                          ("numeric_text_tau", '{"id": "bad", "type": "reach", '
+                                               '"target": "full", "tau": "2.5"}')):
         measures = tmp_path / f"measures_{name}.json"
         measures.write_text(f'{{"measures": [{good}, {entries}]}}')
         with pytest.raises(uio.FormatError, match="measure entry 1"):
