@@ -93,16 +93,22 @@ def read_measures(path) -> MeasureSet:
             fields = (entry["id"], entry[name], *(entry[t] for t in times))
         except KeyError as exc:
             raise FormatError(f"measure entry {position} misses field {exc}") from None
+        values = []
         for field, value in zip(times, fields[2:]):
             # a JSON number only: bool is an int subclass, and float() reads strings
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise FormatError(f"measure entry {position}: {field} must be a number, "
                                   f"not {value!r}")
+            try:
+                values.append(float(value))
+            except OverflowError:  # an int past the largest float
+                raise FormatError(f"measure entry {position}: {field} is too large "
+                                  f"for a float") from None
         for field in ("id", name):
             if not isinstance(entry[field], str):
                 raise FormatError(f"measure entry {position}: {field} must be a string, "
                                   f"not {entry[field]!r}")
-        measures.append(measure_cls(*fields[:2], *map(float, fields[2:])))
+        measures.append(measure_cls(*fields[:2], *values))
     if not measures:
         raise FormatError(f"no measures in {path}")
     return MeasureSet(tuple(measures))

@@ -23,12 +23,15 @@ the pattern with these rates, a partial chain its best-first search over them.
 The compile expands every guard comparison (as left - right), update, rate,
 label and reward once per model into polynomials over the state variables,
 each scaled by the LCM D of its coefficients' denominators to integer
-coefficients (``_Program``).  The BFS then takes one level at a time, every
-command over the whole frontier at once in exact integer numpy arithmetic,
-and numbers new states in the order a state-by-state BFS would.  Its integers
-are int64 when a bound over the variable box keeps every intermediate below
-2**53, else Python ints; errors are raised at the first offending (state,
-command) in BFS order, as a state-by-state compile would raise them.
+coefficients (``_Program``).  The BFS then takes one level at a time: every
+command's guard, updates and successor keys over the whole frontier at once
+in exact integer numpy arithmetic, and a dict from key to state that numbers
+new states in the order a state-by-state BFS would, so no level's work grows
+with the states known.  Rates follow the BFS, once per command over all of
+its edges.  The integers are int64 when a bound over the variable box keeps
+every intermediate below 2**53, else Python ints, on one path; errors are
+raised at the first offending (state, command) in BFS order, as a
+state-by-state compile would raise them.
 
 Rewards must be nonnegative at every reachable state; the compile checks
 this exactly, on the same integer values, and raises ModelError otherwise.
@@ -45,6 +48,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+import itertools
 import json
 import math
 import weakref
@@ -362,13 +366,15 @@ class _Program:
         self.dtype = np.int64 if max(widest) < 2**53 else object
 
     def value(self, terms: list, columns: list, n: int) -> np.ndarray:
-        total = np.zeros(n, self.dtype)
+        """D * p at the n states of ``columns``, read-only: a term that is
+        one variable is that variable's column."""
+        total = None
         for c, mono in terms:
-            term = c
-            for i in mono:
+            term = c if not mono else columns[mono[0]] if c == 1 else c * columns[mono[0]]
+            for i in mono[1:]:
                 term = term * columns[i]
-            total += term
-        return total
+            total = term if total is None else total + term
+        return total if isinstance(total, np.ndarray) else np.full(n, total or 0, self.dtype)
 
     def holds(self, guard: tuple, columns: list, n: int) -> np.ndarray:
         if len(guard) == 2:
@@ -384,50 +390,61 @@ class _Program:
             key += (column - v.minimum) * r
         return key
 
-    def fire(self, c: int, columns: list, n: int):
-        """Command c at the n states of ``columns``: the rows where its guard
-        holds, their successors' columns, the edges' coefficients and kernel
-        rows, and (row, message) of the first row with a faulty update, or
-        None.  A kernel row is every monomial's (numerator, denominator), in
-        lowest terms, of the rate over |its lowest nonzero monomial|, which
-        divided by D is the coefficient."""
-        guard, updates, scale, rate = self.commands[c]
-        rows = np.flatnonzero(self.holds(guard, columns, n))
-        k = rows.size
-        old = [column[rows] for column in columns]
-        new = list(old)
-        bad, checks = np.zeros(k, dtype=bool), []
-        for i, d, terms in updates:  # simultaneous: every update reads the old state
-            value = self.value(terms, old, k)
-            fraction = value % d != 0
-            value //= d
+    def columns(self, keys: np.ndarray) -> list:
+        """The states of mixed-radix ``keys``, one column per variable."""
+        return [keys // r % (v.maximum - v.minimum + 1) + v.minimum
+                for v, r in zip(self.variables, self.radix)]
+
+    def updates(self, c: int, columns: list, n: int) -> Iterator[tuple]:
+        """Command c's updates at the n states of ``columns``, each as
+        (variable position, new value, not integer, out of bounds); every
+        update reads the old state."""
+        for i, d, terms in self.commands[c][1]:
+            value = self.value(terms, columns, n)
+            fraction = value % d != 0 if d > 1 else np.zeros(n, dtype=bool)
+            value = value // d if d > 1 else value
             var = self.variables[i]
-            outside = (value < var.minimum) | (value > var.maximum)
+            yield i, value, fraction, (value < var.minimum) | (value > var.maximum)
+
+    def successors(self, c: int, columns: list, key: np.ndarray, n: int):
+        """Command c at the n states of ``columns`` with keys ``key``: where
+        its guard holds, its successors' keys and where an update is faulty."""
+        bad = np.zeros(n, dtype=bool)
+        for i, value, fraction, outside in self.updates(c, columns, n):
+            key = key + (value - columns[i]) * self.radix[i]
             bad |= fraction | outside
-            checks.append((var, fraction, value, outside))
-            new[i] = value
-        fault = None
-        if bad.any():
-            r = int(np.argmax(bad))
-            state = tuple(int(column[r]) for column in old)
-            var, fraction, value, outside = next(check for check in checks
-                                                 if check[1][r] or check[3][r])
-            fault = r, (f"update of {var.name} is not integer at state {state}" if fraction[r]
-                        else f"update of {var.name} to {int(value[r])} leaves bounds "
-                             f"[{var.minimum}, {var.maximum}] at state {state}")
-        values = [self.value(terms, old, k) for _, terms in rate]
-        lead = np.zeros(k, self.dtype)
+        return self.holds(self.commands[c][0], columns, n), key, bad
+
+    def fault(self, c: int, state: tuple) -> str:
+        """The message of command c's first faulty update at ``state``."""
+        columns = [np.array([x], self.dtype) for x in state]
+        i, value, fraction, _ = next(update for update in self.updates(c, columns, 1)
+                                     if update[2][0] or update[3][0])
+        var = self.variables[i]
+        if fraction[0]:
+            return f"update of {var.name} is not integer at state {state}"
+        return (f"update of {var.name} to {int(value[0])} leaves bounds "
+                f"[{var.minimum}, {var.maximum}] at state {state}")
+
+    def rate(self, c: int, columns: list, n: int):
+        """Command c's rate at the n states of ``columns``: each edge's
+        coefficient and kernel row.  A kernel row is every monomial's
+        (numerator, denominator), in lowest terms, of the rate over |its lowest
+        nonzero monomial|, which divided by D is the coefficient."""
+        _, _, scale, rate = self.commands[c]
+        values = [self.value(terms, columns, n) for _, terms in rate]
+        lead = np.zeros(n, self.dtype)
         for value in reversed(values):
             lead = np.where(value != 0, value, lead)
         lead = np.where(lead == 0, scale, np.abs(lead))  # a zero rate keeps coefficient 1
         width = len(self.monomials)
-        kernel = np.zeros((k, 2 * width), self.dtype)
+        kernel = np.zeros((n, 2 * width), self.dtype)
         kernel[:, width:] = 1
         for (j, _), value in zip(rate, values):
             common = np.gcd(value, lead)
             kernel[:, j] = value // common
             kernel[:, width + j] = lead // common
-        return rows, new, np.asarray(lead / scale, dtype=float), kernel, fault
+        return np.asarray(lead / scale, dtype=float), kernel
 
 
 class _Table:
@@ -442,13 +459,17 @@ class _Table:
     ``visit`` lists each row's entries in the order of their first edge.
 
     The BFS runs one level at a time, each command over the whole frontier
-    in the exact integer arithmetic of ``_Program``.  A level's edges are
-    sorted by (source, command) and its new targets numbered in order of first
-    occurrence, which is the order of a state-by-state BFS.  An update fault
-    (ModelError) or a new state past ``state_cap`` (StateCapExceeded) is
-    raised at the first offending (state, command) in that order; on one edge
-    the fault wins.  ``coefficient`` and ``rewards`` are int / int divisions,
-    so each is the exact rational correctly rounded.
+    in the exact integer arithmetic of ``_Program``, on a (state, command)
+    grid of guards, update faults and successor keys.  Its enabled cells,
+    row-major, are the level's edges in (source, command) order; a dict from
+    key to state numbers new targets by first occurrence, which is the order
+    of a state-by-state BFS.  An update fault (ModelError) or a new state
+    past ``state_cap`` (StateCapExceeded) is raised at the first offending
+    (state, command) in that order; on one edge the fault wins.  After the
+    BFS each command's coefficients and kernel rows are evaluated over all of
+    its edges at once, and one stable lexsort numbers equal kernel rows by
+    their first edge.  ``coefficient`` and ``rewards`` are int / int
+    divisions, so each is the exact rational correctly rounded.
 
     After the BFS, a reward that is negative at a reachable state raises
     ModelError at the first such state, in BFS and then declaration order.
@@ -458,69 +479,57 @@ class _Table:
 
     def __init__(self, m: ParametricCtmc, state_cap: int):
         program = _Program(m)
-        dtype, nv, width = program.dtype, len(m.variables), len(program.monomials)
+        dtype, nc, width = program.dtype, len(m.commands), len(program.monomials)
         roots = list(dict.fromkeys(point for point, _ in m.initial_states()))
-        frontier = [np.array([p[i] for p in roots], dtype) for i in range(nv)]
-        levels = [frontier]
-        lo = 0  # the frontier's first state
-        size = count = len(roots)  # frontier states, states numbered so far
-        known_keys = program.keys(frontier, size)  # sorted; known_index holds their states
-        known_index = np.argsort(known_keys, kind="stable")
-        known_keys = known_keys[known_index]
-        edges = [(np.zeros(0, np.int64),) * 3 + (np.zeros(0), np.zeros((0, 2 * width), dtype))]
-        while size and m.commands:
-            parts, fault = [], None
-            for c in range(len(m.commands)):
-                rows, new, coefficient, kernel, bad = program.fire(c, frontier, size)
-                if bad is not None and (fault is None or lo + rows[bad[0]] < fault[0]):
-                    fault = lo + int(rows[bad[0]]), c, bad[1]
-                parts.append((lo + rows, np.full(rows.size, c, np.int64), new, coefficient,
-                              kernel))
-            source, command = (np.concatenate([p[j] for p in parts]) for j in (0, 1))
-            order = np.lexsort((command, source))
+        frontier = [np.array(column, dtype) for column in zip(*roots)]
+        keys = program.keys(frontier, len(roots))
+        index = dict(zip(keys.tolist(), range(len(roots))))  # key -> state, in BFS order
+        edges = [(np.zeros(0, np.int64),) * 3]
+        while keys.size and nc:
+            # a (frontier state, command) grid, row-major in (state, command) order
+            enabled, key, bad = (np.stack(part, axis=1).ravel() for part in zip(
+                *(program.successors(c, frontier, keys, keys.size) for c in range(nc))))
+            edge = np.flatnonzero(enabled)
+            bad &= enabled
+            fault = int(np.argmax(bad)) if bad.any() else None
             if fault is not None:  # keep the edges before the first faulty one
-                order = order[:np.count_nonzero(
-                    (source < fault[0]) | ((source == fault[0]) & (command < fault[1])))]
-            source, command = source[order], command[order]
-            new = [np.concatenate([p[2][i] for p in parts])[order] for i in range(nv)]
-            coefficient, kernel = (np.concatenate([p[j] for p in parts])[order] for j in (3, 4))
-
-            key = program.keys(new, order.size)
-            at = np.searchsorted(known_keys, key)
-            found = at < known_keys.size
-            found[found] = known_keys[at[found]] == key[found]
-            target = np.empty(order.size, np.int64)
-            target[found] = known_index[at[found]]
-            fresh = np.flatnonzero(~found)
-            unique, first, inverse = np.unique(key[fresh], return_index=True,
-                                               return_inverse=True)
-            index = np.empty(unique.size, np.int64)
-            index[np.argsort(first)] = np.arange(count, count + unique.size)
-            target[fresh] = index[inverse]
-            if unique.size:
-                _check_cap(count + unique.size, state_cap)
+                edge = edge[:np.searchsorted(edge, fault)]
+            count = len(index)
+            target = [index.setdefault(k, len(index)) for k in key[edge].tolist()]
+            if len(index) > count:
+                _check_cap(len(index), state_cap)
             if fault is not None:
-                raise ModelError(fault[2])
-            edges.append((source, target, command, coefficient, kernel))
-            at = np.searchsorted(known_keys, unique)
-            known_keys = np.insert(known_keys, at, unique)
-            known_index = np.insert(known_index, at, index)
-            frontier = [column[fresh[np.sort(first)]] for column in new]
-            levels.append(frontier)
-            lo, size, count = count, unique.size, count + unique.size
+                state = tuple(int(column[fault // nc]) for column in frontier)
+                raise ModelError(program.fault(fault % nc, state))
+            edges.append((count - keys.size + edge // nc, np.array(target, np.int64),
+                          edge % nc))
+            # the level's new states are the keys numbered last
+            keys = np.array([*itertools.islice(reversed(index), len(index) - count)][::-1], dtype)
+            frontier = program.columns(keys)
 
-        n = count
-        columns = [np.concatenate([level[i] for level in levels]) for i in range(nv)]
-        self.states = list(map(tuple, np.array(columns, dtype).reshape(-1, n).T.tolist()))
+        n = len(index)
+        columns = program.columns(np.array(list(index), dtype))
+        self.states = [*zip(*(column.tolist() for column in columns))] or [()]  # no variables: ()
         self.roots = len(roots)
-        self.source, self.target, self.command, self.coefficient, kernel = (
-            np.concatenate(column) for column in zip(*edges))
-        numbers: dict = {}  # kernel rows, numbered by first edge
-        self.kernel = np.array([numbers.setdefault(row, len(numbers))
-                                for row in map(tuple, kernel.tolist())], dtype=np.int64)
+        self.source, self.target, self.command = (np.concatenate(c) for c in zip(*edges))
+        self.coefficient = np.zeros(self.source.size)
+        kernel = np.zeros((self.source.size, 2 * width), dtype)
+        for c in range(nc):  # each command's rate over all of its edges
+            on = np.flatnonzero(self.command == c)
+            self.coefficient[on], kernel[on] = program.rate(
+                c, [column[self.source[on]] for column in columns], on.size)
+        # kernel rows numbered by first edge; the sort is stable, so each run of
+        # equal rows starts at its first edge (the zero key serves width 0)
+        order = np.lexsort([np.zeros(len(kernel)), *kernel.T])
+        ordered = kernel[order]
+        start = np.ones(len(kernel), dtype=bool)
+        start[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+        first = np.empty(len(kernel), np.int64)
+        first[order] = order[start][np.cumsum(start) - 1]
+        first, self.kernel = np.unique(first, return_inverse=True)
         self.kernels = [tuple((mono, Fraction(row[j], row[width + j]))
                               for j, mono in enumerate(program.monomials) if row[j])
-                        for row in numbers]
+                        for row in kernel[first].tolist()]
 
         pattern, first, self.entry = np.unique(
             self.source * n + self.target, return_index=True, return_inverse=True)

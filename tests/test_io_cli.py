@@ -283,7 +283,9 @@ def test_cli_error_paths(tmp_path, capsys):
                           ("bool_tau", '{"id": "bad", "type": "reach", "target": "full", '
                                        '"tau": true}'),
                           ("numeric_text_tau", '{"id": "bad", "type": "reach", '
-                                               '"target": "full", "tau": "2.5"}')):
+                                               '"target": "full", "tau": "2.5"}'),
+                          ("huge_tau", '{"id": "bad", "type": "reach", "target": "full", '
+                                       f'"tau": 1{"0" * 400}}}')):
         measures = tmp_path / f"measures_{name}.json"
         measures.write_text(f'{{"measures": [{good}, {entries}]}}')
         with pytest.raises(uio.FormatError, match="measure entry 1"):
@@ -293,6 +295,8 @@ def test_cli_error_paths(tmp_path, capsys):
                      str(measures), "--samples", samples, "--out", str(out)]) == 1
         assert "error [check] measure entry 1" in capsys.readouterr().err
         assert not out.exists()
+    with pytest.raises(uio.FormatError, match="measure entry 1: tau is too large for a float"):
+        uio.read_measures(tmp_path / "measures_huge_tau.json")
     # a file that is not an object with a list of measures names the file
     for name, text in (("top_list", "[1]"), ("measures_int", '{"measures": 5}')):
         measures = tmp_path / f"measures_{name}.json"

@@ -264,6 +264,17 @@ def _synthetic_models():
         # below 2**63 but past 2**53, where an int64 / 10.0 would round twice
         "wide_reward": parse_model(_mini_model(
             rewards={"big": {"states": "100000000000000007*x + 0.1"}})),
+        # a reset from deep levels back to the initial state, numbered levels before
+        "reset": _two_variable_model(
+            [{"guard": "x < 4", "rate": "k", "updates": {"x": "x+1"}},
+             {"guard": "y < 3 & x > 1", "rate": "k*x", "updates": {"y": "y+1"}},
+             {"guard": "x + y >= 5", "rate": "2", "updates": {"x": "0", "y": "0"}}]),
+        # two commands of one state, and two states of one level, reach the
+        # same new state in that level: (1, 1) from (1, 0) twice and from (0, 1)
+        "merge": _two_variable_model(
+            [{"guard": "x < 4", "rate": "k", "updates": {"x": "x+1"}},
+             {"guard": "y < 3", "rate": "k*k + x", "updates": {"y": "y+1"}},
+             {"guard": "x > 0 & y < 3", "rate": "x", "updates": {"y": "y+1"}}]),
     }
 
 
@@ -370,6 +381,15 @@ def test_compile_errors_match_per_state_reference(name):
     want = _outcome(table_reference, m, cap)
     assert want is not None
     assert _outcome(um._Table, m, cap) == want
+
+
+@pytest.mark.parametrize("name", ["reset", "merge"])
+def test_state_cap_outcomes_match_per_state_reference(name):
+    # every cap up to the reachable count, where the numbering revisits and merges
+    m = _synthetic_models()[name]
+    n = len(table_reference(m, um.DEFAULT_STATE_CAP).states)
+    for cap in range(1, n + 1):
+        assert _outcome(um._Table, m, cap) == _outcome(table_reference, m, cap), cap
 
 
 def test_state_cap_equal_to_reachable_count_compiles():
