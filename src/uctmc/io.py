@@ -180,6 +180,9 @@ def read_solutions(path):
         if any(v.shape != (len(ids),) for v in vectors):
             raise FormatError(f"bad solutions file {path}: solution {position} does not hold "
                               "one value per measure id")
+        if not all(np.isfinite(v).all() for v in vectors):
+            raise FormatError(f"bad solutions file {path}: solution {position} holds a value "
+                              "that is not finite")
         out.append(solution)
     return ids, mode, out
 

@@ -6,17 +6,16 @@ size against the summed L1 distance of excluded (relaxed) samples::
     minimize  ||xbar - xlow||_1 + rho * sum_i ||xi_i||_1
     s.t.      xlow - xi_i <= sol(u_i) <= xbar + xi_i,   xi_i >= 0
 
-The problem decomposes per dimension, and each face has a closed form: with
-num_ge(v) the number of samples whose value in that dimension is at least v
-(ties form one rank block), the upper face is max{v : num_ge(v) > 1/rho} and
-the lower face is the dual.  Relaxation only changes at critical costs
-rho = 1/j, which are rejected; use rho_grid for safe mid-gap values.
+The problem decomposes per dimension, and each face is an order statistic of
+its column: with k = floor(1/rho) + 1, the upper face is the k-th largest value
+and the lower face the k-th smallest.  Relaxation only changes at critical
+costs rho = 1/j, which are rejected; use rho_grid for safe mid-gap values.
 
-For imprecise solutions [sol-, sol+] the same rank rule runs on the upper
-bounds for the upper face and on the lower bounds for the lower face, which
-yields a conservative box containing the (unknown) precise-solution region.
-The complexity of the precise problem is upper-bounded greedily (re-solving
-with boundary samples removed one at a time); under imprecision that greedy
+For imprecise solutions [sol-, sol+] the same rule runs on the upper bounds
+for the upper face and on the lower bounds for the lower face, which yields a
+conservative box containing the (unknown) precise-solution region.  The
+complexity of the precise problem is upper-bounded greedily (boundary samples
+removed one at a time while the faces stay put); under imprecision that greedy
 is unsound, so the bound is instead n minus the number of surely-noncritical
 samples: samples whose box fits inside an inner rectangle disjoint from every
 box that touches the region boundary.
@@ -26,13 +25,14 @@ The containment lower bound eta(n, d, beta) is the smallest positive root of
     C(n, d) * t^(n-d)  =  ((1 - beta) / n) * sum_{i=d}^{n-1} C(i, d) * t^(i-d)
 
 with eta(n, n, beta) = 0.  The normalized left side is monotone in t, so the
-root is unique; it is bracketed by an ascending grid scan and bisected to
-1e-9.  Binomial ratios are evaluated by term recurrences, never as raw
-factorials, so n up to 10^4 stays inside float range.
+root is unique; it is bracketed by bisection over the geometric grid
+1e-12 * 1.1^j and bisected to 1e-9.  Binomial ratios are evaluated by term
+recurrences, never as raw factorials, so n up to 10^4 stays inside float range.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -118,8 +118,8 @@ def solutions_matrix(solutions) -> np.ndarray:
         rows = [s.values if hasattr(s, "values") else s for s in solutions]
         mat = np.array([np.asarray(r, dtype=float) for r in rows])
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
-    if mat.ndim != 2 or mat.size == 0:
-        raise ScenarioError("need a nonempty n x m solution matrix")
+    if mat.ndim != 2 or mat.size == 0 or not np.isfinite(mat).all():
+        raise ScenarioError("need a nonempty n x m solution matrix of finite values")
     return mat
 
 
@@ -131,8 +131,9 @@ def interval_matrices(solutions) -> tuple[np.ndarray, np.ndarray]:
         lower = np.array([np.asarray(s.lower, dtype=float) for s in solutions])
         upper = np.array([np.asarray(s.upper, dtype=float) for s in solutions])
         lower, upper = np.atleast_2d(lower), np.atleast_2d(upper)
-    if lower.shape != upper.shape or lower.size == 0:
-        raise ScenarioError("interval bounds must be matching nonempty matrices")
+    if lower.shape != upper.shape or lower.size == 0 or not np.isfinite((lower, upper)).all():
+        raise ScenarioError("interval bounds must be matching nonempty matrices of "
+                            "finite values")
     if np.any(lower > upper + 1e-12):
         raise ScenarioError("interval lower bounds exceed upper bounds")
     return lower, upper
@@ -166,7 +167,7 @@ def _check_rho(rho: float, n: int):
 
 
 # ---------------------------------------------------------------------------
-# Rank statistics and the per-dimension closed form
+# Rank and order statistics, and the per-dimension closed form
 # ---------------------------------------------------------------------------
 
 def rank_stats(lower: np.ndarray, upper: Optional[np.ndarray] = None) -> RankStats:
@@ -199,22 +200,18 @@ def _classify(lower, upper, box_lo, box_hi, tol) -> np.ndarray:
     return cls
 
 
+def _faces(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Faces from the one-sided optima, sorted where tiny rho makes them cross."""
+    swap = lo > hi
+    return np.where(swap, hi, lo), np.where(swap, lo, hi)
+
+
 def _solve_box(lower: np.ndarray, upper: np.ndarray, rho: float):
     n, m = lower.shape
     _check_rho(rho, n)
-    threshold = 1.0 / rho
-    stats = rank_stats(lower, upper)
-    box_lo = np.empty(m)
-    box_hi = np.empty(m)
-    for r in range(m):
-        hi_candidates = upper[stats.num_upper_ge[:, r] > threshold, r]
-        lo_candidates = lower[stats.num_lower_le[:, r] > threshold, r]
-        hi = float(hi_candidates.max())
-        lo = float(lo_candidates.min())
-        # For very small rho the two one-sided optima can cross; the LP then
-        # degenerates to a point and loses uniqueness.  Report the sorted pair,
-        # a conservative nonempty box bounded by the two rank values.
-        box_lo[r], box_hi[r] = (lo, hi) if lo <= hi else (hi, lo)
+    k = int(1.0 / rho) + 1  # num_ge(v) > 1/rho, with 1/rho never an integer
+    ranked = np.sort(lower if upper is lower else np.hstack((lower, upper)), axis=0)
+    box_lo, box_hi = _faces(ranked[k - 1, :m], ranked[n - k, -m:])
     cls = _classify(lower, upper, box_lo, box_hi, BOUNDARY_TOL)
     region = BoxRegion(box_lo, box_hi, cls)
     return region, region.relaxed_indices()
@@ -244,29 +241,35 @@ def complexity_precise(solutions, rho: float, region: Optional[BoxRegion] = None
                        relaxed: Optional[Sequence[int]] = None) -> int:
     """Greedy upper bound d* on the smallest critical set, precise solutions.
 
-    Boundary samples are visited in ascending index; each is tentatively
-    removed and the region re-solved.  Removals that leave the region
-    unchanged are kept.  d* = relaxed count + retained boundary samples
-    (strictly interior samples never move a face, so they are never critical).
+    Boundary samples are visited in ascending index; a removal is kept when
+    the k-th order statistics of the rows still kept (one argsort per column)
+    are the region's faces, and skipped when fewer than k rows would be kept
+    (1/rho above their count: no region).  d* = relaxed count + retained
+    boundary samples (interior samples never move a face, so are never critical).
     """
     values = solutions_matrix(solutions)
     if region is None or relaxed is None:
         region, relaxed = solve_box_precise(values, rho)
-    boundary = list(region.boundary_indices())
-    removed: set = set()
-    n = values.shape[0]
+    boundary = region.boundary_indices()
+    n, m = values.shape
+    _check_rho(rho, n)
+    k = int(1.0 / rho) + 1
+    order = np.argsort(values, axis=0)
+    ranked = np.take_along_axis(values, order, axis=0)
+    columns = np.arange(m)
+    kept = np.ones(n, dtype=bool)
+    removed = 0
     for i in boundary:
-        keep = [j for j in range(n) if j != i and j not in removed]
-        if not keep:
+        if n - removed <= k:
             continue
-        try:
-            trial_region, _ = solve_box_precise(values[keep], rho)
-        except ScenarioError:
-            continue
-        if (np.array_equal(trial_region.lower, region.lower)
-                and np.array_equal(trial_region.upper, region.upper)):
-            removed.add(i)
-    return len(relaxed) + len(boundary) - len(removed)
+        kept[i] = False
+        w = k + removed + 1  # a column's k-th kept row is among its w extremes
+        lo = np.argmax(np.cumsum(kept[order[:w]], axis=0) == k, axis=0)
+        hi = n - 1 - np.argmax(np.cumsum(kept[order[::-1][:w]], axis=0) == k, axis=0)
+        lo, hi = _faces(ranked[lo, columns], ranked[hi, columns])
+        kept[i] = not (np.array_equal(lo, region.lower) and np.array_equal(hi, region.upper))
+        removed += not kept[i]
+    return len(relaxed) + len(boundary) - removed
 
 
 def _box_volume(lo: np.ndarray, hi: np.ndarray) -> float:
@@ -347,15 +350,23 @@ def complexity_imprecise(solutions, region: BoxRegion) -> tuple[int, BoundaryAna
 # Containment lower bound
 # ---------------------------------------------------------------------------
 
+# eta's bracket points: 1e-300, then 1e-12 * 1.1^j below 1 (repeated products), 1 - 1e-15
+_ETA_GRID = [1e-300, 1e-12]
+while _ETA_GRID[-1] * 1.1 < 1.0:
+    _ETA_GRID.append(_ETA_GRID[-1] * 1.1)
+_ETA_GRID.append(1.0 - 1e-15)
+
+
 def _eta_poly(n: int, c: int, beta: float) -> Callable[[float], float]:
     """Sign of the normalized bound polynomial at t (terms via ratio recurrences)."""
     a = (1.0 - beta) / n
+    ratios = [(i + 1 - c) / (i + 1) for i in range(n - 1, c - 1, -1)]
 
     def h(t: float) -> float:
         s = 1.0
         term = 1.0
-        for i in range(n - 1, c - 1, -1):
-            term *= (i + 1 - c) / (i + 1) / t
+        for r in ratios:
+            term *= r / t
             s -= a * term
             if s < -1e12 or term > 1e280:
                 return -1.0
@@ -368,8 +379,8 @@ def compute_eta(n: int, d: int, beta: float) -> float:
     """High-confidence lower bound on the containment probability.
 
     eta(n, n, beta) = 0; otherwise the unique positive root of the bound
-    polynomial, located by an ascending geometric grid scan and bisection to
-    an interval width of 1e-9.
+    polynomial.  It increases in t, so its first positive point on the grid
+    _ETA_GRID is found by bisection, then the root is bisected to width 1e-9.
     """
     if not 0 <= d <= n:
         raise ScenarioError("need 0 <= d <= n")
@@ -378,23 +389,12 @@ def compute_eta(n: int, d: int, beta: float) -> float:
     if d == n:
         return 0.0
     h = _eta_poly(n, d, beta)
-
-    lo, hi = None, None
-    t = 1e-12
-    prev = 1e-300
-    while t < 1.0:
-        if h(t) > 0.0:
-            lo, hi = prev, t
-            break
-        prev = t
-        t *= 1.1
-    else:
-        if h(1.0 - 1e-15) > 0.0:
-            lo, hi = prev, 1.0 - 1e-15
-    if lo is None:
+    j = bisect.bisect_left(_ETA_GRID, True, lo=1, key=lambda t: h(t) > 0.0)
+    if j == len(_ETA_GRID):
         raise RuntimeError(
             f"no sign change for eta polynomial (n={n}, d={d}, beta={beta}); "
             "this contradicts the bound's theory")
+    lo, hi = _ETA_GRID[j - 1], _ETA_GRID[j]
     while hi - lo > 1e-9:
         mid = 0.5 * (lo + hi)
         if h(mid) > 0.0:

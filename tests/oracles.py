@@ -11,7 +11,16 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.optimize import linprog
 
-from uctmc.scenario import ScenarioError, solve_box_imprecise, solve_box_precise
+from uctmc.scenario import (
+    BOUNDARY_TOL,
+    BoxRegion,
+    ScenarioError,
+    _check_rho,
+    _classify,
+    rank_stats,
+    solve_box_imprecise,
+    solve_box_precise,
+)
 
 LP_TOL = 1e-7
 
@@ -103,6 +112,90 @@ def naive_imprecise_greedy(lower: np.ndarray, upper: np.ndarray, rho: float) -> 
                 and np.array_equal(trial.upper, region.upper)):
             removed.add(i)
     return len(relaxed) + len(boundary) - len(removed)
+
+
+# ---------------------------------------------------------------------------
+# Scenario references: the rank-count faces, the re-solving greedy and the
+# linear-scan eta bracket that the library's order-statistic code replaced
+# ---------------------------------------------------------------------------
+
+def solve_box_reference(lower: np.ndarray, upper: np.ndarray, rho: float):
+    """Faces from rank counts: upper = max{v : num_ge(v) > 1/rho}, lower the
+    dual, crossed faces swapped.  Returns (region, relaxed)."""
+    n, m = lower.shape
+    _check_rho(rho, n)
+    threshold = 1.0 / rho
+    stats = rank_stats(lower, upper)
+    box_lo = np.empty(m)
+    box_hi = np.empty(m)
+    for r in range(m):
+        hi = float(upper[stats.num_upper_ge[:, r] > threshold, r].max())
+        lo = float(lower[stats.num_lower_le[:, r] > threshold, r].min())
+        box_lo[r], box_hi[r] = (lo, hi) if lo <= hi else (hi, lo)
+    cls = _classify(lower, upper, box_lo, box_hi, BOUNDARY_TOL)
+    region = BoxRegion(box_lo, box_hi, cls)
+    return region, region.relaxed_indices()
+
+
+def complexity_precise_reference(values: np.ndarray, rho: float) -> int:
+    """The greedy that re-solves the region (by rank counts) once per boundary
+    sample, visited in ascending index, keeping removals that leave it
+    unchanged."""
+    region, relaxed = solve_box_reference(values, values, rho)
+    boundary = list(region.boundary_indices())
+    removed: set = set()
+    n = values.shape[0]
+    for i in boundary:
+        keep = [j for j in range(n) if j != i and j not in removed]
+        if not keep:
+            continue
+        try:
+            trial, _ = solve_box_reference(values[keep], values[keep], rho)
+        except ScenarioError:
+            continue
+        if (np.array_equal(trial.lower, region.lower)
+                and np.array_equal(trial.upper, region.upper)):
+            removed.add(i)
+    return len(relaxed) + len(boundary) - len(removed)
+
+
+def eta_reference(n: int, d: int, beta: float) -> float:
+    """eta by an ascending scan of the grid 1e-12 * 1.1^j for the first point
+    where the bound polynomial is positive, then bisection to 1e-9."""
+    if d == n:
+        return 0.0
+    a = (1.0 - beta) / n
+
+    def h(t: float) -> float:
+        s = 1.0
+        term = 1.0
+        for i in range(n - 1, d - 1, -1):
+            term *= (i + 1 - d) / (i + 1) / t
+            s -= a * term
+            if s < -1e12 or term > 1e280:
+                return -1.0
+        return s
+
+    lo, hi = None, None
+    t = 1e-12
+    prev = 1e-300
+    while t < 1.0:
+        if h(t) > 0.0:
+            lo, hi = prev, t
+            break
+        prev = t
+        t *= 1.1
+    else:
+        if h(1.0 - 1e-15) > 0.0:
+            lo, hi = prev, 1.0 - 1e-15
+    assert lo is not None
+    while hi - lo > 1e-9:
+        mid = 0.5 * (lo + hi)
+        if h(mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------

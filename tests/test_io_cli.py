@@ -338,7 +338,17 @@ def test_cli_error_paths(tmp_path, capsys):
                            '"gap_met": true}]}', "solution 0: could not convert"),
             ("short_values", '{"measure_ids": ["a", "b"], "mode": "exact", "solutions": '
                              '[{"i": 0, "values": [0.5]}]}',
-             "solution 0 does not hold one value per measure id")):
+             "solution 0 does not hold one value per measure id"),
+            # NaN would pass the region stage and write "lower": [NaN] into
+            # regions.json, which is not valid JSON
+            ("nan_value", '{"measure_ids": ["a"], "mode": "exact", "solutions": '
+                          '[{"i": 0, "values": [0.5]}, {"i": 1, "values": [NaN]}, '
+                          '{"i": 2, "values": [0.2]}]}',
+             "solution 1 holds a value that is not finite"),
+            ("infinite_upper", '{"measure_ids": ["a"], "mode": "approx", "solutions": '
+                               '[{"i": 0, "lower": [0.1], "upper": [Infinity], '
+                               '"delta": 0.01, "gap_met": true}]}',
+             "solution 0 holds a value that is not finite")):
         bad = tmp_path / f"solutions_{name}.json"
         bad.write_text(text)
         with pytest.raises(uio.FormatError, match=f"bad solutions file {bad}: {message}"):

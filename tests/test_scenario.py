@@ -13,18 +13,23 @@ from uctmc.scenario import (
     complexity_imprecise,
     complexity_precise,
     compute_eta,
+    interval_matrices,
     rank_stats,
     refine_until,
     rho_grid,
+    solutions_matrix,
     solve_box_imprecise,
     solve_box_precise,
 )
 
 from oracles import (
     brute_force_complexity,
+    complexity_precise_reference,
+    eta_reference,
     lp_box,
     lp_relaxed_set,
     naive_imprecise_greedy,
+    solve_box_reference,
 )
 
 SIX = np.array([[1.0], [2.0], [3.0], [4.0], [5.0], [6.0]])
@@ -199,6 +204,47 @@ def test_greedy_can_drop_redundant_boundary_samples():
     assert d == 4  # relaxed {1.0, 6.0} + faces {2.0 (one copy), 3.0}
 
 
+def _same_region(a, b) -> bool:
+    return (a.lower.tobytes() == b.lower.tobytes() and a.upper.tobytes() == b.upper.tobytes()
+            and a.classification.tobytes() == b.classification.tobytes())
+
+
+def test_order_statistics_match_rank_count_reference():
+    """Boxes, relaxed sets and d keep every bit of the rank-count faces and the
+    re-solving greedy, on tie-heavy matrices.  rho = 0.04 and 0.02 are the
+    critical 1/25 and 1/50, which both reject; the mid-gap 1/25.5 and 1/50.5
+    put k past n/2, so faces cross and the greedy reaches k kept rows, where
+    it skips."""
+    rng = np.random.default_rng(20)
+    crossed = at_floor = compared = 0
+    for rho in rho_grid(12) + [0.04, 0.02, 1 / 25.5, 1 / 50.5]:
+        k = int(1.0 / rho) + 1
+        for _ in range(40):
+            n = int(rng.integers(max(1, k - 2), 2 * k + 12))
+            m = int(rng.integers(1, 4))
+            values = rng.integers(0, int(rng.integers(1, 5)), size=(n, m)) * 0.5
+            width = rng.integers(0, 3, size=(n, m)) * 0.25
+            lower, upper = values - width * (rng.random((n, m)) < 0.5), values + width
+            for lo, hi in ((lower, upper), (values, values)):
+                try:
+                    ref, ref_relaxed = solve_box_reference(lo, hi, rho)
+                except ScenarioError as exc:
+                    with pytest.raises(type(exc)):
+                        solve_box_imprecise((lo, hi), rho)
+                    break
+                got, got_relaxed = solve_box_imprecise((lo, hi), rho)
+                assert _same_region(got, ref) and got_relaxed == ref_relaxed
+                crossed += bool(np.any(np.sort(hi, axis=0)[n - k] < np.sort(lo, axis=0)[k - 1]))
+            else:  # both raise, or both keep every bit
+                region, relaxed = solve_box_precise(values, rho)
+                assert _same_region(region, ref) and relaxed == ref_relaxed
+                d = complexity_precise(values, rho, region, relaxed)
+                assert d == complexity_precise_reference(values, rho)
+                at_floor += len(relaxed) + len(region.boundary_indices()) - d == n - k
+                compared += 1
+    assert crossed > 0 and at_floor > 0 and compared > 300
+
+
 # ---------------------------------------------------------------------------
 # Complexity (imprecise, surely-noncritical route)
 # ---------------------------------------------------------------------------
@@ -307,6 +353,29 @@ def test_eta_monotone_in_complexity_and_beta():
 def test_eta_tightens_with_more_samples_at_matched_ratio():
     for k in (1, 2, 3, 4, 5, 6):
         assert compute_eta(100, 4 * k, 0.9) > compute_eta(25, k, 0.9)
+
+
+@pytest.mark.parametrize("beta", [1e-3, 0.5, 0.9, 0.99, 0.999, 0.9999])
+def test_eta_matches_linear_scan_reference(beta):
+    for n in range(1, 121):
+        for d in range(n + 1):
+            assert compute_eta(n, d, beta) == eta_reference(n, d, beta), (n, d)
+    for n, d in ((1_000, 0), (1_000, 37), (1_000, 500), (1_000, 999),
+                 (10_000, 50), (10_000, 9_999)):
+        assert compute_eta(n, d, beta) == eta_reference(n, d, beta), (n, d)
+
+
+def test_non_finite_solutions_rejected():
+    for bad in (np.nan, np.inf, -np.inf):
+        values = np.array([[0.1, 0.2], [0.3, bad]])
+        with pytest.raises(ScenarioError, match="finite"):
+            solutions_matrix(values)
+        with pytest.raises(ScenarioError, match="finite"):
+            bound_outcome(values, 2.0, [0.9])
+        with pytest.raises(ScenarioError, match="finite"):
+            interval_matrices((np.zeros((2, 2)), values))
+        with pytest.raises(ScenarioError, match="finite"):
+            bound_outcome((values, np.ones((2, 2))), 2.0, [0.9], "imprecise")
 
 
 def test_eta_large_n_and_extreme_inputs():
