@@ -65,7 +65,6 @@ from .scenario import (
     BoundaryAnalysis,
     BoxRegion,
     CriticalRhoError,
-    RankStats,
     ScenarioError,
     ScenarioOutcome,
     baseline_frequentist,
@@ -74,7 +73,6 @@ from .scenario import (
     complexity_imprecise,
     complexity_precise,
     compute_eta,
-    rank_stats,
     refine_until,
     rho_grid,
     solve_box_imprecise,

@@ -172,9 +172,8 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse._sparsetools import csr_matvec, csr_tocsc
 
+from ._csr import csr_matvec, csr_tocsc
 from .model import (
     DEFAULT_STATE_CAP,
     ConcreteCtmc,
@@ -307,13 +306,13 @@ def _generator(chains: Sequence[ConcreteCtmc], absorbing: Sequence):
     counts = np.zeros((len(chains), size), dtype=np.int64)
     frozen = np.zeros((len(chains), size), dtype=bool)
     for b, (c, a) in enumerate(zip(chains, absorbing)):
-        counts[b, :c.num_states] = np.diff(c.rates.indptr)
+        counts[b, :c.num_states] = np.diff(c.indptr)
         if a is not None:
             frozen[b, :c.num_states] = a
     rows = np.repeat(np.arange(counts.size), counts.ravel())
-    cols = np.concatenate([c.rates.indices.astype(np.int64) + b * size
+    cols = np.concatenate([c.indices.astype(np.int64) + b * size
                            for b, c in enumerate(chains)])
-    data = np.concatenate([c.rates.data for c in chains])
+    data = np.concatenate([c.data for c in chains])
     keep = (cols != rows) & ~frozen.ravel()[rows]
     rows, cols, data = rows[keep], cols[keep], data[keep]
     # with no entry left, bincount returns integers
@@ -402,20 +401,20 @@ def _ranks(counts: np.ndarray) -> np.ndarray:
     return np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
-def _iterates(pt: sparse.csr_matrix, v: np.ndarray, skip: int, count: int,
+def _iterates(pt: tuple, v: np.ndarray, skip: int, count: int,
               live: Optional[Sequence[int]] = None):
     """Yield ``count`` successive iterates (P^T)^k v, from k = ``skip`` on.
 
-    ``v`` is (blocks, states), and ``pt`` maps each block to itself.  With
-    ``live`` (nonincreasing), step k updates and yields only the first
-    ``live[k]`` blocks; otherwise all of them.  Each step calls scipy's CSR
-    mat-vec kernel directly on two preallocated buffers that take turns, so a
-    yielded array is valid only until the generator resumes: use or copy it
-    before asking for the next one.  Every ``_FLUSH_EVERY`` steps the entries
-    below ``_FLUSH_BELOW`` are set to zero (see the module docstring for the
-    mass this may remove).
+    ``v`` is (blocks, states), and ``pt``, CSR arrays (indptr, indices,
+    data), maps each block to itself.  With ``live`` (nonincreasing), step k
+    updates and yields only the first ``live[k]`` blocks; otherwise all of
+    them.  Each step calls scipy's CSR mat-vec kernel directly on two
+    preallocated buffers that take turns, so a yielded array is valid only
+    until the generator resumes: use or copy it before asking for the next
+    one.  Every ``_FLUSH_EVERY`` steps the entries below ``_FLUSH_BELOW`` are
+    set to zero (see the module docstring for the mass this may remove).
     """
-    indptr, indices, data = pt.indptr, pt.indices, pt.data
+    indptr, indices, data = pt
     cur = np.array(v, dtype=float)
     nxt = np.empty_like(cur)
     if live is None:
@@ -471,7 +470,7 @@ class _Blocks:
         """P^T of a generator as ``_generator`` returns it: each block's P^T
         holds q / Lambda off the diagonal and 1 - e / Lambda on it, with
         Lambda its largest exit rate e, zeros dropped; a block without rate
-        has no entries."""
+        has no entries.  ``pt`` holds its CSR arrays (indptr, indices, data)."""
         blocks, self.size = exits.shape  # states per block, padded
         lam = exits.max(axis=1, initial=0.0)
         self.order = np.argsort(-lam, kind="stable")
@@ -488,9 +487,7 @@ class _Blocks:
         shift = (np.argsort(self.order) - np.arange(blocks))[block] * self.size
         rows, cols, keep = rows + shift, cols + shift, data != 0.0
         by_row = np.argsort(rows[keep], kind="stable")
-        indptr, indices, data = _transposed(exits.size, *(a[keep][by_row]
-                                                          for a in (rows, cols, data)))
-        self.pt = sparse.csr_matrix((data, indices, indptr), shape=(exits.size,) * 2)
+        self.pt = _transposed(exits.size, *(a[keep][by_row] for a in (rows, cols, data)))
 
     @classmethod
     def uniformized(cls, chains: Sequence[ConcreteCtmc], absorbing: Sequence) -> "_Blocks":
@@ -1003,7 +1000,7 @@ def _plain(c: ConcreteCtmc, absorbing: Optional[np.ndarray]) -> bool:
     is at least half their largest, and adaptive otherwise (see the module
     docstring).  It reads this chain's data alone, so a chain's kernel does
     not depend on its batch."""
-    exits = c.exit_rates - c.rates.diagonal()
+    exits = c.exit_rates - c.diagonal()
     if absorbing is not None:
         exits = exits[~absorbing]
     return not exits.size or 2.0 * exits.mean() >= exits.max()

@@ -57,7 +57,6 @@ from fractions import Fraction
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
-from scipy import sparse
 
 from . import expr as ex
 
@@ -633,17 +632,25 @@ def check_graph_preserving(m: ParametricCtmc, u: Valuation,
 # ---------------------------------------------------------------------------
 
 class ConcreteCtmc:
-    """Explicit CTMC: indexed states, sparse positive rate matrix, label sets.
+    """Explicit CTMC: indexed states, positive rates in CSR arrays, label sets.
 
-    ``exit_rates[s]`` is the full row sum including self-loops; self-loops are
-    semantically inert for CTMCs and are kept only so transition counts match
-    the source model.
+    ``data``, ``indices`` and ``indptr`` hold the rate matrix row by row in
+    scipy's CSR layout; ``rates`` is that matrix as a scipy ``csr_matrix``,
+    built on first read.  ``exit_rates[s]`` is the full row sum including
+    self-loops; self-loops are semantically inert for CTMCs and are kept only
+    so transition counts match the source model.
     """
 
     def __init__(self, states, initial, rates, labels=None, rewards=None):
+        """``rates`` is the triple (data, indices, indptr) or a scipy sparse
+        matrix."""
         self.states = states
         self.initial = np.asarray(initial, dtype=float)
-        self.rates = rates.tocsr()
+        if not isinstance(rates, tuple):
+            rates = rates.tocsr()
+            rates = rates.data, rates.indices, rates.indptr
+        data, self.indices, self.indptr = rates
+        self.data = np.asarray(data, dtype=float)
         self.labels = {k: np.asarray(v, dtype=bool) for k, v in (labels or {}).items()}
         self.rewards = {k: np.asarray(v, dtype=float) for k, v in (rewards or {}).items()}
 
@@ -651,13 +658,39 @@ class ConcreteCtmc:
     def from_dense(cls, rates, initial, labels=None, rewards=None) -> "ConcreteCtmc":
         rates = np.asarray(rates, dtype=float)
         n = rates.shape[0]
+        rows, cols = np.nonzero(rates)
+        indptr = np.searchsorted(rows, np.arange(n + 1))
         states = [(i,) for i in range(n)]
-        return cls(states, initial, sparse.csr_matrix(rates), labels, rewards)
+        return cls(states, initial, (rates[rows, cols], cols, indptr), labels, rewards)
+
+    @functools.cached_property
+    def rates(self):
+        """The rate matrix as a scipy ``csr_matrix`` on the chain's arrays,
+        built on first read."""
+        from scipy import sparse
+
+        n = len(self.indptr) - 1
+        return sparse.csr_matrix((self.data, self.indices, self.indptr), shape=(n, n))
 
     @functools.cached_property
     def exit_rates(self) -> np.ndarray:
-        """Row sums of ``rates``, computed on first read."""
-        return np.asarray(self.rates.sum(axis=1)).ravel()
+        """Row sums, computed on first read: one ``np.add.reduceat`` over the
+        nonempty rows, which is how scipy's ``rates.sum(axis=1)`` adds them."""
+        sums = np.zeros(len(self.indptr) - 1)
+        rows = np.flatnonzero(np.diff(self.indptr))
+        sums[rows] = np.add.reduceat(self.data, self.indptr[rows])
+        return sums
+
+    def diagonal(self) -> np.ndarray:
+        """Each state's self-loop rate, 0.0 without one."""
+        rows = self._rows()
+        loop = self.indices == rows
+        return np.bincount(rows[loop], self.data[loop],
+                           minlength=len(self.indptr) - 1).astype(float)
+
+    def _rows(self) -> np.ndarray:
+        """The row of each stored entry."""
+        return np.repeat(np.arange(len(self.indptr) - 1), np.diff(self.indptr))
 
     @property
     def num_states(self) -> int:
@@ -665,11 +698,10 @@ class ConcreteCtmc:
 
     @property
     def num_transitions(self) -> int:
-        return int(self.rates.nnz)
+        return int(self.indptr[-1])
 
     def edges(self) -> Iterator[tuple[int, int, float]]:
-        coo = self.rates.tocoo()
-        yield from zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist())
+        yield from zip(self._rows().tolist(), self.indices.tolist(), self.data.tolist())
 
     def label_mask(self, label: str) -> np.ndarray:
         try:
@@ -721,9 +753,8 @@ def build_full(m: ParametricCtmc, u: Valuation,
     if reason is not None:
         raise GraphPreservationError(reason)
     t = inst.table
-    n = len(t.states)
-    rates = sparse.csr_matrix((inst.rates, t.indices, t.indptr), shape=(n, n))
-    return ConcreteCtmc(t.states, t.initial, rates, t.labels, t.rewards)
+    return ConcreteCtmc(t.states, t.initial, (inst.rates, t.indices, t.indptr),
+                        t.labels, t.rewards)
 
 
 def build_partial(m: ParametricCtmc, u: Valuation, delta: float,
@@ -739,6 +770,8 @@ def build_partial(m: ParametricCtmc, u: Valuation, delta: float,
     compiled table (compiled under DEFAULT_STATE_CAP on first use, as the
     graph check of sampling does); ``state_cap`` bounds the expanded states.
     """
+    from scipy import sparse
+
     if not 0 < delta <= 1:
         raise ModelError("delta must lie in (0, 1]")
     inst = _Instance(m, u, DEFAULT_STATE_CAP)

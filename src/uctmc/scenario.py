@@ -81,14 +81,6 @@ class BoxRegion:
 
 
 @dataclass(eq=False)
-class RankStats:
-    """num_ge on upper bounds and num_le on lower bounds, per sample and dim."""
-
-    num_upper_ge: np.ndarray
-    num_lower_le: np.ndarray
-
-
-@dataclass(eq=False)
 class ScenarioOutcome:
     rho: float
     region: BoxRegion
@@ -167,28 +159,8 @@ def _check_rho(rho: float, n: int):
 
 
 # ---------------------------------------------------------------------------
-# Rank and order statistics, and the per-dimension closed form
+# Order statistics, and the per-dimension closed form
 # ---------------------------------------------------------------------------
-
-def rank_stats(lower: np.ndarray, upper: Optional[np.ndarray] = None) -> RankStats:
-    """Counts of samples whose bound is at least / at most each sample's, per dim.
-
-    For precise solutions pass one matrix; both counts then coincide with the
-    plain rank counts.  Equal values share one rank block by construction.
-    """
-    lower = np.atleast_2d(lower)
-    upper = lower if upper is None else np.atleast_2d(upper)
-    n, m = lower.shape
-    num_ge = np.empty((n, m), dtype=int)
-    num_le = np.empty((n, m), dtype=int)
-    for r in range(m):
-        up = np.sort(upper[:, r])
-        lo = np.sort(lower[:, r])
-        # at least: n - (#strictly smaller);  at most: #less-or-equal
-        num_ge[:, r] = n - np.searchsorted(up, upper[:, r], side="left")
-        num_le[:, r] = np.searchsorted(lo, lower[:, r], side="right")
-    return RankStats(num_ge, num_le)
-
 
 def _classify(lower, upper, box_lo, box_hi, tol) -> np.ndarray:
     """INSIDE / BOUNDARY / OUTSIDE per sample box (points are zero-width boxes)."""
@@ -381,6 +353,7 @@ def compute_eta(n: int, d: int, beta: float) -> float:
     eta(n, n, beta) = 0; otherwise the unique positive root of the bound
     polynomial.  It increases in t, so its first positive point on the grid
     _ETA_GRID is found by bisection, then the root is bisected to width 1e-9.
+    The lower end of that bracket is returned, so eta never exceeds the root.
     """
     if not 0 <= d <= n:
         raise ScenarioError("need 0 <= d <= n")
@@ -401,7 +374,7 @@ def compute_eta(n: int, d: int, beta: float) -> float:
             hi = mid
         else:
             lo = mid
-    return 0.5 * (lo + hi)
+    return lo
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ dense matrix exponentials, and the complexity oracle enumerates subsets.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 from scipy.linalg import expm
 from scipy.optimize import linprog
@@ -17,7 +19,6 @@ from uctmc.scenario import (
     ScenarioError,
     _check_rho,
     _classify,
-    rank_stats,
     solve_box_imprecise,
     solve_box_precise,
 )
@@ -119,6 +120,33 @@ def naive_imprecise_greedy(lower: np.ndarray, upper: np.ndarray, rho: float) -> 
 # linear-scan eta bracket that the library's order-statistic code replaced
 # ---------------------------------------------------------------------------
 
+class RankStats(NamedTuple):
+    """num_ge on upper bounds and num_le on lower bounds, per sample and dim."""
+
+    num_upper_ge: np.ndarray
+    num_lower_le: np.ndarray
+
+
+def rank_stats(lower: np.ndarray, upper: np.ndarray | None = None) -> RankStats:
+    """Counts of samples whose bound is at least / at most each sample's, per dim.
+
+    For precise solutions pass one matrix; both counts then coincide with the
+    plain rank counts.  Equal values share one rank block by construction.
+    """
+    lower = np.atleast_2d(lower)
+    upper = lower if upper is None else np.atleast_2d(upper)
+    n, m = lower.shape
+    num_ge = np.empty((n, m), dtype=int)
+    num_le = np.empty((n, m), dtype=int)
+    for r in range(m):
+        up = np.sort(upper[:, r])
+        lo = np.sort(lower[:, r])
+        # at least: n - (#strictly smaller);  at most: #less-or-equal
+        num_ge[:, r] = n - np.searchsorted(up, upper[:, r], side="left")
+        num_le[:, r] = np.searchsorted(lo, lower[:, r], side="right")
+    return RankStats(num_ge, num_le)
+
+
 def solve_box_reference(lower: np.ndarray, upper: np.ndarray, rho: float):
     """Faces from rank counts: upper = max{v : num_ge(v) > 1/rho}, lower the
     dual, crossed faces swapped.  Returns (region, relaxed)."""
@@ -159,11 +187,9 @@ def complexity_precise_reference(values: np.ndarray, rho: float) -> int:
     return len(relaxed) + len(boundary) - len(removed)
 
 
-def eta_reference(n: int, d: int, beta: float) -> float:
-    """eta by an ascending scan of the grid 1e-12 * 1.1^j for the first point
-    where the bound polynomial is positive, then bisection to 1e-9."""
-    if d == n:
-        return 0.0
+def eta_h(n: int, d: int, beta: float):
+    """The normalized bound polynomial h as a function of one t: -1.0 once it
+    is surely negative (s < -1e12) or its terms blow up (> 1e280)."""
     a = (1.0 - beta) / n
 
     def h(t: float) -> float:
@@ -176,26 +202,93 @@ def eta_reference(n: int, d: int, beta: float) -> float:
                 return -1.0
         return s
 
-    lo, hi = None, None
-    t = 1e-12
-    prev = 1e-300
+    return h
+
+
+def _eta_ratios(n: int, ds) -> np.ndarray:
+    """The ratios (i + 1 - d) / (i + 1) of h's terms, i = n - 1 down to 0, as
+    (terms, cases) columns, one per d in ``ds``.  A column's terms past i = d
+    are 0, which leave s and the exit test as they are."""
+    i = np.arange(n - 1, -1, -1)[:, None]
+    d = np.asarray(ds)[None, :]
+    return np.where(i >= d, (i + 1 - d) / (i + 1), 0.0)
+
+
+def _eta_h_columns(a: float, ratios: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """h at ``t`` for each column of ``ratios`` (terms, columns), with the
+    float operations of ``eta_h`` in its order per column: the terms are
+    running products and s a running difference (numpy accumulates in
+    order), and a column's early exit is a mask over the column.  Entries
+    past an exit may overflow; they are masked, so their warnings are not
+    raised."""
+    term = ratios / t
+    s = np.ones((len(term) + 1, term.shape[1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply.accumulate(term, axis=0, out=term)
+        np.multiply(a, term, out=s[1:])
+        np.subtract.accumulate(s, axis=0, out=s)
+        exited = ((s[1:] < -1e12) | (term > 1e280)).any(axis=0)
+    return np.where(exited, -1.0, s[-1])
+
+
+def eta_h_at(n: int, d: int, beta: float, ts: np.ndarray) -> np.ndarray:
+    """``eta_h(n, d, beta)`` at every point of ``ts`` at once."""
+    return _eta_h_columns((1.0 - beta) / n, _eta_ratios(n, [d])[:n - d], ts)
+
+
+def _eta_scan_grid() -> list:
+    """The scan's points 1e-12 * 1.1^j below 1, each the previous times 1.1."""
+    grid, t = [], 1e-12
     while t < 1.0:
-        if h(t) > 0.0:
-            lo, hi = prev, t
-            break
-        prev = t
+        grid.append(t)
         t *= 1.1
-    else:
-        if h(1.0 - 1e-15) > 0.0:
-            lo, hi = prev, 1.0 - 1e-15
-    assert lo is not None
-    while hi - lo > 1e-9:
-        mid = 0.5 * (lo + hi)
-        if h(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return grid
+
+
+ETA_SCAN_GRID = _eta_scan_grid()
+
+
+def eta_bracket_scalar(n: int, d: int, beta: float) -> tuple:
+    """The scan's bracket (point before, first point with h > 0), one point
+    at a time in ascending order; 1 - 1e-15 closes a grid without one."""
+    h = eta_h(n, d, beta)
+    prev = 1e-300
+    for t in ETA_SCAN_GRID:
+        if h(t) > 0.0:
+            return prev, t
+        prev = t
+    assert h(1.0 - 1e-15) > 0.0
+    return prev, 1.0 - 1e-15
+
+
+def eta_bracket(n: int, d: int, beta: float) -> tuple:
+    """``eta_bracket_scalar`` from h at every grid point at once."""
+    positive = np.flatnonzero(eta_h_at(n, d, beta, np.array(ETA_SCAN_GRID)) > 0.0)
+    if not positive.size:
+        assert eta_h(n, d, beta)(1.0 - 1e-15) > 0.0
+        return ETA_SCAN_GRID[-1], 1.0 - 1e-15
+    j = int(positive[0])
+    return (ETA_SCAN_GRID[j - 1] if j else 1e-300), ETA_SCAN_GRID[j]
+
+
+def eta_references(n: int, ds, beta: float) -> np.ndarray:
+    """eta for every d in ``ds``: an ascending scan of the grid 1e-12 * 1.1^j
+    for the first point where the bound polynomial is positive
+    (``eta_bracket``), then bisection to 1e-9, and the lower end of the final
+    bracket; 0 for d = n.  The bisections run in lockstep, each on its own
+    bracket, so every d gets the bits of its own bisection."""
+    ds = np.asarray(ds)
+    eta = np.zeros(len(ds))
+    cases = np.flatnonzero(ds < n)
+    lo, hi = np.array([eta_bracket(n, int(d), beta) for d in ds[cases]]).reshape(-1, 2).T
+    ratios = _eta_ratios(n, ds[cases])
+    while (open_ := np.flatnonzero(hi - lo > 1e-9)).size:
+        mid = 0.5 * (lo[open_] + hi[open_])
+        positive = _eta_h_columns((1.0 - beta) / n, ratios[:, open_], mid) > 0.0
+        hi[open_[positive]] = mid[positive]
+        lo[open_[~positive]] = mid[~positive]
+    eta[cases] = lo
+    return eta
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ from oracles import (
     transient_oracle,
     uniformized_sparse,
 )
+from scipy import sparse
 from scipy.linalg import expm
 
 
@@ -326,13 +327,14 @@ def test_iterates_match_public_matmul_with_flush():
 
     c = draining_death_chain()
     pt = _Blocks.uniformized([c], [None]).pt
+    matrix = sparse.csr_matrix(pt[::-1], shape=(c.num_states,) * 2)
     steps = 4000
     ours = [x[0].copy() for x in _iterates(pt, c.initial[None], 0, steps + 1)]
     v = c.initial.copy()
     flushed = 0
     for k in range(steps + 1):
         if k:
-            v = pt @ v
+            v = matrix @ v
             if not k % _FLUSH_EVERY:
                 tiny = v < _FLUSH_BELOW
                 flushed += int(np.count_nonzero(v[tiny]))
@@ -394,15 +396,16 @@ def test_uniformized_matches_sparse_reference(sir20, mean_valuation):
         absorbing += [None, looped.label_mask("goal")]
     blocks = _Blocks.uniformized(chains, absorbing)
     size = blocks.size
+    pt = sparse.csr_matrix(blocks.pt[::-1], shape=(len(chains) * size,) * 2)
     assert size == full.num_states
     assert np.all(np.diff(blocks.lam) <= 0.0)
-    counts = np.diff(blocks.pt.indptr)
+    counts = np.diff(pt.indptr)
     for pos, b in enumerate(blocks.order):
         ref, ref_lam = uniformized_sparse(chains[b], absorbing[b])
         n, lam = chains[b].num_states, blocks.lam[pos]
         rows = slice(pos * size, pos * size + n)
         assert not counts[pos * size + n:(pos + 1) * size].any(), b
-        entries = blocks.pt[rows]
+        entries = pt[rows]
         assert np.all(entries.indices // size == pos), b
         if ref is None:
             assert lam == 0.0 and entries.nnz == 0, b

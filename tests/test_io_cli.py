@@ -1,4 +1,9 @@
+import importlib.machinery
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -118,6 +123,40 @@ def test_run_pipeline_writes_artifacts(tmp_path):
     assert config == {"model": cfg.model, "measures": cfg.measures, "n": 20,
                       "seed": 3, "mode": "exact", "epsilon": 1e-6, "rel_gap": 1e-2,
                       "rho": "auto:3", "beta": [0.9, 0.99], "delta": 1e-2}
+
+
+_NO_SCIPY_RUN = """
+import json, sys
+import uctmc.cli
+from uctmc import _csr, example_model_path
+for model, measures, mode in (("sir20", "sir_horizons", "exact"),
+                              ("buffer", "buffer_measures", "approx")):
+    uctmc.cli.run_pipeline(uctmc.cli.RunConfig(
+        model=str(example_model_path(model)), measures=str(example_model_path(measures)),
+        n=10, seed=1, mode=mode, rho_spec="auto:3", out_dir=sys.argv[1] + "/" + model))
+print(json.dumps({"modules": sorted(k for k in sys.modules if k.split(".")[0] == "scipy"),
+                  "kernels": _csr.sparsetools.__file__}))
+"""
+
+
+def test_pipeline_runs_without_importing_scipy(tmp_path):
+    # a fresh interpreter imports the CLI and runs two pipelines; of scipy it
+    # loads only the compiled CSR kernels, from scipy's own extension file
+    import scipy.sparse
+
+    env = {**os.environ, "PYTHONPATH": str(Path(uctmc.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning",
+         "-c", _NO_SCIPY_RUN, str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["modules"] == ["scipy.sparse._sparsetools"]
+    kernels = Path(report["kernels"])
+    assert kernels.parent == Path(scipy.sparse.__file__).parent
+    assert kernels.name in {"_sparsetools" + s for s in importlib.machinery.EXTENSION_SUFFIXES}
+    assert (tmp_path / "sir20" / "regions.json").exists()
+    assert (tmp_path / "buffer" / "regions.json").exists()
 
 
 def test_run_pipeline_curve_stage_failures(tmp_path, caplog, capsys):

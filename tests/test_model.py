@@ -17,7 +17,7 @@ from uctmc import (
 )
 from uctmc import expr as ex
 from uctmc import model as um
-from oracles import chain_reference, table_reference
+from oracles import chain_reference, random_ctmc, table_reference
 
 
 def _mini_model(**overrides):
@@ -144,6 +144,34 @@ def test_row_sums_equal_exit_rates(sir20, mean_valuation):
     c = build_full(sir20, mean_valuation)
     rows = np.asarray(c.rates.sum(axis=1)).ravel()
     assert np.max(np.abs(rows - c.exit_rates)) <= 1e-12
+
+
+def _looped_chain():
+    rng = np.random.default_rng(3)
+    rates = random_ctmc(rng, max_states=30).rates.toarray()
+    np.fill_diagonal(rates, rng.uniform(0.0, 2.0, len(rates)))
+    rates[0, 0] = 0.0  # a state without a self-loop, too
+    return uctmc.ConcreteCtmc.from_dense(rates, np.eye(len(rates))[0])
+
+
+@pytest.mark.parametrize("name", ["sir2", "sir20", "sir140", "tandem", "buffer", "looped"])
+def test_chain_arrays_match_scipy_bit_for_bit(name):
+    # exit rates, self-loops, transition counts and edges are read from the
+    # CSR arrays without scipy; each has the bits of scipy's own reading
+    if name == "looped":
+        c = _looped_chain()
+    else:
+        m = uctmc.load_model(uctmc.example_model_path(name))
+        c = build_full(m, uctmc.sample_valuations(m, 1, seed=4).valuations[0])
+    rates = c.rates
+    sums = np.asarray(rates.sum(axis=1)).ravel()
+    assert np.array_equal(c.exit_rates.view(np.int64), sums.view(np.int64))
+    assert np.array_equal(c.diagonal().view(np.int64), rates.diagonal().view(np.int64))
+    assert c.num_transitions == rates.nnz
+    coo = rates.tocoo()
+    assert list(c.edges()) == list(zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()))
+    if name == "looped":
+        assert np.count_nonzero(c.diagonal()) == c.num_states - 1
 
 
 def test_update_out_of_bounds_is_an_error():

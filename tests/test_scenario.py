@@ -14,7 +14,6 @@ from uctmc.scenario import (
     complexity_precise,
     compute_eta,
     interval_matrices,
-    rank_stats,
     refine_until,
     rho_grid,
     solutions_matrix,
@@ -23,12 +22,18 @@ from uctmc.scenario import (
 )
 
 from oracles import (
+    ETA_SCAN_GRID,
     brute_force_complexity,
     complexity_precise_reference,
-    eta_reference,
+    eta_bracket,
+    eta_bracket_scalar,
+    eta_h,
+    eta_h_at,
+    eta_references,
     lp_box,
     lp_relaxed_set,
     naive_imprecise_greedy,
+    rank_stats,
     solve_box_reference,
 )
 
@@ -357,12 +362,33 @@ def test_eta_tightens_with_more_samples_at_matched_ratio():
 
 @pytest.mark.parametrize("beta", [1e-3, 0.5, 0.9, 0.99, 0.999, 0.9999])
 def test_eta_matches_linear_scan_reference(beta):
-    for n in range(1, 121):
-        for d in range(n + 1):
-            assert compute_eta(n, d, beta) == eta_reference(n, d, beta), (n, d)
-    for n, d in ((1_000, 0), (1_000, 37), (1_000, 500), (1_000, 999),
-                 (10_000, 50), (10_000, 9_999)):
-        assert compute_eta(n, d, beta) == eta_reference(n, d, beta), (n, d)
+    cases = [(n, range(n + 1)) for n in range(1, 121)]
+    cases += [(1_000, (0, 37, 500, 999)), (10_000, (50, 9_999))]
+    for n, ds in cases:
+        assert [compute_eta(n, d, beta) for d in ds] == eta_references(n, ds, beta).tolist(), n
+
+
+def test_eta_reference_scan_matches_scalar_scan():
+    # the reference scans h at every grid point at once; each point gets the
+    # bits of the scalar h, so the bracket is the scalar scan's
+    grid = np.array(ETA_SCAN_GRID)
+    cases = [(n, d) for n in range(1, 25) for d in range(n)] + [(1_000, 37)]
+    for beta in (1e-3, 0.9, 0.999):
+        for n, d in cases:
+            h = eta_h(n, d, beta)
+            assert np.array_equal(eta_h_at(n, d, beta, grid), [h(t) for t in ETA_SCAN_GRID]), \
+                (n, d, beta)
+            assert eta_bracket(n, d, beta) == eta_bracket_scalar(n, d, beta), (n, d, beta)
+
+
+def test_eta_never_exceeds_its_root():
+    # h(eta) <= 0 < h(eta + 1e-9): the root lies in (eta, eta + 1e-9]
+    for n in (10, 50, 100, 1_000):
+        for d in range(min(n, 40)):
+            for beta in (0.9, 0.99, 0.999):
+                eta = compute_eta(n, d, beta)
+                h = eta_h(n, d, beta)
+                assert h(eta) <= 0.0 < h(eta + 1e-9), (n, d, beta)
 
 
 def test_non_finite_solutions_rejected():
