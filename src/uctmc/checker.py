@@ -401,24 +401,21 @@ def _ranks(counts: np.ndarray) -> np.ndarray:
     return np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
-def _iterates(pt: tuple, v: np.ndarray, skip: int, count: int,
-              live: Optional[Sequence[int]] = None):
+def _iterates(pt: tuple, v: np.ndarray, skip: int, count: int, live: Sequence[int]):
     """Yield ``count`` successive iterates (P^T)^k v, from k = ``skip`` on.
 
     ``v`` is (blocks, states), and ``pt``, CSR arrays (indptr, indices,
-    data), maps each block to itself.  With ``live`` (nonincreasing), step k
-    updates and yields only the first ``live[k]`` blocks; otherwise all of
-    them.  Each step calls scipy's CSR mat-vec kernel directly on two
-    preallocated buffers that take turns, so a yielded array is valid only
-    until the generator resumes: use or copy it before asking for the next
-    one.  Every ``_FLUSH_EVERY`` steps the entries below ``_FLUSH_BELOW`` are
-    set to zero (see the module docstring for the mass this may remove).
+    data), maps each block to itself.  Step k updates and yields only the
+    first ``live[k]`` blocks (``live`` is nonincreasing).  Each step calls
+    scipy's CSR mat-vec kernel directly on two preallocated buffers that
+    take turns, so a yielded array is valid only until the generator
+    resumes: use or copy it before asking for the next one.  Every
+    ``_FLUSH_EVERY`` steps the entries below ``_FLUSH_BELOW`` are set to
+    zero (see the module docstring for the mass this may remove).
     """
     indptr, indices, data = pt
     cur = np.array(v, dtype=float)
     nxt = np.empty_like(cur)
-    if live is None:
-        live = [cur.shape[0]] * (skip + count)
     blocks = -1
     for k in range(skip + count):
         if live[k] != blocks:
@@ -577,7 +574,7 @@ class _Adaptive:
     (``_generator``) form one block-diagonal Q^T and the per-block scaling.
     ``scale`` (per chain, >= 1) divides the chain's error shares: the
     largest magnitude of the vectors its passes weigh.  ``drop`` is the drop
-    budget before that division, epsilon / 8 unless given.  Every per-block
+    budget before that division, at most epsilon / 8.  Every per-block
     quantity (mat-vec rows, dropped mass, Lambda_k, the tail bounds and cuts,
     the birth chains) is computed from that block alone, with per-block sums
     in state or step order, and a column's cut and birth chain depend only on
@@ -588,11 +585,10 @@ class _Adaptive:
     """
 
     def __init__(self, chains: Sequence[ConcreteCtmc], absorbing: Sequence, epsilon: float,
-                 scale: Optional[np.ndarray] = None, drop: Optional[float] = None):
+                 scale: np.ndarray, drop: float):
         _, self.exits, entries = _generator(chains, absorbing)
         self.qt = _transposed(self.exits.size, *entries)
-        scale = np.ones(len(chains)) if scale is None else scale
-        self.share = (epsilon * _DROP_SHARE if drop is None else drop) / scale
+        self.share = drop / scale
         self.below = epsilon * _DROP_BELOW / scale
         self.log_tail = np.log(epsilon * _TAIL_SHARE / scale)
         self.log_head = np.log(epsilon * _HEAD_SHARE / scale)
@@ -1040,7 +1036,8 @@ def transient_distribution(c: ConcreteCtmc, t: float, epsilon: float = 1e-6) -> 
         return c.initial.copy()
     if _plain(c, None):
         return _Blocks.uniformized([c], [None]).transient(c.initial[None], t)[0]
-    return _Adaptive([c], [None], epsilon).transient(c.initial[None], t)[0]
+    adaptive = _Adaptive([c], [None], epsilon, np.ones(1), epsilon * _DROP_SHARE)
+    return adaptive.transient(c.initial[None], t)[0]
 
 
 def reach_probabilities(c: ConcreteCtmc, target: str, horizons: Sequence[float],

@@ -27,7 +27,6 @@ from .checker import (MIN_EPSILON, CheckerError, region_to_curve, refine_solutio
 from .model import load_model
 from .sampling import sample_valuations
 from .scenario import (
-    BOUNDARY_TOL,
     BoxRegion,
     _check_rho,
     baseline_frequentist,
@@ -131,7 +130,7 @@ def _region_from_json(entry: dict, n_samples: int, n_measures: int, stage: str) 
         raise StageError(stage, f"region for rho {entry['rho']} bounds {lower.size} measures, "
                                 f"but there are {n_measures}")
     cls = np.zeros(n_samples, dtype=np.int8)
-    return BoxRegion(lower, upper, cls, BOUNDARY_TOL)
+    return BoxRegion(lower, upper, cls)
 
 
 # ---------------------------------------------------------------------------
@@ -251,15 +250,15 @@ def _stage_run(args) -> None:
 
 
 @contextmanager
-def _stage(name: str, timings: Optional[dict] = None):
-    """Report the block's errors as StageError(name); record its wall time."""
+def _stage(name: str, timings: dict):
+    """Report the block's errors as StageError(name); record its wall time
+    in ``timings``."""
     start = time.perf_counter()
     try:
         yield
     except Exception as exc:
         raise StageError(name, str(exc)) from exc
-    if timings is not None:
-        timings[name] = time.perf_counter() - start
+    timings[name] = time.perf_counter() - start
 
 
 def run_pipeline(cfg: RunConfig) -> dict:

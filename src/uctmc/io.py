@@ -29,6 +29,30 @@ class FormatError(ValueError):
     pass
 
 
+def _numbers(values, kind=(int, float)) -> bool:
+    """True iff every value is a JSON number, an integer with ``kind=int``:
+    bool is an int subclass, and float() and int() read strings."""
+    return all(isinstance(v, kind) and not isinstance(v, bool) for v in values)
+
+
+_KINDS = {"an integer": lambda v: _numbers([v], int),
+          "a number": lambda v: _numbers([v]),
+          "a list": lambda v: isinstance(v, list),
+          "a list of numbers": lambda v: isinstance(v, list) and _numbers(v),
+          "true or false": lambda v: isinstance(v, bool)}
+
+
+def _field(entry, name: str, kind: str, where: str):
+    """``entry[name]`` if it is of ``kind`` (a key of ``_KINDS``), else a
+    FormatError that names ``where``."""
+    if not isinstance(entry, dict) or name not in entry:
+        raise FormatError(f"{where} misses field {name!r}")
+    value = entry[name]
+    if not _KINDS[kind](value):
+        raise FormatError(f"{where}: {name} must be {kind}, not {value!r}")
+    return value
+
+
 def dump_json(obj, path):
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(obj, handle, indent=2)
@@ -53,18 +77,19 @@ def write_samples(samples: SampleSet, path) -> None:
 
 
 def read_samples(path) -> SampleSet:
-    raw = load_json(path)
-    try:
-        rows = list(raw["valuations"])
-        seed, rejected = int(raw["seed"]), int(raw["rejected"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"bad samples file {path}: {exc}") from None
+    raw, where = load_json(path), f"bad samples file {path}"
+    seed = _field(raw, "seed", "an integer", where)
+    rejected = _field(raw, "rejected", "an integer", where)
+    rows = _field(raw, "valuations", "a list", where)
     valuations = []
     for position, row in enumerate(rows):
+        if not (isinstance(row, list) and _numbers(row)):
+            raise FormatError(f"{where}: valuation {position} must be a list of numbers, "
+                              f"not {row!r}")
         try:
             valuations.append(Valuation.from_floats(row))
-        except (OverflowError, TypeError, ValueError) as exc:
-            raise FormatError(f"bad samples file {path}: valuation {position}: {exc}") from None
+        except (OverflowError, ValueError) as exc:
+            raise FormatError(f"{where}: valuation {position}: {exc}") from None
     return SampleSet(seed, tuple(valuations), rejected)
 
 
@@ -95,8 +120,7 @@ def read_measures(path) -> MeasureSet:
             raise FormatError(f"measure entry {position} misses field {exc}") from None
         values = []
         for field, value in zip(times, fields[2:]):
-            # a JSON number only: bool is an int subclass, and float() reads strings
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
+            if not _numbers([value]):
                 raise FormatError(f"measure entry {position}: {field} must be a number, "
                                   f"not {value!r}")
             try:
@@ -161,28 +185,26 @@ def read_solutions(path):
         raise FormatError(f"bad solutions file {path}: {exc}") from None
     if mode not in ("exact", "approx"):
         raise FormatError(f"bad solutions file {path}: mode {mode!r} is not 'exact' or 'approx'")
+    vectors = ("values",) if mode == "exact" else ("lower", "upper")
     out = []
     for position, entry in enumerate(entries):
-        try:
+        where = f"bad solutions file {path}: solution {position}"
+        i = _field(entry, "i", "an integer", where)
+        try:  # an int past the largest float overflows
+            arrays = [np.asarray(_field(entry, name, "a list of numbers", where), dtype=float)
+                      for name in vectors]
             if mode == "exact":
-                solution = SolutionVector(int(entry["i"]),
-                                          np.asarray(entry["values"], dtype=float))
-                vectors = [solution.values]
+                solution = SolutionVector(i, *arrays)
             else:
-                solution = IntervalSolution(int(entry["i"]),
-                                            np.asarray(entry["lower"], dtype=float),
-                                            np.asarray(entry["upper"], dtype=float),
-                                            float(entry["delta"]),
-                                            bool(entry["gap_met"]))
-                vectors = [solution.lower, solution.upper]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"bad solutions file {path}: solution {position}: {exc}") from None
-        if any(v.shape != (len(ids),) for v in vectors):
-            raise FormatError(f"bad solutions file {path}: solution {position} does not hold "
-                              "one value per measure id")
-        if not all(np.isfinite(v).all() for v in vectors):
-            raise FormatError(f"bad solutions file {path}: solution {position} holds a value "
-                              "that is not finite")
+                solution = IntervalSolution(i, *arrays,
+                                            float(_field(entry, "delta", "a number", where)),
+                                            _field(entry, "gap_met", "true or false", where))
+        except OverflowError as exc:
+            raise FormatError(f"{where}: {exc}") from None
+        if any(v.shape != (len(ids),) for v in arrays):
+            raise FormatError(f"{where} does not hold one value per measure id")
+        if not all(np.isfinite(v).all() for v in arrays):
+            raise FormatError(f"{where} holds a value that is not finite")
         out.append(solution)
     return ids, mode, out
 
@@ -206,10 +228,6 @@ def outcome_to_json(outcome: ScenarioOutcome) -> dict:
 
 def write_regions(outcomes: Sequence[ScenarioOutcome], path) -> None:
     dump_json([outcome_to_json(o) for o in outcomes], path)
-
-
-def _numbers(value) -> bool:
-    return all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
 
 
 def read_regions(path) -> list[dict]:

@@ -36,12 +36,13 @@ state-by-state compile would raise them.
 Rewards must be nonnegative at every reachable state; the compile checks
 this exactly, on the same integer values, and raises ModelError otherwise.
 
+One state cap, ``DEFAULT_STATE_CAP``, bounds the reachable states of every
+model: the compile reads it when it runs and raises StateCapExceeded at the
+first new state past it; a compiled model is not checked against it again.
+
 Partial models keep only states whose estimated reachability stays above a
 threshold; all truncated transitions are redirected into one absorbing sink,
-which downstream analyses treat as best case / worst case to obtain sound
-two-sided measure bounds.  The truncated mass sits on reachable states, so
-its reward lies between 0 and each reward's largest reachable value, which
-every partial chain carries as ``sink_rewards``.
+which carries no label and reward 0.
 """
 
 from __future__ import annotations
@@ -302,12 +303,6 @@ def _state_env(m: ParametricCtmc, state: tuple[int, ...]) -> dict:
     return dict(zip(m.variable_names, state))
 
 
-def _check_cap(states: int, state_cap: int) -> None:
-    """The one state-cap check, for a compile and a compiled table alike."""
-    if states > state_cap:
-        raise StateCapExceeded(f"state cap of {state_cap} exceeded")
-
-
 class _Program:
     """A model's guards, updates, rates, labels and rewards as integer
     polynomials over its state variables, evaluated over many states at once.
@@ -472,8 +467,6 @@ class _Table:
 
     After the BFS, a reward that is negative at a reachable state raises
     ModelError at the first such state, in BFS and then declaration order.
-    ``sink_rewards`` holds each reward's largest reachable value, which
-    bounds the reward of the mass a partial chain's sink stands for.
     """
 
     def __init__(self, m: ParametricCtmc, state_cap: int):
@@ -495,8 +488,8 @@ class _Table:
                 edge = edge[:np.searchsorted(edge, fault)]
             count = len(index)
             target = [index.setdefault(k, len(index)) for k in key[edge].tolist()]
-            if len(index) > count:
-                _check_cap(len(index), state_cap)
+            if len(index) > count and len(index) > state_cap:
+                raise StateCapExceeded(f"state cap of {state_cap} exceeded")
             if fault is not None:
                 state = tuple(int(column[fault // nc]) for column in frontier)
                 raise ModelError(program.fault(fault % nc, state))
@@ -552,8 +545,6 @@ class _Table:
                              f"{self.states[first]}; rewards must be nonnegative")
         self.rewards = {name: np.asarray(v / d, dtype=float)
                         for name, (d, _), v in zip(m.rewards, program.rewards, values)}
-        # rounding is monotone, so each is the largest exact value rounded
-        self.sink_rewards = {name: float(r.max()) for name, r in self.rewards.items()}
         for shared in (self.indptr, self.indices, self.initial, *self.labels.values(),
                        *self.rewards.values()):  # every full chain holds these
             shared.flags.writeable = False
@@ -572,15 +563,14 @@ class _Instance:
     exactly: its sign decides graph preservation, its float value gives rates,
     which are merged only when a chain build reads them."""
 
-    def __init__(self, m: ParametricCtmc, u: Valuation, state_cap: int):
+    def __init__(self, m: ParametricCtmc, u: Valuation):
         if u.dimension != len(m.parameters):
             raise ModelError(
                 f"valuation has dimension {u.dimension}, model has {len(m.parameters)} parameters")
         self.m = m
         self.env = dict(zip(m.parameter_names, u.values))
-        # compiled under the first call's cap
-        self.table = t = _tables.get(m) or _tables.setdefault(m, _Table(m, state_cap))
-        _check_cap(len(t.states), state_cap)
+        # compiled once per model, under the state cap of that moment
+        self.table = t = _tables.get(m) or _tables.setdefault(m, _Table(m, DEFAULT_STATE_CAP))
         exact = [sum((c * math.prod(self.env[x] for x in mono) for mono, c in kernel),
                      Fraction(0)) for kernel in t.kernels]
         self.positive = np.array([value > 0 for value in exact], dtype=bool)
@@ -615,16 +605,14 @@ class _Instance:
 # Graph preservation
 # ---------------------------------------------------------------------------
 
-def graph_preservation_violation(m: ParametricCtmc, u: Valuation,
-                                 state_cap: int = DEFAULT_STATE_CAP) -> Optional[str]:
+def graph_preservation_violation(m: ParametricCtmc, u: Valuation) -> Optional[str]:
     """None if u is graph-preserving, else the first violation in BFS order."""
-    return _Instance(m, u, state_cap).violation()
+    return _Instance(m, u).violation()
 
 
-def check_graph_preserving(m: ParametricCtmc, u: Valuation,
-                           state_cap: int = DEFAULT_STATE_CAP) -> bool:
+def check_graph_preserving(m: ParametricCtmc, u: Valuation) -> bool:
     """True iff no reachable transition rate becomes <= 0 at u (exact check)."""
-    return graph_preservation_violation(m, u, state_cap) is None
+    return graph_preservation_violation(m, u) is None
 
 
 # ---------------------------------------------------------------------------
@@ -720,17 +708,14 @@ class PartialCtmc(ConcreteCtmc):
     """Truncated CTMC with one absorbing sink collecting all redirected mass.
 
     The sink is the last state index; labels and rewards never include it, so
-    analyses choose explicitly how to treat truncated mass.  ``sink_rewards``
-    bounds each reward of that mass from above: its largest value over the
-    model's reachable states.
+    analyses choose explicitly how to treat truncated mass.
     """
 
     def __init__(self, states, initial, rates, labels, rewards,
-                 retained_states, redirected_rate, sink_rewards):
+                 retained_states, redirected_rate):
         super().__init__(states, initial, rates, labels, rewards)
         self.retained_states = retained_states
         self.redirected_rate = redirected_rate
-        self.sink_rewards = sink_rewards
 
     @property
     def sink(self) -> int:
@@ -741,14 +726,13 @@ class PartialCtmc(ConcreteCtmc):
         return self.redirected_rate > 0.0
 
 
-def build_full(m: ParametricCtmc, u: Valuation,
-               state_cap: int = DEFAULT_STATE_CAP) -> ConcreteCtmc:
+def build_full(m: ParametricCtmc, u: Valuation) -> ConcreteCtmc:
     """Instantiate at u and build the full reachable CTMC (BFS order).
 
     Raises GraphPreservationError at the first transition, in BFS order,
     whose rate is <= 0 at u.  The chain shares the model's read-only arrays.
     """
-    inst = _Instance(m, u, state_cap)
+    inst = _Instance(m, u)
     reason = inst.violation()
     if reason is not None:
         raise GraphPreservationError(reason)
@@ -757,8 +741,7 @@ def build_full(m: ParametricCtmc, u: Valuation,
                         t.labels, t.rewards)
 
 
-def build_partial(m: ParametricCtmc, u: Valuation, delta: float,
-                  state_cap: int = DEFAULT_STATE_CAP) -> PartialCtmc:
+def build_partial(m: ParametricCtmc, u: Valuation, delta: float) -> PartialCtmc:
     """Build a truncated CTMC keeping states with estimated reach probability > delta.
 
     States are expanded in descending order of the product of embedded-DTMC
@@ -767,14 +750,14 @@ def build_partial(m: ParametricCtmc, u: Valuation, delta: float,
     and all transitions into it are redirected to the sink.  The retained set
     always contains the initial support.  Only the rates of retained states are
     checked for graph preservation.  The search runs over the model's whole
-    compiled table (compiled under DEFAULT_STATE_CAP on first use, as the
-    graph check of sampling does); ``state_cap`` bounds the expanded states.
+    compiled table, as the graph check of sampling does, so the state cap
+    that bounds the table bounds the expanded states too.
     """
     from scipy import sparse
 
     if not 0 < delta <= 1:
         raise ModelError("delta must lie in (0, 1]")
-    inst = _Instance(m, u, DEFAULT_STATE_CAP)
+    inst = _Instance(m, u)
     t = inst.table
     n = len(t.states)
     # each state's merged edges in the order of their first edge
@@ -795,7 +778,6 @@ def build_partial(m: ParametricCtmc, u: Valuation, delta: float,
             continue
         expanded.add(i)
         order.append(i)
-        _check_cap(len(order), state_cap)
         row = merged[bounds[i]:bounds[i + 1]]
         exit_rate = sum(row)
         if exit_rate <= 0:
@@ -830,4 +812,4 @@ def build_partial(m: ParametricCtmc, u: Valuation, delta: float,
     rewards = {name: np.append(v[retained], 0.0) for name, v in t.rewards.items()}
     states = [t.states[i] for i in retained]
     return PartialCtmc(states + [None], initial, rates, labels, rewards,
-                       tuple(states), float(values[columns == size].sum()), t.sink_rewards)
+                       tuple(states), float(values[columns == size].sum()))

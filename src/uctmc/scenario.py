@@ -57,12 +57,12 @@ class CriticalRhoError(ScenarioError):
 
 @dataclass(eq=False)
 class BoxRegion:
-    """Axis-aligned prediction region with per-sample boundary membership."""
+    """Axis-aligned prediction region with per-sample boundary membership,
+    decided to within ``BOUNDARY_TOL``."""
 
     lower: np.ndarray
     upper: np.ndarray
     classification: np.ndarray  # per sample: INSIDE / BOUNDARY / OUTSIDE
-    tolerance: float = BOUNDARY_TOL
 
     @property
     def dimension(self) -> int:
@@ -209,9 +209,10 @@ def solve_box_imprecise(solutions, rho: float) -> tuple[BoxRegion, tuple[int, ..
 # Complexity bounds
 # ---------------------------------------------------------------------------
 
-def complexity_precise(solutions, rho: float, region: Optional[BoxRegion] = None,
-                       relaxed: Optional[Sequence[int]] = None) -> int:
-    """Greedy upper bound d* on the smallest critical set, precise solutions.
+def complexity_precise(solutions, rho: float, region: BoxRegion,
+                       relaxed: Sequence[int]) -> int:
+    """Greedy upper bound d* on the smallest critical set, precise solutions,
+    for the region and relaxed set ``solve_box_precise`` returns for them.
 
     Boundary samples are visited in ascending index; a removal is kept when
     the k-th order statistics of the rows still kept (one argsort per column)
@@ -220,8 +221,6 @@ def complexity_precise(solutions, rho: float, region: Optional[BoxRegion] = None
     boundary samples (interior samples never move a face, so are never critical).
     """
     values = solutions_matrix(solutions)
-    if region is None or relaxed is None:
-        region, relaxed = solve_box_precise(values, rho)
     boundary = region.boundary_indices()
     n, m = values.shape
     _check_rho(rho, n)
@@ -270,7 +269,7 @@ def complexity_imprecise(solutions, region: BoxRegion) -> tuple[int, BoundaryAna
     """
     lower, upper = interval_matrices(solutions)
     n = lower.shape[0]
-    tol = region.tolerance
+    tol = BOUNDARY_TOL
 
     touches_region = np.all((lower <= region.upper + tol)
                             & (upper >= region.lower - tol), axis=1)
@@ -401,8 +400,8 @@ def bound_outcome(solutions, rho: float, betas: Sequence[float],
 
 
 def refine_until(solutions, rho: float, beta: float, target_gain: float,
-                 max_iters: int, refiner: Callable[[int], tuple],
-                 width_tol: float = 1e-9) -> tuple[ScenarioOutcome, tuple[float, ...]]:
+                 max_iters: int, refiner: Callable[[int], tuple]
+                 ) -> tuple[ScenarioOutcome, tuple[float, ...]]:
     """Refinement loop: solve, refine the boundary-touching samples, re-solve.
 
     ``refiner(i)`` must return tightened (lower, upper) rows for sample i (the
@@ -412,9 +411,9 @@ def refine_until(solutions, rho: float, beta: float, target_gain: float,
     problem, so the loop reports the running minimum: eta is nondecreasing
     across iterations even when a shrinking region temporarily pushes more
     boxes onto its boundary.  Stops when the eta improvement falls below
-    ``target_gain``, when nothing on the boundary is left to refine, or after
-    ``max_iters`` iterations.  Returns the final outcome (largest eta) plus
-    the per-iteration eta trajectory.
+    ``target_gain``, when no boundary sample is wider than ``BOUNDARY_TOL``
+    (nothing is left to refine), or after ``max_iters`` iterations.  Returns
+    the final outcome (largest eta) plus the per-iteration eta trajectory.
     """
     if max_iters < 1:
         raise ScenarioError("max_iters must be >= 1")
@@ -438,7 +437,7 @@ def refine_until(solutions, rho: float, beta: float, target_gain: float,
         if len(etas) >= 2 and etas[-1] - etas[-2] < target_gain:
             break
         to_refine = [i for i in analysis.boundary
-                     if np.any(upper[i] - lower[i] > width_tol)]
+                     if np.any(upper[i] - lower[i] > BOUNDARY_TOL)]
         if not to_refine:
             break
         for i in to_refine:

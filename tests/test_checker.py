@@ -196,7 +196,7 @@ def test_adaptive_reward_share_scales_with_largest_reward(sir20, mean_valuation)
 
     def dropped(scale):
         # mass dropped in the first 200 steps of the reward pass
-        steps = _Adaptive([c], [None], eps, scale)._steps(c.initial[None])
+        steps = _Adaptive([c], [None], eps, scale, eps * _DROP_SHARE)._steps(c.initial[None])
         for _, (_, _, mass) in zip(range(200), steps):
             pass
         return mass[0]
@@ -205,7 +205,7 @@ def test_adaptive_reward_share_scales_with_largest_reward(sir20, mean_valuation)
     # unscaled share would let it drop more
     share = eps * _DROP_SHARE / big
     assert 0.0 < dropped(np.array([big])) <= share
-    assert dropped(None) > share
+    assert dropped(np.ones(1)) > share
 
 
 def test_birth_chain_with_constant_rate_gives_poisson_weights():
@@ -269,13 +269,13 @@ def test_steps_resumed_from_the_saved_iterate_repeat_the_first_run(sir20):
     # phase one of a batch saves one iterate, x_j at its smallest j; stepping
     # on from it, with its step index and dropped mass, gives the first run's
     # iterates, rates and dropped masses bit for bit, across a flush
-    from uctmc.checker import _FLUSH_EVERY, _Adaptive
+    from uctmc.checker import _DROP_SHARE, _FLUSH_EVERY, _Adaptive
     from uctmc.sampling import sample_valuations
 
     chains = [build_full(sir20, u) for u in sample_valuations(sir20, 4, 3).valuations]
     absorbing = [c.label_mask("extinct") for c in chains]
     initial = np.array([c.initial for c in chains])
-    adaptive = _Adaptive(chains, absorbing, 1e-6)
+    adaptive = _Adaptive(chains, absorbing, 1e-6, np.ones(len(chains)), 1e-6 * _DROP_SHARE)
     _, cuts, _, (x, first, dropped, heads) = adaptive._pass(initial, np.array([100.0]),
                                                            save=True)
     assert first == heads.min() and 0 < first <= cuts.min()
@@ -306,12 +306,13 @@ def fast_then_slow_chain(top=60):
 def test_interval_measures_on_a_fast_then_slow_chain_match_expm_oracle(eps):
     # phase one runs its birth weights in several segments and weighs only
     # the levels from its saved iterate on; both losses stay within epsilon
-    from uctmc.checker import _Adaptive, _birth_rows, _segments
+    from uctmc.checker import _DROP_SHARE, _Adaptive, _birth_rows, _segments
 
     c = fast_then_slow_chain()
     mask = c.label_mask("extinct")
     t_lo = 40.0
-    rates, cuts, _, (_, first, _, _) = _Adaptive([c], [mask], eps)._pass(
+    rates, cuts, _, (_, first, _, _) = _Adaptive([c], [mask], eps, np.ones(1),
+                                                 eps * _DROP_SHARE)._pass(
         c.initial[None], np.array([t_lo]), save=True)
     assert _segments(_birth_rows(rates, cuts[:, 0]), t_lo)[0] > 0 and first > 0
     t_his = [45.0, 60.0, 100.0]
@@ -329,7 +330,8 @@ def test_iterates_match_public_matmul_with_flush():
     pt = _Blocks.uniformized([c], [None]).pt
     matrix = sparse.csr_matrix(pt[::-1], shape=(c.num_states,) * 2)
     steps = 4000
-    ours = [x[0].copy() for x in _iterates(pt, c.initial[None], 0, steps + 1)]
+    ours = [x[0].copy() for x in _iterates(pt, c.initial[None], 0, steps + 1,
+                                           [1] * (steps + 1))]
     v = c.initial.copy()
     flushed = 0
     for k in range(steps + 1):
@@ -341,7 +343,7 @@ def test_iterates_match_public_matmul_with_flush():
                 v[tiny] = 0.0
         assert np.array_equal(ours[k], v), k
     assert flushed > 0
-    tail = [x[0].copy() for x in _iterates(pt, c.initial[None], 3000, 5)]
+    tail = [x[0].copy() for x in _iterates(pt, c.initial[None], 3000, 5, [1] * 3005)]
     assert all(np.array_equal(a, b) for a, b in zip(tail, ours[3000:3005]))
 
 
@@ -931,11 +933,10 @@ def test_padded_blocks_match_dense_oracle():
         assert np.array_equal(alone[1][0], gaps[b]), b
 
 
-def test_sink_reward_is_the_largest_reachable_value():
+def test_reward_scale_is_the_largest_reachable_value():
     # z + 3 over the box z in [-3, 10] reaches 13, but the guard z < 3 keeps
-    # every reachable z below 4: a partial model's sink reward is 6, the full
-    # chain's reward scale s is 6 too, and the bounds sandwich the dense
-    # oracle
+    # every reachable z below 4: the full chain's reward scale s is 6, and
+    # the bounds sandwich the dense oracle
     from uctmc.checker import _reward_scale
 
     m = uctmc.parse_model({
@@ -949,7 +950,6 @@ def test_sink_reward_is_the_largest_reachable_value():
     u = uctmc.Valuation.from_floats([1.5])
     partial = build_partial(m, u, 0.2)  # keeps -2 .. 2
     assert partial.sink_reachable
-    assert partial.sink_rewards == {"shifted": 6.0}
     full = build_full(m, u)
     assert _reward_scale(full) == 6.0
     eps = 1e-8

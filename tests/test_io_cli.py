@@ -1,6 +1,7 @@
 import importlib.machinery
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -347,34 +348,62 @@ def test_cli_error_paths(tmp_path, capsys):
                      str(measures), "--samples", samples, "--out", str(out)]) == 1
         assert f"error [check] measures file {measures}" in capsys.readouterr().err
         assert not out.exists()
-    # a valuation that does not convert names the file and its position
-    for name, value, message in (("text", '"a"', "could not convert"),
-                                 ("infinite", "Infinity", "cannot convert Infinity")):
+    # a valuation that is not a list of numbers or does not convert, and a
+    # seed or rejected count that is not an integer, names the file and the
+    # entry: a JSON number is not a bool, and text is not a number
+    for name, seed, row, rejected, message in (
+            ("text", "1", '["a", 1]', "0", ": valuation 1 must be a list of numbers"),
+            ("bool_value", "1", "[true, 1]", "0", ": valuation 1 must be a list of numbers"),
+            ("numeric_text_value", "1", '["0.04", 1]', "0",
+             ": valuation 1 must be a list of numbers, not ['0.04', 1]"),
+            ("infinite", "1", "[Infinity, 1]", "0", ": valuation 1: cannot convert Infinity"),
+            ("text_seed", '"7"', "[1.0, 1]", "0", ": seed must be an integer, not '7'"),
+            ("fractional_rejected", "1", "[1.0, 1]", "1.9",
+             ": rejected must be an integer, not 1.9")):
         bad_samples = tmp_path / f"bad_samples_{name}.json"
-        bad_samples.write_text(f'{{"seed": 1, "valuations": [[1.0, 2.0], [{value}, 1]], '
-                               '"rejected": 0}')
-        with pytest.raises(uio.FormatError, match=f"bad samples file {bad_samples}: "
-                                                  f"valuation 1: {message}"):
+        bad_samples.write_text(f'{{"seed": {seed}, "valuations": [[1.0, 2.0], {row}], '
+                               f'"rejected": {rejected}}}')
+        message = f"bad samples file {bad_samples}{message}"
+        with pytest.raises(uio.FormatError, match=re.escape(message)):
             uio.read_samples(bad_samples)
         out = tmp_path / f"solutions_bad_samples_{name}.json"
         assert main(["check", "--model", _model_path("tandem"), "--measures",
                      _model_path("tandem_measures"), "--samples", str(bad_samples),
                      "--out", str(out)]) == 1
-        assert f"bad samples file {bad_samples}: valuation 1" in capsys.readouterr().err
+        assert f"error [check] {message}" in capsys.readouterr().err
         assert not out.exists()
-    # a solutions file with an unknown mode, a value that does not convert or
-    # a vector whose length is not the number of measure ids names the file,
-    # and the entry's position
+    # a solutions file with an unknown mode, a field of the wrong JSON type
+    # (i an integer, bounds numbers, gap_met a bool) or a vector whose length
+    # is not the number of measure ids names the file, and the entry's position
     for name, text, message in (
             ("bogus_mode", '{"measure_ids": ["a"], "mode": "bogus", "solutions": '
                            '[{"i": 0, "lower": [0.1], "upper": [0.2], "delta": 0.01, '
                            '"gap_met": true}]}', "mode 'bogus'"),
             ("text_value", '{"measure_ids": ["a"], "mode": "exact", "solutions": '
                            '[{"i": 0, "values": [0.5]}, {"i": 1, "values": ["x"]}]}',
-             "solution 1: could not convert"),
+             "solution 1: values must be a list of numbers"),
             ("text_delta", '{"measure_ids": ["a"], "mode": "approx", "solutions": '
                            '[{"i": 0, "lower": [0.1], "upper": [0.2], "delta": "d", '
-                           '"gap_met": true}]}', "solution 0: could not convert"),
+                           '"gap_met": true}]}', "solution 0: delta must be a number"),
+            ("numeric_text_delta", '{"measure_ids": ["a"], "mode": "approx", "solutions": '
+                                   '[{"i": 0, "lower": [0.1], "upper": [0.2], '
+                                   '"delta": "0.01", "gap_met": true}]}',
+             "solution 0: delta must be a number, not '0.01'"),
+            ("text_i", '{"measure_ids": ["a"], "mode": "exact", "solutions": '
+                       '[{"i": "0", "values": [0.5]}]}',
+             "solution 0: i must be an integer, not '0'"),
+            ("numeric_text_bound", '{"measure_ids": ["a"], "mode": "approx", "solutions": '
+                                   '[{"i": 0, "lower": ["0.1"], "upper": [0.2], '
+                                   '"delta": 0.01, "gap_met": true}]}',
+             "solution 0: lower must be a list of numbers"),
+            ("bool_bound", '{"measure_ids": ["a"], "mode": "approx", "solutions": '
+                           '[{"i": 0, "lower": [0.1], "upper": [true], "delta": 0.01, '
+                           '"gap_met": true}]}',
+             "solution 0: upper must be a list of numbers"),
+            ("text_gap_met", '{"measure_ids": ["a"], "mode": "approx", "solutions": '
+                             '[{"i": 0, "lower": [0.1], "upper": [0.2], "delta": 0.01, '
+                             '"gap_met": "false"}]}',
+             "solution 0: gap_met must be true or false, not 'false'"),
             ("short_values", '{"measure_ids": ["a", "b"], "mode": "exact", "solutions": '
                              '[{"i": 0, "values": [0.5]}]}',
              "solution 0 does not hold one value per measure id"),

@@ -181,13 +181,6 @@ def test_update_out_of_bounds_is_an_error():
         build_full(m, Valuation.from_floats([1.5]))
 
 
-def test_state_cap():
-    doc = _mini_model()
-    m = parse_model(doc)
-    with pytest.raises(uctmc.StateCapExceeded):
-        build_full(m, Valuation.from_floats([1.5]), state_cap=2)
-
-
 # ---------------------------------------------------------------------------
 # Compiled table
 # ---------------------------------------------------------------------------
@@ -430,19 +423,22 @@ def test_state_cap_equal_to_reachable_count_compiles():
     assert len(um._Table(line, 10).states) == 10
 
 
-def test_state_cap_message_does_not_depend_on_call_history(mean_valuation):
+def test_state_cap_bounds_every_entry_point_that_compiles(monkeypatch, mean_valuation):
+    # sir20 has 216 reachable states; the cap is read when the model compiles,
+    # and a compile that fails caches nothing, so each call compiles afresh
+    monkeypatch.setattr(um, "DEFAULT_STATE_CAP", 100)
     m = uctmc.load_model(uctmc.example_model_path("sir20"))
-    with pytest.raises(uctmc.StateCapExceeded) as cold:
-        build_full(m, mean_valuation, state_cap=100)
-    assert m not in um._tables
-    build_full(m, mean_valuation)  # compiles and caches the table
-    with pytest.raises(uctmc.StateCapExceeded) as cached:
-        build_full(m, mean_valuation, state_cap=100)
-    assert str(cold.value) == str(cached.value) == "state cap of 100 exceeded"
+    for call in (lambda: build_full(m, mean_valuation),
+                 lambda: graph_preservation_violation(m, mean_valuation),
+                 lambda: uctmc.sample_valuations(m, 3, 1),
+                 lambda: build_partial(m, mean_valuation, 0.1)):
+        with pytest.raises(uctmc.StateCapExceeded, match="^state cap of 100 exceeded$"):
+            call()
+        assert m not in um._tables
 
 
 def test_graph_check_leaves_rates_unmerged(sir20, mean_valuation):
-    inst = um._Instance(sir20, mean_valuation, um.DEFAULT_STATE_CAP)
+    inst = um._Instance(sir20, mean_valuation)
     assert inst.violation() is None
     assert "rates" not in vars(inst)
     assert inst.rates.size == inst.table.indices.size
