@@ -181,6 +181,13 @@ def test_update_out_of_bounds_is_an_error():
         build_full(m, Valuation.from_floats([1.5]))
 
 
+def test_state_cap(monkeypatch):
+    monkeypatch.setattr(um, "DEFAULT_STATE_CAP", 2)
+    m = parse_model(_mini_model())
+    with pytest.raises(uctmc.StateCapExceeded):
+        build_full(m, Valuation.from_floats([1.5]))
+
+
 # ---------------------------------------------------------------------------
 # Compiled table
 # ---------------------------------------------------------------------------
@@ -435,6 +442,18 @@ def test_state_cap_bounds_every_entry_point_that_compiles(monkeypatch, mean_valu
         with pytest.raises(uctmc.StateCapExceeded, match="^state cap of 100 exceeded$"):
             call()
         assert m not in um._tables
+
+
+def test_state_cap_message_does_not_depend_on_call_history(monkeypatch, mean_valuation):
+    # a compile that fails caches nothing, so a repeated call fails the same way
+    monkeypatch.setattr(um, "DEFAULT_STATE_CAP", 100)
+    m = uctmc.load_model(uctmc.example_model_path("sir20"))
+    with pytest.raises(uctmc.StateCapExceeded) as cold:
+        build_full(m, mean_valuation)
+    assert m not in um._tables
+    with pytest.raises(uctmc.StateCapExceeded) as again:
+        build_full(m, mean_valuation)
+    assert str(cold.value) == str(again.value) == "state cap of 100 exceeded"
 
 
 def test_graph_check_leaves_rates_unmerged(sir20, mean_valuation):
