@@ -160,7 +160,9 @@ exact value weighs it by at most s; the other losses stay inside epsilon, as
 in exact mode, so lower - epsilon <= exact <= upper + epsilon.  Plain chains
 drop nothing.  With delta >= epsilon / 8 (the default 1e-2 for epsilon up to
 0.08), lower is exact mode's value bit for bit.  An open gap reruns with a
-tenth of the budget; a budget of 0 drops nothing.
+tenth of the budget; a budget of 0 drops nothing.  Exact mode, refinement and
+approximate mode all run through that one loop: exact mode is its first round
+at the budget epsilon / 8 without the gap test, keeping lower.
 """
 
 from __future__ import annotations
@@ -1160,8 +1162,8 @@ def evaluate_measures(c: ConcreteCtmc, measures: MeasureSet,
 def solve_measures(m: ParametricCtmc, u: Valuation, measures: MeasureSet,
                    epsilon: float = 1e-6, index: int = 0) -> SolutionVector:
     """Exact (up to epsilon) solution vector for one valuation."""
-    chain = build_full(m, u)
-    return SolutionVector(index, evaluate_measures(chain, measures, epsilon))
+    solution, = solve_measure_set(m, [u], measures, epsilon=epsilon)
+    return SolutionVector(index, solution.values)
 
 
 def _series_steps(c: ConcreteCtmc, horizon: float) -> int:
@@ -1205,10 +1207,11 @@ def _relative_gaps(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
 
 def _bound_valuations(m: ParametricCtmc, valuations: Sequence[Valuation],
                       measures: MeasureSet, delta: float, epsilon: float,
-                      rel_gap: float) -> list[IntervalSolution]:
-    """``bound_measures`` for every valuation, batched as exact mode is
-    (``_batches``).  A valuation whose gap is still open runs again with a
-    tenth of the drop budget; a budget of 0 drops nothing, so the rounds end.
+                      rel_gap: Optional[float]) -> list[IntervalSolution]:
+    """``bound_measures`` for every valuation, in batches (``_batches``).  A
+    valuation whose gap is still open runs again with a tenth of the drop
+    budget; a budget of 0 drops nothing, so the rounds end.  With ``rel_gap``
+    None there is one round and no gap test (``gap_met`` is then True).
     """
     solutions: list = [None] * len(valuations)
     open_, drop, rounds = list(range(len(valuations))), min(delta, epsilon * _DROP_SHARE), 0
@@ -1219,7 +1222,7 @@ def _bound_valuations(m: ParametricCtmc, valuations: Sequence[Valuation],
                 i, upper = next(positions), lower + gap
                 rel = _relative_gaps(lower, upper)
                 widest = max([widest] + rel.tolist())
-                met = bool(np.all(rel <= rel_gap))
+                met = rel_gap is None or bool(np.all(rel <= rel_gap))
                 if met or drop == 0.0:
                     solutions[i] = IntervalSolution(i, lower, upper, drop, gap_met=met)
                 else:
@@ -1251,10 +1254,9 @@ def refine_solution(prev: IntervalSolution, m: ParametricCtmc, u: Valuation,
     is pointwise contained in the previous interval.  ``gap_met`` is judged
     afresh on the refined interval."""
     drop = min(prev.delta, epsilon * _DROP_SHARE) / 10.0
-    (lo,), (gap,) = _evaluate([build_full(m, u)], measures, epsilon, drop)
-    lower = np.maximum(prev.lower, lo)
-    upper = np.minimum(prev.upper, lo + gap)
-    upper = np.maximum(upper, lower)
+    fresh, = _bound_valuations(m, [u], measures, drop, epsilon, None)
+    lower = np.maximum(prev.lower, fresh.lower)
+    upper = np.maximum(np.minimum(prev.upper, fresh.upper), lower)
     return IntervalSolution(prev.valuation_index, lower, upper, drop,
                             gap_met=bool(np.all(_relative_gaps(lower, upper) <= rel_gap)))
 
@@ -1267,8 +1269,9 @@ def solve_measure_set(m: ParametricCtmc, valuations, measures: MeasureSet,
     Results are ordered by valuation index, and each valuation's result does
     not depend on which other valuations are solved with it.  Both modes
     check consecutive valuations together, in batches of at most
-    ``DEFAULT_STATE_CAP`` states (``_batches``); approx mode bounds them
-    with ``_bound_valuations``.
+    ``DEFAULT_STATE_CAP`` states, through ``_bound_valuations``: exact mode
+    is its first round at the drop budget epsilon / 8, without the gap test,
+    and keeps the lower bounds.
     """
     if hasattr(valuations, "valuations"):
         valuations = valuations.valuations
@@ -1277,11 +1280,8 @@ def solve_measure_set(m: ParametricCtmc, valuations, measures: MeasureSet,
         raise CheckerError(f"unknown mode: {mode!r}")
     if mode == "approx":
         return _bound_valuations(m, valuations, measures, delta, epsilon, rel_gap)
-    solutions: list = []
-    for batch in _batches((build_full(m, u) for u in valuations), measures):
-        values, _ = _evaluate(batch, measures, epsilon)
-        solutions += [SolutionVector(i, row) for i, row in enumerate(values, len(solutions))]
-    return solutions
+    return [SolutionVector(s.valuation_index, s.lower)
+            for s in _bound_valuations(m, valuations, measures, math.inf, epsilon, None)]
 
 
 # ---------------------------------------------------------------------------

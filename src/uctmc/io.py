@@ -3,11 +3,19 @@
 All files are UTF-8.  Floats are emitted with Python's shortest round-trip
 repr, so rewriting the same data is byte-identical; none of the data files
 carry timestamps (timings live only in the run summary).
+
+Each reader is the program's edge with a file from outside, so it reads every
+field through ``_field``, which checks the field's JSON type (``_KINDS``): a
+number is a JSON number, neither a bool nor text, and a list of strings is not
+one string.  A malformed file raises a FormatError that names the file, the
+entry (a measure entry by its position alone) and the field.  Solution values
+and region bounds and rho must also be finite (``_finite``).
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import astuple
 from typing import Sequence
 
 import numpy as np
@@ -26,31 +34,51 @@ from .scenario import ScenarioOutcome
 
 
 class FormatError(ValueError):
-    pass
+    """A malformed input file; the message names the file and the entry."""
 
 
-def _numbers(values, kind=(int, float)) -> bool:
-    """True iff every value is a JSON number, an integer with ``kind=int``:
-    bool is an int subclass, and float() and int() read strings."""
+def _each(values, kind=(int, float)) -> bool:
+    """True iff every value is of ``kind``, by default a JSON number: bool is
+    an int subclass, and float() and int() read strings."""
     return all(isinstance(v, kind) and not isinstance(v, bool) for v in values)
 
 
-_KINDS = {"an integer": lambda v: _numbers([v], int),
-          "a number": lambda v: _numbers([v]),
+_KINDS = {"an integer": lambda v: _each([v], int),
+          "a number": lambda v: _each([v]),
+          "a string": lambda v: _each([v], str),
           "a list": lambda v: isinstance(v, list),
-          "a list of numbers": lambda v: isinstance(v, list) and _numbers(v),
+          "a list of numbers": lambda v: isinstance(v, list) and _each(v),
+          "a list of strings": lambda v: isinstance(v, list) and _each(v, str),
           "true or false": lambda v: isinstance(v, bool)}
 
 
 def _field(entry, name: str, kind: str, where: str):
     """``entry[name]`` if it is of ``kind`` (a key of ``_KINDS``), else a
     FormatError that names ``where``."""
-    if not isinstance(entry, dict) or name not in entry:
+    if not isinstance(entry, dict):
+        raise FormatError(f"{where} is not an object")
+    if name not in entry:
         raise FormatError(f"{where} misses field {name!r}")
     value = entry[name]
     if not _KINDS[kind](value):
         raise FormatError(f"{where}: {name} must be {kind}, not {value!r}")
     return value
+
+
+def _float(entry, name: str, kind: str, where: str):
+    """``_field`` as a float, or as a float array for a list of numbers."""
+    try:
+        value = np.asarray(_field(entry, name, kind, where), dtype=float)
+    except OverflowError:  # an int past the largest float
+        raise FormatError(f"{where}: {name} is too large for a float") from None
+    return value if value.ndim else float(value)
+
+
+def _finite(values: list, where: str) -> list:
+    """``values`` (floats and float arrays) if every entry is finite."""
+    if not all(np.isfinite(v).all() for v in values):
+        raise FormatError(f"{where} holds a value that is not finite")
+    return values
 
 
 def dump_json(obj, path):
@@ -61,7 +89,10 @@ def dump_json(obj, path):
 
 def load_json(path):
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{path} is not valid JSON: {exc}") from None
 
 
 # --------------------------------------------------------------------------
@@ -83,7 +114,7 @@ def read_samples(path) -> SampleSet:
     rows = _field(raw, "valuations", "a list", where)
     valuations = []
     for position, row in enumerate(rows):
-        if not (isinstance(row, list) and _numbers(row)):
+        if not _KINDS["a list of numbers"](row):
             raise FormatError(f"{where}: valuation {position} must be a list of numbers, "
                               f"not {row!r}")
         try:
@@ -103,53 +134,28 @@ _MEASURE_FIELDS = {"reach": (TimeBoundedReach, "target", "tau"),
 
 
 def read_measures(path) -> MeasureSet:
-    raw = load_json(path)
-    entries = raw.get("measures", []) if isinstance(raw, dict) else None
-    if not isinstance(entries, list):
-        raise FormatError(f"measures file {path} must hold an object with a list "
-                          f"of measures")
+    entries = _field(load_json(path), "measures", "a list", f"measures file {path}")
     measures = []
     for position, entry in enumerate(entries):
-        if not isinstance(entry, dict) or entry.get("type") not in _MEASURE_FIELDS:
-            raise FormatError(f"measure entry {position} is not an object with a type "
-                              f"in {sorted(_MEASURE_FIELDS)}: {entry!r}")
-        measure_cls, name, *times = _MEASURE_FIELDS[entry["type"]]
-        try:
-            fields = (entry["id"], entry[name], *(entry[t] for t in times))
-        except KeyError as exc:
-            raise FormatError(f"measure entry {position} misses field {exc}") from None
-        values = []
-        for field, value in zip(times, fields[2:]):
-            if not _numbers([value]):
-                raise FormatError(f"measure entry {position}: {field} must be a number, "
-                                  f"not {value!r}")
-            try:
-                values.append(float(value))
-            except OverflowError:  # an int past the largest float
-                raise FormatError(f"measure entry {position}: {field} is too large "
-                                  f"for a float") from None
-        for field in ("id", name):
-            if not isinstance(entry[field], str):
-                raise FormatError(f"measure entry {position}: {field} must be a string, "
-                                  f"not {entry[field]!r}")
-        measures.append(measure_cls(*fields[:2], *values))
+        where = f"measure entry {position}"
+        kind = _field(entry, "type", "a string", where)
+        if kind not in _MEASURE_FIELDS:
+            raise FormatError(f"{where}: type {kind!r} is not one of {list(_MEASURE_FIELDS)}")
+        measure_cls, name, *times = _MEASURE_FIELDS[kind]
+        measures.append(measure_cls(_field(entry, "id", "a string", where),
+                                    _field(entry, name, "a string", where),
+                                    *(_float(entry, t, "a number", where) for t in times)))
     if not measures:
         raise FormatError(f"no measures in {path}")
     return MeasureSet(tuple(measures))
 
 
 def write_measures(measures: MeasureSet, path) -> None:
+    types = {cls: (kind, names) for kind, (cls, *names) in _MEASURE_FIELDS.items()}
     entries = []
-    for m in measures:
-        if isinstance(m, TimeBoundedReach):
-            entries.append({"id": m.id, "type": "reach", "target": m.target,
-                            "tau": m.horizon})
-        elif isinstance(m, IntervalReach):
-            entries.append({"id": m.id, "type": "reach_interval", "target": m.target,
-                            "t1": m.t_lo, "t2": m.t_hi})
-        else:
-            entries.append({"id": m.id, "type": "instant_reward", "reward": m.reward,
-                            "t": m.time})
+    for m in measures:  # the fields after id, in the order _MEASURE_FIELDS names them
+        kind, names = types[type(m)]
+        entries.append({"id": m.id, "type": kind, **dict(zip(names, astuple(m)[1:]))})
     dump_json({"measures": entries}, path)
 
 
@@ -178,34 +184,25 @@ def write_solutions(measure_ids: Sequence[str], solutions, path) -> None:
 
 def read_solutions(path):
     """Returns (measure_ids, mode, solutions list)."""
-    raw = load_json(path)
-    try:
-        ids, mode, entries = list(raw["measure_ids"]), raw["mode"], list(raw["solutions"])
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"bad solutions file {path}: {exc}") from None
+    raw, file = load_json(path), f"bad solutions file {path}"
+    ids = _field(raw, "measure_ids", "a list of strings", file)
+    mode = _field(raw, "mode", "a string", file)
     if mode not in ("exact", "approx"):
-        raise FormatError(f"bad solutions file {path}: mode {mode!r} is not 'exact' or 'approx'")
+        raise FormatError(f"{file}: mode {mode!r} is not 'exact' or 'approx'")
     vectors = ("values",) if mode == "exact" else ("lower", "upper")
     out = []
-    for position, entry in enumerate(entries):
-        where = f"bad solutions file {path}: solution {position}"
+    for position, entry in enumerate(_field(raw, "solutions", "a list", file)):
+        where = f"{file}: solution {position}"
         i = _field(entry, "i", "an integer", where)
-        try:  # an int past the largest float overflows
-            arrays = [np.asarray(_field(entry, name, "a list of numbers", where), dtype=float)
-                      for name in vectors]
-            if mode == "exact":
-                solution = SolutionVector(i, *arrays)
-            else:
-                solution = IntervalSolution(i, *arrays,
-                                            float(_field(entry, "delta", "a number", where)),
-                                            _field(entry, "gap_met", "true or false", where))
-        except OverflowError as exc:
-            raise FormatError(f"{where}: {exc}") from None
+        arrays = _finite([_float(entry, name, "a list of numbers", where)
+                          for name in vectors], where)
         if any(v.shape != (len(ids),) for v in arrays):
             raise FormatError(f"{where} does not hold one value per measure id")
-        if not all(np.isfinite(v).all() for v in arrays):
-            raise FormatError(f"{where} holds a value that is not finite")
-        out.append(solution)
+        if mode == "exact":
+            out.append(SolutionVector(i, *arrays))
+        else:
+            out.append(IntervalSolution(i, *arrays, _float(entry, "delta", "a number", where),
+                                        _field(entry, "gap_met", "true or false", where)))
     return ids, mode, out
 
 
@@ -231,19 +228,18 @@ def write_regions(outcomes: Sequence[ScenarioOutcome], path) -> None:
 
 
 def read_regions(path) -> list[dict]:
-    """The region entries: each an object with a numeric ``rho`` and numeric
-    ``lower`` and ``upper`` lists of equal length."""
+    """The region entries: each an object with a finite number ``rho`` and
+    finite ``lower`` and ``upper`` lists of equal length."""
     raw = load_json(path)
     if not isinstance(raw, list):
-        raise FormatError(f"regions file {path} must hold a list")
+        raise FormatError(f"bad regions file {path} is not a list")
     for position, entry in enumerate(raw):
-        if not (isinstance(entry, dict) and _numbers([entry.get("rho")])
-                and all(isinstance(entry.get(k), list) and _numbers(entry[k])
-                        for k in ("lower", "upper"))
-                and len(entry["lower"]) == len(entry["upper"])):
-            raise FormatError(f"bad regions file {path}: region {position} is not an object "
-                              "with a numeric rho and numeric lower and upper lists of "
-                              "equal length")
+        where = f"bad regions file {path}: region {position}"
+        _, lower, upper = _finite([_float(entry, "rho", "a number", where),
+                                     *(_float(entry, name, "a list of numbers", where)
+                                       for name in ("lower", "upper"))], where)
+        if lower.shape != upper.shape:
+            raise FormatError(f"{where}: lower and upper differ in length")
     return raw
 
 

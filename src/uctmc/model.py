@@ -163,19 +163,33 @@ class Valuation:
 # JSON front-end
 # ---------------------------------------------------------------------------
 
-def _parse_distribution(payload: dict) -> Distribution:
+_DISTRIBUTIONS = {"normal": (Normal, "mean", "std"), "uniform": (Uniform, "low", "high")}
+
+
+def _parse_distribution(name: str, payload: dict) -> Distribution:
+    """Parameter ``name``'s distribution: a known type whose two fields are
+    finite JSON numbers (neither bool nor text).  JSON text reads decimals
+    as Fraction, and NaN and Infinity as float."""
     kind = payload.get("type")
-    if kind == "normal":
-        mean, std = float(payload["mean"]), float(payload["std"])
-        if std <= 0:
-            raise ModelError("normal distribution needs std > 0")
-        return Normal(mean, std)
-    if kind == "uniform":
-        low, high = float(payload["low"]), float(payload["high"])
-        if not low < high:
-            raise ModelError("uniform distribution needs low < high")
-        return Uniform(low, high)
-    raise ModelError(f"unknown distribution type: {kind!r}")
+    if not isinstance(kind, str) or kind not in _DISTRIBUTIONS:
+        raise ModelError(f"parameter {name}: unknown distribution type: {kind!r}")
+    cls, *fields = _DISTRIBUTIONS[kind]
+    values = []
+    for field in fields:
+        value = payload.get(field)
+        if not (isinstance(value, (int, float, Fraction)) and not isinstance(value, bool)
+                and -math.inf < value < math.inf):
+            raise ModelError(f"parameter {name}: {field} must be a finite number, "
+                             f"not {value!r}")
+        try:
+            values.append(float(value))
+        except OverflowError:  # a number past the largest float
+            raise ModelError(f"parameter {name}: {field} is too large for a float") from None
+    if kind == "normal" and not values[1] > 0:
+        raise ModelError(f"parameter {name}: normal distribution needs std > 0")
+    if kind == "uniform" and not values[0] < values[1]:
+        raise ModelError(f"parameter {name}: uniform distribution needs low < high")
+    return cls(*values)
 
 
 def parse_model(document: Union[str, dict]) -> ParametricCtmc:
@@ -199,9 +213,8 @@ def parse_model(document: Union[str, dict]) -> ParametricCtmc:
 
     parameters = []
     for p in raw.get("parameters", []):
-        parameters.append(Parameter(str(p["name"]), _parse_distribution(
-            {k: (float(v) if isinstance(v, Fraction) else v)
-             for k, v in p["distribution"].items()})))
+        parameters.append(Parameter(str(p["name"]),
+                                    _parse_distribution(str(p["name"]), p["distribution"])))
 
     variables = []
     for v in raw.get("variables", []):

@@ -610,7 +610,8 @@ def test_sir20_horizon_family_is_monotone(sir20, sir_measures, mean_valuation):
 def test_solve_measure_set_layout_invariance(sir20, sir_measures):
     # in exact and approx mode, each valuation's result is the same bits
     # whether it is solved alone (on a freshly loaded model, whose compiled
-    # table fills in another order), in a slice, or in the full list
+    # table fills in another order), in a slice, or in the full list; in
+    # approx mode, bound_measures on the valuation alone gives them too
     valuations = uctmc.sample_valuations(sir20, 5, seed=11).valuations
     for mode in ("exact", "approx"):
         full = solve_measure_set(sir20, valuations, sir_measures, mode=mode)
@@ -619,7 +620,11 @@ def test_solve_measure_set_layout_invariance(sir20, sir_measures):
         fresh = uctmc.load_model(uctmc.example_model_path("sir20"))
         for i in reversed(range(len(valuations))):
             alone = solve_measure_set(fresh, [valuations[i]], sir_measures, mode=mode)[0]
-            for other in [alone] + ([sliced[i]] if i in sliced else []):
+            others = [alone] + ([sliced[i]] if i in sliced else [])
+            if mode == "approx":
+                others.append(bound_measures(fresh, valuations[i], sir_measures, index=i))
+                assert others[-1].valuation_index == i
+            for other in others:
                 if mode == "exact":
                     assert np.array_equal(other.values, full[i].values)
                     continue

@@ -416,7 +416,17 @@ def test_cli_error_paths(tmp_path, capsys):
             ("infinite_upper", '{"measure_ids": ["a"], "mode": "approx", "solutions": '
                                '[{"i": 0, "lower": [0.1], "upper": [Infinity], '
                                '"delta": 0.01, "gap_met": true}]}',
-             "solution 0 holds a value that is not finite")):
+             "solution 0 holds a value that is not finite"),
+            # a string is not split into one-letter ids
+            ("text_ids", '{"measure_ids": "ab", "mode": "exact", "solutions": '
+                         '[{"i": 0, "values": [0.5, 0.6]}]}',
+             "measure_ids must be a list of strings, not 'ab'"),
+            ("int_ids", '{"measure_ids": [1], "mode": "exact", "solutions": '
+                        '[{"i": 0, "values": [0.5]}]}',
+             "measure_ids must be a list of strings, not "),
+            ("object_solutions", '{"measure_ids": ["a"], "mode": "exact", "solutions": '
+                                 '{"i": 0, "values": [0.5]}}',
+             "solutions must be a list, not ")):
         bad = tmp_path / f"solutions_{name}.json"
         bad.write_text(text)
         with pytest.raises(uio.FormatError, match=f"bad solutions file {bad}: {message}"):
@@ -425,21 +435,54 @@ def test_cli_error_paths(tmp_path, capsys):
         assert main(["region", "--solutions", str(bad), "--out", str(out)]) == 1
         assert f"error [region] bad solutions file {bad}: {message}" in capsys.readouterr().err
         assert not out.exists()
-    # a region that is not an object with rho, lower and upper names its position
-    for name, text in (("int_entry", "[1]"), ("rho_only", '[{"rho": 2.0}]'),
-                       ("uneven", '[{"rho": 2.0, "lower": [0.1], "upper": [0.2]}, '
-                                  '{"rho": 2.0, "lower": [0.1, 0.2], "upper": [0.3]}]')):
+    # a region that is not an object with a finite rho and finite lower and
+    # upper lists of equal length names the file, its position and the field
+    for name, text, message in (
+            ("int_entry", "[1]", "region 0 is not an object"),
+            ("rho_only", '[{"rho": 2.0}]', "region 0 misses field 'lower'"),
+            ("uneven", '[{"rho": 2.0, "lower": [0.1], "upper": [0.2]}, '
+                       '{"rho": 2.0, "lower": [0.1, 0.2], "upper": [0.3]}]',
+             "region 1: lower and upper differ in length"),
+            # a NaN bound would be written to band.csv as nan
+            ("nan_lower", '[{"rho": 2.0, "lower": [NaN], "upper": [0.2]}]',
+             "region 0 holds a value that is not finite"),
+            ("infinite_upper", '[{"rho": 2.0, "lower": [0.1], "upper": [0.2]}, '
+                               '{"rho": 1.0, "lower": [0.1], "upper": [Infinity]}]',
+             "region 1 holds a value that is not finite"),
+            ("infinite_rho", '[{"rho": Infinity, "lower": [0.1], "upper": [0.2]}]',
+             "region 0 holds a value that is not finite")):
         bad = tmp_path / f"regions_{name}.json"
         bad.write_text(text)
-        position = 1 if name == "uneven" else 0
-        with pytest.raises(uio.FormatError,
-                           match=f"bad regions file {bad}: region {position} is not"):
+        message = f"bad regions file {bad}: {message}"
+        with pytest.raises(uio.FormatError, match=re.escape(message)):
             uio.read_regions(bad)
         out = tmp_path / f"band_{name}.csv"
         assert main(["curve", "--regions", str(bad), "--measures",
                      _model_path("sir_horizons"), "--out", str(out)]) == 1
-        assert f"error [curve] bad regions file {bad}: region {position}" in (
-            capsys.readouterr().err)
+        assert f"error [curve] {message}" in capsys.readouterr().err
+        assert not out.exists()
+    # a file that is not JSON, or whose top level is of the wrong type, names
+    # the file (and for invalid JSON, the line and column)
+    for name, text, read, message in (
+            ("solutions_top_list", '[{"i": 0, "values": [0.5]}]', uio.read_solutions,
+             "bad solutions file {} is not an object"),
+            ("solutions_not_json", "", uio.read_solutions,
+             "{} is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+            ("regions_object", '{"rho": 2.0, "lower": [0.1], "upper": [0.2]}',
+             uio.read_regions, "bad regions file {} is not a list")):
+        bad = tmp_path / f"{name}.json"
+        bad.write_text(text)
+        message = message.format(bad)
+        with pytest.raises(uio.FormatError, match=re.escape(message)):
+            read(bad)
+        out = tmp_path / f"out_{name}"
+        if read is uio.read_solutions:
+            argv, stage = ["region", "--solutions", str(bad), "--out", str(out)], "region"
+        else:
+            argv, stage = ["curve", "--regions", str(bad), "--measures",
+                           _model_path("sir_horizons"), "--out", str(out)], "curve"
+        assert main(argv) == 1
+        assert f"error [{stage}] {message}" in capsys.readouterr().err
         assert not out.exists()
     # a region that does not bound every measure names both counts: 2 bounds
     # against the 26 horizons of sir_horizons and the 1 measure of solutions

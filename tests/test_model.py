@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from uctmc import (
 )
 from uctmc import expr as ex
 from uctmc import model as um
+from uctmc.cli import main
 from oracles import chain_reference, random_ctmc, table_reference
 
 
@@ -61,6 +63,38 @@ def test_parse_rejects_non_integer_bounds():
     doc = _mini_model(variables=[{"name": "x", "init": 0, "min": 0, "max": 2.5}])
     with pytest.raises(ModelError, match="integer"):
         parse_model(json.dumps(doc))
+
+
+def test_parse_rejects_malformed_distribution(tmp_path, capsys):
+    # a distribution is normal or uniform, and each of its two fields is a
+    # finite JSON number: a bool or numeric text is not one, and a missing
+    # field, NaN or a number past the largest float names the parameter;
+    # the sample stage exits 1 and writes no samples
+    for name, fields, message in (
+            ("bool_mean", '"type": "normal", "mean": true, "std": 0.1',
+             "mean must be a finite number, not True"),
+            ("text_mean", '"type": "normal", "mean": "0.05", "std": 0.1',
+             "mean must be a finite number, not '0.05'"),
+            ("missing_std", '"type": "normal", "mean": 0.05',
+             "std must be a finite number, not None"),
+            ("nan_std", '"type": "normal", "mean": 0.05, "std": NaN',
+             "std must be a finite number, not nan"),
+            ("infinite_high", '"type": "uniform", "low": 1.0, "high": Infinity',
+             "high must be a finite number, not inf"),
+            ("huge_low", '"type": "uniform", "low": 1e400, "high": 2.0',
+             "low is too large for a float"),
+            ("unknown_type", '"type": "gamma", "mean": 1.0, "std": 0.1',
+             "unknown distribution type: 'gamma'")):
+        text = json.dumps(_mini_model()).replace(
+            '"type": "uniform", "low": 1.0, "high": 2.0', fields)
+        message = f"parameter k: {message}"
+        with pytest.raises(ModelError, match=re.escape(message)):
+            parse_model(text)
+        path, out = tmp_path / f"{name}.json", tmp_path / f"samples_{name}.json"
+        path.write_text(text)
+        assert main(["sample", "--model", str(path), "--n", "2", "--out", str(out)]) == 1
+        assert f"error [sample] {message}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_parse_rejects_parameter_in_guard():
