@@ -5,11 +5,11 @@ repr, so rewriting the same data is byte-identical; none of the data files
 carry timestamps (timings live only in the run summary).
 
 Each reader is the program's edge with a file from outside, so it reads every
-field through ``_field``, which checks the field's JSON type (``_KINDS``): a
-number is a JSON number, neither a bool nor text, and a list of strings is not
-one string.  A malformed file raises a FormatError that names the file, the
-entry (a measure entry by its position alone) and the field.  Solution values
-and region bounds and rho must also be finite (``_finite``).
+field through ``model._field``, the one check that also reads the model file:
+it checks the field's JSON type (``_KINDS``): a number is a JSON number,
+neither a bool nor text, and a list of strings is not one string.  A malformed
+file raises a FormatError that names the file, the entry and the field.
+Solution values and region bounds and rho must also be finite (``_finite``).
 """
 
 from __future__ import annotations
@@ -28,57 +28,9 @@ from .checker import (
     SolutionVector,
     TimeBoundedReach,
 )
-from .model import Valuation
+from .model import FormatError, Valuation, _KINDS, _field, _finite, _float
 from .sampling import SampleSet
 from .scenario import ScenarioOutcome
-
-
-class FormatError(ValueError):
-    """A malformed input file; the message names the file and the entry."""
-
-
-def _each(values, kind=(int, float)) -> bool:
-    """True iff every value is of ``kind``, by default a JSON number: bool is
-    an int subclass, and float() and int() read strings."""
-    return all(isinstance(v, kind) and not isinstance(v, bool) for v in values)
-
-
-_KINDS = {"an integer": lambda v: _each([v], int),
-          "a number": lambda v: _each([v]),
-          "a string": lambda v: _each([v], str),
-          "a list": lambda v: isinstance(v, list),
-          "a list of numbers": lambda v: isinstance(v, list) and _each(v),
-          "a list of strings": lambda v: isinstance(v, list) and _each(v, str),
-          "true or false": lambda v: isinstance(v, bool)}
-
-
-def _field(entry, name: str, kind: str, where: str):
-    """``entry[name]`` if it is of ``kind`` (a key of ``_KINDS``), else a
-    FormatError that names ``where``."""
-    if not isinstance(entry, dict):
-        raise FormatError(f"{where} is not an object")
-    if name not in entry:
-        raise FormatError(f"{where} misses field {name!r}")
-    value = entry[name]
-    if not _KINDS[kind](value):
-        raise FormatError(f"{where}: {name} must be {kind}, not {value!r}")
-    return value
-
-
-def _float(entry, name: str, kind: str, where: str):
-    """``_field`` as a float, or as a float array for a list of numbers."""
-    try:
-        value = np.asarray(_field(entry, name, kind, where), dtype=float)
-    except OverflowError:  # an int past the largest float
-        raise FormatError(f"{where}: {name} is too large for a float") from None
-    return value if value.ndim else float(value)
-
-
-def _finite(values: list, where: str) -> list:
-    """``values`` (floats and float arrays) if every entry is finite."""
-    if not all(np.isfinite(v).all() for v in values):
-        raise FormatError(f"{where} holds a value that is not finite")
-    return values
 
 
 def dump_json(obj, path):
@@ -137,7 +89,7 @@ def read_measures(path) -> MeasureSet:
     entries = _field(load_json(path), "measures", "a list", f"measures file {path}")
     measures = []
     for position, entry in enumerate(entries):
-        where = f"measure entry {position}"
+        where = f"measures file {path}: measure entry {position}"
         kind = _field(entry, "type", "a string", where)
         if kind not in _MEASURE_FIELDS:
             raise FormatError(f"{where}: type {kind!r} is not one of {list(_MEASURE_FIELDS)}")

@@ -7,6 +7,11 @@ from the initial assignment yields an explicit-state CTMC; commands whose
 guards hold contribute their rate, and parallel edges to the same successor
 are rate-summed.
 
+The model file is read as every pipeline file is (``io`` uses the same
+functions): each field goes through ``_field``, which checks its JSON type
+(``_KINDS``), so a malformed field raises a ModelError that names the entry
+and the field, and ``load_model`` puts the file's name in front.
+
 Guards, updates, labels and rewards range over state variables only, so the
 reachable graph is valuation-independent.  Each model is compiled once, on its
 first graph check or chain build, into flat arrays shared by all valuations:
@@ -160,148 +165,190 @@ class Valuation:
 
 
 # ---------------------------------------------------------------------------
-# JSON front-end
+# JSON front-end: every field of a file from outside is read through _field
 # ---------------------------------------------------------------------------
 
-_DISTRIBUTIONS = {"normal": (Normal, "mean", "std"), "uniform": (Uniform, "low", "high")}
+class FormatError(ValueError):
+    """A malformed input file; the message names the file and the entry."""
 
 
-def _parse_distribution(name: str, payload: dict) -> Distribution:
-    """Parameter ``name``'s distribution: a known type whose two fields are
-    finite JSON numbers (neither bool nor text).  JSON text reads decimals
-    as Fraction, and NaN and Infinity as float."""
-    kind = payload.get("type")
-    if not isinstance(kind, str) or kind not in _DISTRIBUTIONS:
-        raise ModelError(f"parameter {name}: unknown distribution type: {kind!r}")
-    cls, *fields = _DISTRIBUTIONS[kind]
-    values = []
-    for field in fields:
-        value = payload.get(field)
-        if not (isinstance(value, (int, float, Fraction)) and not isinstance(value, bool)
-                and -math.inf < value < math.inf):
-            raise ModelError(f"parameter {name}: {field} must be a finite number, "
-                             f"not {value!r}")
+def _each(values, kind=(int, float, Fraction)) -> bool:
+    """True iff every value is of ``kind``, by default a JSON number (a model
+    file reads decimals as Fraction): bool is an int subclass, and float()
+    and int() read strings."""
+    return all(isinstance(v, kind) and not isinstance(v, bool) for v in values)
+
+
+_KINDS = {"an integer": lambda v: _each([v], int),
+          "a number": lambda v: _each([v]),
+          "a finite number": lambda v: _each([v]) and -math.inf < v < math.inf,
+          "a number or fraction text": lambda v: _each([v], (int, float, Fraction, str)),
+          "a string": lambda v: _each([v], str),
+          "a list": lambda v: isinstance(v, list),
+          "a list of numbers": lambda v: isinstance(v, list) and _each(v),
+          "a list of strings": lambda v: isinstance(v, list) and _each(v, str),
+          "an object": lambda v: isinstance(v, dict),
+          "true or false": lambda v: isinstance(v, bool)}
+
+_REQUIRED = object()
+
+
+def _field(entry, name: str, kind: str, where: str, default=_REQUIRED):
+    """``entry[name]`` if it is of ``kind`` (a key of ``_KINDS``), else a
+    FormatError that names ``where``; an optional field that is absent or
+    null reads as its ``default``."""
+    if not isinstance(entry, dict):
+        raise FormatError(f"{where} is not an object")
+    if entry.get(name) is None and default is not _REQUIRED:
+        return default
+    if name not in entry:
+        raise FormatError(f"{where} misses field {name!r}")
+    value = entry[name]
+    if not _KINDS[kind](value):
+        raise FormatError(f"{where}: {name} must be {kind}, not {value!r}")
+    return value
+
+
+def _float(entry, name: str, kind: str, where: str):
+    """``_field`` as a float, or as a float array for a list of numbers."""
+    try:
+        value = np.asarray(_field(entry, name, kind, where), dtype=float)
+    except OverflowError:  # a number past the largest float
+        raise FormatError(f"{where}: {name} is too large for a float") from None
+    return value if value.ndim else float(value)
+
+
+def _finite(values: list, where: str) -> list:
+    """``values`` (floats and float arrays) if every entry is finite."""
+    if not all(np.isfinite(v).all() for v in values):
+        raise FormatError(f"{where} holds a value that is not finite")
+    return values
+
+
+_DISTRIBUTIONS = {"normal": (Normal, "mean", "std", "std > 0"),
+                  "uniform": (Uniform, "low", "high", "low < high")}
+
+
+def _read_model(raw) -> ParametricCtmc:
+    """The model a decoded document describes; a field of the wrong JSON type
+    raises FormatError, any other fault ModelError."""
+    parameters = []
+    for position, p in enumerate(_field(raw, "parameters", "a list", "model", [])):
+        name = _field(p, "name", "a string", f"parameter {position}")
+        where = f"parameter {name}"
+        payload = _field(p, "distribution", "an object", where)
+        kind = _field(payload, "type", "a string", where)
+        if kind not in _DISTRIBUTIONS:
+            raise ModelError(f"{where}: unknown distribution type: {kind!r}")
+        cls, *fields, rule = _DISTRIBUTIONS[kind]
+        first, second = (_float(payload, f, "a finite number", where) for f in fields)
+        if not (second > 0 if cls is Normal else first < second):
+            raise ModelError(f"{where}: {kind} distribution needs {rule}")
+        parameters.append(Parameter(name, cls(first, second)))
+
+    variables = []
+    for position, v in enumerate(_field(raw, "variables", "a list", "model", [])):
+        name = _field(v, "name", "a string", f"variable {position}")
+        where = f"variable {name}"
+        init, lo, hi = (_field(v, f, "an integer", where) for f in ("init", "min", "max"))
+        if not lo <= init <= hi:
+            raise ModelError(f"{where}: init {init} outside [{lo}, {hi}]")
+        variables.append(StateVariable(name, init, lo, hi))
+
+    param_set, var_set = {p.name for p in parameters}, {v.name for v in variables}
+    if len(param_set | var_set) != len(parameters) + len(variables):
+        raise ModelError("duplicate parameter/variable names")
+
+    def read(parse, entry, field: str, where: str, allowed: set):
+        """String ``field`` of ``entry`` parsed, over ``allowed`` identifiers only."""
         try:
-            values.append(float(value))
-        except OverflowError:  # a number past the largest float
-            raise ModelError(f"parameter {name}: {field} is too large for a float") from None
-    if kind == "normal" and not values[1] > 0:
-        raise ModelError(f"parameter {name}: normal distribution needs std > 0")
-    if kind == "uniform" and not values[0] < values[1]:
-        raise ModelError(f"parameter {name}: uniform distribution needs low < high")
-    return cls(*values)
+            node = parse(_field(entry, field, "a string", where))
+        except ex.ParseError as exc:
+            raise ModelError(f"{where}: {field}: {exc}") from None
+        unknown = ex.free_identifiers(node) - allowed
+        if unknown:
+            raise ModelError(f"{where}: {field} holds undeclared identifier "
+                             f"{sorted(unknown)[0]}")
+        return node
+
+    commands = []
+    for k, c in enumerate(_field(raw, "commands", "a list", "model", [])):
+        where = f"command {k}"
+        guard = read(ex.parse_guard, c, "guard", where, var_set)
+        rate = read(ex.parse_expression, c, "rate", where, var_set | param_set)
+        updates = _field(c, "updates", "an object", where, {})
+        for var in updates:
+            if var not in var_set:
+                raise ModelError(f"{where} updates undeclared variable {var}")
+        commands.append(Command(guard, rate, tuple(
+            (var, read(ex.parse_expression, updates, var, f"{where} updates", var_set))
+            for var in updates)))
+
+    raw_labels = _field(raw, "labels", "an object", "model", {})
+    labels = {label: read(ex.parse_guard, raw_labels, label, "labels", var_set)
+              for label in raw_labels}
+    raw_rewards = _field(raw, "rewards", "an object", "model", {})
+    rewards = {reward: read(ex.parse_expression,
+                            _field(raw_rewards, reward, "an object", "rewards"),
+                            "states", f"reward {reward}", var_set)
+               for reward in raw_rewards}
+
+    init_distribution = _field(raw, "init_distribution", "a list", "model", None)
+    if init_distribution is not None:
+        entries = []
+        for position, entry in enumerate(init_distribution):
+            where = f"init_distribution entry {position}"
+            state = _field(entry, "state", "an object", where)
+            point = tuple(_field(state, v.name, "an integer", f"{where} state")
+                          for v in variables)
+            for v, value in zip(variables, point):
+                if not v.minimum <= value <= v.maximum:
+                    raise ModelError(f"{where}: state value {value} of {v.name} "
+                                     f"outside [{v.minimum}, {v.maximum}]")
+            text = _field(entry, "prob", "a number or fraction text", where)
+            try:
+                prob = Fraction(text)
+            except (ValueError, OverflowError, ZeroDivisionError):  # NaN, infinite, not a fraction
+                raise ModelError(f"{where}: prob {text!r} is not a fraction") from None
+            if prob <= 0:
+                raise ModelError(f"{where}: prob must be positive, not {prob}")
+            entries.append((point, prob))
+        total = sum(prob for _, prob in entries)
+        if total != 1:
+            raise ModelError(f"init_distribution probabilities sum to {total}, not 1")
+        init_distribution = tuple(entries)
+
+    return ParametricCtmc(_field(raw, "name", "a string", "model", "model"), tuple(parameters),
+                          tuple(variables), tuple(commands), labels, rewards, init_distribution)
 
 
 def parse_model(document: Union[str, dict]) -> ParametricCtmc:
     """Parse and validate a model document (JSON text or dict).
 
-    Checks that need the reachable states (update faults, the state cap and
-    the signs of rewards) are made when the model compiles, on its first
-    graph check or chain build.
+    Every field is read through ``_field``, so a malformed one raises a
+    ModelError that names its entry and the field.  Checks that need the
+    reachable states (update faults, the state cap and the signs of rewards)
+    are made when the model compiles, on its first graph check or chain build.
     """
     if isinstance(document, str):
         try:
-            raw = json.loads(document, parse_float=Fraction)
+            document = json.loads(document, parse_float=Fraction)
         except json.JSONDecodeError as exc:
             raise ModelError(f"invalid JSON: {exc}") from None
-    else:
-        raw = document
-    if not isinstance(raw, dict):
-        raise ModelError("model document must be a JSON object")
-
-    name = raw.get("name", "model")
-
-    parameters = []
-    for p in raw.get("parameters", []):
-        parameters.append(Parameter(str(p["name"]),
-                                    _parse_distribution(str(p["name"]), p["distribution"])))
-
-    variables = []
-    for v in raw.get("variables", []):
-        init, lo, hi = v["init"], v["min"], v["max"]
-        for b in (init, lo, hi):
-            if isinstance(b, Fraction) or not isinstance(b, int) or isinstance(b, bool):
-                raise ModelError(f"variable {v['name']}: bounds and init must be integers")
-        if not lo <= init <= hi:
-            raise ModelError(f"variable {v['name']}: init {init} outside [{lo}, {hi}]")
-        variables.append(StateVariable(str(v["name"]), init, lo, hi))
-
-    param_names = [p.name for p in parameters]
-    var_names = [v.name for v in variables]
-    all_names = param_names + var_names
-    if len(set(all_names)) != len(all_names):
-        raise ModelError("duplicate parameter/variable names")
-    param_set, var_set = set(param_names), set(var_names)
-
-    def check_idents(node, allowed: set, what: str):
-        unknown = ex.free_identifiers(node) - allowed
-        if unknown:
-            raise ModelError(f"undeclared identifier in {what}: {sorted(unknown)[0]}")
-
-    commands = []
-    for k, c in enumerate(raw.get("commands", [])):
-        guard = ex.parse_guard(c["guard"])
-        check_idents(guard, var_set, f"command {k} guard")
-        rate = ex.parse_expression(c["rate"])
-        check_idents(rate, var_set | param_set, f"command {k} rate")
-        updates = []
-        for var, update_text in c.get("updates", {}).items():
-            if var not in var_set:
-                raise ModelError(f"command {k} updates undeclared variable {var}")
-            update = ex.parse_expression(update_text)
-            check_idents(update, var_set, f"command {k} update of {var}")
-            updates.append((var, update))
-        commands.append(Command(guard, rate, tuple(updates)))
-
-    labels = {}
-    for label, guard_text in raw.get("labels", {}).items():
-        guard = ex.parse_guard(guard_text)
-        check_idents(guard, var_set, f"label {label}")
-        labels[str(label)] = guard
-
-    rewards = {}
-    for rname, payload in raw.get("rewards", {}).items():
-        reward = ex.parse_expression(payload["states"])
-        check_idents(reward, var_set, f"reward {rname}")
-        rewards[str(rname)] = reward
-
-    init_distribution = None
-    if raw.get("init_distribution") is not None:
-        entries = []
-        total = Fraction(0)
-        for entry in raw["init_distribution"]:
-            assignment = entry["state"]
-            point = []
-            for v in variables:
-                if v.name not in assignment:
-                    raise ModelError(f"init_distribution entry misses variable {v.name}")
-                value = assignment[v.name]
-                if not isinstance(value, int) or not v.minimum <= value <= v.maximum:
-                    raise ModelError(f"init_distribution value for {v.name} out of bounds")
-                point.append(value)
-            prob = Fraction(entry["prob"])
-            if prob <= 0:
-                raise ModelError("init_distribution probabilities must be positive")
-            total += prob
-            entries.append((tuple(point), prob))
-        if total != 1:
-            raise ModelError(f"init_distribution probabilities sum to {total}, not 1")
-        init_distribution = tuple(entries)
-
-    return ParametricCtmc(
-        name=name,
-        parameters=tuple(parameters),
-        variables=tuple(variables),
-        commands=tuple(commands),
-        labels=labels,
-        rewards=rewards,
-        init_distribution=init_distribution,
-    )
+    try:
+        return _read_model(document)
+    except FormatError as exc:
+        raise ModelError(str(exc)) from None
 
 
 def load_model(path) -> ParametricCtmc:
+    """``parse_model`` on the file at ``path``; a ModelError names the file."""
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_model(handle.read())
+        text = handle.read()
+    try:
+        return parse_model(text)
+    except ModelError as exc:
+        raise ModelError(f"model file {path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

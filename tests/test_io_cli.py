@@ -311,7 +311,7 @@ def test_cli_error_paths(tmp_path, capsys):
                      str(measures), "--samples", samples, "--out", str(out)]) == 1
         assert "error [check] measure bad: horizon must be finite" in capsys.readouterr().err
         assert not out.exists()
-    # a malformed entry is a FormatError that names the entry's position
+    # a malformed entry is a FormatError that names the file and the entry's position
     good = '{"id": "ok", "type": "reach", "target": "full", "tau": 1.0}'
     for name, entries in (("text_tau", '{"id": "bad", "type": "reach", '
                                        '"target": "full", "tau": "abc"}'),
@@ -333,7 +333,8 @@ def test_cli_error_paths(tmp_path, capsys):
         out = tmp_path / f"solutions_{name}.json"
         assert main(["check", "--model", _model_path("tandem"), "--measures",
                      str(measures), "--samples", samples, "--out", str(out)]) == 1
-        assert "error [check] measure entry 1" in capsys.readouterr().err
+        assert (f"error [check] measures file {measures}: measure entry 1"
+                in capsys.readouterr().err)
         assert not out.exists()
     with pytest.raises(uio.FormatError, match="measure entry 1: tau is too large for a float"):
         uio.read_measures(tmp_path / "measures_huge_tau.json")

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -69,32 +70,93 @@ def test_parse_rejects_malformed_distribution(tmp_path, capsys):
     # a distribution is normal or uniform, and each of its two fields is a
     # finite JSON number: a bool or numeric text is not one, and a missing
     # field, NaN or a number past the largest float names the parameter;
-    # the sample stage exits 1 and writes no samples
+    # the sample stage names the file, exits 1 and writes no samples
     for name, fields, message in (
             ("bool_mean", '"type": "normal", "mean": true, "std": 0.1',
-             "mean must be a finite number, not True"),
+             ": mean must be a finite number, not True"),
             ("text_mean", '"type": "normal", "mean": "0.05", "std": 0.1',
-             "mean must be a finite number, not '0.05'"),
+             ": mean must be a finite number, not '0.05'"),
             ("missing_std", '"type": "normal", "mean": 0.05',
-             "std must be a finite number, not None"),
+             " misses field 'std'"),
             ("nan_std", '"type": "normal", "mean": 0.05, "std": NaN',
-             "std must be a finite number, not nan"),
+             ": std must be a finite number, not nan"),
             ("infinite_high", '"type": "uniform", "low": 1.0, "high": Infinity',
-             "high must be a finite number, not inf"),
+             ": high must be a finite number, not inf"),
             ("huge_low", '"type": "uniform", "low": 1e400, "high": 2.0',
-             "low is too large for a float"),
+             ": low is too large for a float"),
             ("unknown_type", '"type": "gamma", "mean": 1.0, "std": 0.1',
-             "unknown distribution type: 'gamma'")):
+             ": unknown distribution type: 'gamma'")):
         text = json.dumps(_mini_model()).replace(
             '"type": "uniform", "low": 1.0, "high": 2.0', fields)
-        message = f"parameter k: {message}"
+        message = f"parameter k{message}"
         with pytest.raises(ModelError, match=re.escape(message)):
             parse_model(text)
         path, out = tmp_path / f"{name}.json", tmp_path / f"samples_{name}.json"
         path.write_text(text)
         assert main(["sample", "--model", str(path), "--n", "2", "--out", str(out)]) == 1
-        assert f"error [sample] {message}" in capsys.readouterr().err
+        assert f"error [sample] model file {path}: {message}" in capsys.readouterr().err
         assert not out.exists()
+
+
+def _malformed_fields():
+    """(name, model document, message) for models with one malformed field."""
+    def edit(change):
+        doc = _mini_model()
+        change(doc)
+        return doc
+
+    def init(state, prob):
+        return _mini_model(init_distribution=[{"state": state, "prob": prob}])
+
+    return (
+        ("distribution_int", edit(lambda d: d["parameters"][0].update(distribution=5)),
+         "parameter k: distribution must be an object, not 5"),
+        ("parameter_unnamed", edit(lambda d: d["parameters"][0].pop("name")),
+         "parameter 0 misses field 'name'"),
+        ("variable_unnamed", edit(lambda d: d["variables"][0].pop("name")),
+         "variable 0 misses field 'name'"),
+        ("parameter_name_int", edit(lambda d: d["parameters"][0].update(name=5)),
+         "parameter 0: name must be a string, not 5"),
+        ("variable_no_max", edit(lambda d: d["variables"][0].pop("max")),
+         "variable x misses field 'max'"),
+        ("variables_object", _mini_model(variables={"x": {"init": 0, "min": 0, "max": 3}}),
+         "model: variables must be a list, not {'x'"),
+        ("guard_int", edit(lambda d: d["commands"][0].update(guard=5)),
+         "command 0: guard must be a string, not 5"),
+        ("guard_syntax", edit(lambda d: d["commands"][0].update(guard="x <")),
+         "command 0: guard: unexpected token 'end of input' at offset 3"),
+        ("updates_list", edit(lambda d: d["commands"][0].update(updates=["x+1"])),
+         "command 0: updates must be an object, not ['x+1']"),
+        ("labels_list", _mini_model(labels=["x=3"]),
+         "model: labels must be an object, not ['x=3']"),
+        ("reward_text", _mini_model(rewards={"level": "x"}),
+         "rewards: level must be an object, not 'x'"),
+        ("state_bool", init({"x": True}, 1),
+         "init_distribution entry 0 state: x must be an integer, not True"),
+        ("prob_bool", init({"x": 0}, True),
+         "init_distribution entry 0: prob must be a number or fraction text, not True"))
+
+
+def test_parse_rejects_malformed_fields(tmp_path, capsys):
+    # every field is read through one typed-field check: a malformed one is a
+    # ModelError that names the entry and the field, and the file when read
+    # from one; the sample stage exits 1 and writes no samples
+    for name, doc, message in _malformed_fields():
+        text = json.dumps(doc)
+        with pytest.raises(ModelError, match=re.escape(message)):
+            parse_model(text)
+        path, out = tmp_path / f"{name}.json", tmp_path / f"samples_{name}.json"
+        path.write_text(text)
+        with pytest.raises(ModelError, match=re.escape(f"model file {path}: {message}")):
+            uctmc.load_model(path)
+        assert main(["sample", "--model", str(path), "--n", "2", "--out", str(out)]) == 1
+        assert f"error [sample] model file {path}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+    # a probability may be exact fraction text
+    m = parse_model(json.dumps(_mini_model(init_distribution=[
+        {"state": {"x": x}, "prob": "1/3"} for x in range(3)])))
+    assert m.init_distribution == (((0,), Fraction(1, 3)), ((1,), Fraction(1, 3)),
+                                   ((2,), Fraction(1, 3)))
 
 
 def test_parse_rejects_parameter_in_guard():
