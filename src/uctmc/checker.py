@@ -42,6 +42,17 @@ step:
   states, and x_{k+1} = ((Lambda_k - e) x_k + Q_off^T x_k) / Lambda_k, one
   CSR mat-vec of the batch's block-diagonal off-diagonal Q^T and a per-block
   scaling; every term is nonnegative, as Lambda_k >= e on the support;
+* the batch is held state-major, entry (state i, block b) at i * B + b for
+  B blocks, so the states [lo, hi] that hold mass in any block are one row
+  slice.  A step reads and writes only the rows [low(lo), high(hi)], where
+  low(lo) is the lowest state that some state from lo on moves to in some
+  block, and high(hi) the highest that some state up to hi moves to (a
+  chain whose mass flows to lower states widens its band downward): the
+  flush, the screen, Lambda_k, the mat-vec over those rows of Q_off^T and
+  the update.  The rows outside hold zeros, which a step over every padded
+  state would keep, and each row of Q_off^T holds its sources in state
+  order, so every entry gets the bits of that full step (sir140, phase
+  one: a mean band of about 3,150 of 9,996 states);
 * a column at time t is cut at the first K whose bound on P(N_t > K) is
   within epsilon * 2^-16 / s (the smallest of three bounds, see
   ``_Adaptive._pass``), and the pass ends when every column is cut.
@@ -90,9 +101,13 @@ its deterministic pass:
 Both kernels read one assembly (``_generator``) of a batch's chains as the
 blocks of one block-diagonal generator, each padded to the largest chain
 with empty rows, so the padding is never read or written and every mat-vec
-row stays per state and per block.  The plain kernel (``_Blocks``) turns it
-into one block-diagonal P^T: q / Lambda off the diagonal and 1 - e / Lambda
-on it, within a few ulps of (I + Q / Lambda)^T.
+row stays per state and per block.  The adaptive kernel holds its Q_off^T
+and iterate state-major (above); its Q_off^T is the assembly's entries
+transposed by one ``csr_tocsc``, with the indices renumbered.  The plain
+kernel (``_Blocks``) holds its blocks one after another, block-major, and
+turns the assembly into one block-diagonal P^T: q / Lambda off the
+diagonal and 1 - e / Lambda on it, within a few ulps of (I + Q /
+Lambda)^T.
 One stepping routine (``_iterates``) produces the power sequence: each step
 is one call of scipy's CSR mat-vec kernel over the prefix of blocks that
 still need steps.  Blocks are sorted by descending Lambda, so a block whose
@@ -195,6 +210,7 @@ _HEAD_SHARE = 2.0**-16  # of epsilon: birth levels before the saved iterate
 _LEVEL_SHARE = 2.0**-17  # of epsilon: birth levels zeroed per pass
 _SEGMENT_STEPS = 1024  # most expected steps of a first birth-weight segment
 _FLUSH_EVERY = 64
+_WIDE_BATCH = 40  # blocks from which a per-block reduction runs along the states
 
 log = logging.getLogger("uctmc.checker")
 
@@ -436,18 +452,39 @@ def _iterates(pt: tuple, v: np.ndarray, skip: int, count: int, live: Sequence[in
             yield cur
 
 
-def _reader(vectors: np.ndarray):
-    """CSR arrays of the dots x . v of a (blocks, vectors, states) stack: one
-    row per (block, vector) in block-major order, holding v's nonzeros, so
-    the rows of a prefix of blocks are a prefix and each row is a sequential
-    sum in state order, whatever the padding or batch."""
+def _reader(vectors: np.ndarray, numbering: np.ndarray):
+    """CSR arrays of the dots x . v of a (blocks, vectors, states) stack,
+    for an x whose entry (block b, state i) sits at flat index
+    ``numbering[b, i]``: one row per (block, vector) in block-major order,
+    holding v's nonzeros, so the rows of a prefix of blocks are a prefix and
+    each row is a sequential sum in state order, whatever the padding, batch
+    or numbering."""
     blocks, width, size = vectors.shape
     vectors = vectors.reshape(blocks * width, size)
     rows, states = np.nonzero(vectors)
     idx = np.int32 if max(rows.size, blocks * size) < 2**31 else np.int64
     indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=len(vectors)))))
-    indices = states + rows // width * size
+    indices = numbering[rows // width, states]
     return indptr.astype(idx), indices.astype(idx), vectors[rows, states]
+
+
+def _state_major(flat: np.ndarray, shape: tuple) -> np.ndarray:
+    """Block-major flat indices b * states + i of a (blocks, states) array as
+    state-major ones, i * blocks + b."""
+    blocks, size = shape
+    flat = flat.astype(np.int64)
+    return flat % size * blocks + flat // size
+
+
+def _block_max(flat: np.ndarray, blocks: int) -> np.ndarray:
+    """Per block, the largest entry of a state-major (states, blocks) array
+    given flat.  A reduction along the states runs one inner loop per state,
+    over the blocks, which costs far more than the data when the blocks are
+    few (2 blocks, 3,000 states: 105-120 us against 8 us transposed first);
+    from about 40 blocks the transposed copy costs more (100 blocks, 216
+    states: 12-18 us along the states against 23-32 us transposed)."""
+    rows = flat.reshape(-1, blocks)
+    return rows.max(axis=0) if blocks >= _WIDE_BATCH else np.ascontiguousarray(rows.T).max(axis=1)
 
 
 class _Blocks:
@@ -550,7 +587,7 @@ class _Blocks:
         start = np.asarray(start, dtype=float)[self.order]
         vectors = np.asarray(vectors, dtype=float)[self.order]
         blocks, width, _ = vectors.shape
-        reader = _reader(vectors)
+        reader = _reader(vectors, np.arange(start.size).reshape(start.shape))
         times = list(dict.fromkeys(t for _, t in columns))
         k_lo, offsets, window, need, skip = self._windows(np.multiply.outer(self.lam, times))
         series = np.zeros((int(need.max()) - skip, blocks * width))
@@ -573,7 +610,8 @@ class _Adaptive:
     adaptive uniformization (see the module docstring).
 
     The off-diagonal rates and exit rates of the batch's generator
-    (``_generator``) form one block-diagonal Q^T and the per-block scaling.
+    (``_generator``) form one block-diagonal Q^T and the per-block scaling,
+    both held state-major, as the iterate is (``_steps``).
     ``scale`` (per chain, >= 1) divides the chain's error shares: the
     largest magnitude of the vectors its passes weigh.  ``drop`` is the drop
     budget before that division, at most epsilon / 8.  Every per-block
@@ -588,13 +626,30 @@ class _Adaptive:
 
     def __init__(self, chains: Sequence[ConcreteCtmc], absorbing: Sequence, epsilon: float,
                  scale: np.ndarray, drop: float):
-        _, self.exits, entries = _generator(chains, absorbing)
-        self.qt = _transposed(self.exits.size, *entries)
+        _, exits, (rows, cols, rates) = _generator(chains, absorbing)
+        size = exits.shape[1]
+        self.top = exits.max(axis=1)
+        self.exits = exits.T.ravel()  # state-major: (state i, block b) at i * blocks + b
+        # Q_off^T with state-major rows and columns: csr_tocsc numbers the
+        # rows of the transpose (the targets) state-major, and keeps each
+        # row's sources in block-major order, which within one block is
+        # state order, as before the remap
+        indptr, indices, data = _transposed(exits.size, rows, _state_major(cols, exits.shape),
+                                            rates)
+        self.qt = indptr, _state_major(indices, exits.shape).astype(indices.dtype), data
+        # per state, the lowest and highest state any state from it on (up
+        # to it) moves to in some block, itself included
+        low, high, source, target = np.arange(size), np.arange(size), rows % size, cols % size
+        np.minimum.at(low, source, target)
+        np.maximum.at(high, source, target)
+        self.low = np.minimum.accumulate(low[::-1])[::-1]
+        self.high = np.maximum.accumulate(high)
         self.share = drop / scale
-        self.below = epsilon * _DROP_BELOW / scale
+        self.below = np.tile(epsilon * _DROP_BELOW / scale, size)
         self.log_tail = np.log(epsilon * _TAIL_SHARE / scale)
         self.log_head = np.log(epsilon * _HEAD_SHARE / scale)
         self.level_share = epsilon * _LEVEL_SHARE / scale
+        self.rows = self.steps = 0  # band states stepped, and steps
 
     def _steps(self, start: np.ndarray, first: int = 0, dropped: Optional[np.ndarray] = None):
         """Yield (x_k, Lambda_k, dropped mass so far) per block, k = first,
@@ -602,41 +657,87 @@ class _Adaptive:
 
         Before Lambda_k is read, the entries of x_k below the block's
         threshold are zeroed if its dropped mass stays within its share by
-        it.  The iterate is stepped in place: use a yielded x_k before
+        it.  The iterate is held state-major, a copy of ``start``, and is
+        stepped in place: use a yielded x_k, a (chains, states) view, before
         resuming.  Started from a yielded x_j, its step index j and its
         dropped mass, the steps repeat the iterates from x_j on bit for bit:
         the flush and the dropping leave x_j as it is.
+
+        The states [lo, hi] that hold mass in some block are one row slice,
+        and every step reads and writes the rows [low[lo], high[hi]] only:
+        the flush, the screen, Lambda_k, one CSR mat-vec over those rows of
+        Q_off^T and the update.  The rows outside hold zeros, which the full
+        step would leave as they are, so every entry gets the bits of a step
+        over all states.  The per-entry rate and Lambda_k - e are rebuilt
+        when some Lambda_k changes, and extended as the rows grow.
         """
-        x = np.array(start, dtype=float)
-        y, scaled = np.empty_like(x), np.empty_like(x)
-        x_flat, y_flat = x.reshape(-1), y.reshape(-1)
-        dropped = np.zeros(len(x)) if dropped is None else dropped
+        blocks = len(self.share)
+        # a copy, never the caller's memory
+        x = np.array(np.asarray(start, dtype=float).T, order="C").reshape(-1)
+        view = x.reshape(-1, blocks).T
+        y, rate, scaled = np.zeros_like(x), np.empty_like(x), np.empty_like(x)
+        dropped = np.zeros(blocks) if dropped is None else dropped
+        indptr, indices, data = self.qt
+        a, z = 0, len(x) // blocks  # rows that may hold mass: [a, z)
+        known = [0, 0]  # rows where rate and scaled hold the step's Lambda_k
+        stepped = None  # the Lambda_k they hold
+
+        def refresh(lo, hi):
+            rows = slice(lo * blocks, hi * blocks)
+            rate[rows] = np.repeat(divisor, hi - lo, axis=0).reshape(-1)
+            np.subtract(rate[rows], self.exits[rows], out=scaled[rows])
+
+        self.rows = self.steps = 0
         for k in itertools.count(first):
+            held = x[a * blocks:z * blocks]
             if k and not k % _FLUSH_EVERY:
-                x[x < _FLUSH_BELOW] = 0.0
-            positive = x > 0.0
-            small = np.flatnonzero(positive & (x < self.below[:, None]))
+                held[held < _FLUSH_BELOW] = 0.0
+            positive = held > 0.0
+            small = np.flatnonzero(positive & (held < self.below[a * blocks:z * blocks]))
             if small.size:
                 # per-block sums in state order
-                blocks = small // x.shape[1]
-                mass = np.bincount(blocks, x_flat[small], minlength=len(x))
+                of = small % blocks
+                mass = np.bincount(of, held[small], minlength=blocks)
                 fits = dropped + mass <= self.share
-                dropped = np.where(fits, dropped + mass, dropped)
-                small = small[fits[blocks]]
-                x_flat[small] = 0.0
-                positive.reshape(-1)[small] = False
-            lam = np.max(self.exits * positive, axis=1)
-            yield x, lam, dropped
+                if fits.any():
+                    dropped = np.where(fits, dropped + mass, dropped)
+                    small = small[fits[of]]
+                    held[small] = 0.0
+                    positive[small] = False
+            hit = int(positive.argmax())
+            if positive[hit]:
+                lo = a + hit // blocks
+                hi = a + (positive.size - 1 - int(positive[::-1].argmax())) // blocks + 1
+                live = positive[(lo - a) * blocks:(hi - a) * blocks]
+                lam = _block_max(self.exits[lo * blocks:hi * blocks] * live, blocks)
+            else:
+                lam = np.zeros(blocks)
+            yield view, lam, dropped
+            if not positive[hit]:
+                continue  # no mass left to move
             # x_{k+1} = ((Lambda_k - e) x_k + Q_off^T x_k) / Lambda_k, where
             # Lambda_k >= e on the support, so every term is nonnegative; a
             # block without rate keeps x_k
-            y_flat.fill(0.0)
-            csr_matvec(x.size, x.size, *self.qt, x_flat, y_flat)
-            rate = np.where(lam > 0.0, lam, 1.0)[:, None]
-            np.subtract(rate, self.exits, out=scaled)
-            x *= scaled
-            x += y
-            x /= rate
+            a, z = int(self.low[lo]), int(self.high[hi - 1]) + 1
+            if stepped is None or (lam != stepped).any():
+                stepped, divisor = lam, np.where(lam > 0.0, lam, 1.0)[None]
+                known = [a, a]
+            if a < known[0]:
+                refresh(a, known[0])
+                known[0] = a
+            if z > known[1]:
+                refresh(known[1], z)
+                known[1] = z
+            rows = slice(a * blocks, z * blocks)
+            out = y[rows]
+            out.fill(0.0)
+            csr_matvec(z * blocks - a * blocks, x.size, indptr[rows.start:rows.stop + 1],
+                       indices, data, x, out)
+            band = x[rows]
+            band *= scaled[rows]
+            band += out
+            band /= rate[rows]
+            self.rows, self.steps = self.rows + z - a, self.steps + 1
 
     def _pass(self, start: np.ndarray, times: np.ndarray, reader=None, save: bool = False):
         """One adaptive pass from ``start`` until, for every block and time t,
@@ -663,7 +764,7 @@ class _Adaptive:
         blocks = len(start)
         with np.errstate(divide="ignore"):
             log_times = np.log(times)
-            poisson = self.exits.max(axis=1)[:, None] * times
+            poisson = self.top[:, None] * times
             log_poisson = np.log(poisson)
         cuts = np.where(times == 0.0, 0, -1) + np.zeros((blocks, 1), dtype=np.int64)
         tails = np.full(cuts.shape, -np.inf)
@@ -673,8 +774,9 @@ class _Adaptive:
         with np.errstate(divide="ignore", invalid="ignore"):
             for k, (x, lam, dropped) in enumerate(self._steps(start)):
                 if reader is not None:
+                    # x is a view of the state-major iterate, which is its F order
                     series.append(np.zeros(len(reader[0]) - 1))
-                    csr_matvec(len(series[-1]), x.size, *reader, x.reshape(-1), series[-1])
+                    csr_matvec(len(series[-1]), x.size, *reader, x.ravel("F"), series[-1])
                 rates.append(lam)
                 drops.append(dropped)
                 inverse = 1.0 / lam
@@ -697,11 +799,12 @@ class _Adaptive:
         rates = np.array(rates).T
         # a block's values read its iterates up to its last cut only
         self.dropped = np.array(drops)[cuts.max(axis=1), np.arange(blocks)]
-        message = ("adaptive pass to t=%g: %d blocks, %d-%d steps, largest Lambda_0 %g, "
-                   "largest last Lambda_k %g, largest dropped mass %.3g, largest birth tail %.3g")
-        args = [times.max(), blocks, cuts.min(), cuts.max(), rates[:, 0].max(),
-                rates[np.arange(blocks), cuts.max(axis=1)].max(), self.dropped.max(),
-                math.exp(tails.max())]
+        message = ("adaptive pass to t=%g: %d blocks, %d-%d steps, mean band %.1f of %d states, "
+                   "largest Lambda_0 %g, largest last Lambda_k %g, largest dropped mass %.3g, "
+                   "largest birth tail %.3g")
+        args = [times.max(), blocks, cuts.min(), cuts.max(), self.rows / max(self.steps, 1),
+                len(self.low), rates[:, 0].max(), rates[np.arange(blocks), cuts.max(axis=1)].max(),
+                self.dropped.max(), math.exp(tails.max())]
         saved = None
         if head is not None:
             saved = head.x, head.first, head.dropped, head.level
@@ -757,8 +860,9 @@ class _Adaptive:
         vectors = np.asarray(vectors, dtype=float)
         blocks, width, _ = vectors.shape
         times = list(dict.fromkeys(t for _, t in columns))
+        numbering = np.arange(vectors.size // width).reshape(-1, blocks).T  # state-major
         rates, cuts, series, _ = self._pass(np.asarray(start, dtype=float), np.array(times),
-                                            _reader(vectors))
+                                            _reader(vectors, numbering))
         weights, chain = self._weights(rates, cuts, np.array(times))
         series = series.reshape(len(series), blocks, width)
         values = np.empty((blocks, len(columns)))

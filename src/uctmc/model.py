@@ -59,6 +59,7 @@ import json
 import math
 import weakref
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
@@ -205,8 +206,22 @@ def _field(entry, name: str, kind: str, where: str, default=_REQUIRED):
         raise FormatError(f"{where} misses field {name!r}")
     value = entry[name]
     if not _KINDS[kind](value):
-        raise FormatError(f"{where}: {name} must be {kind}, not {value!r}")
+        raise FormatError(f"{where}: {name} must be {kind}, not {_shown(value)}")
     return value
+
+
+def _shown(value) -> str:
+    """A field's value for a message; a model file's decimal, read as a
+    Fraction, written out exactly (2.5, 2.00000000000000000001, 1E-400, not
+    Fraction(5, 2)): its denominator is 2^a 5^b, so the expansion ends."""
+    if not isinstance(value, Fraction):
+        return repr(value)
+    places = 0
+    while (value * 10**places).denominator != 1:
+        places += 1
+    digits = str((abs(value) * 10**places).numerator)
+    shown = str(Decimal((int(value < 0), tuple(map(int, digits)), -places)))
+    return shown if places else shown + ".0"
 
 
 def _float(entry, name: str, kind: str, where: str):

@@ -7,6 +7,7 @@ dense matrix exponentials, and the complexity oracle enumerates subsets.
 
 from __future__ import annotations
 
+import itertools
 from typing import NamedTuple
 
 import numpy as np
@@ -398,6 +399,53 @@ def uniformized_sparse(c, absorbing=None):
     q = rates - sparse.diags(row_sums)
     p = sparse.identity(n, format="csr") + q.tocsr() / lam
     return p.transpose().tocsr(), lam
+
+
+def adaptive_steps_reference(chains, absorbing, epsilon: float, scale: np.ndarray,
+                             drop: float, start: np.ndarray):
+    """Reference for ``checker._Adaptive._steps``: every step over every
+    padded state of every block, held block-major, with one CSR mat-vec of
+    the block-major Q_off^T over the whole batch.  Yields (x_k, Lambda_k,
+    dropped mass so far) per block; x_k is stepped in place."""
+    from uctmc._csr import csr_matvec
+    from uctmc.checker import (
+        _DROP_BELOW,
+        _FLUSH_BELOW,
+        _FLUSH_EVERY,
+        _generator,
+        _transposed,
+    )
+
+    _, exits, entries = _generator(chains, absorbing)
+    qt = _transposed(exits.size, *entries)
+    share, below = drop / scale, epsilon * _DROP_BELOW / scale
+    x = np.array(start, dtype=float)
+    y, scaled = np.empty_like(x), np.empty_like(x)
+    x_flat, y_flat = x.reshape(-1), y.reshape(-1)
+    dropped = np.zeros(len(x))
+    for k in itertools.count():
+        if k and not k % _FLUSH_EVERY:
+            x[x < _FLUSH_BELOW] = 0.0
+        positive = x > 0.0
+        small = np.flatnonzero(positive & (x < below[:, None]))
+        if small.size:
+            # per-block sums in state order
+            blocks = small // x.shape[1]
+            mass = np.bincount(blocks, x_flat[small], minlength=len(x))
+            fits = dropped + mass <= share
+            dropped = np.where(fits, dropped + mass, dropped)
+            small = small[fits[blocks]]
+            x_flat[small] = 0.0
+            positive.reshape(-1)[small] = False
+        lam = np.max(exits * positive, axis=1)
+        yield x, lam, dropped
+        y_flat.fill(0.0)
+        csr_matvec(x.size, x.size, *qt, x_flat, y_flat)
+        rate = np.where(lam > 0.0, lam, 1.0)[:, None]
+        np.subtract(rate, exits, out=scaled)
+        x *= scaled
+        x += y
+        x /= rate
 
 
 # ---------------------------------------------------------------------------

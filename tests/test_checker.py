@@ -323,6 +323,107 @@ def test_interval_measures_on_a_fast_then_slow_chain_match_expm_oracle(eps):
     assert np.abs(pi - transient_oracle(c, t_lo)).sum() <= eps
 
 
+@pytest.mark.parametrize("model, n, target, steps", [("sir20", 4, "extinct", 300),
+                                                     ("sir20", 4, None, 300),
+                                                     ("sir140", 2, "extinct", 600)])
+def test_band_steps_match_the_full_width_steps_bit_for_bit(model, n, target, steps, request):
+    # the adaptive step reads and writes only the rows around the states that
+    # hold mass; the iterates, rates and dropped masses are those of a step
+    # over every padded state of every block, over the whole pass (sir20: up
+    # to 150 steps, sir140: 540) and across flushes
+    from uctmc.checker import _DROP_SHARE, _Adaptive, _padded
+    from oracles import adaptive_steps_reference
+
+    m = request.getfixturevalue(model)
+    chains = [build_full(m, u) for u in uctmc.sample_valuations(m, n, seed=3).valuations]
+    absorbing = [None if target is None else c.label_mask(target) for c in chains]
+    start = _padded([c.initial for c in chains], max(c.num_states for c in chains))
+    args = (chains, absorbing, 1e-6, np.ones(n), 1e-6 * _DROP_SHARE)
+    adaptive = _Adaptive(*args)
+    for k, (ours, full) in zip(range(steps), zip(adaptive._steps(start),
+                                                 adaptive_steps_reference(*args, start))):
+        for one, other in zip(ours, full):
+            assert np.array_equal(one, other), k
+    assert ours[2].min() > 0.0  # every block dropped mass
+    if model == "sir140":
+        assert adaptive.rows / adaptive.steps < start.shape[1] / 2
+
+
+def test_block_max_reads_each_blocks_largest_entry():
+    from uctmc.checker import _WIDE_BATCH, _block_max
+    rng = np.random.default_rng(0)
+    for blocks in (1, 2, _WIDE_BATCH - 1, _WIDE_BATCH, 100):
+        rows = rng.random((37, blocks))
+        assert np.array_equal(_block_max(rows.reshape(-1), blocks), rows.max(axis=0)), blocks
+
+
+def test_a_batch_with_mass_flowing_down_gives_each_chain_its_own_bits(sir20, mean_valuation):
+    # the death chain's mass moves to lower states, so its band widens
+    # downward, while sir20's moves up; batched, each chain gets the bits it
+    # gets alone, within epsilon of dense expm
+    from uctmc.checker import _DROP_SHARE, _Adaptive, _evaluate, _padded
+
+    eps = 1e-6
+    chains = [fast_then_slow_chain(), build_full(sir20, mean_valuation)]
+    measures = MeasureSet((TimeBoundedReach("reach", "extinct", 60.0),
+                           IntervalReach("window", "extinct", 40.0, 100.0)))
+    together = _evaluate(chains, measures, eps)[0]
+    for c, values in zip(chains, together):
+        assert np.array_equal(values, _evaluate([c], measures, eps)[0][0])
+        assert np.all(np.abs(values - _oracle_values(c, measures)) <= eps), values
+
+    def adaptive(cs):
+        return _Adaptive(cs, [None] * len(cs), eps, np.ones(len(cs)), eps * _DROP_SHARE)
+
+    size = max(c.num_states for c in chains)
+    pis = adaptive(chains).transient(_padded([c.initial for c in chains], size), 30.0)
+    for c, pi in zip(chains, pis):
+        alone = adaptive([c]).transient(c.initial[None], 30.0)[0]
+        assert np.array_equal(pi[:c.num_states], alone) and not pi[c.num_states:].any()
+        assert np.abs(alone - transient_oracle(c, 30.0)).sum() <= eps
+
+
+def _chain_arrays(c):
+    """Every array a chain holds, by attribute (and key)."""
+    for name, value in vars(c).items():
+        if isinstance(value, np.ndarray):
+            yield name, value
+        elif isinstance(value, dict):
+            yield from ((f"{name}[{key}]", a) for key, a in value.items())
+
+
+def test_checking_leaves_every_array_of_the_chain_unchanged(sir20, mean_valuation):
+    # the adaptive kernel steps a copy of its start, even when the start is a
+    # view of the chain's own initial vector, as for one chain
+    from uctmc.checker import _DROP_SHARE, _Adaptive
+
+    measures = MeasureSet((TimeBoundedReach("reach", "extinct", 60.0),
+                           IntervalReach("window", "extinct", 40.0, 100.0)))
+    for c in (fast_then_slow_chain(), build_full(sir20, mean_valuation)):
+        before = {name: a.copy() for name, a in _chain_arrays(c)}
+        transient_distribution(c, 30.0)
+        evaluate_measures(c, measures)
+        _Adaptive([c], [None], 1e-6, np.ones(1), 1e-6 * _DROP_SHARE).transient(c.initial[None],
+                                                                              30.0)
+        for name, a in _chain_arrays(c):
+            if name in before:
+                assert np.array_equal(a, before[name]), name
+
+
+def test_adaptive_pass_logs_its_mean_band(caplog):
+    # the death chain's mass moves down one state per step in phase one and
+    # sits in a few states in phase two, so each pass steps a band far
+    # narrower than the chain
+    c = fast_then_slow_chain()
+    with caplog.at_level("DEBUG", logger="uctmc.checker"):
+        interval_reaches(c, "extinct", 40.0, [45.0, 60.0, 100.0])
+    bands = re.findall(r"adaptive pass to t=\S+: 1 blocks, \d+-\d+ steps, mean band (\S+) of "
+                       r"(\d+) states", caplog.text)
+    assert len(bands) == 2
+    for band, states in bands:
+        assert int(states) == c.num_states and 1.0 <= float(band) < c.num_states / 2
+
+
 def test_iterates_match_public_matmul_with_flush():
     from uctmc.checker import _FLUSH_BELOW, _FLUSH_EVERY, _Blocks, _iterates
 

@@ -61,9 +61,13 @@ def test_parse_rejects_duplicate_names():
 
 
 def test_parse_rejects_non_integer_bounds():
-    doc = _mini_model(variables=[{"name": "x", "init": 0, "min": 0, "max": 2.5}])
-    with pytest.raises(ModelError, match="integer"):
-        parse_model(json.dumps(doc))
+    # the message writes the file's decimal out exactly, not rounded to a float
+    doc = json.dumps(_mini_model(variables=[{"name": "x", "init": 0, "min": 0, "max": 1}]))
+    for text, shown in (("2.5", "2.5"), ("2.0", "2.0"), ("-0.125", "-0.125"),
+                        ("2.00000000000000000001", "2.00000000000000000001"),
+                        ("1e-400", "1E-400")):
+        with pytest.raises(ModelError, match=f"max must be an integer, not {re.escape(shown)}$"):
+            parse_model(doc.replace('"max": 1', f'"max": {text}'))
 
 
 def test_parse_rejects_malformed_distribution(tmp_path, capsys):
