@@ -1,4 +1,4 @@
-"""Approximate bounds from one pass, and truncated state spaces.
+"""Approximate bounds from one pass over the full chain.
 
 Approximate mode checks each full chain once.  Where a chain's exit rates
 fall (SIR), the adaptive kernel zeroes tiny entries of the iterate while the
@@ -8,11 +8,7 @@ dropped mass (times the largest reward, for rewards) gives an upper bound.
 Where the rates do not fall (buffer), the plain kernel drops nothing and the
 two bounds agree.  Both stay within epsilon of the exact value.
 
-Truncation lives on in the model layer: ``build_partial`` keeps the states
-whose estimated reachability stays above a threshold and sends every cut
-transition to one sink.
-
-Run:  python demos/04_partial_models.py
+Run:  python demos/04_approximate_bounds.py
 """
 
 import uctmc
@@ -43,11 +39,3 @@ iv = uctmc.bound_measures(buffer, v, buffer_measures)
 print("\nbuffer, one pass over the full chain (plain kernel: nothing dropped)")
 print(f"  both busy in [0.5, 2] in [{iv.lower[0]:.9f}, {iv.upper[0]:.9f}], "
       f"tokens at t=25 in [{iv.lower[1]:.6f}, {iv.upper[1]:.6f}]")
-
-print("\nSIR(140): truncated state spaces (model layer, build_partial)")
-full = uctmc.build_full(sir140, u)
-print(f"  full model: {full.num_states} states, {full.num_transitions} transitions")
-for delta in (1e-2, 1e-4, 1e-6):
-    partial = uctmc.build_partial(sir140, u, delta)
-    print(f"  delta={delta:g}: retained {len(partial.retained_states)} states, "
-          f"redirected rate {partial.redirected_rate:.2f}")

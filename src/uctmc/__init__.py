@@ -26,12 +26,10 @@ from .model import (
     ModelError,
     Normal,
     ParametricCtmc,
-    PartialCtmc,
     StateCapExceeded,
     Uniform,
     Valuation,
     build_full,
-    build_partial,
     check_graph_preserving,
     graph_preservation_violation,
     load_model,

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Mapping, Union
 
@@ -340,34 +341,29 @@ def scaled(poly: Mapping[tuple[str, ...], Fraction]) -> tuple[int, dict[tuple[st
 # Canonical printer (round-trips through the parser)
 # ---------------------------------------------------------------------------
 
-def _format_fraction(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    # Decimal literals always have 2^a * 5^b denominators, so an exact finite
-    # decimal expansion exists for every parsed literal.
-    num, den = value.numerator, value.denominator
-    scale = 0
-    while den % 2 == 0:
-        den //= 2
-        scale += 1
-    fives = 0
-    while den % 5 == 0:
-        den //= 5
-        fives += 1
-    if den != 1:
+def exact_decimal(value: Fraction) -> Decimal:
+    """``value`` as a Decimal, exactly.  A decimal literal's denominator is
+    2^a 5^b, so its expansion ends after max(a, b) places; any other
+    denominator raises ExprError."""
+    den = value.denominator
+    twos = (den & -den).bit_length() - 1
+    fives, rest = 0, den >> twos
+    while rest % 5 == 0:
+        fives, rest = fives + 1, rest // 5
+    if rest != 1:
         raise ExprError(f"{value} has no finite decimal representation")
-    digits = max(scale, fives)
-    scaled = num * 10 ** digits // value.denominator
-    text = str(scaled).rjust(digits + 1, "0")
-    return text[:-digits] + "." + text[-digits:]
+    places = max(twos, fives)
+    digits = str(abs(value.numerator) * 10**places // den)
+    return Decimal((int(value < 0), tuple(map(int, digits)), -places))
 
 
 _PREC = {"+": 0, "-": 0, "*": 1}
 
 
 def _print_expr(e: Expr, parent_prec: int, right_side: bool) -> str:
-    if isinstance(e, Num):
-        return _format_fraction(e.value)
+    if isinstance(e, Num):  # in positional notation, an integer without a point
+        value = e.value
+        return str(value) if value.denominator == 1 else format(exact_decimal(value), "f")
     if isinstance(e, Name):
         return e.ident
     if isinstance(e, Neg):

@@ -22,8 +22,8 @@ parameter polynomials up to positive scaling (ki, kr and 1 on SIR).  A
 valuation evaluates only the kernels, exactly over rationals, so graph
 preservation (no symbolically nonzero rate may become <= 0) is decided without
 float round-off as "every kernel on a reachable edge is > 0"; each merged rate
-sums its edges' coefficient * kernel value in command order.  A full chain is
-the pattern with these rates, a partial chain its best-first search over them.
+sums its edges' coefficient * kernel value in command order.  A chain is the
+pattern with these rates.
 
 The compile expands every guard comparison (as left - right), update, rate,
 label and reward once per model into polynomials over the state variables,
@@ -44,22 +44,16 @@ this exactly, on the same integer values, and raises ModelError otherwise.
 One state cap, ``DEFAULT_STATE_CAP``, bounds the reachable states of every
 model: the compile reads it when it runs and raises StateCapExceeded at the
 first new state past it; a compiled model is not checked against it again.
-
-Partial models keep only states whose estimated reachability stays above a
-threshold; all truncated transitions are redirected into one absorbing sink,
-which carries no label and reward 0.
 """
 
 from __future__ import annotations
 
 import functools
-import heapq
 import itertools
 import json
 import math
 import weakref
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
@@ -212,16 +206,10 @@ def _field(entry, name: str, kind: str, where: str, default=_REQUIRED):
 
 def _shown(value) -> str:
     """A field's value for a message; a model file's decimal, read as a
-    Fraction, written out exactly (2.5, 2.00000000000000000001, 1E-400, not
-    Fraction(5, 2)): its denominator is 2^a 5^b, so the expansion ends."""
+    Fraction, written out exactly (2.5, 2.0, 1E-400, not Fraction(5, 2))."""
     if not isinstance(value, Fraction):
         return repr(value)
-    places = 0
-    while (value * 10**places).denominator != 1:
-        places += 1
-    digits = str((abs(value) * 10**places).numerator)
-    shown = str(Decimal((int(value < 0), tuple(map(int, digits)), -places)))
-    return shown if places else shown + ".0"
+    return str(ex.exact_decimal(value)) + (".0" if value.denominator == 1 else "")
 
 
 def _float(entry, name: str, kind: str, where: str):
@@ -524,8 +512,7 @@ class _Table:
     ``coefficient``, ``kernel`` and ``command``: at a fixed state a rate is a
     parameter polynomial, stored as coefficient * kernel (the polynomial over
     its first monomial's |coefficient|).  ``indptr``/``indices`` is the merged
-    CSR pattern, columns ascending; ``entry`` maps each edge onto it and
-    ``visit`` lists each row's entries in the order of their first edge.
+    CSR pattern, columns ascending; ``entry`` maps each edge onto it.
 
     The BFS runs one level at a time, each command over the whole frontier
     in the exact integer arithmetic of ``_Program``, on a (state, command)
@@ -598,12 +585,10 @@ class _Table:
                               for j, mono in enumerate(program.monomials) if row[j])
                         for row in kernel[first].tolist()]
 
-        pattern, first, self.entry = np.unique(
-            self.source * n + self.target, return_index=True, return_inverse=True)
+        pattern, self.entry = np.unique(self.source * n + self.target, return_inverse=True)
         idx = np.int32 if max(n, pattern.size) < 2**31 else np.int64
         self.indptr = np.searchsorted(pattern // n, np.arange(n + 1)).astype(idx)
         self.indices = (pattern % n).astype(idx)
-        self.visit = np.argsort(first)  # edges are grouped by source
 
         position = {p: i for i, p in enumerate(roots)}
         points, probs = zip(*m.initial_states())
@@ -623,11 +608,6 @@ class _Table:
         for shared in (self.indptr, self.indices, self.initial, *self.labels.values(),
                        *self.rewards.values()):  # every full chain holds these
             shared.flags.writeable = False
-
-    @functools.cached_property
-    def rows(self) -> tuple[list, list]:
-        """``indptr`` and the targets in ``visit`` order, as lists."""
-        return self.indptr.tolist(), self.indices[self.visit].tolist()
 
 
 _tables: "weakref.WeakKeyDictionary[ParametricCtmc, _Table]" = weakref.WeakKeyDictionary()
@@ -659,13 +639,11 @@ class _Instance:
         return np.bincount(t.entry, t.coefficient * self.values[t.kernel],
                            minlength=t.indices.size)
 
-    def violation(self, sources=None) -> Optional[str]:
-        """The first edge, in BFS order, that leaves ``sources`` (by default
-        any state) and whose rate is <= 0; None if there is none."""
+    def violation(self) -> Optional[str]:
+        """The first edge, in BFS order, whose rate is <= 0; None if there
+        is none."""
         t = self.table
         bad = ~self.positive[t.kernel]
-        if sources is not None and bad.any():
-            bad &= np.isin(t.source, sources)
         if not bad.any():
             return None
         e = int(np.argmax(bad))
@@ -705,13 +683,9 @@ class ConcreteCtmc:
     """
 
     def __init__(self, states, initial, rates, labels=None, rewards=None):
-        """``rates`` is the triple (data, indices, indptr) or a scipy sparse
-        matrix."""
+        """``rates`` is the triple (data, indices, indptr)."""
         self.states = states
         self.initial = np.asarray(initial, dtype=float)
-        if not isinstance(rates, tuple):
-            rates = rates.tocsr()
-            rates = rates.data, rates.indices, rates.indptr
         data, self.indices, self.indptr = rates
         self.data = np.asarray(data, dtype=float)
         self.labels = {k: np.asarray(v, dtype=bool) for k, v in (labels or {}).items()}
@@ -779,28 +753,6 @@ class ConcreteCtmc:
             raise ModelError(f"unknown reward: {name}") from None
 
 
-class PartialCtmc(ConcreteCtmc):
-    """Truncated CTMC with one absorbing sink collecting all redirected mass.
-
-    The sink is the last state index; labels and rewards never include it, so
-    analyses choose explicitly how to treat truncated mass.
-    """
-
-    def __init__(self, states, initial, rates, labels, rewards,
-                 retained_states, redirected_rate):
-        super().__init__(states, initial, rates, labels, rewards)
-        self.retained_states = retained_states
-        self.redirected_rate = redirected_rate
-
-    @property
-    def sink(self) -> int:
-        return self.num_states - 1
-
-    @property
-    def sink_reachable(self) -> bool:
-        return self.redirected_rate > 0.0
-
-
 def build_full(m: ParametricCtmc, u: Valuation) -> ConcreteCtmc:
     """Instantiate at u and build the full reachable CTMC (BFS order).
 
@@ -816,75 +768,7 @@ def build_full(m: ParametricCtmc, u: Valuation) -> ConcreteCtmc:
                         t.labels, t.rewards)
 
 
-def build_partial(m: ParametricCtmc, u: Valuation, delta: float) -> PartialCtmc:
-    """Build a truncated CTMC keeping states with estimated reach probability > delta.
-
-    States are expanded in descending order of the product of embedded-DTMC
-    branch probabilities along their discovery path (an upper estimate of the
-    probability to reach them); a state with estimate <= delta is not expanded
-    and all transitions into it are redirected to the sink.  The retained set
-    always contains the initial support.  Only the rates of retained states are
-    checked for graph preservation.  The search runs over the model's whole
-    compiled table, as the graph check of sampling does, so the state cap
-    that bounds the table bounds the expanded states too.
-    """
-    from scipy import sparse
-
-    if not 0 < delta <= 1:
-        raise ModelError("delta must lie in (0, 1]")
-    inst = _Instance(m, u)
-    t = inst.table
-    n = len(t.states)
-    # each state's merged edges in the order of their first edge
-    bounds, targets = t.rows
-    merged = inst.rates[t.visit].tolist()
-
-    # Best-first exploration by estimated reachability (max product of branch
-    # probabilities; lazy-deletion heap keyed on the running best).
-    best = [1.0] * t.roots + [0.0] * (n - t.roots)
-    heap = [(-1.0, i, i) for i in range(t.roots)]
-    seq = t.roots
-    expanded = set()
-    order = []
-    while heap:
-        neg_est, _, i = heapq.heappop(heap)
-        est = -neg_est
-        if i in expanded or est < best[i] or est <= delta:
-            continue
-        expanded.add(i)
-        order.append(i)
-        row = merged[bounds[i]:bounds[i + 1]]
-        exit_rate = sum(row)
-        if exit_rate <= 0:
-            continue
-        for j, rate in zip(targets[bounds[i]:bounds[i + 1]], row):
-            if j in expanded:
-                continue
-            estimate = est * rate / exit_rate
-            if estimate > best[j]:
-                best[j] = estimate
-                heapq.heappush(heap, (-estimate, seq, j))
-                seq += 1
-    retained = list(range(t.roots)) + [i for i in order if i >= t.roots]
-    reason = inst.violation(retained)
-    if reason is not None:
-        raise GraphPreservationError(reason)
-
-    # the retained rows in search order, every column outside them mapped
-    # onto the sink; each row keeps its entries in the order of their first edge
-    size = len(retained)
-    position = np.full(n, size)
-    position[retained] = np.arange(size)
-    sources = position[np.repeat(np.arange(n), np.diff(t.indptr))]
-    entries = t.visit[sources < size]
-    columns = position[t.indices[entries]]
-    values = inst.rates[entries]
-    rates = sparse.csr_matrix((values, (sources[sources < size], columns)),
-                              shape=(size + 1, size + 1))
-    # the sink has no initial mass, no label and reward 0
-    initial = np.append(t.initial[retained], 0.0)
-    labels = {name: np.append(bits[retained], False) for name, bits in t.labels.items()}
-    rewards = {name: np.append(v[retained], 0.0) for name, v in t.rewards.items()}
-    states = [t.states[i] for i in retained]
-    return PartialCtmc(states + [None], initial, rates, labels, rewards,
-                       tuple(states), float(values[columns == size].sum()))
+# Partial chains were removed.  The name stays only because perfbench/tracer.py
+# looks it up; ROADMAP item 10 drops that row, and this stub with it.
+def build_partial(*args, **kwargs):
+    raise ModelError("partial chains were removed")

@@ -15,7 +15,6 @@ from uctmc import (
     TimeBoundedReach,
     bound_measures,
     build_full,
-    build_partial,
     evaluate_measures,
     instant_reward,
     interval_reach,
@@ -31,6 +30,7 @@ from uctmc import (
 from uctmc.scenario import BoxRegion
 
 from oracles import (
+    chain_reference,
     dense_generator,
     interval_reach_oracle,
     poisson_terms_loop,
@@ -142,7 +142,16 @@ def _oracle_values(c, measures):
 
 
 def _with_reward(c, name, reward):
-    return ConcreteCtmc(c.states, c.initial, c.rates, c.labels, {**c.rewards, name: reward})
+    return ConcreteCtmc(c.states, c.initial, (c.data, c.indices, c.indptr), c.labels,
+                        {**c.rewards, name: reward})
+
+
+def _sink_chain(m, u, size):
+    """The first ``size`` states of m's chain at u in BFS order, with every
+    edge that leaves them sent to one last absorbing sink (no label, reward 0)."""
+    retained = build_full(m, u).states[:size]  # compiles m for the reference
+    rates, initial, labels, rewards = chain_reference(m, u, retained)
+    return ConcreteCtmc.from_dense(rates.toarray(), initial, labels, rewards)
 
 
 def _death_measures():
@@ -483,8 +492,8 @@ def test_uniformized_matches_sparse_reference(sir20, mean_valuation):
     full = build_full(sir20, mean_valuation)
     buffer = uctmc.load_model(uctmc.example_model_path("buffer"))
     u = uctmc.Valuation.from_floats([35.0, 30.0, 30.0, 0.05, 10.0, 10.0])
-    partial = build_partial(buffer, u, 1e-3)
-    assert partial.sink_reachable
+    partial = _sink_chain(buffer, u, 60)
+    assert (partial.indices == partial.num_states - 1).any()  # the sink is reachable
     still = ConcreteCtmc.from_dense(np.zeros((3, 3)), [1.0, 0.0, 0.0])
     chains = [full, full, partial, partial, still]
     absorbing = [None, full.label_mask("extinct"), None, partial.label_mask("both_busy"), None]
@@ -1054,8 +1063,6 @@ def test_reward_scale_is_the_largest_reachable_value():
         "labels": {"top": "z=3"},
         "rewards": {"shifted": {"states": "z+3"}}})
     u = uctmc.Valuation.from_floats([1.5])
-    partial = build_partial(m, u, 0.2)  # keeps -2 .. 2
-    assert partial.sink_reachable
     full = build_full(m, u)
     assert _reward_scale(full) == 6.0
     eps = 1e-8
@@ -1154,13 +1161,14 @@ def test_batches_bound_kept_series(monkeypatch):
 ])
 def test_series_steps_cover_the_poisson_window(model, measure_file, delta):
     # the kept-series bound of a batch reaches the right end of the Poisson
-    # window at the chain's uniformization rate and the largest measure time
+    # window at the chain's uniformization rate and the largest measure time;
+    # a case with a delta checks a chain with a sink (a BFS prefix of states)
     from uctmc.checker import _Blocks, _poisson_windows, _series_steps
 
     m = uctmc.load_model(uctmc.example_model_path(model))
     measures = uctmc.io.read_measures(uctmc.example_model_path(measure_file))
     u = uctmc.sample_valuations(m, 1, seed=1).valuations[0]
-    chain = uctmc.build_full(m, u) if delta is None else uctmc.build_partial(m, u, delta)
+    chain = uctmc.build_full(m, u) if delta is None else _sink_chain(m, u, 30)
     horizon = max(x.t_hi if isinstance(x, IntervalReach) else x.time for x in measures)
     lam = _Blocks.uniformized([chain], [None]).lam[0]
     (k_lo,), _, weights = _poisson_windows([lam * horizon])

@@ -128,6 +128,33 @@ def test_printer_round_trip_random():
         assert parse_expression(printed) == tree
 
 
+def _negated(e, rng):
+    """``e`` with about half of its literals negated."""
+    if isinstance(e, Num):
+        return Num(-e.value if rng.integers(0, 2) else e.value)
+    if isinstance(e, Neg):
+        return Neg(_negated(e.operand, rng))
+    if isinstance(e, BinOp):
+        return BinOp(e.op, _negated(e.left, rng), _negated(e.right, rng))
+    return e
+
+
+def test_printer_writes_negative_literals_that_parse():
+    # the parser reads a negative literal's sign as a unary minus, so the
+    # printed text is compared by its expansion; below 1 in magnitude the
+    # literal keeps its leading zero ("x * -0.5", not "x * -.5")
+    import numpy as np
+
+    assert to_source(BinOp("*", Name("x"), Num(Fraction(-1, 2)))) == "x * -0.5"
+    assert to_source(Num(Fraction(-1, 20))) == "-0.05"
+    rng = np.random.default_rng(11)
+    trees = [Neg(Num(Fraction(-1, 4))), BinOp("-", Name("a"), Num(Fraction(-3)))]
+    trees += [_negated(_random_expr(rng, 4), rng) for _ in range(300)]
+    for tree in trees:
+        printed = to_source(tree)
+        assert polynomial(parse_expression(printed), {}) == polynomial(tree, {}), printed
+
+
 def test_guard_round_trip():
     for text in ("S>0 & I>0", "I=0", "S>0 | (I>0 & R<5)", "(a<1 | b<1) & c>=2"):
         g = parse_guard(text)

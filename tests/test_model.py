@@ -12,7 +12,6 @@ from uctmc import (
     ModelError,
     Valuation,
     build_full,
-    build_partial,
     check_graph_preserving,
     graph_preservation_violation,
     parse_model,
@@ -329,18 +328,6 @@ def test_compiled_rates_match_per_edge_fractions(k):
         assert abs(rates[x, x + 1] - float(exact)) <= 4e-16 * float(exact)
 
 
-def test_partial_validates_the_states_it_expands():
-    m = _kernel_model()
-    u = Valuation.from_floats([0.5])
-    with pytest.raises(GraphPreservationError, match=r"\(2,\) -> \(3,\)"):
-        build_partial(m, u, 1e-3)
-    # at delta 1 only the initial state is expanded: state (2,) is not
-    # retained, so its zero rate is never instantiated
-    partial = build_partial(m, u, 1.0)
-    assert partial.retained_states == ((0,),)
-    assert partial.rates[0, partial.sink] == pytest.approx(1.5)
-
-
 def _two_variable_model(commands, **overrides):
     doc = _mini_model(
         variables=[{"name": "x", "init": 0, "min": 0, "max": 4},
@@ -537,8 +524,7 @@ def test_state_cap_bounds_every_entry_point_that_compiles(monkeypatch, mean_valu
     m = uctmc.load_model(uctmc.example_model_path("sir20"))
     for call in (lambda: build_full(m, mean_valuation),
                  lambda: graph_preservation_violation(m, mean_valuation),
-                 lambda: uctmc.sample_valuations(m, 3, 1),
-                 lambda: build_partial(m, mean_valuation, 0.1)):
+                 lambda: uctmc.sample_valuations(m, 3, 1)):
         with pytest.raises(uctmc.StateCapExceeded, match="^state cap of 100 exceeded$"):
             call()
         assert m not in um._tables
@@ -581,66 +567,9 @@ def test_compiled_chains_match_per_state_reference():
             assert all(np.array_equal(full.labels[k], labels[k]) for k in labels)
             assert full.rewards.keys() == rewards.keys()
             assert all(np.array_equal(full.rewards[k], rewards[k]) for k in rewards)
-            for delta in (1e-2, 1e-4):
-                partial = build_partial(m, u, delta)
-                rates, initial, labels, rewards = chain_reference(
-                    m, u, partial.retained_states)
-                got, want = partial.rates.toarray(), rates.toarray()
-                assert np.array_equal(got != 0, want != 0)
-                assert np.all(np.abs(got - want) <= 1e-14 * want)
-                assert np.array_equal(partial.initial, initial)
-                assert all(np.array_equal(partial.labels[k], labels[k]) for k in labels)
-                assert all(np.array_equal(partial.rewards[k], rewards[k]) for k in rewards)
     # full chains share the model's arrays, so those are read-only
     with pytest.raises(ValueError):
         build_full(m, u).initial[0] = 1.0
-
-
-# ---------------------------------------------------------------------------
-# Partial models
-# ---------------------------------------------------------------------------
-
-def test_partial_tiny_delta_equals_full(sir20, mean_valuation):
-    full = build_full(sir20, mean_valuation)
-    partial = build_partial(sir20, mean_valuation, 1e-100)
-    assert len(partial.retained_states) == full.num_states
-    assert not partial.sink_reachable
-
-
-def test_partial_delta_one_keeps_initial_support_only(sir20, mean_valuation):
-    partial = build_partial(sir20, mean_valuation, 1.0)
-    assert partial.retained_states == ((15, 5, 0),)
-    # all outgoing mass is redirected, exit rate is preserved
-    full = build_full(sir20, mean_valuation)
-    assert partial.exit_rates[0] == pytest.approx(full.exit_rates[0])
-    assert partial.rates[0, partial.sink] == pytest.approx(full.exit_rates[0])
-
-
-def test_partial_sink_is_absorbing(sir20, mean_valuation):
-    partial = build_partial(sir20, mean_valuation, 1e-3)
-    assert partial.exit_rates[partial.sink] == 0.0
-    assert partial.rates[partial.sink].nnz == 0
-
-
-def test_partial_exit_rates_match_full(sir20, mean_valuation):
-    full = build_full(sir20, mean_valuation)
-    partial = build_partial(sir20, mean_valuation, 1e-3)
-    full_index = {s: i for i, s in enumerate(full.states)}
-    for i, state in enumerate(partial.retained_states):
-        assert partial.exit_rates[i] == pytest.approx(full.exit_rates[full_index[state]])
-
-
-def test_partial_retained_monotone_in_delta(sir20, mean_valuation):
-    small = set(build_partial(sir20, mean_valuation, 1e-6).retained_states)
-    large = set(build_partial(sir20, mean_valuation, 1e-2).retained_states)
-    assert large <= small
-
-
-def test_partial_sir140_truncates(sir140):
-    u = Valuation.from_floats([0.05, 0.04])
-    partial = build_partial(sir140, u, 1e-4)
-    assert len(partial.retained_states) < 9996
-    assert partial.sink_reachable
 
 
 def test_reward_must_be_nonnegative():
