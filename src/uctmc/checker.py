@@ -55,7 +55,13 @@ step:
   one: a mean band of about 3,150 of 9,996 states);
 * a column at time t is cut at the first K whose bound on P(N_t > K) is
   within epsilon * 2^-16 / s (the smallest of three bounds, see
-  ``_Adaptive._pass``), and the pass ends when every column is cut.
+  ``_Adaptive._pass``), and the pass ends when every column is cut.  The
+  pass keeps each step's Lambda_k, dropped mass and series, and tests a
+  window of ``_WINDOW`` steps at once, each step's bounds as alone, so it
+  finds the same first K; a window ends early at a step where every block
+  with a column left has Lambda_k = 0, which cuts them all.  A pass may
+  thus step up to ``_WINDOW`` - 1 steps past its last cut, and trims what
+  it keeps to that cut: no cut moves, and no error share changes.
 
 In a pass that keeps the series (every pass but phase one's, below), the
 weights P(N_t = k) come from the birth kernel (``_Births``), run on birth
@@ -84,7 +90,12 @@ its deterministic pass:
 
 * the first run finds the rates and, per block, the last level j before the
   first whose Chernoff bound on P(N_{t_lo} < j) misses its share
-  (``_Head``); it copies one iterate, x_j at the batch's smallest j;
+  (``_Head``, judged a window at a time with the cuts); it keeps one
+  iterate, x_j at the batch's smallest j.  It copies the iterate at each
+  window start until the first blocks settle, and then steps from the copy
+  of their window's start to x_j again, with its step index and dropped
+  mass, which repeats the first run bit for bit: the saved level and
+  iterate are those of a test at every step;
 * its weights come from the birth kernel in time segments
   (``_birth_weights``).  A birth chain's rates may rise to a peak and then
   fall by orders of magnitude (sir140: up to 234, then down to 0.04 within
@@ -97,6 +108,8 @@ its deterministic pass:
 * the second run steps on from x_j, with its step index and dropped mass,
   so it repeats the first run's iterates bit for bit, and each block weighs
   its own levels from its own j to its cut (sir140: the last 39 of 539).
+  Each weighted iterate is added over the states [lo, hi] that hold its
+  mass only, state-major; every other state of it is zero.
 
 Both kernels read one assembly (``_generator``) of a batch's chains as the
 blocks of one block-diagonal generator, each padded to the largest chain
@@ -211,6 +224,7 @@ _LEVEL_SHARE = 2.0**-17  # of epsilon: birth levels zeroed per pass
 _SEGMENT_STEPS = 1024  # most expected steps of a first birth-weight segment
 _FLUSH_EVERY = 64
 _WIDE_BATCH = 40  # blocks from which a per-block reduction runs along the states
+_WINDOW = 16  # adaptive steps per evaluation of a pass's bookkeeping
 
 log = logging.getLogger("uctmc.checker")
 
@@ -669,7 +683,8 @@ class _Adaptive:
         Q_off^T and the update.  The rows outside hold zeros, which the full
         step would leave as they are, so every entry gets the bits of a step
         over all states.  The per-entry rate and Lambda_k - e are rebuilt
-        when some Lambda_k changes, and extended as the rows grow.
+        when some Lambda_k changes, and extended as the rows grow.  ``held``
+        is [lo, hi) of the yielded x_k: it is zero in every other state.
         """
         blocks = len(self.share)
         # a copy, never the caller's memory
@@ -711,7 +726,9 @@ class _Adaptive:
                 live = positive[(lo - a) * blocks:(hi - a) * blocks]
                 lam = _block_max(self.exits[lo * blocks:hi * blocks] * live, blocks)
             else:
+                lo = hi = a
                 lam = np.zeros(blocks)
+            self.held = lo, hi
             yield view, lam, dropped
             if not positive[hit]:
                 continue  # no mass left to move
@@ -760,6 +777,21 @@ class _Adaptive:
           (its window ends where the terms fall below 1e-30).
 
         A block without rate keeps its mass: its tail is 0.
+
+        The pass keeps each step's Lambda_k, dropped mass and series, and
+        evaluates its bookkeeping once per window of ``_WINDOW`` steps: the
+        running sums (``np.add.accumulate`` on from the last window's, the
+        same sequential additions), every step's bounds and each column's
+        first cut, and ``_Head``'s test, each step as alone.  A window ends
+        early at a step whose Lambda_k is 0 in every block with a column
+        left, as log 0 cuts them all there: that is how a pass whose mass
+        drains ends.  Otherwise it may step up to ``_WINDOW`` - 1 steps past
+        the last cut; what it returns is trimmed to the last cut, and every
+        cut and level is the one a test at every step finds.  While no block
+        has settled, it copies the iterate at each window start, with its
+        step index and dropped mass; when the first blocks settle at level j
+        inside the window, it steps from that copy to x_j again, which
+        repeats the first run bit for bit (``_steps``).
         """
         blocks = len(start)
         with np.errstate(divide="ignore"):
@@ -768,50 +800,77 @@ class _Adaptive:
             log_poisson = np.log(poisson)
         cuts = np.where(times == 0.0, 0, -1) + np.zeros((blocks, 1), dtype=np.int64)
         tails = np.full(cuts.shape, -np.inf)
-        mean, var, log_rates = np.zeros(blocks), np.zeros(blocks), np.zeros(blocks)
+        # running sums of 1/Lambda_k, 1/Lambda_k^2 and log Lambda_k, per step
+        # of the last window
+        sums = np.zeros((1, 3, blocks))
         rates, series, drops = [], [], []
         head = _Head(float(times[0]), self.log_head) if save else None
+        steps, saved, again, w = self._steps(start), None, 0, 0
         with np.errstate(divide="ignore", invalid="ignore"):
-            for k, (x, lam, dropped) in enumerate(self._steps(start)):
-                if reader is not None:
-                    # x is a view of the state-major iterate, which is its F order
-                    series.append(np.zeros(len(reader[0]) - 1))
-                    csr_matvec(len(series[-1]), x.size, *reader, x.ravel("F"), series[-1])
-                rates.append(lam)
-                drops.append(dropped)
+            while True:
+                uncut = (cuts < 0).any(axis=1)
+                for k, (x, lam, dropped) in zip(range(w, w + _WINDOW), steps):
+                    if k == w and head is not None and saved is None:
+                        # the state-major iterate, and what resumes it
+                        copy = x.T.copy(), dropped
+                    if reader is not None:
+                        # x is a view of the state-major iterate, which is its F order
+                        series.append(np.zeros(len(reader[0]) - 1))
+                        csr_matvec(len(series[-1]), x.size, *reader, x.ravel("F"),
+                                   series[-1])
+                    rates.append(lam)
+                    drops.append(dropped)
+                    if not lam[uncut].any():
+                        break  # log Lambda_k = -inf: every column left is cut at k
+                lam = np.array(rates[w:])
                 inverse = 1.0 / lam
-                mean += inverse
-                var += inverse * inverse
-                log_rates += np.log(lam)
-                # logs of the bounds; fmin skips the NaN of a block without
-                # rate, whose first bound is -inf
-                gap = np.maximum(mean[:, None] - times, 0.0)
-                bound = np.fmin((k + 1) * log_times + log_rates[:, None] - math.lgamma(k + 2),
-                                -gap * gap / (2.0 * var[:, None]))
-                bound = np.fmin(bound, np.where(poisson < k + 1, k + 1 - poisson + (k + 1) * (
-                    log_poisson - math.log(k + 1)), 0.0))
-                new = (cuts < 0) & (bound <= self.log_tail[:, None])
-                cuts[new], tails[new] = k, bound[new]
+                sums = np.add.accumulate(np.concatenate(
+                    (sums[-1:], np.stack((inverse, inverse * inverse, np.log(lam)), axis=1))))
+                mean, var, log_rates = sums[1:].transpose(1, 0, 2)
+                # logs of the bounds per (step, block, time); fmin skips the
+                # NaN of a block without rate, whose first bound is -inf
+                levels = range(w + 1, w + len(lam) + 1)  # k + 1 per step
+                n = np.array(levels, dtype=float)[:, None, None]
+                log_factorial, log_n = np.array(
+                    [(math.lgamma(i + 1), math.log(i)) for i in levels]).T[:, :, None, None]
+                gap = np.maximum(mean[:, :, None] - times, 0.0)
+                bound = np.fmin(n * log_times + log_rates[:, :, None] - log_factorial,
+                                -gap * gap / (2.0 * var[:, :, None]))
+                bound = np.fmin(bound, np.where(poisson < n, n - poisson + n * (
+                    log_poisson - log_n), 0.0))
+                hit = (bound <= self.log_tail[:, None]) & (cuts < 0)
+                new, at = hit.any(axis=0), hit.argmax(axis=0)
+                cuts[new] = w + at[new]
+                tails[new] = bound[(at[new],) + np.nonzero(new)]
                 if head is not None:
-                    head.step(k, x, dropped, lam, mean, var, cuts[:, 0])
+                    first = head.window(w, lam, mean, var, cuts[:, 0])
+                    if first is not None:
+                        # the band counts of the first run stay as they are;
+                        # the re-step's own iterate is never stepped again
+                        counts = self.rows, self.steps
+                        saved = next(itertools.islice(
+                            self._steps(copy[0].T, w, copy[1]), first - w, None))
+                        saved = saved[0], first, saved[2], head.level
+                        self.rows, self.steps = counts
+                        again = first - w
                 if (cuts >= 0).all():
                     break
-        rates = np.array(rates).T
+                w += len(lam)
+        last = int(cuts.max())
+        rates = np.array(rates[:last + 1]).T
         # a block's values read its iterates up to its last cut only
         self.dropped = np.array(drops)[cuts.max(axis=1), np.arange(blocks)]
         message = ("adaptive pass to t=%g: %d blocks, %d-%d steps, mean band %.1f of %d states, "
                    "largest Lambda_0 %g, largest last Lambda_k %g, largest dropped mass %.3g, "
-                   "largest birth tail %.3g")
-        args = [times.max(), blocks, cuts.min(), cuts.max(), self.rows / max(self.steps, 1),
+                   "largest birth tail %.3g, %d steps past the last cut")
+        args = [times.max(), blocks, cuts.min(), last, self.rows / max(self.steps, 1),
                 len(self.low), rates[:, 0].max(), rates[np.arange(blocks), cuts.max(axis=1)].max(),
-                self.dropped.max(), math.exp(tails.max())]
-        saved = None
-        if head is not None:
-            saved = head.x, head.first, head.dropped, head.level
+                self.dropped.max(), math.exp(tails.max()), len(drops) - last - 1 + again]
+        if saved is not None:
             message += ", saved level %d (second run %d steps)"
-            args += [head.first, cuts.max() - head.first + 1]
+            args += [saved[1], last - saved[1] + 1]
         log.debug(message, *args)
-        return rates, cuts, np.array(series), saved
+        return rates, cuts, np.array(series[:last + 1]), saved
 
     def _weights(self, rates: np.ndarray, cuts: np.ndarray, times: np.ndarray):
         """P(N_t = k) for each block's birth process up to the cut K of time
@@ -840,17 +899,20 @@ class _Adaptive:
     def transient(self, v: np.ndarray, t: float) -> np.ndarray:
         """pi_t per chain from pi_0 = v: the birth weights at t
         (``_birth_weights``), summed over a second run of the same
-        deterministic pass from the iterate its first run saved."""
+        deterministic pass from the iterate its first run saved.  Each
+        weighted iterate is added state-major over the states that hold its
+        mass (``_steps``' ``held``); it adds zeros everywhere else."""
         v = np.asarray(v, dtype=float)
         rates, cuts, _, (x, first, dropped, heads) = self._pass(v, np.array([t]), save=True)
         cuts = cuts[:, 0]
         weights = _birth_weights(rates, cuts, t, self.level_share)
-        out = np.zeros_like(v)
+        out = np.zeros(v.shape[::-1])
         for k, (x, _, _) in zip(range(first, int(cuts.max()) + 1),
                                 self._steps(x, first, dropped)):
+            lo, hi = self.held
             # a block weighs its own levels heads .. cut only
-            out += np.where((heads <= k) & (k <= cuts), weights[:, k], 0.0)[:, None] * x
-        return out
+            out[lo:hi] += np.where((heads <= k) & (k <= cuts), weights[:, k], 0.0) * x.T[lo:hi]
+        return np.ascontiguousarray(out.T)
 
     def series(self, start: np.ndarray, vectors: np.ndarray,
                columns: Sequence[tuple[int, float]]) -> np.ndarray:
@@ -878,8 +940,7 @@ class _Adaptive:
 
 
 class _Head:
-    """Per block of a one-time adaptive pass, the first level j it weighs and
-    the iterate the pass saves for a second run.
+    """Per block of a one-time adaptive pass, the first level j it weighs.
 
     j is the level before the first whose bound on P(N_t < j) = P(T_0 + ...
     + T_(j-1) > t), T_i ~ Exp(Lambda_i), misses the block's share, or the
@@ -889,35 +950,38 @@ class _Head:
     at theta = min((t - m) / 2v, min_(i<j) Lambda_i / 2) with m = sum
     1/Lambda_i and v = sum 1/Lambda_i^2, where log(1 / (1 - x)) <= x + x^2
     for x <= 1/2 bounds it by -theta (t - m) + theta^2 v.  Level j + 1 is
-    judged once Lambda_j is known, so the pass copies its iterate once: x_j
-    at the smallest j of the batch.  Every quantity is per block, so j does
-    not depend on the batch.
+    judged once Lambda_j is known, and a window of steps is judged at once,
+    each step as alone; the pass saves x_j at the smallest j of the batch.
+    Every quantity is per block, so j does not depend on the batch.
     """
 
     def __init__(self, t: float, log_share: np.ndarray):
         self.t, self.log_share = t, log_share
         self.low = np.full(len(log_share), np.inf)  # smallest rate so far
         self.level = np.full(len(log_share), -1, dtype=np.int64)  # j, once known
-        self.x, self.first, self.dropped = None, 0, None
 
-    def step(self, k: int, x: np.ndarray, dropped: np.ndarray, lam: np.ndarray,
-             mean: np.ndarray, var: np.ndarray, cuts: np.ndarray):
-        """After step k, with ``lam`` Lambda_k, ``mean`` and ``var`` the sums
-        of 1/Lambda_i and 1/Lambda_i^2 over i <= k and the cuts so far: settle
-        the blocks whose level k + 1 misses the share or whose cut is k, and
-        save x_k when they are the batch's first."""
-        self.low = np.minimum(self.low, lam)
+    def window(self, first: int, lam: np.ndarray, mean: np.ndarray, var: np.ndarray,
+               cuts: np.ndarray) -> Optional[int]:
+        """After steps k = first, first + 1, ..., with ``lam`` their Lambda_k,
+        ``mean`` and ``var`` the sums of 1/Lambda_i and 1/Lambda_i^2 over i
+        <= k (steps, blocks each) and the cuts so far: settle each block at
+        the first step whose level k + 1 misses the share or that is its
+        cut.  Returns the smallest level when these are the batch's first
+        blocks to settle."""
+        low = np.minimum.accumulate(np.concatenate((self.low[None], lam)), axis=0)[1:]
+        self.low = low[-1]
         open_ = self.level < 0
         if not open_.any():
-            return
+            return None
         gap = self.t - mean
-        theta = np.minimum(gap / (2.0 * var), self.low / 2.0)
+        theta = np.minimum(gap / (2.0 * var), low / 2.0)
         fits = (gap > 0.0) & (theta * (theta * var - gap) <= self.log_share)
-        settle = open_ & (~fits | (cuts == k))
-        if settle.any():
-            if open_.all():
-                self.x, self.first, self.dropped = x.copy(), k, dropped.copy()
-            self.level[settle] = k
+        settle = open_ & (~fits | (cuts == np.arange(first, first + len(lam))[:, None]))
+        new = settle.any(axis=0)
+        if not new.any():
+            return None
+        self.level[new] = first + settle.argmax(axis=0)[new]
+        return int(self.level[new].min()) if open_.all() else None
 
 
 class _Births:

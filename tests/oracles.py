@@ -448,6 +448,82 @@ def adaptive_steps_reference(chains, absorbing, epsilon: float, scale: np.ndarra
         x /= rate
 
 
+def adaptive_pass_reference(adaptive, start: np.ndarray, times: np.ndarray, reader=None,
+                            save: bool = False):
+    """Reference for ``checker._Adaptive._pass``: every step's running sums,
+    tail bounds, head test and stop test evaluated one step at a time, as
+    the steps are taken, so the pass ends at its last cut.  Returns (rates,
+    cuts, series, saved, dropped), with saved (x_j, j, the dropped mass at
+    j, each block's first weighed level) and dropped the mass each block
+    dropped up to its last cut."""
+    import math
+
+    from uctmc._csr import csr_matvec
+
+    blocks = len(start)
+    with np.errstate(divide="ignore"):
+        log_times = np.log(times)
+        poisson = adaptive.top[:, None] * times
+        log_poisson = np.log(poisson)
+    cuts = np.where(times == 0.0, 0, -1) + np.zeros((blocks, 1), dtype=np.int64)
+    mean, var, log_rates = np.zeros(blocks), np.zeros(blocks), np.zeros(blocks)
+    rates, series, drops = [], [], []
+    # the head: per block the smallest rate so far and the first weighed level
+    t, low, level, saved = float(times[0]), np.full(blocks, np.inf), np.full(blocks, -1), None
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k, (x, lam, dropped) in enumerate(adaptive._steps(start)):
+            if reader is not None:
+                series.append(np.zeros(len(reader[0]) - 1))
+                csr_matvec(len(series[-1]), x.size, *reader, x.ravel("F"), series[-1])
+            rates.append(lam)
+            drops.append(dropped)
+            inverse = 1.0 / lam
+            mean += inverse
+            var += inverse * inverse
+            log_rates += np.log(lam)
+            gap = np.maximum(mean[:, None] - times, 0.0)
+            bound = np.fmin((k + 1) * log_times + log_rates[:, None] - math.lgamma(k + 2),
+                            -gap * gap / (2.0 * var[:, None]))
+            bound = np.fmin(bound, np.where(poisson < k + 1, k + 1 - poisson + (k + 1) * (
+                log_poisson - math.log(k + 1)), 0.0))
+            cuts[(cuts < 0) & (bound <= adaptive.log_tail[:, None])] = k
+            if save:
+                low = np.minimum(low, lam)
+                open_ = level < 0
+                gap = t - mean
+                theta = np.minimum(gap / (2.0 * var), low / 2.0)
+                fits = (gap > 0.0) & (theta * (theta * var - gap) <= adaptive.log_head)
+                settle = open_ & (~fits | (cuts[:, 0] == k))
+                if settle.any():
+                    if open_.all():
+                        saved = x.copy(), k, dropped.copy()
+                    level[settle] = k
+            if (cuts >= 0).all():
+                break
+    if saved is not None:
+        saved += (level,)
+    dropped = np.array(drops)[cuts.max(axis=1), np.arange(blocks)]
+    return np.array(rates).T, cuts, np.array(series), saved, dropped
+
+
+def adaptive_transient_reference(adaptive, v: np.ndarray, t: float) -> np.ndarray:
+    """Reference for ``checker._Adaptive.transient``: the saving pass of
+    ``adaptive_pass_reference``, then a second run from its saved iterate
+    that adds each weighted iterate over every padded state of every
+    block."""
+    from uctmc.checker import _birth_weights
+
+    rates, cuts, _, (x, first, dropped, heads), _ = adaptive_pass_reference(
+        adaptive, v, np.array([t]), save=True)
+    cuts = cuts[:, 0]
+    weights = _birth_weights(rates, cuts, t, adaptive.level_share)
+    out = np.zeros_like(v)
+    for k, (x, _, _) in zip(range(first, int(cuts.max()) + 1),
+                            adaptive._steps(x, first, dropped)):
+        out += np.where((heads <= k) & (k <= cuts), weights[:, k], 0.0)[:, None] * x
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Per-state compile and chain assembly
 # ---------------------------------------------------------------------------

@@ -311,6 +311,74 @@ def fast_then_slow_chain(top=60):
     return ConcreteCtmc.from_dense(rates, initial, labels={"extinct": extinct})
 
 
+def _pass_case(case, sir20, sir140, sir_measures):
+    """The chains, absorbing sets, reward vectors (None: the targets' pass),
+    times and whether the pass saves an iterate, for one windowed-pass
+    case."""
+    from uctmc.sampling import sample_valuations
+
+    four = [build_full(sir20, u) for u in sample_valuations(sir20, 4, 3).valuations]
+    windows = [m.t_hi - m.t_lo for m in sir_measures]
+    if case == "sir20 target":
+        return four, "extinct", None, [100.0], True
+    if case == "sir20 reward":
+        return four, None, "infected", windows, False
+    if case == "sir140":
+        chains = [build_full(sir140, u) for u in sample_valuations(sir140, 2, 1).valuations]
+        return chains, "extinct", None, [100.0], True
+    if case == "fast then slow":
+        return [fast_then_slow_chain()], "extinct", None, [40.0], True
+    if case == "t = 0":
+        return four[:2], "extinct", None, [0.0, 3.0], False
+    if case == "first window":
+        return four[:2], "extinct", None, [0.05], True
+    return [fast_then_slow_chain(), four[0]], "extinct", None, [40.0], True
+
+
+@pytest.mark.parametrize("case", ["sir20 target", "sir20 reward", "sir140", "fast then slow",
+                                  "t = 0", "first window", "different windows"])
+def test_windowed_pass_matches_the_per_step_pass_bit_for_bit(case, sir20, sir140, sir_measures):
+    # the pass evaluates its bookkeeping once per window of steps and steps
+    # on past its last cut, then trims; its rates, cuts, series, saved
+    # iterate and dropped masses, and the second run over the band, are the
+    # bits of a pass that tests every step as it is taken
+    from uctmc.checker import _DROP_SHARE, _WINDOW, _Adaptive, _padded, _reader
+    from oracles import adaptive_pass_reference, adaptive_transient_reference
+
+    chains, target, reward, times, save = _pass_case(case, sir20, sir140, sir_measures)
+    absorbing = [None if target is None else c.label_mask(target) for c in chains]
+    size = max(c.num_states for c in chains)
+    start = _padded([c.initial for c in chains], size)
+    name = target if reward is None else reward
+    vectors = _padded([[c.reward_vector(name) if reward else c.label_mask(name).astype(float)]
+                       for c in chains], size)
+    scale = vectors.max(axis=(1, 2)).clip(1.0)
+    adaptive = _Adaptive(chains, absorbing, 1e-6, scale, 1e-6 * _DROP_SHARE)
+    times = np.array(times)
+    # state-major, as _Adaptive.series numbers it
+    reader = _reader(vectors, np.arange(start.size).reshape(size, len(chains)).T)
+    for read in ((reader, None) if not save else (None,)):
+        ours = adaptive._pass(start, times, read, save)
+        ours += (adaptive.dropped,)
+        theirs = adaptive_pass_reference(adaptive, start, times, read, save)
+        for one, other in zip(ours[:3] + ours[4:], theirs[:3] + theirs[4:]):
+            assert one.shape == other.shape and np.array_equal(one, other)
+        assert (ours[3] is None) == (theirs[3] is None)
+        if save:
+            for one, other in zip(ours[3], theirs[3]):
+                assert np.array_equal(one, other)
+    cuts = ours[1]
+    if case == "first window":
+        assert cuts.max() < _WINDOW
+    if case == "different windows":
+        assert len(set((cuts.max(axis=1) // _WINDOW).tolist())) > 1
+    if case == "t = 0":
+        assert cuts[:, 0].max() == 0 and cuts[:, 1].min() > 0
+    if save:
+        assert np.array_equal(adaptive.transient(start, times[0]),
+                              adaptive_transient_reference(adaptive, start, times[0]))
+
+
 @pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-12])
 def test_interval_measures_on_a_fast_then_slow_chain_match_expm_oracle(eps):
     # phase one runs its birth weights in several segments and weighs only
@@ -422,15 +490,20 @@ def test_checking_leaves_every_array_of_the_chain_unchanged(sir20, mean_valuatio
 def test_adaptive_pass_logs_its_mean_band(caplog):
     # the death chain's mass moves down one state per step in phase one and
     # sits in a few states in phase two, so each pass steps a band far
-    # narrower than the chain
+    # narrower than the chain; a pass steps past its last cut at most to the
+    # end of its window, and phase one steps again to its saved level from
+    # the start of that level's window
+    from uctmc.checker import _WINDOW
+
     c = fast_then_slow_chain()
     with caplog.at_level("DEBUG", logger="uctmc.checker"):
         interval_reaches(c, "extinct", 40.0, [45.0, 60.0, 100.0])
     bands = re.findall(r"adaptive pass to t=\S+: 1 blocks, \d+-\d+ steps, mean band (\S+) of "
-                       r"(\d+) states", caplog.text)
+                       r"(\d+) states, .*, (\d+) steps past the last cut", caplog.text)
     assert len(bands) == 2
-    for band, states in bands:
+    for band, states, past in bands:
         assert int(states) == c.num_states and 1.0 <= float(band) < c.num_states / 2
+        assert 0 <= int(past) < 2 * _WINDOW
 
 
 def test_iterates_match_public_matmul_with_flush():
