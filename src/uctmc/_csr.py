@@ -1,7 +1,8 @@
 """scipy's compiled CSR kernels, loaded without importing scipy.
 
-uctmc steps its chains with two C kernels of scipy's ``_sparsetools``
-extension: ``csr_matvec`` (y += A x) and ``csr_tocsc`` (the transpose).
+uctmc steps its chains with three C kernels of scipy's ``_sparsetools``
+extension: ``csr_matvec`` (y += A x), ``csr_matvecs`` (Y += A X, for X with
+several columns, row-major) and ``csr_tocsc`` (the transpose).
 ``import scipy.sparse`` would also run ``scipy/__init__`` and
 ``scipy/sparse/__init__``, which take a few tenths of a second, mostly in
 scipy's array-API layer.  The extension is loaded here from its file, which
@@ -36,4 +37,5 @@ def _load():
 
 sparsetools = _load()
 csr_matvec = sparsetools.csr_matvec
+csr_matvecs = sparsetools.csr_matvecs
 csr_tocsc = sparsetools.csr_tocsc

@@ -118,22 +118,50 @@ row stays per state and per block.  The adaptive kernel holds its Q_off^T
 and iterate state-major (above); its Q_off^T is the assembly's entries
 transposed by one ``csr_tocsc``, with the indices renumbered.  The plain
 kernel (``_Blocks``) holds its blocks one after another, block-major, and
-turns the assembly into one block-diagonal P^T: q / Lambda off the
-diagonal and 1 - e / Lambda on it, within a few ulps of (I + Q /
-Lambda)^T.
-One stepping routine (``_iterates``) produces the power sequence: each step
-is one call of scipy's CSR mat-vec kernel over the prefix of blocks that
-still need steps.  Blocks are sorted by descending Lambda, so a block whose
-Poisson windows have ended drops off the end of the prefix.  A pass starts at
-the smallest left truncation point of its columns and keeps the series x_k .
-v per block and vector; each (vector, time) column is then one
-Poisson-weighted sum over its window of that series.  Every Poisson window of
-a pass comes from one vectorized call (``_poisson_windows``).  Each step's
-dots are one more CSR mat-vec, of a reader matrix that holds v's nonzeros
-with one row per (block, vector) in block-major order, so each row is summed
-in state order over v's nonzeros, whatever the padding or batch.  In both
-kernels everything computed per block is computed as in a batch of one, so a
-chain's results are the same bits in any batch.
+turns the assembly, sorted by row, into one block-diagonal P: q / Lambda off
+the diagonal and 1 - e / Lambda on it, within a few ulps of I + Q / Lambda;
+a transient pass transposes it once into P^T.  One stepping routine
+(``_iterates``) produces both power sequences: each step is one call of
+scipy's CSR mat-vec kernel over the prefix of blocks that still need steps
+(``csr_matvecs`` for several vectors of a block, which gives each the bits
+of its own ``csr_matvec``).  Blocks are sorted by descending Lambda, so a
+block that is done drops off the end of the prefix once every block after
+it is.  Every Poisson window of a pass comes from one vectorized call
+(``_poisson_windows``).
+
+* A series pass (every plain pass but phase one's) steps backward: u_k =
+  P^k v for every vector of a block at once, and keeps the series start .
+  u_k = x_k . v per block and vector from step 0; each (vector, time)
+  column is one Poisson-weighted sum over its window of that series.  Each
+  step's dots are one more CSR mat-vec, of a reader matrix that holds the
+  start's nonzeros with one row per (block, vector) in block-major order,
+  so each row is summed in state order, whatever the padding or batch.
+* Its steady-state cut: P is stochastic, so each entry of P u is a convex
+  combination of u's entries, and over a block's states min u_k never
+  falls and max u_k never rises.  For j > K, x_j . v = x_(j-K) . u_K, where
+  x_(j-K) is nonnegative with the start's mass m (at most 1), so it lies in
+  [m min u_K, m max u_K], as x_K . v = start . u_K does: every later term
+  is within span(u_K) = max u_K - min u_K of it (Sericola 1999 uses the
+  same monotone bounds to detect stationarity).  Every ``_SPAN_EVERY``
+  steps, a block's vector whose span over the block's own states (its
+  padding left out) is within epsilon * 2^-16 is cut at that step K: its
+  columns keep their weights up to K and give the rest of their window to
+  start . u_K, also when K comes before the window's left truncation
+  point.  The test first reads the gap between the two states where v is
+  largest and smallest, which bounds the span from below, and takes the
+  span only where that gap is within the share.  The pass ends when every
+  block is cut or has reached its last window end.  The argument needs no
+  ergodicity: a span that never closes (two closed classes, a target that
+  some states cannot reach) is never cut, and its block runs to its window
+  end as without the cut (buffer, t = 25: every block cut within 224-400
+  of 3,755 steps; tandem reach: none).  Each test reads one block's own
+  rows at fixed steps, so a value is the same bits in any batch.
+* A transient pass (phase one of a plain interval measure) steps forward,
+  x_(k+1) = x_k P by P^T, from the smallest left truncation point of its
+  blocks, and adds each weighted iterate.
+
+In both kernels everything computed per block is computed as in a batch of
+one, so a chain's results are the same bits in any batch.
 
 Batches are consecutive chains (``_batches``) holding at most
 ``DEFAULT_STATE_CAP`` states, counted padded, and keeping at most
@@ -146,7 +174,7 @@ only until the next step.
 Error budget of a measure, for epsilon >= ``MIN_EPSILON``.  Every iterate and
 weight is nonnegative.  The first four items only lose mass, each at most its
 share over s, and a value weighs lost mass by at most s; a plain pass has
-none of them, and loses only the last three:
+none of them, and loses only the steady-state cut and the last three:
 
 * Dropped mass: at most epsilon / (8 s) per adaptive pass and block in exact
   mode.  The mass dropped at step k would have followed the chain from the
@@ -163,22 +191,35 @@ none of them, and loses only the last three:
   twice, once per phase, and the head share once (phase one's values weigh
   its lost mass by at most 1), so these four items together cost at most
   epsilon / 4 + epsilon * 2^-14.
+* Steady-state cut (plain series passes): at most epsilon * 2^-16 per pass
+  and column, the span of u_K (above) weighed by the start's mass.  Its
+  rounding slack: the stored P is stochastic only within rounding, as a row
+  of r entries sums to 1 within (r + 2) u (u = 2^-53) and a diagonal entry
+  may round to -2u; with each mat-vec's own rounding (r u), a computed step
+  may widen [min u_k, max u_k] by (2r + 8) u max|v|, and a flush moves an
+  entry by less than 1e-280.  So a value cut at K lies within epsilon *
+  2^-16 + (2K + N) (2r + 8) u max|v| of the uncut forward pass's over the
+  same P, N its window end: about 8e-11 max|v| at K = N = 10^4 and r = 8,
+  the order of the forward pass's own rounding.  A pass that is never cut
+  loses nothing to it.
 * Poisson cut: weights are accumulated by a stable mode-outward recurrence
   and cut once terms fall below 1e-30 of the peak; the retained weights are
   renormalized.  The discarded mass is far below ``MIN_EPSILON``, also
   summed over the few segments of a phase-one pass.
 * Subnormal flush: draining mass leaves thousands of subnormal entries, which
   make every sparse mat-vec many times slower.  Every 64 steps the entries of
-  the iterate below 1e-280 are set to zero, so a pass of K steps over n
-  states removes at most n * ceil(K/64) * 1e-280: below 1e-250 under the
-  10^7-state cap for any pass shorter than 10^20 steps.
-* Series dot: each x_k . v is a sequential sum over the m nonzeros of v.
-  Its terms are nonnegative, so the sum's relative error is at most
-  (m - 1) * u with u = 2^-53 (one u more when v is not 0/1, for the
-  products): about 1.1e-12 at m = 10^4 states and 1.1e-9 at the 10^7-state
-  cap, relative to a value of at most 1 or the largest reward.  An
-  adaptive column's dot of its birth weights and that series adds K + 1
-  terms more, in the same way.
+  the iterate below 1e-280 in magnitude are set to zero, so a pass of K
+  steps over n states removes at most n * ceil(K/64) * 1e-280: below
+  1e-250 under the 10^7-state cap for any pass shorter than 10^20 steps.  A
+  backward series pass moves each entry of u_k, and so start . u_k, by at
+  most ceil(K/64) * 1e-280.
+* Series dot: each x_k . v is a sequential sum over the m nonzeros of v
+  (on the plain kernel, start . u_k over the m nonzeros of the start).  Its
+  terms are nonnegative, so the sum's relative error is at most (m - 1) * u
+  with u = 2^-53 (one u more when v is not 0/1, for the products): about
+  1.1e-12 at m = 10^4 states and 1.1e-9 at the 10^7-state cap, relative to
+  a value of at most 1 or the largest reward.  An adaptive column's dot of
+  its birth weights and that series adds K + 1 terms more, in the same way.
 
 Approximate mode (``_bound_valuations``) is the same pass, with a drop
 budget of min(delta, epsilon / 8) / s per adaptive pass and block: lower is
@@ -186,15 +227,17 @@ the computed value and upper = lower + s times the mass the measure's passes
 dropped up to its last cut.  Only dropped mass widens the interval, as the
 exact value weighs it by at most s; the other losses stay inside epsilon, as
 in exact mode, so lower - epsilon <= exact <= upper + epsilon.  Plain chains
-drop nothing.  With delta >= epsilon / 8 (the default 1e-2 for epsilon up to
-0.08), lower is exact mode's value bit for bit.  An open gap reruns with a
-tenth of the budget; a budget of 0 drops nothing.  Exact mode, refinement and
+drop nothing: their steady-state cut is one of the losses inside epsilon,
+and their gap stays 0.  With delta >= epsilon / 8 (the default 1e-2 for
+epsilon up to 0.08), lower is exact mode's value bit for bit.  An open gap
+reruns with a tenth of the budget; a budget of 0 drops nothing.  Exact mode, refinement and
 approximate mode all run through that one loop: exact mode is its first round
 at the budget epsilon / 8 without the gap test, keeping lower.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import math
@@ -203,7 +246,7 @@ from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from ._csr import csr_matvec, csr_tocsc
+from ._csr import csr_matvec, csr_matvecs, csr_tocsc
 from .model import (
     DEFAULT_STATE_CAP,
     ConcreteCtmc,
@@ -225,6 +268,8 @@ _SEGMENT_STEPS = 1024  # most expected steps of a first birth-weight segment
 _FLUSH_EVERY = 64
 _WIDE_BATCH = 40  # blocks from which a per-block reduction runs along the states
 _WINDOW = 16  # adaptive steps per evaluation of a pass's bookkeeping
+_SPAN_SHARE = 2.0**-16  # of epsilon: a plain series pass's steady-state cut
+_SPAN_EVERY = 16  # plain series steps per test of the cut
 
 log = logging.getLogger("uctmc.checker")
 
@@ -353,14 +398,20 @@ def _generator(chains: Sequence[ConcreteCtmc], absorbing: Sequence):
     return states, exits.reshape(counts.shape), (rows, cols, data)
 
 
-def _transposed(n: int, rows: np.ndarray, cols: np.ndarray, data: np.ndarray):
-    """CSR arrays (indptr, indices, data) of the transpose of the n x n matrix
-    with the entries (rows, cols, data), given by row; each row of the
-    transpose holds its entries in column order."""
+def _by_rows(n: int, rows: np.ndarray, cols: np.ndarray, data: np.ndarray):
+    """CSR arrays (indptr, indices, data) of the n x n matrix with the entries
+    (rows, cols, data), given by row; each row keeps its entries in that
+    order."""
     idx = np.int32 if max(n, data.size) < 2**31 else np.int64
     indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n)))).astype(idx)
-    out = np.empty(n + 1, dtype=idx), np.empty(data.size, dtype=idx), np.empty(data.size)
-    csr_tocsc(n, n, indptr, cols.astype(idx), data, *out)
+    return indptr, cols.astype(idx), data
+
+
+def _transposed(n: int, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray):
+    """CSR arrays of the transpose of an n x n CSR matrix; each row of the
+    transpose holds its entries in column order."""
+    out = np.empty_like(indptr), np.empty_like(indices), np.empty_like(data)
+    csr_tocsc(n, n, indptr, indices, data, *out)
     return out
 
 
@@ -433,35 +484,43 @@ def _ranks(counts: np.ndarray) -> np.ndarray:
     return np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
-def _iterates(pt: tuple, v: np.ndarray, skip: int, count: int, live: Sequence[int]):
-    """Yield ``count`` successive iterates (P^T)^k v, from k = ``skip`` on.
+def _iterates(matrix: tuple, v: np.ndarray, skip: int, count: int, live: list):
+    """Yield ``count`` successive iterates A^k v, from k = ``skip`` on.
 
-    ``v`` is (blocks, states), and ``pt``, CSR arrays (indptr, indices,
-    data), maps each block to itself.  Step k updates and yields only the
-    first ``live[k]`` blocks (``live`` is nonincreasing).  Each step calls
-    scipy's CSR mat-vec kernel directly on two preallocated buffers that
-    take turns, so a yielded array is valid only until the generator
-    resumes: use or copy it before asking for the next one.  Every
-    ``_FLUSH_EVERY`` steps the entries below ``_FLUSH_BELOW`` are set to
-    zero (see the module docstring for the mass this may remove).
+    ``v`` is (blocks, states) or (blocks, states, vectors), and ``matrix``
+    A, CSR arrays (indptr, indices, data), maps each block to itself; the
+    vectors of a block step together, in one ``csr_matvecs``, and each gets
+    the bits of its own ``csr_matvec``.  Step k updates and yields only the
+    first ``live[k]`` blocks (``live`` is nonincreasing, and read at each
+    step, so the caller may lower its later entries as blocks finish).
+    Each step calls scipy's CSR mat-vec kernel directly on two preallocated
+    buffers that take turns, so a yielded array is valid only until the
+    generator resumes: use or copy it before asking for the next one.
+    Every ``_FLUSH_EVERY`` steps the entries of magnitude below
+    ``_FLUSH_BELOW`` are set to zero (see the module docstring for the mass
+    this may remove).
     """
-    indptr, indices, data = pt
+    indptr, indices, data = matrix
     cur = np.array(v, dtype=float)
     nxt = np.empty_like(cur)
+    width = cur[0, 0].size
     blocks = -1
     for k in range(skip + count):
         if live[k] != blocks:
             blocks = live[k]
             rows = blocks * cur.shape[1]
             cur, nxt = cur[:blocks], nxt[:blocks]
-            cur_flat, nxt_flat = cur.reshape(rows), nxt.reshape(rows)
+            cur_flat, nxt_flat = cur.reshape(-1), nxt.reshape(-1)
         if k:
-            # the kernel adds P^T v into its output buffer
+            # the kernel adds A v into its output buffer
             nxt_flat.fill(0.0)
-            csr_matvec(rows, rows, indptr, indices, data, cur_flat, nxt_flat)
+            if width == 1:
+                csr_matvec(rows, rows, indptr, indices, data, cur_flat, nxt_flat)
+            else:
+                csr_matvecs(rows, rows, width, indptr, indices, data, cur_flat, nxt_flat)
             cur, nxt, cur_flat, nxt_flat = nxt, cur, nxt_flat, cur_flat
             if not k % _FLUSH_EVERY:
-                cur_flat[cur_flat < _FLUSH_BELOW] = 0.0
+                cur_flat[np.abs(cur_flat) < _FLUSH_BELOW] = 0.0
         if k >= skip:
             yield cur
 
@@ -502,29 +561,33 @@ def _block_max(flat: np.ndarray, blocks: int) -> np.ndarray:
 
 
 class _Blocks:
-    """Uniformized chains of one batch as one block-diagonal P^T.
+    """Uniformized chains of one batch as one block-diagonal P.
 
     Chains may differ in size: every block is padded to the largest chain
-    with empty rows, which no entry of P^T reads or writes.  Blocks are sorted
+    with empty rows, which no entry of P reads or writes.  Blocks are sorted
     by descending Lambda (ties in batch order): a pass steps only the prefix
-    of blocks that still need steps, so a block whose Poisson windows have
-    ended drops off its end.  Each block keeps its own Lambda and Poisson
-    windows, and every per-block quantity (mat-vec rows, the series x_k . v,
-    Poisson weighting, flush) is computed exactly as for a batch of one.
-    Arrays in and out are (chains, ...) in batch order, with states padded to
-    the largest chain.  A plain pass drops no mass (``dropped``, as
-    ``_Adaptive.dropped``).
+    of blocks that still need steps, so a block that is done drops off its
+    end once every block after it is.  Each block keeps its own Lambda,
+    Poisson windows and cuts, and every per-block quantity (mat-vec rows,
+    the series, the span test, Poisson weighting, flush) is computed exactly
+    as for a batch of one.  Arrays in and out are (chains, ...) in batch
+    order, with states padded to the largest chain.  A plain pass drops no
+    mass (``dropped``, as ``_Adaptive.dropped``).
     """
 
-    def __init__(self, states: np.ndarray, exits: np.ndarray, entries: tuple):
-        """P^T of a generator as ``_generator`` returns it: each block's P^T
-        holds q / Lambda off the diagonal and 1 - e / Lambda on it, with
-        Lambda its largest exit rate e, zeros dropped; a block without rate
-        has no entries.  ``pt`` holds its CSR arrays (indptr, indices, data)."""
+    def __init__(self, states: np.ndarray, exits: np.ndarray, entries: tuple,
+                 epsilon: float = MIN_EPSILON):
+        """P of a generator as ``_generator`` returns it: each block's P holds
+        q / Lambda off the diagonal and 1 - e / Lambda on it, with Lambda its
+        largest exit rate e, zeros dropped; a block without rate has no
+        entries.  ``p`` holds its CSR arrays (indptr, indices, data), and
+        ``pt`` those of P^T.  A series pass cuts a block's vector once its
+        span is within epsilon * ``_SPAN_SHARE``."""
         blocks, self.size = exits.shape  # states per block, padded
         lam = exits.max(axis=1, initial=0.0)
         self.order = np.argsort(-lam, kind="stable")
         self.lam, self.dropped = lam[self.order], np.zeros(blocks)
+        self.span_share = epsilon * _SPAN_SHARE
         inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=lam > 0.0)
         # P by rows: the off-diagonal entries, then each state's stay
         stay = np.flatnonzero((np.arange(self.size) < states[:, None]) & (lam > 0.0)[:, None])
@@ -537,21 +600,27 @@ class _Blocks:
         shift = (np.argsort(self.order) - np.arange(blocks))[block] * self.size
         rows, cols, keep = rows + shift, cols + shift, data != 0.0
         by_row = np.argsort(rows[keep], kind="stable")
-        self.pt = _transposed(exits.size, *(a[keep][by_row] for a in (rows, cols, data)))
+        self.p = _by_rows(exits.size, *(a[keep][by_row] for a in (rows, cols, data)))
+        self.states = states[self.order]
 
     @classmethod
-    def uniformized(cls, chains: Sequence[ConcreteCtmc], absorbing: Sequence) -> "_Blocks":
+    def uniformized(cls, chains: Sequence[ConcreteCtmc], absorbing: Sequence,
+                    epsilon: float = MIN_EPSILON) -> "_Blocks":
         """The chains with one absorbing set each (None: nothing absorbs)."""
-        return cls(*_generator(chains, absorbing))
+        return cls(*_generator(chains, absorbing), epsilon)
 
-    def _pass(self, v: np.ndarray, need: np.ndarray, skip: int):
-        """Iterates k = skip .. max(need) - 1 of one pass from ``v`` (block
-        order); iterate k holds the prefix of blocks that includes every block
-        with need > k."""
+    @functools.cached_property
+    def pt(self) -> tuple:
+        """CSR arrays of P^T, which a transient pass steps."""
+        return _transposed(len(self.p[0]) - 1, *self.p)
+
+    @staticmethod
+    def _live(need: np.ndarray) -> list:
+        """Per step k < max(need), the prefix of blocks (in block order) that
+        includes every block with need > k."""
         live = np.maximum.accumulate(need[::-1])[::-1]  # nonincreasing
         steps = int(live[0]) if live.size else 0
-        active = np.searchsorted(-live, -np.arange(steps), side="left").tolist()
-        return _iterates(self.pt, v, skip, steps - skip, active)
+        return np.searchsorted(-live, -np.arange(steps), side="left").tolist()
 
     def _unsorted(self, values: np.ndarray) -> np.ndarray:
         out = np.empty_like(values)
@@ -569,7 +638,8 @@ class _Blocks:
         return k_lo, offsets, weights, ends.max(axis=1), int(k_lo.min())
 
     def transient(self, v: np.ndarray, t) -> np.ndarray:
-        """pi_t per chain from pi_0 = v; ``t`` is one time, or one per chain."""
+        """pi_t per chain from pi_0 = v; ``t`` is one time, or one per chain.
+        The pass steps forward, x_(k+1) = x_k P by ``pt``."""
         v = np.asarray(v, dtype=float)[self.order]
         t = np.broadcast_to(np.asarray(t, dtype=float), self.lam.shape)[self.order]
         k_lo, offsets, window, need, skip = self._windows((self.lam * t)[:, None])
@@ -580,7 +650,8 @@ class _Blocks:
         weights[steps, np.repeat(np.arange(need.size), lengths), 0] = window
         out = np.zeros_like(v)
         live = 0
-        for k, x in enumerate(self._pass(v, need, skip)):
+        for k, x in enumerate(_iterates(self.pt, v, skip, int(need.max()) - skip,
+                                        self._live(need))):
             if len(x) != live:
                 live, head = len(x), out[:len(x)]
                 # one live block takes a float weight, which skips broadcasting
@@ -591,31 +662,75 @@ class _Blocks:
     def series(self, start: np.ndarray, vectors: np.ndarray,
                columns: Sequence[tuple[int, float]]) -> np.ndarray:
         """pi_t . v per chain and column (j, t), with pi_0 = ``start`` and
-        v = ``vectors[:, j]``: the Poisson-weighted sum of x_k . v.
+        v = ``vectors[:, j]``: the Poisson-weighted sum of start . u_k.
 
         ``start`` is (chains, states) and ``vectors`` (chains, vectors,
-        states).  One pass serves every column; it starts at the smallest left
-        truncation point of the columns and keeps the series x_k . v from
-        there on, each step's dots one CSR mat-vec of ``_reader``.
+        states).  One pass serves every column: it steps backward, u_k = P^k
+        v for every vector of a block at once, and keeps the series start .
+        u_k, each step's one CSR mat-vec of a reader that holds the start's
+        nonzeros per (block, vector).  Every ``_SPAN_EVERY`` steps, a block's
+        vector whose span over the block's own states is within
+        ``span_share`` is cut at that step K: its columns keep their weights
+        up to K and give the rest of their window to start . u_K.  The pass
+        ends when every block is cut or has reached its last window end.
         """
         start = np.asarray(start, dtype=float)[self.order]
         vectors = np.asarray(vectors, dtype=float)[self.order]
-        blocks, width, _ = vectors.shape
-        reader = _reader(vectors, np.arange(start.size).reshape(start.shape))
+        blocks, width, size = vectors.shape
+        # u_k is (blocks, states, vectors); the reader's row (block b, vector
+        # j) holds start[b] at the entries of (b, j)
+        u = np.ascontiguousarray(vectors.transpose(0, 2, 1))
+        numbering = np.arange(u.size).reshape(u.shape).transpose(0, 2, 1)
+        reader = _reader(np.repeat(start, width, axis=0)[:, None],
+                         numbering.reshape(blocks * width, size))
+        # the span over a block's own states is at least the gap between the
+        # states where v is largest and smallest, which is tested first
+        own = np.arange(size)[:, None] < self.states[:, None, None]
+        low, high = np.where(own, u, np.inf), np.where(own, u, -np.inf)
+        probe = np.stack((high.argmax(axis=1), low.argmin(axis=1)))
+        probe = (probe + np.arange(blocks)[:, None] * size) * width + np.arange(width)
         times = list(dict.fromkeys(t for _, t in columns))
-        k_lo, offsets, window, need, skip = self._windows(np.multiply.outer(self.lam, times))
-        series = np.zeros((int(need.max()) - skip, blocks * width))
-        for k, x in enumerate(self._pass(start, need, skip)):
-            csr_matvec(len(x) * width, x.size, *reader, x.reshape(-1), series[k])
-        # contiguous rows, so that each weighted sum reads its window in order
+        k_lo, offsets, window, need, _ = self._windows(np.multiply.outer(self.lam, times))
+        steps = int(need.max())
+        series = np.zeros((steps, blocks * width))
+        cuts, spans = np.full((blocks, width), -1), np.zeros((blocks, width))
+        live = self._live(need)
+        for k, u_k in enumerate(_iterates(self.p, u, 0, steps, live)):
+            n = len(u_k)
+            csr_matvec(n * width, u_k.size, *reader, u_k.reshape(-1), series[k])
+            if k % _SPAN_EVERY == 0:
+                gap = np.subtract(*u_k.reshape(-1)[probe[:, :n]])
+                new = (np.abs(gap) <= self.span_share) & (cuts[:n] < 0)
+                if new.any():
+                    span = (np.where(own[:n], u_k, -np.inf).max(axis=1)
+                            - np.where(own[:n], u_k, np.inf).min(axis=1))
+                    new &= span <= self.span_share
+                    cuts[:n][new], spans[:n][new] = k, span[new]
+                    # a block with every vector cut needs no step after k
+                    need = np.where((cuts >= 0).all(axis=1), np.minimum(need, k + 1), need)
+                    live[k + 1:] = self._live(need)[k + 1:]
+            if k + 1 == len(live):
+                break
+        # contiguous rows, so that each weighted sum reads its window in
+        # order; a cut row holds start . u_K from K on
         series = np.ascontiguousarray(series.T)
+        for row in np.flatnonzero(cuts.ravel() >= 0):
+            series[row, cuts.flat[row] + 1:] = series[row, cuts.flat[row]]
         at = [times.index(t) for _, t in columns]
         values = np.empty((blocks, len(columns)))
         for b in range(blocks):
             for c, (j, _) in enumerate(columns):
-                first = k_lo[b, at[c]] - skip
+                first = k_lo[b, at[c]]
                 a, z = offsets[b * len(times) + at[c]:][:2]
                 values[b, c] = window[a:z] @ series[b * width + j, first:first + z - a]
+        done = (cuts >= 0).all(axis=1)
+        message = "plain series pass to t=%g: %d blocks, %d of %d steps, %d blocks cut"
+        args = [max(times), blocks, k + 1, steps, int(done.sum())]
+        if done.any():
+            message += " at steps %d-%d, largest span at a cut %.3g"
+            last = cuts.max(axis=1)[done]
+            args += [last.min(), last.max(), spans[cuts >= 0].max()]
+        log.debug(message, *args)
         return self._unsorted(values)
 
 
@@ -648,8 +763,8 @@ class _Adaptive:
         # rows of the transpose (the targets) state-major, and keeps each
         # row's sources in block-major order, which within one block is
         # state order, as before the remap
-        indptr, indices, data = _transposed(exits.size, rows, _state_major(cols, exits.shape),
-                                            rates)
+        indptr, indices, data = _transposed(exits.size, *_by_rows(
+            exits.size, rows, _state_major(cols, exits.shape), rates))
         self.qt = indptr, _state_major(indices, exits.shape).astype(indices.dtype), data
         # per state, the lowest and highest state any state from it on (up
         # to it) moves to in some block, itself included
@@ -1300,7 +1415,7 @@ def _evaluate(chains: Sequence[ConcreteCtmc], measures: MeasureSet, epsilon: flo
             if not sub.size:
                 continue
             part, frozen = [chains[b] for b in sub], [absorbing[b] for b in sub]
-            kernel = (_Blocks.uniformized(part, frozen) if plain[sub[0]] else
+            kernel = (_Blocks.uniformized(part, frozen, epsilon) if plain[sub[0]] else
                       _Adaptive(part, frozen, epsilon, scale[sub], drop))
             size = max(c.num_states for c in part)
             initial = _padded([c.initial for c in part], size)

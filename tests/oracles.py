@@ -401,6 +401,38 @@ def uniformized_sparse(c, absorbing=None):
     return p.transpose().tocsr(), lam
 
 
+def plain_series_reference(blocks, start: np.ndarray, vectors: np.ndarray,
+                           columns) -> np.ndarray:
+    """Reference for ``checker._Blocks.series`` without its steady-state cut:
+    the forward pass x_(k+1) = x_k P over the kernel's own rounded P (its
+    ``pt``), one chain at a time, with the dots x_k . v up to the end of
+    every column's window and the flush of ``_iterates``, each column one
+    Poisson-weighted sum (``poisson_terms_loop``).  ``start`` (chains,
+    states) and ``vectors`` (chains, vectors, states) are in batch order, as
+    the values (chains, columns) it returns."""
+    from scipy import sparse
+
+    from uctmc.checker import _FLUSH_BELOW, _FLUSH_EVERY
+
+    size, n = blocks.size, blocks.size * len(blocks.lam)
+    pt = sparse.csr_matrix(blocks.pt[::-1], shape=(n, n))
+    values = np.empty((len(start), len(columns)))
+    for b, pos in enumerate(np.argsort(blocks.order)):
+        block = pt[pos * size:(pos + 1) * size, pos * size:(pos + 1) * size]
+        windows = [poisson_terms_loop(float(blocks.lam[pos] * t)) for _, t in columns]
+        x, dots = np.array(start[b], dtype=float), []
+        for k in range(max(k_lo + len(w) for k_lo, w in windows)):
+            if k:
+                x = block @ x
+                if not k % _FLUSH_EVERY:
+                    x[x < _FLUSH_BELOW] = 0.0
+            dots.append(vectors[b] @ x)
+        dots = np.array(dots)
+        for c, ((j, _), (k_lo, w)) in enumerate(zip(columns, windows)):
+            values[b, c] = w @ dots[k_lo:k_lo + len(w), j]
+    return values
+
+
 def adaptive_steps_reference(chains, absorbing, epsilon: float, scale: np.ndarray,
                              drop: float, start: np.ndarray):
     """Reference for ``checker._Adaptive._steps``: every step over every
@@ -412,12 +444,13 @@ def adaptive_steps_reference(chains, absorbing, epsilon: float, scale: np.ndarra
         _DROP_BELOW,
         _FLUSH_BELOW,
         _FLUSH_EVERY,
+        _by_rows,
         _generator,
         _transposed,
     )
 
     _, exits, entries = _generator(chains, absorbing)
-    qt = _transposed(exits.size, *entries)
+    qt = _transposed(exits.size, *_by_rows(exits.size, *entries))
     share, below = drop / scale, epsilon * _DROP_BELOW / scale
     x = np.array(start, dtype=float)
     y, scaled = np.empty_like(x), np.empty_like(x)

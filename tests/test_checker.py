@@ -33,6 +33,7 @@ from oracles import (
     chain_reference,
     dense_generator,
     interval_reach_oracle,
+    plain_series_reference,
     poisson_terms_loop,
     reach_oracle,
     random_ctmc,
@@ -528,6 +529,210 @@ def test_iterates_match_public_matmul_with_flush():
     assert flushed > 0
     tail = [x[0].copy() for x in _iterates(pt, c.initial[None], 3000, 5, [1] * 3005)]
     assert all(np.array_equal(a, b) for a, b in zip(tail, ours[3000:3005]))
+
+
+def _cut_slack(blocks, vectors, steps):
+    """The rounding slack of a plain series pass's steady-state cut (module
+    docstring), per block: (2K + N) (2r + 8) u max|v| for a pass of N steps
+    cut at K <= N, r the longest row of P and u = 2^-53, and the flush's
+    1e-280 per ``_FLUSH_EVERY`` steps."""
+    from uctmc.checker import _FLUSH_EVERY
+
+    r = int(np.diff(blocks.p[0]).max(initial=0))
+    top = np.abs(vectors).max(axis=(1, 2))
+    return 3 * steps * (2 * r + 8) * 2.0**-53 * top + (steps // _FLUSH_EVERY + 1) * 1e-280
+
+
+_PLAIN_SERIES_LINE = (r"plain series pass to t=(\S+): (\d+) blocks, (\d+) of (\d+) steps, "
+                      r"(\d+) blocks cut(?: at steps (\d+)-(\d+), largest span at a cut (\S+))?")
+
+
+def _plain_series_case(case, tandem):
+    """Chains that go plain, their absorbing sets (None: rewards), vectors
+    and columns: buffer rewards as a two-reward group at t = 2, 25 and 200,
+    tandem reach, and random chains of several sizes, which mix."""
+    if case == "buffer":
+        m = uctmc.load_model(uctmc.example_model_path("buffer"))
+        chains = [build_full(m, u) for u in uctmc.sample_valuations(m, 3, seed=4).valuations]
+        names = ["buffered", "delivered"]
+        columns = [(j, t) for t in (2.0, 25.0, 200.0) for j in range(len(names))]
+        return chains, [None] * len(chains), names, columns
+    if case == "tandem":
+        chains = [build_full(tandem, u)
+                  for u in uctmc.sample_valuations(tandem, 4, seed=2).valuations]
+        return chains, [c.label_mask("full") for c in chains], None, [(0, 5.0), (0, 10.0)]
+    rng = np.random.default_rng(12)
+    chains = [random_ctmc(rng, max_states=size) for size in (6, 12, 20, 30, 9)]
+    return chains, [None] * len(chains), ["r"], [(0, 1.0), (0, 5.0), (0, 30.0)]
+
+
+@pytest.mark.parametrize("case", ["buffer", "tandem", "random"])
+def test_plain_series_is_the_uncut_forward_pass_within_the_cut_share(case, tandem, caplog):
+    # the backward pass with its steady-state cut lies within the cut's share
+    # plus the stated rounding slack of the forward pass without it, on the
+    # kernel's own P, and within epsilon of dense expm; buffer and the random
+    # chains mix, so every block is cut, and tandem's reach never certifies
+    from uctmc.checker import _SPAN_SHARE, _Blocks, _padded, _plain, _poisson_span
+
+    eps = 1e-6
+    chains, absorbing, names, columns = _plain_series_case(case, tandem)
+    # the random chains run through the plain kernel whatever its rule says
+    assert case == "random" or all(_plain(c, a) for c, a in zip(chains, absorbing))
+    size = max(c.num_states for c in chains)
+    start = _padded([c.initial for c in chains], size)
+    vectors = (_padded(absorbing, size, bool)[:, None].astype(float) if names is None else
+               _padded([[c.reward_vector(name) for name in names] for c in chains], size))
+    blocks = _Blocks.uniformized(chains, absorbing, eps)
+    with caplog.at_level("DEBUG", logger="uctmc.checker"):
+        ours = blocks.series(start, vectors, columns)
+    ref = plain_series_reference(blocks, start, vectors, columns)
+    lam_t = blocks._unsorted(blocks.lam) * max(t for _, t in columns)
+    steps = lam_t.astype(int) + np.array([_poisson_span(x) for x in lam_t]) + 1
+    bound = eps * _SPAN_SHARE + _cut_slack(blocks, vectors, steps)
+    assert np.all(np.abs(ours - ref) <= bound[:, None]), np.abs(ours - ref).max()
+    for b, c in enumerate(chains):
+        for i, (j, t) in enumerate(columns):
+            if names is None:
+                expected = reach_oracle(c, absorbing[b], t)
+            else:
+                expected = float(transient_oracle(c, t) @ c.reward_vector(names[j]))
+            assert abs(ours[b, i] - expected) <= eps, (b, j, t)
+    (line,) = re.findall(_PLAIN_SERIES_LINE, caplog.text)
+    assert int(line[1]) == len(chains) and int(line[2]) <= int(line[3])
+    assert int(line[4]) == (0 if case == "tandem" else len(chains))
+    if case == "tandem":
+        assert line[2] == line[3]
+    else:
+        # the pass ends at its last cut, far before its last window end
+        assert int(line[2]) == int(line[6]) + 1 < int(line[3]) / 4
+        assert float(line[7]) <= eps * _SPAN_SHARE
+
+
+def test_buffer_measures_match_dense_oracles():
+    # the bundled buffer measures, a reward and an interval measure whose
+    # second phase is a plain series pass, within epsilon of dense expm
+    m = uctmc.load_model(uctmc.example_model_path("buffer"))
+    measures = uctmc.io.read_measures(uctmc.example_model_path("buffer_measures"))
+    eps = 1e-6
+    for u in uctmc.sample_valuations(m, 3, seed=1).valuations:
+        c = build_full(m, u)
+        expected = [float(transient_oracle(c, 25.0) @ c.reward_vector("buffered")),
+                    interval_reach_oracle(c, c.label_mask("both_busy"), 0.5, 2.0)]
+        assert np.all(np.abs(evaluate_measures(c, measures, eps) - expected) <= eps)
+
+
+def test_plain_series_pass_logs_its_cut(caplog):
+    # one line per plain series pass: its blocks, the steps it took against
+    # its last window end, and its cuts, tested every _SPAN_EVERY steps
+    from uctmc.checker import _SPAN_EVERY, _SPAN_SHARE
+
+    m = uctmc.load_model(uctmc.example_model_path("buffer"))
+    u = uctmc.Valuation.from_floats(BUFFER_VALUATION)
+    c = build_full(m, u)
+    with caplog.at_level("DEBUG", logger="uctmc.checker"):
+        instant_reward(c, "buffered", 25.0)
+        reach_probability(c, "both_busy", 0.01)
+    lines = re.findall(_PLAIN_SERIES_LINE, caplog.text)
+    assert len(lines) == 2
+    (t, blocks, taken, end, cut, first, last, span), short = lines
+    assert (t, blocks, cut) == ("25", "1", "1") and first == last
+    assert int(last) % _SPAN_EVERY == 0 and int(taken) == int(last) + 1 < int(end)
+    assert 0.0 <= float(span) <= 1e-6 * _SPAN_SHARE
+    # a pass too short to mix runs to its window end, uncut
+    assert short[:2] == ("0.01", "1") and short[2] == short[3] and short[4:] == ("0", "", "", "")
+
+
+def _two_class_chain():
+    """Two closed classes, {0, 1} and {2, 3, 4}, with different rewards, and
+    a target (state 1) that the second class cannot reach: neither its
+    reward pass nor its reach pass ever mixes, so neither is ever cut."""
+    rates = np.zeros((5, 5))
+    rates[0, 1], rates[1, 0] = 3.0, 2.5
+    rates[2, 3], rates[3, 4], rates[4, 2], rates[3, 2] = 3.0, 2.0, 2.8, 1.0
+    return ConcreteCtmc.from_dense(
+        rates, [0.5, 0.0, 0.5, 0.0, 0.0],
+        labels={"both_busy": [False, True, False, False, False]},
+        rewards={"buffered": [1.0, 2.0, 5.0, 6.0, 7.0], "delivered": [0.0, 1.0, 0.0, 2.0, 3.0]})
+
+
+def test_plain_cut_gives_each_chain_its_own_bits(monkeypatch, caplog):
+    # one batch mixes buffer blocks, which are cut early, with a smaller
+    # two-class chain, which never is: each chain's values are the same bits
+    # alone, in reversed order, across a _batches split and in approximate
+    # mode; each measure (one reward of a two-reward group included) is the
+    # same bits alone; and every value is within epsilon of dense expm
+    from uctmc import checker
+    from uctmc.checker import _evaluate, _plain
+
+    m = uctmc.load_model(uctmc.example_model_path("buffer"))
+    buffers = [build_full(m, u) for u in uctmc.sample_valuations(m, 3, seed=6).valuations]
+    chains = buffers[:2] + [_two_class_chain()] + buffers[2:]
+    measures = MeasureSet((InstantReward("tok", "buffered", 25.0),
+                           InstantReward("delivered", "delivered", 25.0),
+                           InstantReward("late", "buffered", 40.0),
+                           TimeBoundedReach("busy", "both_busy", 30.0)))
+    assert all(_plain(c, a) for c in chains for a in (None, c.label_mask("both_busy")))
+    eps = 1e-6
+    with caplog.at_level("DEBUG", logger="uctmc.checker"):
+        full = _evaluate(chains, measures, eps)[0]
+    cuts = [int(x) for x in re.findall(r"plain series pass to t=\S+: 4 blocks, \d+ of \d+ "
+                                       r"steps, (\d+) blocks cut", caplog.text)]
+    assert cuts == [3, 3]
+    # approximate mode drops nothing on plain chains: the same bits, gap 0
+    approx, gaps = _evaluate(chains, measures, eps, 1e-2)
+    assert np.array_equal(approx, full) and not gaps.any()
+    backwards = _evaluate(chains[::-1], measures, eps)[0][::-1]
+    for i, c in enumerate(chains):
+        alone = _evaluate([c], measures, eps)[0][0]
+        assert np.array_equal(alone, full[i]) and np.array_equal(backwards[i], full[i]), i
+        for pos, meas in enumerate(measures):
+            one = _evaluate([c], MeasureSet((meas,)), eps)[0][0]
+            assert np.array_equal(one, full[i, [pos]]), (i, meas.id)
+        mask = c.label_mask("both_busy")
+        expected = [float(transient_oracle(c, 25.0) @ c.reward_vector("buffered")),
+                    float(transient_oracle(c, 25.0) @ c.reward_vector("delivered")),
+                    float(transient_oracle(c, 40.0) @ c.reward_vector("buffered")),
+                    reach_oracle(c, mask, 30.0)]
+        assert np.all(np.abs(full[i] - expected) <= eps), i
+    # the reward group keeps two vectors and two times per step
+    floats = [4 * checker._series_steps(c, 40.0) for c in chains]
+    monkeypatch.setattr(checker, "DEFAULT_STATE_CAP", floats[0] + floats[1] + floats[2])
+    batches = list(checker._batches(chains, measures))
+    assert [len(b) for b in batches] == [3, 1]
+    split = np.concatenate([_evaluate(b, measures, eps)[0] for b in batches])
+    assert np.array_equal(split, full)
+
+
+def test_plain_steps_bracket_the_later_terms():
+    # on the kernel's own rounded P: min(P^k v) never falls and max(P^k v)
+    # never rises, within the stated slack per step; and for j > K, x_j . v
+    # lies within span(u_K) of x_K . v = start . u_K, within the slack of
+    # the j + 2K steps that the argument reads
+    from uctmc.checker import _Blocks, _iterates
+
+    rng = np.random.default_rng(31)
+    cases = 0
+    for _ in range(40):
+        c = random_ctmc(rng, max_states=25)
+        absorbing = c.label_mask("goal") if rng.random() < 0.5 else None
+        blocks = _Blocks.uniformized([c], [absorbing])
+        v = rng.uniform(0.0, 3.0, (1, c.num_states, 1))
+        steps = 300
+        ups = [u[0, :, 0].copy() for u in _iterates(blocks.p, v, 0, steps, [1] * steps)]
+        xs = [x[0].copy() for x in _iterates(blocks.pt, c.initial[None], 0, steps, [1] * steps)]
+        r = int(np.diff(blocks.p[0]).max(initial=0))
+        step_slack = (2 * r + 8) * 2.0**-53 * np.abs(v).max() + 1e-280
+        for k in range(1, steps):
+            assert ups[k].min() >= ups[k - 1].min() - step_slack, k
+            assert ups[k].max() <= ups[k - 1].max() + step_slack, k
+        for cut in (0, 3, 20, 100):
+            span = ups[cut].max() - ups[cut].min()
+            at_cut = c.initial @ ups[cut]
+            for j in range(cut + 1, steps):
+                slack = (j + 2 * cut) * step_slack
+                assert abs(xs[j] @ v[0, :, 0] - at_cut) <= span + slack, (cut, j)
+            cases += span < 1e-3
+    assert cases > 20  # most cuts are where the span has nearly closed
 
 
 def test_poisson_terms_match_loop_reference():
