@@ -11,10 +11,12 @@ Every measure is one form, pi_t . v = sum_k P(N_t = k) * (x_k . v) with
 x_{k+1} = x_k P_k, on a chain with some absorbing set:
 
 * reach: v is the target's indicator, the target is absorbing and x_0 is the
-  initial distribution.  An interval measure is a reach measure over
-  t_hi - t_lo from x_0 = pi_{t_lo} with the target's entries dropped (phase
-  one steps to t_lo with the target absorbing); a reach measure is an
-  interval measure with t_lo = 0, so both share their target's pass.
+  initial distribution.  A reach measure is an interval measure with t_lo =
+  0, so both share their target's pass.  On the adaptive kernel, an
+  interval measure is a reach measure over t_hi - t_lo from x_0 = pi_{t_lo}
+  with the target's entries dropped (phase one steps to t_lo with the
+  target absorbing); on the plain kernel it is F(t_hi) - F(t_lo), F the
+  reach from the initial distribution (below).
 * reward: v is the reward vector and nothing is absorbing, so the rewards of
   a chain at any number of times share one pass.
 
@@ -63,15 +65,15 @@ step:
   thus step up to ``_WINDOW`` - 1 steps past its last cut, and trims what
   it keeps to that cut: no cut moves, and no error share changes.
 
-In a pass that keeps the series (every pass but phase one's, below), the
-weights P(N_t = k) come from the birth kernel (``_Births``), run on birth
-chains: levels 0 .. K, level k moving up at rate Lambda_k, and an absorbing
-level after them that takes the tail.  A birth chain is uniformized at
-max(Lambda_0 .. Lambda_K), so a column's cut and weights depend only on its
-own time, and measures give the same bits alone or in any set; columns of a
-block that share that rate share one birth chain.  A column's value is one
-dot of its weights and the kept series x_k . v over levels 0 .. K, summed in
-level order.
+In a pass that keeps the series (every adaptive pass but phase one's,
+below), the weights P(N_t = k) come from the birth kernel (``_Births``), run
+on birth chains: levels 0 .. K, level k moving up at rate Lambda_k, and an
+absorbing level after them that takes the tail.  A birth chain is
+uniformized at max(Lambda_0 .. Lambda_K), so a column's cut and weights
+depend only on its own time, and measures give the same bits alone or in
+any set; columns of a block that share that rate share one birth chain.  A
+column's value is one dot of its weights and the kept series x_k . v over
+levels 0 .. K, summed in level order.
 
 The birth kernel stores a batch's birth chains level-major, (levels,
 chains), so the levels [lo, hi] that hold mass are one row slice, and a step
@@ -84,9 +86,9 @@ what is left of its share (``_zero_low``).  That decision reads only the
 chain's own column, and the levels outside its own band are zeros that stay
 zero, so its weights are the same bits in any batch.
 
-Phase one of an interval measure (``_Adaptive.transient``) weighs the
-iterates themselves, pi_{t_lo} = sum_k P(N_{t_lo} = k) x_k, over two runs of
-its deterministic pass:
+Phase one of an adaptive interval measure (``_Adaptive.transient``) weighs
+the iterates themselves, pi_{t_lo} = sum_k P(N_{t_lo} = k) x_k, over two
+runs of its deterministic pass:
 
 * the first run finds the rates and, per block, the last level j before the
   first whose Chernoff bound on P(N_{t_lo} < j) misses its share
@@ -119,9 +121,8 @@ and iterate state-major (above); its Q_off^T is the assembly's entries
 transposed by one ``csr_tocsc``, with the indices renumbered.  The plain
 kernel (``_Blocks``) holds its blocks one after another, block-major, and
 turns the assembly, sorted by row, into one block-diagonal P: q / Lambda off
-the diagonal and 1 - e / Lambda on it, within a few ulps of I + Q / Lambda;
-a transient pass transposes it once into P^T.  One stepping routine
-(``_iterates``) produces both power sequences: each step is one call of
+the diagonal and 1 - e / Lambda on it, within a few ulps of I + Q / Lambda.
+One stepping routine (``_iterates``) steps it: each step is one call of
 scipy's CSR mat-vec kernel over the prefix of blocks that still need steps
 (``csr_matvecs`` for several vectors of a block, which gives each the bits
 of its own ``csr_matvec``).  Blocks are sorted by descending Lambda, so a
@@ -129,13 +130,13 @@ block that is done drops off the end of the prefix once every block after
 it is.  Every Poisson window of a pass comes from one vectorized call
 (``_poisson_windows``).
 
-* A series pass (every plain pass but phase one's) steps backward: u_k =
-  P^k v for every vector of a block at once, and keeps the series start .
-  u_k = x_k . v per block and vector from step 0; each (vector, time)
-  column is one Poisson-weighted sum over its window of that series.  Each
-  step's dots are one more CSR mat-vec, of a reader matrix that holds the
-  start's nonzeros with one row per (block, vector) in block-major order,
-  so each row is summed in state order, whatever the padding or batch.
+* Every plain pass is a series pass, which steps backward: u_k = P^k v
+  for every vector of a block at once, and keeps the series start . u_k =
+  x_k . v per block and vector from step 0; each (vector, time) column is
+  one Poisson-weighted sum over its window of that series.  Each step's
+  dots are one more CSR mat-vec, of a reader matrix that holds the start's
+  nonzeros with one row per (block, vector) in block-major order, so each
+  row is summed in state order, whatever the padding or batch.
 * Its steady-state cut: P is stochastic, so each entry of P u is a convex
   combination of u's entries, and over a block's states min u_k never
   falls and max u_k never rises.  For j > K, x_j . v = x_(j-K) . u_K, where
@@ -156,9 +157,13 @@ it is.  Every Poisson window of a pass comes from one vectorized call
   end as without the cut (buffer, t = 25: every block cut within 224-400
   of 3,755 steps; tandem reach: none).  Each test reads one block's own
   rows at fixed steps, so a value is the same bits in any batch.
-* A transient pass (phase one of a plain interval measure) steps forward,
-  x_(k+1) = x_k P by P^T, from the smallest left truncation point of its
-  blocks, and adds each weighted iterate.
+* An interval measure with t_lo > 0 is F(t_hi) - F(t_lo), with F(t) the
+  reach by t from the initial distribution, the target absorbing: a path
+  first enters the target inside [t_lo, t_hi] iff it is in the target at
+  t_hi but not at t_lo (``_Blocks.interval``).  t_lo is one more column of
+  the target's pass, so one pass serves the group, and the plain kernel
+  keeps one matrix, P, and one pass kind.  ``transient_distribution``
+  alone steps one chain forward, x_(k+1) = x_k P by P^T.
 
 In both kernels everything computed per block is computed as in a batch of
 one, so a chain's results are the same bits in any batch.
@@ -187,10 +192,10 @@ none of them, and loses only the steady-state cut and the last three:
 * Zeroed birth levels: at most epsilon * 2^-17 / s per adaptive pass and
   birth chain, over all its band advances and segment starts (phase one has
   one chain per block).
-* An interval measure spends the dropped-mass, tail and zeroed-level shares
-  twice, once per phase, and the head share once (phase one's values weigh
-  its lost mass by at most 1), so these four items together cost at most
-  epsilon / 4 + epsilon * 2^-14.
+* An adaptive interval measure spends the dropped-mass, tail and
+  zeroed-level shares twice, once per phase, and the head share once (phase
+  one's values weigh its lost mass by at most 1), so these four items
+  together cost at most epsilon / 4 + epsilon * 2^-14.
 * Steady-state cut (plain series passes): at most epsilon * 2^-16 per pass
   and column, the span of u_K (above) weighed by the start's mass.  Its
   rounding slack: the stored P is stochastic only within rounding, as a row
@@ -201,7 +206,9 @@ none of them, and loses only the steady-state cut and the last three:
   2^-16 + (2K + N) (2r + 8) u max|v| of the uncut forward pass's over the
   same P, N its window end: about 8e-11 max|v| at K = N = 10^4 and r = 8,
   the order of the forward pass's own rounding.  A pass that is never cut
-  loses nothing to it.
+  loses nothing to it.  A plain interval measure with t_lo > 0 is the
+  difference of two columns, so it spends this share and its slack twice,
+  as the Poisson cut, the flush and the series dot below.
 * Poisson cut: weights are accumulated by a stable mode-outward recurrence
   and cut once terms fall below 1e-30 of the peak; the retained weights are
   renormalized.  The discarded mass is far below ``MIN_EPSILON``, also
@@ -237,7 +244,6 @@ at the budget epsilon / 8 without the gap test, keeping lower.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import logging
 import math
@@ -328,8 +334,9 @@ class MeasureSet:
 
     def __post_init__(self):
         ids = [m.id for m in self.measures]
-        if len(set(ids)) != len(ids):
-            raise CheckerError("measure ids must be unique")
+        repeated = sorted({i for i in ids if ids.count(i) > 1})
+        if repeated:
+            raise CheckerError(f"measure ids must be unique: {', '.join(repeated)} repeated")
 
     def __len__(self) -> int:
         return len(self.measures)
@@ -484,15 +491,17 @@ def _ranks(counts: np.ndarray) -> np.ndarray:
     return np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
-def _iterates(matrix: tuple, v: np.ndarray, skip: int, count: int, live: list):
-    """Yield ``count`` successive iterates A^k v, from k = ``skip`` on.
+def _iterates(matrix: tuple, v: np.ndarray, live: list):
+    """Yield the successive iterates A^k v, k = 0, 1, ..., while k <
+    ``len(live)``.
 
     ``v`` is (blocks, states) or (blocks, states, vectors), and ``matrix``
     A, CSR arrays (indptr, indices, data), maps each block to itself; the
     vectors of a block step together, in one ``csr_matvecs``, and each gets
     the bits of its own ``csr_matvec``.  Step k updates and yields only the
     first ``live[k]`` blocks (``live`` is nonincreasing, and read at each
-    step, so the caller may lower its later entries as blocks finish).
+    step, so the caller may lower or drop its later entries as blocks
+    finish).
     Each step calls scipy's CSR mat-vec kernel directly on two preallocated
     buffers that take turns, so a yielded array is valid only until the
     generator resumes: use or copy it before asking for the next one.
@@ -505,7 +514,9 @@ def _iterates(matrix: tuple, v: np.ndarray, skip: int, count: int, live: list):
     nxt = np.empty_like(cur)
     width = cur[0, 0].size
     blocks = -1
-    for k in range(skip + count):
+    for k in itertools.count():
+        if k == len(live):
+            return
         if live[k] != blocks:
             blocks = live[k]
             rows = blocks * cur.shape[1]
@@ -521,8 +532,7 @@ def _iterates(matrix: tuple, v: np.ndarray, skip: int, count: int, live: list):
             cur, nxt, cur_flat, nxt_flat = nxt, cur, nxt_flat, cur_flat
             if not k % _FLUSH_EVERY:
                 cur_flat[np.abs(cur_flat) < _FLUSH_BELOW] = 0.0
-        if k >= skip:
-            yield cur
+        yield cur
 
 
 def _reader(vectors: np.ndarray, numbering: np.ndarray):
@@ -571,8 +581,9 @@ class _Blocks:
     Poisson windows and cuts, and every per-block quantity (mat-vec rows,
     the series, the span test, Poisson weighting, flush) is computed exactly
     as for a batch of one.  Arrays in and out are (chains, ...) in batch
-    order, with states padded to the largest chain.  A plain pass drops no
-    mass (``dropped``, as ``_Adaptive.dropped``).
+    order, with states padded to the largest chain.  Every pass is a series
+    pass (``series``), which steps P backward; an interval measure is the
+    difference of two of its columns (``interval``), and drops no mass.
     """
 
     def __init__(self, states: np.ndarray, exits: np.ndarray, entries: tuple,
@@ -580,13 +591,13 @@ class _Blocks:
         """P of a generator as ``_generator`` returns it: each block's P holds
         q / Lambda off the diagonal and 1 - e / Lambda on it, with Lambda its
         largest exit rate e, zeros dropped; a block without rate has no
-        entries.  ``p`` holds its CSR arrays (indptr, indices, data), and
-        ``pt`` those of P^T.  A series pass cuts a block's vector once its
-        span is within epsilon * ``_SPAN_SHARE``."""
+        entries.  ``p`` holds its CSR arrays (indptr, indices, data).  A
+        series pass cuts a block's vector once its span is within epsilon *
+        ``_SPAN_SHARE``."""
         blocks, self.size = exits.shape  # states per block, padded
         lam = exits.max(axis=1, initial=0.0)
         self.order = np.argsort(-lam, kind="stable")
-        self.lam, self.dropped = lam[self.order], np.zeros(blocks)
+        self.lam = lam[self.order]
         self.span_share = epsilon * _SPAN_SHARE
         inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=lam > 0.0)
         # P by rows: the off-diagonal entries, then each state's stay
@@ -609,11 +620,6 @@ class _Blocks:
         """The chains with one absorbing set each (None: nothing absorbs)."""
         return cls(*_generator(chains, absorbing), epsilon)
 
-    @functools.cached_property
-    def pt(self) -> tuple:
-        """CSR arrays of P^T, which a transient pass steps."""
-        return _transposed(len(self.p[0]) - 1, *self.p)
-
     @staticmethod
     def _live(need: np.ndarray) -> list:
         """Per step k < max(need), the prefix of blocks (in block order) that
@@ -631,33 +637,10 @@ class _Blocks:
     def _windows(lam_ts: np.ndarray):
         """Poisson windows of every block and time (``_poisson_windows``, in
         one call) of ``lam_ts`` (blocks, times): k_lo (blocks, times), offsets
-        and weights, then the steps each block needs and the smallest left
-        truncation point."""
+        and weights, then the steps each block needs."""
         k_lo, offsets, weights = _poisson_windows(lam_ts)
         ends = k_lo + np.diff(offsets).reshape(k_lo.shape)
-        return k_lo, offsets, weights, ends.max(axis=1), int(k_lo.min())
-
-    def transient(self, v: np.ndarray, t) -> np.ndarray:
-        """pi_t per chain from pi_0 = v; ``t`` is one time, or one per chain.
-        The pass steps forward, x_(k+1) = x_k P by ``pt``."""
-        v = np.asarray(v, dtype=float)[self.order]
-        t = np.broadcast_to(np.asarray(t, dtype=float), self.lam.shape)[self.order]
-        k_lo, offsets, window, need, skip = self._windows((self.lam * t)[:, None])
-        # one row per step from skip on
-        weights = np.zeros((int(need.max()) - skip, need.size, 1))
-        lengths = np.diff(offsets)
-        steps = np.repeat(k_lo[:, 0] - skip, lengths) + _ranks(lengths)
-        weights[steps, np.repeat(np.arange(need.size), lengths), 0] = window
-        out = np.zeros_like(v)
-        live = 0
-        for k, x in enumerate(_iterates(self.pt, v, skip, int(need.max()) - skip,
-                                        self._live(need))):
-            if len(x) != live:
-                live, head = len(x), out[:len(x)]
-                # one live block takes a float weight, which skips broadcasting
-                step_weights = weights[:, :live] if live > 1 else weights[:, 0, 0].tolist()
-            head += step_weights[k] * x
-        return self._unsorted(out)
+        return k_lo, offsets, weights, ends.max(axis=1)
 
     def series(self, start: np.ndarray, vectors: np.ndarray,
                columns: Sequence[tuple[int, float]]) -> np.ndarray:
@@ -690,12 +673,12 @@ class _Blocks:
         probe = np.stack((high.argmax(axis=1), low.argmin(axis=1)))
         probe = (probe + np.arange(blocks)[:, None] * size) * width + np.arange(width)
         times = list(dict.fromkeys(t for _, t in columns))
-        k_lo, offsets, window, need, _ = self._windows(np.multiply.outer(self.lam, times))
+        k_lo, offsets, window, need = self._windows(np.multiply.outer(self.lam, times))
         steps = int(need.max())
         series = np.zeros((steps, blocks * width))
         cuts, spans = np.full((blocks, width), -1), np.zeros((blocks, width))
         live = self._live(need)
-        for k, u_k in enumerate(_iterates(self.p, u, 0, steps, live)):
+        for k, u_k in enumerate(_iterates(self.p, u, live)):
             n = len(u_k)
             csr_matvec(n * width, u_k.size, *reader, u_k.reshape(-1), series[k])
             if k % _SPAN_EVERY == 0:
@@ -709,8 +692,6 @@ class _Blocks:
                     # a block with every vector cut needs no step after k
                     need = np.where((cuts >= 0).all(axis=1), np.minimum(need, k + 1), need)
                     live[k + 1:] = self._live(need)[k + 1:]
-            if k + 1 == len(live):
-                break
         # contiguous rows, so that each weighted sum reads its window in
         # order; a cut row holds start . u_K from K on
         series = np.ascontiguousarray(series.T)
@@ -732,6 +713,24 @@ class _Blocks:
             args += [last.min(), last.max(), spans[cuts >= 0].max()]
         log.debug(message, *args)
         return self._unsorted(values)
+
+    def interval(self, initial: np.ndarray, targets: np.ndarray, t_lo: float,
+                 vectors: np.ndarray, columns: Sequence[tuple[int, float]]):
+        """``series`` from ``initial`` for windows [t_lo, t] that must be
+        entered from outside the targets, which are absorbing; with t_lo = 0
+        it is ``series``.  Returns the values and, per chain, the mass
+        dropped: none.
+
+        A path first enters the target inside [t_lo, t] iff it is there at t
+        but not at t_lo, so a value is F(t) - F(t_lo), with F the reach from
+        ``initial``; t_lo is one more column of the same pass.
+        """
+        if t_lo > 0.0:
+            found = self.series(initial, vectors, [*columns, (0, t_lo)])
+            values = found[:, :-1] - found[:, -1:]
+        else:
+            values = self.series(initial, vectors, columns)
+        return values, np.zeros(len(initial))
 
 
 class _Adaptive:
@@ -1053,6 +1052,24 @@ class _Adaptive:
             values[:, c] = np.cumsum(terms, axis=0)[-1]
         return values
 
+    def interval(self, initial: np.ndarray, targets: np.ndarray, t_lo: float,
+                 vectors: np.ndarray, columns: Sequence[tuple[int, float]]):
+        """``series`` for windows [t_lo, t] that must be entered from
+        outside the targets, which are absorbing; with t_lo = 0 it is
+        ``series`` from ``initial``.  Returns the values and, per chain, the
+        mass that both phases dropped.
+
+        Phase one steps to t_lo; mass sitting in the target at t_lo broke the
+        left operand and is dropped (paths must avoid the target strictly
+        before the window).  Phase two is first passage within t - t_lo.
+        """
+        start, dropped = initial, 0.0
+        if t_lo > 0.0:
+            start = np.where(~targets, self.transient(initial, t_lo), 0.0)
+            dropped = self.dropped
+        values = self.series(start, vectors, [(j, t - t_lo) for j, t in columns])
+        return values, dropped + self.dropped
+
 
 class _Head:
     """Per block of a one-time adaptive pass, the first level j it weighs.
@@ -1281,29 +1298,10 @@ def _plain(c: ConcreteCtmc, absorbing: Optional[np.ndarray]) -> bool:
     is at least half their largest, and adaptive otherwise (see the module
     docstring).  It reads this chain's data alone, so a chain's kernel does
     not depend on its batch."""
-    exits = c.exit_rates - c.diagonal()
+    exits = c.leaving_rates
     if absorbing is not None:
         exits = exits[~absorbing]
     return not exits.size or 2.0 * exits.mean() >= exits.max()
-
-
-def _interval(blocks, initial: np.ndarray, targets, t_lo: float, vectors: np.ndarray,
-              columns: Sequence[tuple[int, float]]) -> tuple[np.ndarray, np.ndarray]:
-    """``blocks.series`` for windows [t_lo, t] that must be entered from
-    outside the targets, which are absorbing in ``blocks``; with t_lo = 0 it
-    is ``series`` from ``initial``.  Returns the values and, per chain, the
-    mass that both phases dropped.
-
-    Phase one steps to t_lo; mass sitting in the target at t_lo broke the
-    left operand and is dropped (paths must avoid the target strictly before
-    the window).  Phase two is first passage within t - t_lo.
-    """
-    start, dropped = initial, 0.0
-    if t_lo > 0.0:
-        start = np.where(~targets, blocks.transient(initial, t_lo), 0.0)
-        dropped = blocks.dropped
-    values = blocks.series(start, vectors, [(j, t - t_lo) for j, t in columns])
-    return values, dropped + blocks.dropped
 
 
 def transient_distribution(c: ConcreteCtmc, t: float, epsilon: float = 1e-6) -> np.ndarray:
@@ -1320,7 +1318,16 @@ def transient_distribution(c: ConcreteCtmc, t: float, epsilon: float = 1e-6) -> 
     if t == 0.0:
         return c.initial.copy()
     if _plain(c, None):
-        return _Blocks.uniformized([c], [None]).transient(c.initial[None], t)[0]
+        # one chain steps forward, x_(k+1) = x_k P by P^T, and adds each
+        # weighted iterate of its window
+        blocks = _Blocks.uniformized([c], [None])
+        ((k_lo,),), _, weights, (need,) = blocks._windows(blocks.lam[:, None] * t)
+        out = np.zeros(c.num_states)
+        pt = _transposed(blocks.size, *blocks.p)
+        for k, x in enumerate(_iterates(pt, c.initial[None], [1] * need)):
+            if k >= k_lo:
+                out += weights[k - k_lo] * x[0]
+        return out
     adaptive = _Adaptive([c], [None], epsilon, np.ones(1), epsilon * _DROP_SHARE)
     return adaptive.transient(c.initial[None], t)[0]
 
@@ -1396,9 +1403,12 @@ def _evaluate(chains: Sequence[ConcreteCtmc], measures: MeasureSet, epsilon: flo
 
     Per absorbing target (None: rewards), the chains ``_plain`` sends plain
     share one ``_Blocks`` and the others one ``_Adaptive``, whose passes drop
-    at most min(delta, epsilon / 8) / s per chain.  Returns (values, gaps),
-    one row per chain: a gap is s times the mass the measure's passes
-    dropped, so the exact value lies in [value, value + gap] up to epsilon.
+    at most min(delta, epsilon / 8) / s per chain; each kernel answers the
+    measures of one window start with one ``interval`` call.  The kernel
+    rule reads each chain's leaving rates once (``leaving_rates``, cached on
+    the chain).  Returns (values, gaps), one row per chain: a gap is s times
+    the mass the measure's passes dropped, so the exact value lies in
+    [value, value + gap] up to epsilon.
     """
     _check_epsilon(epsilon)
     values = np.empty((len(chains), len(measures)))
@@ -1425,7 +1435,7 @@ def _evaluate(chains: Sequence[ConcreteCtmc], measures: MeasureSet, epsilon: flo
                 columns = [(names.index(name), t) for _, name, t in group]
                 vectors = (mask[:, None].astype(float) if target is not None else _padded(
                     [[c.reward_vector(name) for name in names] for c in part], size))
-                found, dropped = _interval(kernel, initial, mask, t_lo, vectors, columns)
+                found, dropped = kernel.interval(initial, mask, t_lo, vectors, columns)
                 cells = np.ix_(sub, [pos for pos, _, _ in group])
                 values[cells] = found if target is None else np.clip(found, 0.0, 1.0)
                 gaps[cells] = (scale[sub] * dropped)[:, None]

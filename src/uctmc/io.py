@@ -21,6 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .checker import (
+    CheckerError,
     IntervalReach,
     IntervalSolution,
     InstantReward,
@@ -94,12 +95,18 @@ def read_measures(path) -> MeasureSet:
         if kind not in _MEASURE_FIELDS:
             raise FormatError(f"{where}: type {kind!r} is not one of {list(_MEASURE_FIELDS)}")
         measure_cls, name, *times = _MEASURE_FIELDS[kind]
-        measures.append(measure_cls(_field(entry, "id", "a string", where),
-                                    _field(entry, name, "a string", where),
-                                    *(_float(entry, t, "a number", where) for t in times)))
+        fields = (_field(entry, "id", "a string", where), _field(entry, name, "a string", where),
+                  *(_float(entry, t, "a number", where) for t in times))
+        try:
+            measures.append(measure_cls(*fields))
+        except CheckerError as exc:  # a time out of range
+            raise FormatError(f"{where}: {exc}") from None
     if not measures:
         raise FormatError(f"no measures in {path}")
-    return MeasureSet(tuple(measures))
+    try:
+        return MeasureSet(tuple(measures))
+    except CheckerError as exc:  # a repeated id
+        raise FormatError(f"measures file {path}: {exc}") from None
 
 
 def write_measures(measures: MeasureSet, path) -> None:

@@ -718,6 +718,13 @@ class ConcreteCtmc:
         sums[rows] = np.add.reduceat(self.data, self.indptr[rows])
         return sums
 
+    @functools.cached_property
+    def leaving_rates(self) -> np.ndarray:
+        """``exit_rates - diagonal()``, each state's rate of leaving it,
+        computed on first read: the checker's kernel rule reads it once per
+        absorbing set."""
+        return self.exit_rates - self.diagonal()
+
     def diagonal(self) -> np.ndarray:
         """Each state's self-loop rate, 0.0 without one."""
         rows = self._rows()

@@ -405,9 +405,9 @@ def plain_series_reference(blocks, start: np.ndarray, vectors: np.ndarray,
                            columns) -> np.ndarray:
     """Reference for ``checker._Blocks.series`` without its steady-state cut:
     the forward pass x_(k+1) = x_k P over the kernel's own rounded P (its
-    ``pt``), one chain at a time, with the dots x_k . v up to the end of
-    every column's window and the flush of ``_iterates``, each column one
-    Poisson-weighted sum (``poisson_terms_loop``).  ``start`` (chains,
+    ``p``, transposed), one chain at a time, with the dots x_k . v up to the
+    end of every column's window and the flush of ``_iterates``, each column
+    one Poisson-weighted sum (``poisson_terms_loop``).  ``start`` (chains,
     states) and ``vectors`` (chains, vectors, states) are in batch order, as
     the values (chains, columns) it returns."""
     from scipy import sparse
@@ -415,7 +415,7 @@ def plain_series_reference(blocks, start: np.ndarray, vectors: np.ndarray,
     from uctmc.checker import _FLUSH_BELOW, _FLUSH_EVERY
 
     size, n = blocks.size, blocks.size * len(blocks.lam)
-    pt = sparse.csr_matrix(blocks.pt[::-1], shape=(n, n))
+    pt = sparse.csr_matrix(blocks.p[::-1], shape=(n, n)).T.tocsr()
     values = np.empty((len(start), len(columns)))
     for b, pos in enumerate(np.argsort(blocks.order)):
         block = pt[pos * size:(pos + 1) * size, pos * size:(pos + 1) * size]
@@ -431,6 +431,30 @@ def plain_series_reference(blocks, start: np.ndarray, vectors: np.ndarray,
         for c, ((j, _), (k_lo, w)) in enumerate(zip(columns, windows)):
             values[b, c] = w @ dots[k_lo:k_lo + len(w), j]
     return values
+
+
+def plain_transient_reference(c, t: float) -> np.ndarray:
+    """Reference for ``checker.transient_distribution`` on a chain the plain
+    kernel takes: the forward pass x_(k+1) = x_k P over the kernel's own
+    rounded P (its ``p``, transposed), by scipy's CSR product with the flush
+    of ``_iterates``, adding each iterate of the Poisson window
+    (``poisson_terms_loop``) times its weight in step order."""
+    from scipy import sparse
+
+    from uctmc.checker import _FLUSH_BELOW, _FLUSH_EVERY, _Blocks
+
+    blocks = _Blocks.uniformized([c], [None])
+    pt = sparse.csr_matrix(blocks.p[::-1], shape=(c.num_states,) * 2).T.tocsr()
+    k_lo, weights = poisson_terms_loop(float(blocks.lam[0] * t))
+    x, out = np.array(c.initial, dtype=float), np.zeros(c.num_states)
+    for k in range(k_lo + len(weights)):
+        if k:
+            x = pt @ x
+            if not k % _FLUSH_EVERY:
+                x[np.abs(x) < _FLUSH_BELOW] = 0.0
+        if k >= k_lo:
+            out += weights[k - k_lo] * x
+    return out
 
 
 def adaptive_steps_reference(chains, absorbing, epsilon: float, scale: np.ndarray,

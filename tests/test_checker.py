@@ -34,6 +34,7 @@ from oracles import (
     dense_generator,
     interval_reach_oracle,
     plain_series_reference,
+    plain_transient_reference,
     poisson_terms_loop,
     reach_oracle,
     random_ctmc,
@@ -508,14 +509,13 @@ def test_adaptive_pass_logs_its_mean_band(caplog):
 
 
 def test_iterates_match_public_matmul_with_flush():
-    from uctmc.checker import _FLUSH_BELOW, _FLUSH_EVERY, _Blocks, _iterates
+    from uctmc.checker import _FLUSH_BELOW, _FLUSH_EVERY, _Blocks, _iterates, _transposed
 
     c = draining_death_chain()
-    pt = _Blocks.uniformized([c], [None]).pt
+    pt = _transposed(c.num_states, *_Blocks.uniformized([c], [None]).p)
     matrix = sparse.csr_matrix(pt[::-1], shape=(c.num_states,) * 2)
     steps = 4000
-    ours = [x[0].copy() for x in _iterates(pt, c.initial[None], 0, steps + 1,
-                                           [1] * (steps + 1))]
+    ours = [x[0].copy() for x in _iterates(pt, c.initial[None], [1] * (steps + 1))]
     v = c.initial.copy()
     flushed = 0
     for k in range(steps + 1):
@@ -527,8 +527,6 @@ def test_iterates_match_public_matmul_with_flush():
                 v[tiny] = 0.0
         assert np.array_equal(ours[k], v), k
     assert flushed > 0
-    tail = [x[0].copy() for x in _iterates(pt, c.initial[None], 3000, 5, [1] * 3005)]
-    assert all(np.array_equal(a, b) for a, b in zip(tail, ours[3000:3005]))
 
 
 def _cut_slack(blocks, vectors, steps):
@@ -621,9 +619,61 @@ def test_buffer_measures_match_dense_oracles():
         assert np.all(np.abs(evaluate_measures(c, measures, eps) - expected) <= eps)
 
 
+@pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-12])
+def test_plain_interval_measures_match_expm_oracle(eps, tandem):
+    # on the plain kernel an interval measure is F(t_hi) - F(t_lo), two
+    # columns of one series pass: within epsilon of the two-phase dense
+    # oracle for windows [0, t_hi], [t_lo, t_lo] and [t_lo, t_hi], also
+    # where the initial mass starts in the target
+    from uctmc.checker import _plain
+
+    buffer = uctmc.load_model(uctmc.example_model_path("buffer"))
+    cases = [(build_full(buffer, u), "both_busy", 0.5, 2.0)
+             for u in uctmc.sample_valuations(buffer, 3, seed=1).valuations]
+    cases += [(build_full(tandem, u), "full", 2.0, 10.0)
+              for u in uctmc.sample_valuations(tandem, 3, seed=2).valuations]
+    rng = np.random.default_rng(17)
+    while len(cases) < 18:
+        c = random_ctmc(rng, max_states=12)
+        t_lo = float(rng.uniform(0.1, 2.0))
+        if _plain(c, c.label_mask("goal")):
+            cases.append((c, "goal", t_lo, t_lo + float(rng.uniform(0.0, 3.0))))
+    inside = 0
+    for c, target, t_lo, t_hi in cases:
+        mask = c.label_mask(target)
+        assert _plain(c, mask)
+        windows = [(0.0, t_hi), (t_lo, t_lo), (t_lo, t_hi)]
+        values = evaluate_measures(c, MeasureSet(tuple(
+            IntervalReach(str(i), target, a, b) for i, (a, b) in enumerate(windows))), eps)
+        for (a, b), value in zip(windows, values):
+            assert abs(value - interval_reach_oracle(c, mask, a, b)) <= eps, (target, a, b)
+        assert values[1] == 0.0
+        inside += c.initial[mask].sum() > 0.0
+    assert inside >= 3
+
+
+def test_plain_transient_distribution_is_the_forward_reference_bit_for_bit(tandem):
+    # transient_distribution on a plain chain steps its one chain forward by
+    # the kernel's own P^T and adds each weighted iterate in step order
+    from uctmc.checker import _plain
+
+    buffer = uctmc.load_model(uctmc.example_model_path("buffer"))
+    cases = [(build_full(buffer, u), t)
+             for u in uctmc.sample_valuations(buffer, 2, seed=1).valuations for t in (2.0, 25.0)]
+    cases += [(build_full(tandem, u), 10.0)
+              for u in uctmc.sample_valuations(tandem, 2, seed=1).valuations]
+    rng = np.random.default_rng(4242)
+    cases += [(random_ctmc(rng, max_states=8), float(rng.uniform(0.0, 5.0))) for _ in range(30)]
+    plain = [(c, t) for c, t in cases if _plain(c, None)]
+    assert len(plain) >= len(cases) - 3
+    for c, t in plain:
+        assert np.array_equal(transient_distribution(c, t), plain_transient_reference(c, t)), t
+
+
 def test_plain_series_pass_logs_its_cut(caplog):
     # one line per plain series pass: its blocks, the steps it took against
-    # its last window end, and its cuts, tested every _SPAN_EVERY steps
+    # its last window end, and its cuts, tested every _SPAN_EVERY steps; an
+    # interval measure's pass is one, to its window's end
     from uctmc.checker import _SPAN_EVERY, _SPAN_SHARE
 
     m = uctmc.load_model(uctmc.example_model_path("buffer"))
@@ -632,9 +682,11 @@ def test_plain_series_pass_logs_its_cut(caplog):
     with caplog.at_level("DEBUG", logger="uctmc.checker"):
         instant_reward(c, "buffered", 25.0)
         reach_probability(c, "both_busy", 0.01)
+        interval_reach(c, "both_busy", 0.5, 2.0)
     lines = re.findall(_PLAIN_SERIES_LINE, caplog.text)
-    assert len(lines) == 2
-    (t, blocks, taken, end, cut, first, last, span), short = lines
+    assert len(lines) == 3
+    (t, blocks, taken, end, cut, first, last, span), short, window = lines
+    assert window[:2] == ("2", "1")
     assert (t, blocks, cut) == ("25", "1", "1") and first == last
     assert int(last) % _SPAN_EVERY == 0 and int(taken) == int(last) + 1 < int(end)
     assert 0.0 <= float(span) <= 1e-6 * _SPAN_SHARE
@@ -708,7 +760,7 @@ def test_plain_steps_bracket_the_later_terms():
     # never rises, within the stated slack per step; and for j > K, x_j . v
     # lies within span(u_K) of x_K . v = start . u_K, within the slack of
     # the j + 2K steps that the argument reads
-    from uctmc.checker import _Blocks, _iterates
+    from uctmc.checker import _Blocks, _iterates, _transposed
 
     rng = np.random.default_rng(31)
     cases = 0
@@ -718,8 +770,9 @@ def test_plain_steps_bracket_the_later_terms():
         blocks = _Blocks.uniformized([c], [absorbing])
         v = rng.uniform(0.0, 3.0, (1, c.num_states, 1))
         steps = 300
-        ups = [u[0, :, 0].copy() for u in _iterates(blocks.p, v, 0, steps, [1] * steps)]
-        xs = [x[0].copy() for x in _iterates(blocks.pt, c.initial[None], 0, steps, [1] * steps)]
+        pt = _transposed(c.num_states, *blocks.p)
+        ups = [u[0, :, 0].copy() for u in _iterates(blocks.p, v, [1] * steps)]
+        xs = [x[0].copy() for x in _iterates(pt, c.initial[None], [1] * steps)]
         r = int(np.diff(blocks.p[0]).max(initial=0))
         step_slack = (2 * r + 8) * 2.0**-53 * np.abs(v).max() + 1e-280
         for k in range(1, steps):
@@ -765,7 +818,7 @@ def test_uniformized_matches_sparse_reference(sir20, mean_valuation):
     # sparse expression (compared dense, as a diagonal entry may round to 0
     # on one side only), blocks come in descending Lambda order and padding
     # rows are empty
-    from uctmc.checker import _Blocks
+    from uctmc.checker import _Blocks, _transposed
 
     full = build_full(sir20, mean_valuation)
     buffer = uctmc.load_model(uctmc.example_model_path("buffer"))
@@ -786,7 +839,8 @@ def test_uniformized_matches_sparse_reference(sir20, mean_valuation):
         absorbing += [None, looped.label_mask("goal")]
     blocks = _Blocks.uniformized(chains, absorbing)
     size = blocks.size
-    pt = sparse.csr_matrix(blocks.pt[::-1], shape=(len(chains) * size,) * 2)
+    pt = sparse.csr_matrix(_transposed(len(chains) * size, *blocks.p)[::-1],
+                           shape=(len(chains) * size,) * 2)
     assert size == full.num_states
     assert np.all(np.diff(blocks.lam) <= 0.0)
     counts = np.diff(pt.indptr)

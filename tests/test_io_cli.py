@@ -298,18 +298,38 @@ def test_cli_error_paths(tmp_path, capsys):
                  "--out", str(tmp_path / "freq.json")]) == 1
     assert "--regions" in capsys.readouterr().err
     assert not (tmp_path / "freq.json").exists()
-    # a measure time that is not finite is rejected with the measure's id
+    # a measure time out of range is a FormatError that names the file, the
+    # entry and the measure's id, and a repeated id names the file and the id
     samples = str(tmp_path / "samples.json")
     assert main(["sample", "--model", _model_path("tandem"), "--n", "2",
                  "--out", samples]) == 0
-    for tau in ("NaN", "Infinity"):
-        measures = tmp_path / f"measures_{tau}.json"
-        measures.write_text('{"measures": [{"id": "bad", "type": "reach", '
-                            f'"target": "full", "tau": {tau}}}]}}')
-        out = tmp_path / f"solutions_{tau}.json"
+    reach = '{{"id": "bad", "type": "reach", "target": "full", "tau": {}}}'
+    window = '{{"id": "bad", "type": "reach_interval", "target": "full", "t1": {}, "t2": {}}}'
+    reward = '{{"id": "bad", "type": "instant_reward", "reward": "x", "t": {}}}'
+    horizon = "measure entry 0: measure bad: horizon must be finite and >= 0"
+    need = "measure entry 0: measure bad: need 0 <= t1 <= t2 < inf"
+    instant = "measure entry 0: measure bad: time must be finite and >= 0"
+    for name, entries, message in (
+            ("nan_tau", reach.format("NaN"), horizon),
+            ("infinite_tau", reach.format("Infinity"), horizon),
+            ("negative_tau", reach.format(-1), horizon),
+            ("reversed_window", window.format(5, 1), need),
+            ("negative_t1", window.format(-1, 1), need),
+            ("nan_t2", window.format(0, "NaN"), need),
+            ("infinite_t2", window.format(0, "Infinity"), need),
+            ("negative_t", reward.format(-0.5), instant),
+            ("infinite_t", reward.format("-Infinity"), instant),
+            ("repeated_id", f"{reward.format(1)}, {window.format(0, 1)}",
+             "measure ids must be unique: bad repeated")):
+        measures = tmp_path / f"measures_{name}.json"
+        measures.write_text(f'{{"measures": [{entries}]}}')
+        message = f"measures file {measures}: {message}"
+        with pytest.raises(uio.FormatError, match=re.escape(message)):
+            uio.read_measures(measures)
+        out = tmp_path / f"solutions_{name}.json"
         assert main(["check", "--model", _model_path("tandem"), "--measures",
                      str(measures), "--samples", samples, "--out", str(out)]) == 1
-        assert "error [check] measure bad: horizon must be finite" in capsys.readouterr().err
+        assert f"error [check] {message}" in capsys.readouterr().err, name
         assert not out.exists()
     # a malformed entry is a FormatError that names the file and the entry's position
     good = '{"id": "ok", "type": "reach", "target": "full", "tau": 1.0}'
